@@ -10,15 +10,16 @@ verify-invariants   defect report for a canonical-parameter bundle
 check-action        action-axiom defect report
 validate            full cross-module validation suite
 
-Exit codes: 0 success, 1 validation failure, 2 input error.  Floats are
-printed in shortest round-trip decimal form so identical inputs give
-byte-identical outputs.
+Exit codes: 0 success, 1 validation failure, 2 input error or overflow.
+Floats are printed in shortest round-trip decimal form so identical inputs
+give byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 import numpy as np
@@ -122,31 +123,41 @@ _GROUP_KINDS = {
 }
 
 
-def _build_catalog_action(group: str, name: str, n: int, s, q) -> ga.GroupAction:
-    kind = _GROUP_KINDS[group]
-    if name == "standard":
-        variant = {
-            ga.TRANSLATION_GROUP: ga.STANDARD_TRANSLATION,
-            ga.GENERAL_LINEAR: ga.STANDARD_LINEAR,
-            ga.GENERAL_AFFINE: ga.STANDARD_AFFINE,
-        }[kind]
-        return ga.GroupAction(variant, n)
-    if name == "exp-translation":
-        if kind != ga.TRANSLATION_GROUP:
-            raise InputError("exp-translation is an action of the translation group")
+_STANDARD_ACTIONS = {
+    ga.TRANSLATION_GROUP: ga.STANDARD_TRANSLATION,
+    ga.GENERAL_LINEAR: ga.STANDARD_LINEAR,
+    ga.GENERAL_AFFINE: ga.STANDARD_AFFINE,
+}
+
+
+def _build_action(name: str, n: int, s=None, q=None, kind=None) -> ga.GroupAction:
+    """Catalog action ``name`` on R^n.
+
+    Given a group ``kind``, ``standard`` names that group's standard action
+    and an action of another group is refused.  exp-translation takes the
+    weight vector ``s``, det-weighted the determinant power ``q``.
+    """
+    if kind is not None and name == "standard":
+        name = _STANDARD_ACTIONS[kind]
+    if name == ga.EXP_TRANSLATION:
         if s is None:
             raise InputError("exp-translation needs --s")
-        weight = _parse_point(s)
+        weight = np.asarray(s, dtype=float).reshape(-1)
         if weight.size != n:
-            raise InputError(f"--s has dim {weight.size}, tangent lives on R^{n}")
-        return ga.exp_translation_action(weight)
-    if name == "det-weighted":
-        if kind != ga.GENERAL_LINEAR:
-            raise InputError("det-weighted is an action of the general linear group")
+            raise InputError(f"weight vector s has dim {weight.size}, expected {n}")
+        action = ga.exp_translation_action(weight)
+    elif name == ga.DET_WEIGHTED:
         if q is None:
             raise InputError("det-weighted needs --q")
-        return ga.det_weighted_action(n, q)
-    raise InputError(f"unknown action {name!r}")
+        action = ga.det_weighted_action(n, q)
+    elif name in _STANDARD_ACTIONS.values():
+        action = ga.GroupAction(name, n)
+    else:
+        raise InputError(f"unknown action {name!r}")
+    if kind is not None and action.group_kind != kind:
+        group = action.group_kind.replace("-", " ")
+        raise InputError(f"{name} is an action of the {group} group")
+    return action
 
 
 def _cmd_fundamental(args) -> int:
@@ -156,7 +167,8 @@ def _cmd_fundamental(args) -> int:
         tangent = ga.TangentAtIdentity.from_dict(kind, data)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.X}: {exc}") from exc
-    action = _build_catalog_action(args.group, args.action, tangent.n, args.s, args.q)
+    s = None if args.s is None else _parse_point(args.s)
+    action = _build_action(args.action, tangent.n, s, args.q, kind)
     try:
         field = ga.fundamental_field_analytic(action, tangent)
     except ValueError as exc:
@@ -270,6 +282,8 @@ def _cmd_verify_invariants(args) -> int:
 def _cmd_check_action(args) -> int:
     params = _load_json(args.params) if args.params else {}
     n = int(params.get("n", 2))
+    s = params.get("s", np.ones(n))
+    q = int(params.get("q", 1))
     name = args.action
     try:
         if name == "chart-conjugated":
@@ -277,26 +291,15 @@ def _cmd_check_action(args) -> int:
             chart_name = params.get("chart")
             if not base_name or not chart_name:
                 raise InputError("chart-conjugated needs 'base' and 'chart' params")
-            base = _make_named_action(base_name, n, params)
+            base = _build_action(base_name, n, s, q)
             action = ga.chart_conjugated_action(base, get_chart(chart_name, n))
         else:
-            action = _make_named_action(name, n, params)
+            action = _build_action(name, n, s, q)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     report = ga.check_action_axioms(action, samples=args.samples, seed=args.seed)
     _print_json(report.to_dict())
     return 0 if report.passed else 1
-
-
-def _make_named_action(name: str, n: int, params: dict) -> ga.GroupAction:
-    if name == ga.EXP_TRANSLATION:
-        s = np.asarray(params.get("s", np.ones(n)), dtype=float)
-        return ga.exp_translation_action(s)
-    if name == ga.DET_WEIGHTED:
-        return ga.det_weighted_action(n, int(params.get("q", 1)))
-    if name in (ga.STANDARD_LINEAR, ga.STANDARD_TRANSLATION, ga.STANDARD_AFFINE):
-        return ga.GroupAction(name, n)
-    raise InputError(f"unknown action {name!r}")
 
 
 def _cmd_validate(args) -> int:
@@ -386,15 +389,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite ``--point -1,2`` as ``--point=-1,2`` (likewise ``--t -1e-3``).
+
+    argparse mistakes a value such as ``-1,2`` or ``-1e-3`` for an option, as
+    it is not a plain negative number; in the ``=`` form it stays a value.
+    Every long option here but ``--help`` takes a value, so a token that
+    starts like a negative number right after a bare ``--option`` is that
+    option's value.
+    """
+    out: list[str] = []
+    for token in argv:
+        previous = out[-1] if out else ""
+        if (previous.startswith("--") and "=" not in previous
+                and re.match(r"-[\d.]", token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
+    )
     try:
         return args.fn(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

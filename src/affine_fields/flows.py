@@ -1,15 +1,15 @@
 """Closed-form flows of affine fields and the flow-map algebra.
 
-The time-t map of the field x -> C x + B is one of
+The time-t map of the field x -> C x + B takes one of two forms:
 
-* translation        x + t B                      (C = 0)
-* exponential        exp(tC) x                    (B = 0)
-* shifted            exp(tC)(x - U0) + U0         (C U0 + B = 0 solvable)
-* augmented          homogeneous-embedding exponential (the remaining case)
+* translation            x + t B                          (C exactly zero)
+* augmented-exponential  the first n entries of exp(t G) (x, 1), where G is
+                         the homogeneous embedding [[C, B], [0, 0]]
 
-where U0 is any fixed point of the field.  The augmented form evaluates
-exp(t [[C, B], [0, 0]]) applied to (x, 1) and agrees with the other three on
-their domains.
+The augmented exponential covers every affine field (Van Loan 1978), so no
+fixed point is solved for and no tolerance decides which formula runs.  When
+C U + B = 0 has solutions, the paper's form exp(tC)(x - U) + U still holds for
+every such U; validation check 10 tests that identity against this path.
 """
 
 from __future__ import annotations
@@ -18,90 +18,71 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import AffineField, ZERO_TOLERANCE
-from .linalg import augment_affine, mat_exp, solve_linear
+from .fields import AffineField
+# solve_linear is unused here; instrumentation looks it up in this namespace.
+from .linalg import augment_affine, mat_exp, solve_linear  # noqa: F401
 
 TRANSLATION = "translation"
-EXPONENTIAL = "exponential"
-SHIFTED_EXPONENTIAL = "shifted-exponential"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
 
-_FORMS = (TRANSLATION, EXPONENTIAL, SHIFTED_EXPONENTIAL, AUGMENTED_EXPONENTIAL)
-
-# A declared fixed point must satisfy C U0 + B = 0 to this accuracy.
-FIXED_POINT_RESIDUAL = 1e-10
+_FORMS = (TRANSLATION, AUGMENTED_EXPONENTIAL)
 
 
 @dataclass(frozen=True)
 class FlowMap:
-    """Closed-form flow of an affine field; immutable and pure to evaluate."""
+    """Closed-form flow of an affine field; immutable and pure to evaluate.
+
+    ``generator`` is the homogeneous embedding [[C, B], [0, 0]], built once.
+    """
 
     field: AffineField
     form: str
-    fixed_point: np.ndarray | None = None
 
     def __post_init__(self):
         if self.form not in _FORMS:
             raise ValueError(f"unknown flow form {self.form!r}")
-        if self.form == SHIFTED_EXPONENTIAL:
-            if self.fixed_point is None:
-                raise ValueError("shifted-exponential form requires a fixed point")
-            u0 = np.array(self.fixed_point, dtype=float).reshape(-1)
-            if u0.size != self.field.n:
-                raise ValueError("fixed point dimension mismatch")
-            residual = np.linalg.norm(self.field.C @ u0 + self.field.B)
-            if residual > FIXED_POINT_RESIDUAL * (1.0 + np.linalg.norm(self.field.B)):
-                raise ValueError(
-                    f"fixed point residual {residual:.3e} exceeds "
-                    f"{FIXED_POINT_RESIDUAL:.0e}"
-                )
-            u0.flags.writeable = False
-            object.__setattr__(self, "fixed_point", u0)
-        elif self.fixed_point is not None:
-            raise ValueError(f"form {self.form!r} takes no fixed point")
+        generator = augment_affine(self.field.C, self.field.B)
+        generator.flags.writeable = False
+        object.__setattr__(self, "generator", generator)
 
 
 def make_flow(field: AffineField) -> FlowMap:
-    """Select the closed form for the field's flow.
-
-    Constant fields translate, linear fields are exponential, and a genuinely
-    affine field is a shifted exponential about a fixed point whenever
-    C U0 = -B is solvable.  When B has a component outside the range of C no
-    fixed point exists and the flow falls back to the homogeneous embedding.
-    """
-    c_zero = np.max(np.abs(field.C)) <= ZERO_TOLERANCE
-    b_zero = np.max(np.abs(field.B)) <= ZERO_TOLERANCE
-    if c_zero:
+    """Translation when C is exactly zero, else the augmented exponential."""
+    if not np.any(field.C):
         return FlowMap(field, TRANSLATION)
-    if b_zero:
-        return FlowMap(field, EXPONENTIAL)
-    u0, _ = solve_linear(field.C, -field.B)
-    if u0 is not None:
-        return FlowMap(field, SHIFTED_EXPONENTIAL, fixed_point=u0)
     return FlowMap(field, AUGMENTED_EXPONENTIAL)
 
 
 def flow_at(flow: FlowMap, t: float, x) -> np.ndarray:
-    """Image of the point x under the time-t flow map."""
+    """Image of the point x under the time-t flow map.
+
+    Raises OverflowError when t G or the image is not representable in
+    floats, and ValueError for a non-finite t or x.
+    """
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     p = np.asarray(x, dtype=float).reshape(-1)
     field = flow.field
-    if p.size != field.n:
-        raise ValueError(f"point has dim {p.size}, flow lives on R^{field.n}")
+    n = field.n
+    if p.size != n:
+        raise ValueError(f"point has dim {p.size}, flow lives on R^{n}")
+    if not np.isfinite(p).all():
+        raise ValueError("point must be finite")
     if t == 0.0:
         # The time-zero map is the identity exactly, not just up to rounding.
         return p.copy()
-    if flow.form == TRANSLATION:
-        return p + t * field.B
-    if flow.form == EXPONENTIAL:
-        return mat_exp(t * field.C) @ p
-    if flow.form == SHIFTED_EXPONENTIAL:
-        u0 = flow.fixed_point
-        return mat_exp(t * field.C) @ (p - u0) + u0
-    big = mat_exp(t * augment_affine(field.C, field.B))
-    n = field.n
-    return big[:n, :n] @ p + big[:n, n]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if flow.form == TRANSLATION:
+            image = p + t * field.B
+        else:
+            scaled = t * flow.generator
+            if not np.isfinite(scaled).all():
+                raise OverflowError(f"time-{t!r} generator overflows")
+            big = mat_exp(scaled)
+            image = big[:n, :n] @ p + big[:n, n]
+    if not np.isfinite(image).all():
+        raise OverflowError(f"time-{t!r} image overflows")
+    return image
 
 
 def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:

@@ -62,6 +62,11 @@ def mat_exp(a, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
     -------
     ndarray
         exp(a).  The zero matrix maps to the exact identity.
+
+    Raises
+    ------
+    OverflowError
+        If exp(a) has entries beyond the float range.
     """
     m = as_matrix(a)
     n = _require_square(m, "mat_exp argument")
@@ -87,8 +92,11 @@ def mat_exp(a, tol: float = DEFAULT_EXP_TOL) -> np.ndarray:
     else:  # pragma: no cover - term norms decay at least like 0.5^k / k!
         raise RuntimeError("matrix exponential series failed to converge")
 
-    for _ in range(squarings):
-        total = total @ total
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            total = total @ total
+    if not np.isfinite(total).all():
+        raise OverflowError(f"exp of a matrix with 1-norm {norm:.3e} overflows")
     return total
 
 
@@ -154,8 +162,7 @@ def augment_affine(c, b) -> np.ndarray:
 
     The exponential of t times this (n+1) x (n+1) matrix carries exp(tC) in
     the upper-left block and the inhomogeneous response in the last column,
-    which is how the flow module evaluates affine flows whose shift equation
-    has no solution.
+    which is how the flow module evaluates every field with nonzero C.
     """
     m = as_matrix(c, "matrix part")
     n = _require_square(m, "matrix part")

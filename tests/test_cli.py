@@ -68,6 +68,38 @@ class TestFlowCommand:
         assert first == second
 
 
+    @pytest.mark.parametrize(
+        "spelling, image",
+        [
+            # From (-1, 2): (-1 + t, 2 - 2 t + t^2), which is (1, 2) at t = 2.
+            (("--t", "2", "--point", "-1,2"), "1 2\n"),
+            (("--t", "2", "--point=-1,2"), "1 2\n"),
+            # From (1, 2): (1 + t, 2 + 2 t + t^2), which is (-1, 2) at t = -2.
+            (("--t", "-2e0", "--point", "1,2"), "-1 2\n"),
+        ],
+    )
+    def test_negative_values(self, capsys, planar_field_file, spelling, image):
+        code, out, err = run_cli(capsys, "flow", "--field", planar_field_file, *spelling)
+        assert (code, out, err) == (0, image, "")
+
+    def test_non_finite_point_is_an_input_error(self, capsys, planar_field_file):
+        code, out, err = run_cli(
+            capsys, "flow", "--field", planar_field_file, "--t", "1", "--point", "nan,0"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: point must be finite\n"
+
+    def test_overflow_exits_two(self, capsys, tmp_path):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 1, "C": [[100.0]], "B": [0.0]}))
+        code, out, err = run_cli(
+            capsys, "flow", "--field", str(field), "--t", "10", "--point", "1"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "overflow" in err
+
+
 class TestOrbitCommand:
     def test_csv_shape(self, capsys, planar_field_file):
         code, out, _ = run_cli(
@@ -90,6 +122,23 @@ class TestOrbitCommand:
         assert len(lines) == 6
         assert lines[1] == "0,0,0"
         assert lines[-1] == "2,2,4"
+
+
+    @pytest.mark.parametrize("spelling", [("--point", "-1,2"), ("--point=-1,2",)])
+    def test_negative_first_coordinate(self, capsys, planar_field_file, spelling):
+        code, out, _ = run_cli(
+            capsys,
+            "orbit",
+            "--field",
+            planar_field_file,
+            *spelling,
+            "--t1",
+            "2",
+            "--steps",
+            "1",
+        )
+        assert code == 0
+        assert out.strip().split("\n")[1:] == ["0,-1,2", "2,1,2"]
 
 
 class TestBracketCommand:
@@ -149,6 +198,55 @@ class TestFundamentalCommand:
         assert code == 0
         payload = json.loads(out)
         assert payload["C"] == [[1.0, 0.0], [0.0, 1.0]]
+
+
+    @pytest.mark.parametrize("spelling", [("--s", "-1,2"), ("--s=-1,2",)])
+    def test_negative_weight(self, capsys, tmp_path, spelling):
+        # exp-translation with s = (-1, 2): C = (X_vec . s) I = 3 I.
+        tangent = tmp_path / "X.json"
+        tangent.write_text(json.dumps({"X_vec": [1.0, 2.0]}))
+        code, out, _ = run_cli(
+            capsys,
+            "fundamental",
+            "--group",
+            "T",
+            "--action",
+            "exp-translation",
+            *spelling,
+            "--X",
+            str(tangent),
+        )
+        assert code == 0
+        assert json.loads(out)["C"] == [[3.0, 0.0], [0.0, 3.0]]
+
+    def test_action_of_another_group(self, capsys, tmp_path):
+        tangent = tmp_path / "X.json"
+        tangent.write_text(json.dumps({"X_mat": [[1.0]]}))
+        code, _, err = run_cli(
+            capsys,
+            "fundamental",
+            "--group",
+            "GL",
+            "--action",
+            "exp-translation",
+            "--s",
+            "1",
+            "--X",
+            str(tangent),
+        )
+        assert code == 2
+        assert "action of the translation group" in err
+
+    def test_det_weighted_needs_power(self, capsys, tmp_path):
+        tangent = tmp_path / "X.json"
+        tangent.write_text(json.dumps({"X_mat": [[1.0]]}))
+        argv = ["fundamental", "--group", "GL", "--action", "det-weighted"]
+        code, _, err = run_cli(capsys, *argv, "--X", str(tangent))
+        assert code == 2
+        assert "needs --q" in err
+        code, out, _ = run_cli(capsys, *argv, "--q", "1", "--X", str(tangent))
+        assert code == 0
+        assert json.loads(out)["C"] == [[2.0]]
 
 
 class TestVerifyInvariantsCommand:
@@ -248,6 +346,27 @@ class TestCheckActionCommand:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+
+
+    def test_defaults_for_weight_and_power(self, capsys, tmp_path):
+        # Without "s" and "q" the weight is ones(n) and the power is 1.
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": 3}))
+        for action in ("exp-translation", "det-weighted"):
+            code, out, _ = run_cli(
+                capsys,
+                "check-action",
+                "--action",
+                action,
+                "--params",
+                str(params),
+                "--samples",
+                "20",
+            )
+            assert code == 0
+            assert json.loads(out)["action"].endswith(
+                "(s=[1.0, 1.0, 1.0])" if action == "exp-translation" else "(q=1)"
+            )
 
 
 class TestErrorHandling:

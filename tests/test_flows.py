@@ -2,9 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from affine_fields import (
     AffineField,
@@ -15,8 +17,6 @@ from affine_fields import (
 )
 from affine_fields.flows import (
     AUGMENTED_EXPONENTIAL,
-    EXPONENTIAL,
-    SHIFTED_EXPONENTIAL,
     TRANSLATION,
     FlowMap,
     flow_at,
@@ -34,31 +34,21 @@ class TestMakeFlow:
     def test_constant_selects_translation(self):
         assert make_flow(constant_field([1.0, 2.0])).form == TRANSLATION
 
-    def test_linear_selects_exponential(self):
-        assert make_flow(linear_field(np.eye(2))).form == EXPONENTIAL
+    def test_linear_selects_augmented(self):
+        assert make_flow(linear_field(np.eye(2))).form == AUGMENTED_EXPONENTIAL
 
-    def test_invertible_matrix_selects_shifted(self):
-        flow = make_flow(AffineField(np.eye(2), [1.0, 1.0]))
-        assert flow.form == SHIFTED_EXPONENTIAL
-        assert_allclose(flow.fixed_point, [-1.0, -1.0], atol=1e-12)
-        assert_allclose(
-            flow.field.C @ flow.fixed_point + flow.field.B, [0.0, 0.0], atol=1e-12
-        )
+    def test_tiny_matrix_selects_augmented(self):
+        # Only an exactly zero C translates; no absolute tolerance applies.
+        field = AffineField([[1e-15]], [1e-15])
+        assert make_flow(field).form == AUGMENTED_EXPONENTIAL
 
     def test_unsolvable_shift_selects_augmented(self):
         # C U0 = (0, 2 U0[0]) can never hit -B = (-1, 0).
         assert make_flow(PLANAR).form == AUGMENTED_EXPONENTIAL
 
-    def test_shifted_form_validates_fixed_point(self):
-        field = AffineField(np.eye(2), [1.0, 1.0])
-        with pytest.raises(ValueError, match="residual"):
-            FlowMap(field, SHIFTED_EXPONENTIAL, fixed_point=[5.0, 5.0])
-        with pytest.raises(ValueError, match="fixed point"):
-            FlowMap(field, SHIFTED_EXPONENTIAL)
-
-    def test_non_shifted_forms_reject_fixed_point(self):
-        with pytest.raises(ValueError):
-            FlowMap(constant_field([1.0]), TRANSLATION, fixed_point=[0.0])
+    def test_unknown_form_rejected(self):
+        with pytest.raises(ValueError, match="unknown flow form"):
+            FlowMap(AffineField(np.eye(2), [1.0, 1.0]), "shifted-exponential")
 
 
 class TestFlowAt:
@@ -129,42 +119,79 @@ class TestGroupLaw:
             )
 
 
-class TestDegenerateForms:
-    def test_fixed_point_choice_does_not_matter(self):
+class TestAgreement:
+    """The augmented exponential against the paper's three closed forms."""
+
+    def test_reduces_to_translation_and_exponential(self):
+        rng = np.random.default_rng(4)
+        for _ in range(20):
+            n = int(rng.integers(1, 5))
+            t = rng.uniform(-1.0, 1.0)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            b = rng.uniform(-2.0, 2.0, size=n)
+            c = rng.uniform(-2.0, 2.0, size=(n, n))
+            got = flow_at(make_flow(constant_field(b)), t, x)
+            assert np.linalg.norm(got - (x + t * b)) <= 1e-10
+            got = flow_at(make_flow(linear_field(c)), t, x)
+            assert np.linalg.norm(got - expm(t * c) @ x) <= 1e-10
+
+    def test_shifted_form_at_either_fixed_point(self):
         # Rank-1 C with B in its range: many fixed points, one flow.
         c = np.array([[1.0, 1.0], [1.0, 1.0]])
         b = np.array([-2.0, -2.0])
-        field = AffineField(c, b)
+        flow = make_flow(AffineField(c, b))
         u1 = np.array([1.0, 1.0])  # C u1 + B = 0
         u2 = np.array([3.0, -1.0])  # also a fixed point, differs by null vector
-        flow1 = FlowMap(field, SHIFTED_EXPONENTIAL, fixed_point=u1)
-        flow2 = FlowMap(field, SHIFTED_EXPONENTIAL, fixed_point=u2)
         rng = np.random.default_rng(3)
         for _ in range(10):
             t = rng.uniform(-1.0, 1.0)
             x = rng.uniform(-2.0, 2.0, size=2)
-            assert np.linalg.norm(
-                flow_at(flow1, t, x) - flow_at(flow2, t, x)
-            ) <= 1e-10
+            got = flow_at(flow, t, x)
+            for u in (u1, u2):
+                assert np.linalg.norm(got - (expm(t * c) @ (x - u) + u)) <= 1e-10
 
-    def test_augmented_reduces_to_other_forms(self):
-        rng = np.random.default_rng(4)
-        for _ in range(20):
-            n = int(rng.integers(1, 5))
-            choice = rng.integers(0, 3)
-            if choice == 0:
-                field = constant_field(rng.uniform(-2.0, 2.0, size=n))
-            elif choice == 1:
-                field = linear_field(rng.uniform(-2.0, 2.0, size=(n, n)))
-            else:
-                field = random_affine_field(rng, n)
-            native = make_flow(field)
-            forced = FlowMap(field, AUGMENTED_EXPONENTIAL)
-            t = rng.uniform(-1.0, 1.0)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            assert np.linalg.norm(
-                flow_at(native, t, x) - flow_at(forced, t, x)
-            ) <= 1e-10
+
+def _relative_error(got, want) -> float:
+    """Largest componentwise error relative to the mpmath values."""
+    return max(float(abs((mpmath.mpf(g) - w) / w)) for g, w in zip(got, want))
+
+
+class TestRegressions:
+    def test_tiny_scale_field_is_not_constant(self):
+        # x' = 1e-15 (x + 1) from 0: x(t) = exp(1e-15 t) - 1, e - 1 at t = 1e15.
+        flow = make_flow(AffineField([[1e-15]], [1e-15]))
+        with mpmath.workdps(50):
+            want = [mpmath.expm1(mpmath.mpf(1e-15) * mpmath.mpf(1e15))]
+            assert _relative_error(flow_at(flow, 1e15, [0.0]), want) <= 1e-12
+
+    def test_near_singular_matrix_keeps_full_accuracy(self):
+        # Componentwise x_i(1) = (exp(c_i) - 1) / c_i from 0, with B = (1, 1).
+        flow = make_flow(AffineField(np.diag([1.0, 1e-9]), [1.0, 1.0]))
+        with mpmath.workdps(50):
+            want = [mpmath.expm1(mpmath.mpf(c)) / mpmath.mpf(c) for c in (1.0, 1e-9)]
+            assert _relative_error(flow_at(flow, 1.0, [0.0, 0.0]), want) <= 1e-12
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "c, t",
+        [(100.0, 10.0), (1e10, 1e300)],  # the image overflows; t C itself overflows
+    )
+    def test_overflow_raises_without_warning(self, c, t):
+        flow = make_flow(AffineField([[c]], [0.0]))
+        with pytest.raises(OverflowError):
+            flow_at(flow, t, [1.0])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0]])
+    def test_non_finite_point_rejected(self, x):
+        flow = make_flow(AffineField([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0]))
+        with pytest.raises(ValueError, match="point must be finite"):
+            flow_at(flow, 1.0, x)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_translation_overflow_raises_without_warning(self):
+        flow = make_flow(constant_field([1e300]))
+        with pytest.raises(OverflowError):
+            flow_at(flow, 1e10, [0.0])
 
 
 class TestOrbit:

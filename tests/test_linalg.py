@@ -75,6 +75,12 @@ def test_mat_exp_one_parameter_property():
         )
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mat_exp_overflow_raises_without_warning():
+    with pytest.raises(OverflowError, match="overflows"):
+        mat_exp([[1000.0]])
+
+
 def test_mat_exp_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         mat_exp(np.zeros((2, 3)))
