@@ -9,10 +9,12 @@ general affine group actions.
 """
 
 from .actions import (
+    VARIANTS,
     ActionAxiomReport,
     GroupAction,
     GroupElement,
     TangentAtIdentity,
+    VariantRecord,
     act,
     act_right,
     affine_element,

@@ -1,9 +1,16 @@
 """Lie group elements, actions on R^n, and fundamental vector fields.
 
-Three groups are covered: translations, the general linear group, and the
-general affine group (semidirect product of the latter two, multiplication
-(a1, t1)(a2, t2) = (a1 a2, a1 t2 + t1)).  A fixed catalog of left actions is
-implemented:
+Three groups are covered, all in the homogeneous embedding of the general
+affine group GA(n): an element is the (n+1) x (n+1) matrix [[a, t], [0, 1]],
+so multiplication, inversion and the exponential are those of matrices
+((a1, t1)(a2, t2) = (a1 a2, a1 t2 + t1)).  The translation group and the
+general linear group are subgroups of GA(n), and an element's kind is a
+constraint its constructor checks: a = I exactly for translations, t = 0
+exactly for general-linear elements.  A tangent vector at the identity is
+likewise the matrix [[X_mat, X_vec], [0, 0]].
+
+A fixed catalog of left actions is implemented, one record per variant in
+VARIANTS:
 
 * standard-linear        (a, x)      -> a x
 * standard-translation   (t, x)      -> x + t
@@ -15,18 +22,19 @@ plus chart-conjugated local versions of any of these, acting through a chart
 by forward / act / inverse.  For a tangent vector X at the identity, the
 fundamental field at x is the derivative of g -> act(g, x) at the identity
 contracted with X; it is computed both by central differences along the
-group coordinates (matrix entries row-major, then translation entries) and
-from the per-variant closed forms, and the two must agree.
+nonzero entries of X and from the per-variant closed forms, and the two must
+agree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .charts import Chart
-from .fields import AffineField, evaluate
+from .fields import AffineField, evaluate, linear_field
 from .linalg import as_matrix, as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
@@ -52,97 +60,103 @@ CATALOG_VARIANTS = (
     DET_WEIGHTED,
 )
 
-# Matrix parts closer to singular than this are rejected.
-MIN_ABS_DET = 1e-12
-
-_VARIANT_KIND = {
-    STANDARD_LINEAR: GENERAL_LINEAR,
-    STANDARD_TRANSLATION: TRANSLATION_GROUP,
-    STANDARD_AFFINE: GENERAL_AFFINE,
-    EXP_TRANSLATION: TRANSLATION_GROUP,
-    DET_WEIGHTED: GENERAL_LINEAR,
-    BROKEN_LINEAR: GENERAL_LINEAR,
-}
+# A matrix part is rejected as singular when its determinant, with every
+# column scaled to unit 2-norm, is at most this: |det a| <= 1e-12 prod |a_j|.
+# The test does not depend on the scale of the entries.
+MIN_SCALED_DET = 1e-12
 
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element of the translation, general linear, or general affine group."""
+    """Element [[a, t], [0, 1]] of GA(n), of its translation subgroup
+    (a = I) or of its general linear subgroup (t = 0), as ``kind`` says."""
 
     kind: str
-    a: np.ndarray | None = None
-    t: np.ndarray | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown group kind {self.kind!r}")
-        a = self.a
-        t = self.t
+        m = as_matrix(self.matrix, "group element")
+        n = m.shape[0] - 1
+        if n < 1 or m.shape[1] != n + 1:
+            raise ValueError(f"group element must be (n+1) x (n+1), got {m.shape}")
+        # count_nonzero is the cheapest exact zero test on small arrays.
+        if m[n, n] != 1.0 or np.count_nonzero(m[n, :n]):
+            raise ValueError("group element's bottom row must be (0, ..., 0, 1)")
+        a = m[:n, :n]
         if self.kind == TRANSLATION_GROUP:
-            if a is not None:
-                raise ValueError("translation elements carry no matrix part")
-            t = as_vector(t, "translation part")
-        elif self.kind == GENERAL_LINEAR:
-            if t is not None:
-                raise ValueError("general-linear elements carry no translation part")
-            a = as_matrix(a, "matrix part")
+            # a = I: n nonzero entries, and the n diagonal ones equal 1.
+            if np.count_nonzero(a) != n or np.count_nonzero(a.diagonal() - 1.0):
+                raise ValueError("translation elements have matrix part I")
         else:
-            a = as_matrix(a, "matrix part")
-            t = as_vector(t, "translation part")
-        if a is not None:
-            if a.shape[0] != a.shape[1]:
-                raise ValueError(f"matrix part must be square, got {a.shape}")
-            if abs(np.linalg.det(a)) <= MIN_ABS_DET:
+            if self.kind == GENERAL_LINEAR and np.count_nonzero(m[:n, n]):
+                raise ValueError("general-linear elements have translation part 0")
+            norms = np.hypot.reduce(a, axis=0)
+            if (np.count_nonzero(norms) < n
+                    or abs(np.linalg.det(a / norms)) <= MIN_SCALED_DET):
                 raise ValueError("matrix part is singular")
-            if t is not None and t.size != a.shape[0]:
-                raise ValueError("matrix and translation parts disagree on dimension")
-            a.flags.writeable = False
-        if t is not None:
-            t.flags.writeable = False
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "t", t)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
-        return self.t.size if self.t is not None else self.a.shape[0]
+        return self.matrix.shape[0] - 1
+
+    @property
+    def a(self) -> np.ndarray:
+        """Matrix part, a read-only view (I for translations)."""
+        return self.matrix[:-1, :-1]
+
+    @property
+    def t(self) -> np.ndarray:
+        """Translation part, a read-only view (0 for general-linear)."""
+        return self.matrix[:-1, -1]
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
-        if self.a is not None:
+        if self.kind != TRANSLATION_GROUP:
             out["a"] = self.a.tolist()
-        if self.t is not None:
+        if self.kind != GENERAL_LINEAR:
             out["t"] = self.t.tolist()
         return out
 
     @staticmethod
     def from_dict(data: dict) -> "GroupElement":
-        return GroupElement(
-            kind=data["kind"],
-            a=np.asarray(data["a"], dtype=float) if "a" in data else None,
-            t=np.asarray(data["t"], dtype=float) if "t" in data else None,
-        )
+        a = data["a"] if "a" in data else np.eye(len(data["t"]))
+        return GroupElement(data["kind"], _homogeneous(a, data.get("t")))
+
+
+def _homogeneous(a, t=None) -> np.ndarray:
+    """[[a, t], [0, 1]], with t = 0 when None; GroupElement checks the entries."""
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"matrix part must be square, got shape {a.shape}")
+    m = np.eye(a.shape[0] + 1)
+    m[:-1, :-1] = a
+    if t is not None:
+        t = np.asarray(t, dtype=float).reshape(-1)
+        if t.size != a.shape[0]:
+            raise ValueError("matrix and translation parts disagree on dimension")
+        m[:-1, -1] = t
+    return m
 
 
 def translation_element(t) -> GroupElement:
-    return GroupElement(TRANSLATION_GROUP, t=as_vector(t))
+    t = np.asarray(t, dtype=float).reshape(-1)
+    return GroupElement(TRANSLATION_GROUP, _homogeneous(np.eye(t.size), t))
 
 
 def linear_element(a) -> GroupElement:
-    return GroupElement(GENERAL_LINEAR, a=as_matrix(a))
+    return GroupElement(GENERAL_LINEAR, _homogeneous(a))
 
 
 def affine_element(a, t) -> GroupElement:
-    return GroupElement(GENERAL_AFFINE, a=as_matrix(a), t=as_vector(t))
+    return GroupElement(GENERAL_AFFINE, _homogeneous(a, t))
 
 
 def identity_element(kind: str, n: int) -> GroupElement:
-    if kind == TRANSLATION_GROUP:
-        return translation_element(np.zeros(n))
-    if kind == GENERAL_LINEAR:
-        return linear_element(np.eye(n))
-    if kind == GENERAL_AFFINE:
-        return affine_element(np.eye(n), np.zeros(n))
-    raise ValueError(f"unknown group kind {kind!r}")
+    return GroupElement(kind, np.eye(n + 1))
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
@@ -151,25 +165,17 @@ def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
         raise ValueError(f"cannot multiply {g.kind!r} by {h.kind!r}")
     if g.n != h.n:
         raise ValueError("dimension mismatch")
-    if g.kind == TRANSLATION_GROUP:
-        return translation_element(g.t + h.t)
-    if g.kind == GENERAL_LINEAR:
-        return linear_element(g.a @ h.a)
-    return affine_element(g.a @ h.a, g.a @ h.t + g.t)
+    return GroupElement(g.kind, g.matrix @ h.matrix)
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    if g.kind == TRANSLATION_GROUP:
-        return translation_element(-g.t)
-    if g.kind == GENERAL_LINEAR:
-        return linear_element(np.linalg.inv(g.a))
-    a_inv = np.linalg.inv(g.a)
-    return affine_element(a_inv, -(a_inv @ g.t))
+    return GroupElement(g.kind, np.linalg.inv(g.matrix))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TangentAtIdentity:
-    """Tangent vector at the group identity.
+    """Tangent vector at the group identity, stored as the homogeneous
+    matrix [[X_mat, X_vec], [0, 0]].
 
     X_mat holds the components along the matrix coordinates (zero for the
     translation group), X_vec those along the translation coordinates (zero
@@ -177,43 +183,44 @@ class TangentAtIdentity:
     """
 
     kind: str
-    X_mat: np.ndarray
-    X_vec: np.ndarray
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
-        m = as_matrix(self.X_mat, "X_mat")
-        v = as_vector(self.X_vec, "X_vec")
-        if m.shape != (v.size, v.size):
-            raise ValueError("X_mat and X_vec disagree on dimension")
-        if self.kind == TRANSLATION_GROUP and np.any(m != 0.0):
+    def __init__(self, kind: str, X_mat, X_vec):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        m = augment_affine(X_mat, X_vec)
+        if kind == TRANSLATION_GROUP and m[:-1, :-1].any():
             raise ValueError("translation tangents have zero matrix components")
-        if self.kind == GENERAL_LINEAR and np.any(v != 0.0):
+        if kind == GENERAL_LINEAR and m[:-1, -1].any():
             raise ValueError("general-linear tangents have zero vector components")
         m.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "X_mat", m)
-        object.__setattr__(self, "X_vec", v)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
-        return self.X_vec.size
+        return self.matrix.shape[0] - 1
+
+    @property
+    def X_mat(self) -> np.ndarray:
+        """Matrix components, a read-only view."""
+        return self.matrix[:-1, :-1]
+
+    @property
+    def X_vec(self) -> np.ndarray:
+        """Translation components, a read-only view."""
+        return self.matrix[:-1, -1]
 
     def to_dict(self) -> dict:
         return {"X_mat": self.X_mat.tolist(), "X_vec": self.X_vec.tolist()}
 
     @staticmethod
     def from_dict(kind: str, data: dict) -> "TangentAtIdentity":
-        n = None
         mat = data.get("X_mat")
         vec = data.get("X_vec")
-        if vec is not None:
-            n = len(vec)
-        elif mat is not None:
-            n = len(mat)
-        if n is None:
+        if mat is None and vec is None:
             raise ValueError("tangent data needs X_mat or X_vec")
+        n = len(mat if vec is None else vec)
         return TangentAtIdentity(
             kind,
             np.zeros((n, n)) if mat is None else np.asarray(mat, dtype=float),
@@ -232,7 +239,104 @@ def linear_tangent(m) -> TangentAtIdentity:
 
 
 def affine_tangent(m, v) -> TangentAtIdentity:
-    return TangentAtIdentity(GENERAL_AFFINE, as_matrix(m), as_vector(v))
+    return TangentAtIdentity(GENERAL_AFFINE, m, v)
+
+
+# A standard action's fundamental field of X is X itself, (C, B) = (X_mat,
+# X_vec); the tangent's kind constraint makes the field class exact.
+def _standard_field(action, tangent) -> AffineField:
+    return AffineField(tangent.X_mat, tangent.X_vec)
+
+
+def _standard_tangent(action, field) -> TangentAtIdentity:
+    return TangentAtIdentity(action.group_kind, field.C, field.B)
+
+
+def _linear_part(variant: str, field: AffineField) -> np.ndarray:
+    if field.B.any():
+        raise ValueError(f"{variant} fundamental fields are linear")
+    return field.C
+
+
+def _exp_translation_field(action, tangent) -> AffineField:
+    return linear_field(float(np.dot(tangent.X_vec, action.s)) * np.eye(action.n))
+
+
+def _exp_translation_tangent(action, field) -> TangentAtIdentity:
+    # The field must be an isotropic scaling c I; any X_vec with X_vec . s = c
+    # works, and the returned one is c s / (s . s).
+    n = action.n
+    c = _linear_part(EXP_TRANSLATION, field)
+    rate = float(np.trace(c)) / n
+    if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * (1.0 + abs(rate)):
+        raise ValueError("exp-translation fundamental fields are isotropic scalings")
+    s = action.s
+    ss = float(np.dot(s, s))
+    if ss == 0.0:
+        raise ValueError("weight vector is zero; only the zero field is reachable")
+    return translation_tangent((rate / ss) * s)
+
+
+def _det_weighted_field(action, tangent) -> AffineField:
+    x_mat = tangent.X_mat
+    return linear_field(x_mat + action.q * np.trace(x_mat) * np.eye(action.n))
+
+
+def _det_weighted_tangent(action, field) -> TangentAtIdentity:
+    # Removes the trace feedback: X_mat = C - q / (1 + q n) trace(C) I.
+    n, q = action.n, action.q
+    c = _linear_part(DET_WEIGHTED, field)
+    return linear_tangent(c - (q / (1.0 + q * n)) * np.trace(c) * np.eye(n))
+
+
+@dataclass(frozen=True)
+class VariantRecord:
+    """One action variant: its group, the action on a point p of R^n, the
+    closed-form fundamental field of a tangent, the tangent recovered from
+    a field, and the parameter the variant takes ("s", "q" or None)."""
+
+    kind: str
+    act: Callable[["GroupAction", GroupElement, np.ndarray], np.ndarray]
+    field: Callable[["GroupAction", TangentAtIdentity], AffineField] | None = None
+    tangent: Callable[["GroupAction", AffineField], TangentAtIdentity] | None = None
+    param: str | None = None
+
+
+VARIANTS = {
+    STANDARD_LINEAR: VariantRecord(
+        GENERAL_LINEAR,
+        act=lambda action, g, p: g.a @ p,
+        field=_standard_field,
+        tangent=_standard_tangent,
+    ),
+    STANDARD_TRANSLATION: VariantRecord(
+        TRANSLATION_GROUP,
+        act=lambda action, g, p: p + g.t,
+        field=_standard_field,
+        tangent=_standard_tangent,
+    ),
+    STANDARD_AFFINE: VariantRecord(
+        GENERAL_AFFINE,
+        act=lambda action, g, p: g.a @ p + g.t,
+        field=_standard_field,
+        tangent=_standard_tangent,
+    ),
+    EXP_TRANSLATION: VariantRecord(
+        TRANSLATION_GROUP,
+        act=lambda action, g, p: p * float(np.exp(np.dot(action.s, g.t))),
+        field=_exp_translation_field,
+        tangent=_exp_translation_tangent,
+        param="s",
+    ),
+    DET_WEIGHTED: VariantRecord(
+        GENERAL_LINEAR,
+        act=lambda action, g, p: (g.a @ p) * float(np.linalg.det(g.a)) ** action.q,
+        field=_det_weighted_field,
+        tangent=_det_weighted_tangent,
+        param="q",
+    ),
+    BROKEN_LINEAR: VariantRecord(GENERAL_LINEAR, act=lambda action, g, p: g.a @ p + p),
+}
 
 
 @dataclass(frozen=True)
@@ -255,17 +359,18 @@ class GroupAction:
             if self.base.n != self.n or self.chart.n != self.n:
                 raise ValueError("base action, chart, and action dimensions differ")
             return
-        if self.variant not in _VARIANT_KIND:
+        if self.variant not in VARIANTS:
             raise ValueError(f"unknown action variant {self.variant!r}")
-        if self.variant == EXP_TRANSLATION:
+        param = VARIANTS[self.variant].param
+        if param == "s":
             s = as_vector(self.s, "weight vector")
             if s.size != self.n:
-                raise ValueError("weight vector dimension mismatch")
+                raise ValueError(f"weight vector s has dim {s.size}, expected {self.n}")
             s.flags.writeable = False
             object.__setattr__(self, "s", s)
         elif self.s is not None:
             raise ValueError(f"variant {self.variant!r} takes no weight vector")
-        if self.variant == DET_WEIGHTED:
+        if param == "q":
             if self.q is None or self.q < 0 or int(self.q) != self.q:
                 raise ValueError("det-weighted actions need a nonnegative integer q")
             object.__setattr__(self, "q", int(self.q))
@@ -276,16 +381,15 @@ class GroupAction:
     def group_kind(self) -> str:
         if self.variant == CHART_CONJUGATED:
             return self.base.group_kind
-        return _VARIANT_KIND[self.variant]
+        return VARIANTS[self.variant].kind
 
     def describe(self) -> str:
         if self.variant == CHART_CONJUGATED:
             return f"{self.base.describe()} via chart {self.chart.name!r}"
-        if self.variant == EXP_TRANSLATION:
-            return f"{self.variant}(s={self.s.tolist()})"
-        if self.variant == DET_WEIGHTED:
-            return f"{self.variant}(q={self.q})"
-        return self.variant
+        param = VARIANTS[self.variant].param
+        if param is None:
+            return self.variant
+        return f"{self.variant}({param}={np.asarray(getattr(self, param)).tolist()})"
 
 
 def standard_linear_action(n: int) -> GroupAction:
@@ -334,39 +438,30 @@ def identity_of(action: GroupAction) -> GroupElement:
     return identity_element(action.group_kind, action.n)
 
 
-def _require_kind(action: GroupAction, g: GroupElement):
+def _require_kind(action: GroupAction, g, what: str = "element"):
+    """An element or tangent ``g`` must be of the action's group and dimension."""
     if g.kind != action.group_kind:
         raise ValueError(
-            f"element of kind {g.kind!r} fed to a {action.group_kind!r} action"
+            f"{what} of kind {g.kind!r} fed to a {action.group_kind!r} action"
         )
     if g.n != action.n:
-        raise ValueError(f"element dimension {g.n} differs from action's {action.n}")
+        raise ValueError(f"{what} dimension {g.n} differs from action's {action.n}")
+
+
+def _point(action: GroupAction, x) -> np.ndarray:
+    p = np.asarray(x, dtype=float).reshape(-1)
+    if p.size != action.n:
+        raise ValueError(f"point has dim {p.size}, action lives on R^{action.n}")
+    return p
 
 
 def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
     """Apply the left action of g to the point x."""
     _require_kind(action, g)
-    variant = action.variant
-    if variant == CHART_CONJUGATED:
-        p = action.chart.require(x)
-        image = act(action.base, g, action.chart.forward(p))
-        return action.chart.inverse(image)
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size != action.n:
-        raise ValueError(f"point has dim {p.size}, action lives on R^{action.n}")
-    if variant == STANDARD_LINEAR:
-        return g.a @ p
-    if variant == STANDARD_TRANSLATION:
-        return p + g.t
-    if variant == STANDARD_AFFINE:
-        return g.a @ p + g.t
-    if variant == EXP_TRANSLATION:
-        return p * float(np.exp(np.dot(action.s, g.t)))
-    if variant == DET_WEIGHTED:
-        return (g.a @ p) * float(np.linalg.det(g.a)) ** action.q
-    if variant == BROKEN_LINEAR:
-        return g.a @ p + p
-    raise ValueError(f"unknown action variant {variant!r}")  # pragma: no cover
+    if action.variant == CHART_CONJUGATED:
+        chart = action.chart
+        return chart.inverse(act(action.base, g, chart.forward(chart.require(x))))
+    return VARIANTS[action.variant].act(action, g, _point(action, x))
 
 
 def act_right(action: GroupAction, x, g: GroupElement) -> np.ndarray:
@@ -375,55 +470,24 @@ def act_right(action: GroupAction, x, g: GroupElement) -> np.ndarray:
     if action.variant != STANDARD_TRANSLATION:
         raise ValueError("right actions are implemented for standard-translation only")
     _require_kind(action, g)
-    p = np.asarray(x, dtype=float).reshape(-1)
-    return p + g.t
-
-
-def _element_with_matrix(kind: str, a: np.ndarray, n: int) -> GroupElement:
-    if kind == GENERAL_LINEAR:
-        return GroupElement(GENERAL_LINEAR, a=a)
-    return GroupElement(GENERAL_AFFINE, a=a, t=np.zeros(n))
-
-
-def _element_with_vector(kind: str, t: np.ndarray, n: int) -> GroupElement:
-    if kind == TRANSLATION_GROUP:
-        return GroupElement(TRANSLATION_GROUP, t=t)
-    return GroupElement(GENERAL_AFFINE, a=np.eye(n), t=t)
+    return _point(action, x) + g.t
 
 
 def _numeric_at_step(action, tangent, p, h, side):
-    kind = action.group_kind
-    n = action.n
     if side == "right":
         apply = lambda g: act_right(action, p, g)  # noqa: E731
     else:
         apply = lambda g: act(action, g, p)  # noqa: E731
-    out = np.zeros(n)
-    if kind in (GENERAL_LINEAR, GENERAL_AFFINE):
-        for r in range(n):
-            for c in range(n):
-                comp = tangent.X_mat[r, c]
-                if comp == 0.0:
-                    continue
-                plus = np.eye(n)
-                plus[r, c] += h
-                minus = np.eye(n)
-                minus[r, c] -= h
-                diff = apply(_element_with_matrix(kind, plus, n)) - apply(
-                    _element_with_matrix(kind, minus, n)
-                )
-                out += comp * diff / (2.0 * h)
-    if kind in (TRANSLATION_GROUP, GENERAL_AFFINE):
-        for i in range(n):
-            comp = tangent.X_vec[i]
-            if comp == 0.0:
-                continue
-            step = np.zeros(n)
-            step[i] = h
-            diff = apply(_element_with_vector(kind, step, n)) - apply(
-                _element_with_vector(kind, -step, n)
-            )
-            out += comp * diff / (2.0 * h)
+    kind = action.group_kind
+    identity = np.eye(action.n + 1)
+    out = np.zeros(action.n)
+    for r, c in zip(*np.nonzero(tangent.matrix)):
+        plus = identity.copy()
+        plus[r, c] += h
+        minus = identity.copy()
+        minus[r, c] -= h
+        diff = apply(GroupElement(kind, plus)) - apply(GroupElement(kind, minus))
+        out += tangent.matrix[r, c] * diff / (2.0 * h)
     return out
 
 
@@ -437,23 +501,19 @@ def fundamental_field_numeric(
 ) -> np.ndarray:
     """Fundamental vector at x by central differences along group coordinates.
 
-    Differentiates g -> act(g, x) at the identity along each matrix entry
-    (row-major) and each translation entry, then contracts with the tangent
-    components.  Perturbing the identity by h < 1 cannot leave the group.
-    With ``richardson`` the h and h/2 estimates are extrapolated, which
-    tightens the agreement with the analytic field for large points.
+    Differentiates g -> act(g, x) at the identity along each nonzero entry
+    of the homogeneous tangent (row-major: matrix entries, then the
+    translation entry, row by row) and contracts with those entries.
+    Perturbing the identity by h < 1 cannot leave the group.  With
+    ``richardson`` the h and h/2 estimates are extrapolated, which tightens
+    the agreement with the analytic field for large points.
     """
     if h <= 0.0 or h >= 1.0:
         raise ValueError("step h must lie in (0, 1)")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if tangent.kind != action.group_kind:
-        raise ValueError(
-            f"tangent of kind {tangent.kind!r} fed to a {action.group_kind!r} action"
-        )
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size != action.n:
-        raise ValueError(f"point has dim {p.size}, action lives on R^{action.n}")
+    _require_kind(action, tangent, "tangent")
+    p = _point(action, x)
     coarse = _numeric_at_step(action, tangent, p, h, side)
     if not richardson:
         return coarse
@@ -471,25 +531,11 @@ def fundamental_field_analytic(
     det-weighted (C = X_mat + q trace(X_mat) I).  Chart-conjugated actions
     have no ambient closed form; see fundamental_field_chart.
     """
-    if tangent.kind != action.group_kind:
-        raise ValueError(
-            f"tangent of kind {tangent.kind!r} fed to a {action.group_kind!r} action"
-        )
-    n = action.n
-    variant = action.variant
-    if variant == STANDARD_LINEAR:
-        return AffineField(tangent.X_mat, np.zeros(n))
-    if variant == STANDARD_TRANSLATION:
-        return AffineField(np.zeros((n, n)), tangent.X_vec)
-    if variant == STANDARD_AFFINE:
-        return AffineField(tangent.X_mat, tangent.X_vec)
-    if variant == EXP_TRANSLATION:
-        rate = float(np.dot(tangent.X_vec, action.s))
-        return AffineField(rate * np.eye(n), np.zeros(n))
-    if variant == DET_WEIGHTED:
-        c = tangent.X_mat + action.q * np.trace(tangent.X_mat) * np.eye(n)
-        return AffineField(c, np.zeros(n))
-    raise ValueError(f"no ambient closed form for variant {variant!r}")
+    _require_kind(action, tangent, "tangent")
+    record = VARIANTS.get(action.variant)
+    if record is None or record.field is None:
+        raise ValueError(f"no ambient closed form for variant {action.variant!r}")
+    return record.field(action, tangent)
 
 
 def fundamental_field_chart(
@@ -515,48 +561,19 @@ def tangent_for_field(action: GroupAction, field: AffineField) -> TangentAtIdent
 
     This is the constructive direction of the bijections between field
     classes and fundamental fields: linear fields for standard-linear,
-    constant for standard-translation, affine for standard-affine.  For the
-    det-weighted action the matrix part is recovered by removing the trace
-    feedback, X_mat = C - q / (1 + q n) trace(C) I; for exp-translation the
-    field must be an isotropic scaling c I and any X_vec with X_vec . s = c
-    works (the returned one is c s / (s . s)).
+    constant for standard-translation, affine for standard-affine.  Zero
+    parts are tested exactly.  For the det-weighted action the matrix part
+    is recovered by removing the trace feedback, X_mat = C - q / (1 + q n)
+    trace(C) I; for exp-translation the field must be an isotropic scaling
+    c I and any X_vec with X_vec . s = c works (the returned one is
+    c s / (s . s)).
     """
-    n = action.n
-    if field.n != n:
+    if field.n != action.n:
         raise ValueError("field and action dimensions differ")
-    c_norm = float(np.max(np.abs(field.C)))
-    b_norm = float(np.max(np.abs(field.B)))
-    variant = action.variant
-    if variant == STANDARD_LINEAR:
-        if b_norm > 1e-12:
-            raise ValueError("standard-linear fundamental fields are linear")
-        return linear_tangent(field.C)
-    if variant == STANDARD_TRANSLATION:
-        if c_norm > 1e-12:
-            raise ValueError("standard-translation fundamental fields are constant")
-        return translation_tangent(field.B)
-    if variant == STANDARD_AFFINE:
-        return affine_tangent(field.C, field.B)
-    if variant == DET_WEIGHTED:
-        if b_norm > 1e-12:
-            raise ValueError("det-weighted fundamental fields are linear")
-        q = action.q
-        x_mat = field.C - (q / (1.0 + q * n)) * np.trace(field.C) * np.eye(n)
-        return linear_tangent(x_mat)
-    if variant == EXP_TRANSLATION:
-        if b_norm > 1e-12:
-            raise ValueError("exp-translation fundamental fields are linear")
-        rate = float(np.trace(field.C)) / n
-        if np.max(np.abs(field.C - rate * np.eye(n))) > 1e-10 * (1.0 + abs(rate)):
-            raise ValueError(
-                "exp-translation fundamental fields are isotropic scalings"
-            )
-        s = action.s
-        ss = float(np.dot(s, s))
-        if ss == 0.0:
-            raise ValueError("weight vector is zero; only the zero field is reachable")
-        return translation_tangent((rate / ss) * s)
-    raise ValueError(f"no tangent recovery for variant {variant!r}")
+    record = VARIANTS.get(action.variant)
+    if record is None or record.tangent is None:
+        raise ValueError(f"no tangent recovery for variant {action.variant!r}")
+    return record.tangent(action, field)
 
 
 def one_parameter_subgroup(
@@ -564,16 +581,8 @@ def one_parameter_subgroup(
 ) -> GroupElement:
     """exp(t X) in the action's group; the orbit map t -> act(exp(t X), x)
     is the flow of the fundamental field through x."""
-    if tangent.kind != action.group_kind:
-        raise ValueError("tangent kind does not match the action's group")
-    kind = action.group_kind
-    if kind == TRANSLATION_GROUP:
-        return translation_element(t * tangent.X_vec)
-    if kind == GENERAL_LINEAR:
-        return linear_element(mat_exp(t * tangent.X_mat))
-    n = action.n
-    big = mat_exp(t * augment_affine(tangent.X_mat, tangent.X_vec))
-    return affine_element(big[:n, :n], big[:n, n])
+    _require_kind(action, tangent, "tangent")
+    return GroupElement(action.group_kind, mat_exp(t * tangent.matrix))
 
 
 def random_element(
@@ -583,26 +592,25 @@ def random_element(
 
     Chart-conjugated actions are only local, so their elements stay close to
     the identity; global actions use a wider spread.  Matrix parts are
-    resampled until comfortably invertible.
+    resampled until comfortably invertible.  The translation part is drawn
+    before the matrix part.
     """
     if scale is None:
         scale = 0.05 if action.variant == CHART_CONJUGATED else 0.35
     kind = action.group_kind
     n = action.n
-    t = rng.uniform(-scale, scale, size=n) if kind != GENERAL_LINEAR else None
-    a = None
+    m = np.eye(n + 1)
+    if kind != GENERAL_LINEAR:
+        m[:n, n] = rng.uniform(-scale, scale, size=n)
     if kind != TRANSLATION_GROUP:
         for _ in range(100):
-            a = np.eye(n) + rng.uniform(-scale, scale, size=(n, n))
+            a = m[:n, :n] + rng.uniform(-scale, scale, size=(n, n))
             if abs(np.linalg.det(a)) > 1e-6:
                 break
         else:  # pragma: no cover - a tiny perturbation of I is invertible
             raise RuntimeError("failed to sample an invertible matrix")
-    if kind == TRANSLATION_GROUP:
-        return translation_element(t)
-    if kind == GENERAL_LINEAR:
-        return linear_element(a)
-    return affine_element(a, t)
+        m[:n, :n] = a
+    return GroupElement(kind, m)
 
 
 @dataclass(frozen=True)

@@ -123,37 +123,26 @@ _GROUP_KINDS = {
 }
 
 
-_STANDARD_ACTIONS = {
-    ga.TRANSLATION_GROUP: ga.STANDARD_TRANSLATION,
-    ga.GENERAL_LINEAR: ga.STANDARD_LINEAR,
-    ga.GENERAL_AFFINE: ga.STANDARD_AFFINE,
-}
-
-
 def _build_action(name: str, n: int, s=None, q=None, kind=None) -> ga.GroupAction:
     """Catalog action ``name`` on R^n.
 
-    Given a group ``kind``, ``standard`` names that group's standard action
-    and an action of another group is refused.  exp-translation takes the
-    weight vector ``s``, det-weighted the determinant power ``q``.
+    Given a group ``kind``, ``standard`` names that group's standard action,
+    its one catalog action without a parameter, and an action of another
+    group is refused.  A variant that takes the weight vector ``s`` or the
+    determinant power ``q`` is given it.
     """
     if kind is not None and name == "standard":
-        name = _STANDARD_ACTIONS[kind]
-    if name == ga.EXP_TRANSLATION:
-        if s is None:
-            raise InputError("exp-translation needs --s")
-        weight = np.asarray(s, dtype=float).reshape(-1)
-        if weight.size != n:
-            raise InputError(f"weight vector s has dim {weight.size}, expected {n}")
-        action = ga.exp_translation_action(weight)
-    elif name == ga.DET_WEIGHTED:
-        if q is None:
-            raise InputError("det-weighted needs --q")
-        action = ga.det_weighted_action(n, q)
-    elif name in _STANDARD_ACTIONS.values():
-        action = ga.GroupAction(name, n)
-    else:
+        name = next(v for v in ga.CATALOG_VARIANTS
+                    if ga.VARIANTS[v].kind == kind and ga.VARIANTS[v].param is None)
+    if name not in ga.CATALOG_VARIANTS:
         raise InputError(f"unknown action {name!r}")
+    param = ga.VARIANTS[name].param
+    values = {}
+    if param is not None:
+        values[param] = s if param == "s" else q
+        if values[param] is None:
+            raise InputError(f"{name} needs --{param}")
+    action = ga.GroupAction(name, n, **values)
     if kind is not None and action.group_kind != kind:
         group = action.group_kind.replace("-", " ")
         raise InputError(f"{name} is an action of the {group} group")
@@ -286,7 +275,7 @@ def _cmd_check_action(args) -> int:
     q = int(params.get("q", 1))
     name = args.action
     try:
-        if name == "chart-conjugated":
+        if name == ga.CHART_CONJUGATED:
             base_name = params.get("base")
             chart_name = params.get("chart")
             if not base_name or not chart_name:
@@ -349,7 +338,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--action",
         default="standard",
-        choices=("standard", "exp-translation", "det-weighted"),
+        choices=("standard",)
+        + tuple(v for v in ga.CATALOG_VARIANTS if ga.VARIANTS[v].param is not None),
     )
     p.add_argument("--X", required=True, help="tangent JSON file")
     p.add_argument("--s", help="weight vector for exp-translation")
@@ -368,14 +358,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--action",
         required=True,
-        choices=(
-            ga.STANDARD_LINEAR,
-            ga.STANDARD_TRANSLATION,
-            ga.STANDARD_AFFINE,
-            ga.EXP_TRANSLATION,
-            ga.DET_WEIGHTED,
-            "chart-conjugated",
-        ),
+        choices=ga.CATALOG_VARIANTS + (ga.CHART_CONJUGATED,),
     )
     p.add_argument("--params", help="parameter JSON file")
     p.add_argument("--samples", type=int, default=200)

@@ -13,10 +13,6 @@ import numpy as np
 
 from .linalg import as_matrix, as_vector, rank
 
-# Entries at or below this magnitude are treated as zero when classifying a
-# field; exact-zero tests are brittle after deserialization.
-ZERO_TOLERANCE = 1e-14
-
 CONSTANT = "constant"
 LINEAR = "linear"
 AFFINE = "affine"
@@ -50,18 +46,17 @@ class AffineField:
         return self.B.size
 
     def classify(self) -> str:
-        """One of "constant", "linear", "affine"; the zero field is constant."""
-        c_zero = np.max(np.abs(self.C)) <= ZERO_TOLERANCE
-        b_zero = np.max(np.abs(self.B)) <= ZERO_TOLERANCE
-        if c_zero:
+        """One of "constant", "linear", "affine"; the zero field is constant.
+
+        Parts are compared with zero exactly, as make_flow does: a field
+        with C = [[1e-15]] is not constant, and it does not flow like one.
+        """
+        if not self.C.any():
             return CONSTANT
-        return LINEAR if b_zero else AFFINE
+        return AFFINE if self.B.any() else LINEAR
 
     def is_zero(self) -> bool:
-        return (
-            np.max(np.abs(self.C)) <= ZERO_TOLERANCE
-            and np.max(np.abs(self.B)) <= ZERO_TOLERANCE
-        )
+        return not (self.C.any() or self.B.any())
 
     def to_dict(self) -> dict:
         return {"n": self.n, "C": self.C.tolist(), "B": self.B.tolist()}

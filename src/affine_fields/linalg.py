@@ -23,7 +23,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     m = np.array(a, dtype=float, order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     return m
 
@@ -31,7 +31,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 def as_vector(b, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array (fresh copy)."""
     v = np.array(b, dtype=float).reshape(-1)
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
 

@@ -5,11 +5,40 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import expm
 
 from affine_fields import actions as ga
 from affine_fields.charts import exponential_chart, identity_chart, lambert_chart
 from affine_fields.fields import evaluate
 from affine_fields.flows import flow_at, make_flow
+
+
+def _catalog_action(variant, n, s, q):
+    """Catalog action ``variant`` on R^n; ``s()`` or ``q()`` makes the
+    parameter of a variant that takes one, so that the draws of a random
+    parameter happen only for that variant."""
+    param = ga.VARIANTS[variant].param
+    if param is None:
+        return ga.GroupAction(variant, n)
+    return ga.GroupAction(variant, n, **{param: (s if param == "s" else q)()})
+
+
+def _random_tangent(rng, kind, n):
+    """Tangent with entries drawn from [-1, 1] on the coordinates of ``kind``."""
+    mat = rng.uniform(-1, 1, (n, n))
+    vec = rng.uniform(-1, 1, n)
+    if kind == ga.TRANSLATION_GROUP:
+        mat[:] = 0.0
+    if kind == ga.GENERAL_LINEAR:
+        vec[:] = 0.0
+    return ga.TangentAtIdentity(kind, mat, vec)
+
+
+KIND_ACTIONS = [
+    (ga.TRANSLATION_GROUP, ga.standard_translation_action),
+    (ga.GENERAL_LINEAR, ga.standard_linear_action),
+    (ga.GENERAL_AFFINE, ga.standard_affine_action),
+]
 
 
 class TestGroupElements:
@@ -33,27 +62,99 @@ class TestGroupElements:
                 elif kind == ga.GENERAL_LINEAR:
                     g = ga.linear_element(g.a)
                 gg = ga.multiply(g, ga.inverse(g))
-                if gg.a is not None:
-                    assert_allclose(gg.a, np.eye(2), atol=1e-12)
-                if gg.t is not None:
-                    assert_allclose(gg.t, np.zeros(2), atol=1e-12)
+                assert_allclose(gg.matrix, np.eye(3), atol=1e-12)
 
     def test_singular_matrix_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            ga.linear_element(np.zeros((2, 2)))
+        # The last case has det 1.1e-3 but is singular to working precision.
+        for a in (
+            np.zeros((2, 2)),
+            [[1.0, 0.0], [2.0, 0.0]],
+            1e6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]]),
+        ):
+            with pytest.raises(ValueError, match="singular"):
+                ga.linear_element(a)
+
+    def test_invertibility_test_is_scale_free(self):
+        # det(0.2 I_20) = 1e-14, yet the matrix is perfectly conditioned.
+        x = np.linspace(-1.0, 1.0, 20)
+        g = ga.linear_element(0.2 * np.eye(20))
+        assert np.array_equal(ga.act(ga.standard_linear_action(20), g, x), 0.2 * x)
+        ga.affine_element(1e-200 * np.eye(2), [1.0, 2.0])
 
     def test_kind_shape_validation(self):
+        bad_bottom = np.eye(3)
+        bad_bottom[2, 0] = 1.0
+        not_one = np.eye(3)
+        not_one[2, 2] = 2.0
+        sheared = np.eye(3)
+        sheared[0, 1] = 0.5
+        shifted = np.eye(3)
+        shifted[0, 2] = 0.5
+        for kind, matrix in [
+            (ga.GENERAL_AFFINE, bad_bottom),
+            (ga.GENERAL_AFFINE, not_one),
+            (ga.GENERAL_AFFINE, np.eye(3)[:, :2]),
+            (ga.GENERAL_AFFINE, np.eye(1)),
+            (ga.GENERAL_AFFINE, [[1.0, np.nan], [0.0, 1.0]]),
+            (ga.TRANSLATION_GROUP, sheared),
+            (ga.GENERAL_LINEAR, shifted),
+            ("rotation", np.eye(3)),
+        ]:
+            with pytest.raises(ValueError):
+                ga.GroupElement(kind, matrix)
         with pytest.raises(ValueError):
-            ga.GroupElement(ga.TRANSLATION_GROUP, a=np.eye(2), t=np.zeros(2))
+            ga.affine_element(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
-            ga.GroupElement(ga.GENERAL_LINEAR, a=np.eye(2), t=np.zeros(2))
+            ga.linear_element(np.ones(2))
+
+    def test_elements_are_read_only(self):
+        g = ga.affine_element(np.eye(2), [1.0, 2.0])
+        for part in (g.matrix, g.a, g.t):
+            with pytest.raises(ValueError):
+                part[0] = 5.0
+
+    @pytest.mark.parametrize("kind, make_action", KIND_ACTIONS)
+    def test_subgroups_are_closed_exactly(self, kind, make_action):
+        # Products, inverses and exponentials keep a = I exactly for
+        # translations and t = 0 exactly for general-linear elements.
+        rng = np.random.default_rng(11)
+        action = make_action(3)
+        for _ in range(20):
+            g = ga.random_element(action, rng)
+            h = ga.random_element(action, rng)
+            tangent = _random_tangent(rng, kind, 3)
+            for out in (
+                ga.multiply(g, h),
+                ga.inverse(g),
+                ga.one_parameter_subgroup(action, tangent, float(rng.uniform(-3, 3))),
+            ):
+                assert out.kind == kind
+                if kind == ga.TRANSLATION_GROUP:
+                    assert np.array_equal(out.a, np.eye(3))
+                if kind == ga.GENERAL_LINEAR:
+                    assert np.array_equal(out.t, np.zeros(3))
+
+    @pytest.mark.parametrize("kind, make_action", KIND_ACTIONS)
+    def test_one_parameter_subgroup_matches_expm(self, kind, make_action):
+        rng = np.random.default_rng(12)
+        for n in (1, 2, 4):
+            action = make_action(n)
+            tangent = _random_tangent(rng, kind, n)
+            for t in (-2.0, 0.3, 1.5):
+                got = ga.one_parameter_subgroup(action, tangent, t).matrix
+                assert_allclose(got, expm(t * tangent.matrix), rtol=1e-12, atol=1e-13)
 
     def test_json_round_trip(self):
-        g = ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0])
-        again = ga.GroupElement.from_dict(g.to_dict())
-        assert again.kind == g.kind
-        assert_allclose(again.a, g.a)
-        assert_allclose(again.t, g.t)
+        for g in (
+            ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
+            ga.linear_element([[1.0, 2.0], [0.0, 1.0]]),
+            ga.translation_element([3.0, 4.0]),
+        ):
+            again = ga.GroupElement.from_dict(g.to_dict())
+            assert again.kind == g.kind
+            assert np.array_equal(again.matrix, g.matrix)
+        assert set(ga.translation_element([1.0]).to_dict()) == {"kind", "t"}
+        assert set(ga.linear_element([[1.0]]).to_dict()) == {"kind", "a"}
 
 
 class TestTangents:
@@ -101,6 +202,8 @@ class TestAct:
             assert np.array_equal(
                 ga.act(action, g, x), ga.act_right(action, x, g)
             )
+        with pytest.raises(ValueError, match="dim"):
+            ga.act_right(action, [1.0], g)
 
     def test_right_action_only_for_translations(self):
         with pytest.raises(ValueError):
@@ -114,13 +217,7 @@ class TestAct:
 class TestAxioms:
     @pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)
     def test_catalog_actions_pass(self, variant):
-        n = 2
-        if variant == ga.EXP_TRANSLATION:
-            action = ga.exp_translation_action([0.7, -0.3])
-        elif variant == ga.DET_WEIGHTED:
-            action = ga.det_weighted_action(n, 2)
-        else:
-            action = ga.GroupAction(variant, n)
+        action = _catalog_action(variant, 2, lambda: [0.7, -0.3], lambda: 2)
         report = ga.check_action_axioms(action, samples=200, seed=0)
         assert report.passed, report.to_dict()
 
@@ -220,21 +317,13 @@ class TestFundamentalAnalytic:
         for variant in ga.CATALOG_VARIANTS:
             for _ in range(20):
                 n = int(rng.integers(1, 4))
-                if variant == ga.EXP_TRANSLATION:
-                    action = ga.exp_translation_action(rng.uniform(-1.5, 1.5, n))
-                elif variant == ga.DET_WEIGHTED:
-                    action = ga.det_weighted_action(n, int(rng.integers(0, 4)))
-                else:
-                    action = ga.GroupAction(variant, n)
-                kind = action.group_kind
-                mat = rng.uniform(-1, 1, (n, n))
-                vec = rng.uniform(-1, 1, n)
-                if kind == ga.TRANSLATION_GROUP:
-                    tangent = ga.translation_tangent(vec)
-                elif kind == ga.GENERAL_LINEAR:
-                    tangent = ga.linear_tangent(mat)
-                else:
-                    tangent = ga.affine_tangent(mat, vec)
+                action = _catalog_action(
+                    variant,
+                    n,
+                    lambda: rng.uniform(-1.5, 1.5, n),
+                    lambda: int(rng.integers(0, 4)),
+                )
+                tangent = _random_tangent(rng, action.group_kind, n)
                 x = rng.uniform(-2, 2, n)
                 numeric = ga.fundamental_field_numeric(action, tangent, x)
                 analytic = evaluate(ga.fundamental_field_analytic(action, tangent), x)
@@ -299,6 +388,11 @@ class TestTangentRecovery:
             ga.tangent_for_field(ga.standard_linear_action(2), field)
         with pytest.raises(ValueError):
             ga.tangent_for_field(ga.standard_translation_action(2), field)
+        # Zero parts are tested exactly: a tiny B is not dropped.
+        tiny = AffineField(np.eye(2), [1e-13, 0.0])
+        for action in (ga.standard_linear_action(2), ga.det_weighted_action(2, 1)):
+            with pytest.raises(ValueError, match="linear"):
+                ga.tangent_for_field(action, tiny)
 
 
 class TestOrbitTangency:
@@ -306,21 +400,10 @@ class TestOrbitTangency:
         rng = np.random.default_rng(6)
         for variant in ga.CATALOG_VARIANTS:
             n = 2
-            if variant == ga.EXP_TRANSLATION:
-                action = ga.exp_translation_action(rng.uniform(-1, 1, n))
-            elif variant == ga.DET_WEIGHTED:
-                action = ga.det_weighted_action(n, 1)
-            else:
-                action = ga.GroupAction(variant, n)
-            kind = action.group_kind
-            mat = rng.uniform(-1, 1, (n, n))
-            vec = rng.uniform(-1, 1, n)
-            if kind == ga.TRANSLATION_GROUP:
-                tangent = ga.translation_tangent(vec)
-            elif kind == ga.GENERAL_LINEAR:
-                tangent = ga.linear_tangent(mat)
-            else:
-                tangent = ga.affine_tangent(mat, vec)
+            action = _catalog_action(
+                variant, n, lambda: rng.uniform(-1, 1, n), lambda: 1
+            )
+            tangent = _random_tangent(rng, action.group_kind, n)
             field = ga.fundamental_field_analytic(action, tangent)
             flow = make_flow(field)
             x = rng.uniform(-2, 2, n)

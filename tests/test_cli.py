@@ -304,6 +304,23 @@ class TestVerifyInvariantsCommand:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_constant_family_rejects_tiny_matrix_part(self, capsys, tmp_path):
+        # C = [[1e-15]] is not zero, so the field is affine, not constant.
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 1, "C": [[1e-15]], "B": [1]}))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"family": "constant"}))
+        code, _, err = run_cli(
+            capsys,
+            "verify-invariants",
+            "--field",
+            str(field),
+            "--bundle",
+            str(bundle),
+        )
+        assert code == 2
+        assert "needs a constant field" in err
+
     def test_mismatched_planar_parameters(self, capsys, planar_field_file, tmp_path):
         bundle = tmp_path / "bundle.json"
         bundle.write_text(

@@ -36,6 +36,10 @@ class TestAffineField:
         assert AffineField(np.eye(2), [1.0, 0.0]).classify() == "affine"
         # The zero field counts as constant.
         assert zero_field(3).classify() == "constant"
+        # Zero parts are tested exactly, however small the other entries.
+        assert AffineField([[1e-15]], [1.0]).classify() == "affine"
+        assert AffineField([[1e-300]], [0.0]).classify() == "linear"
+        assert not AffineField([[0.0]], [1e-300]).is_zero()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
