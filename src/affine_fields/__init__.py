@@ -9,12 +9,10 @@ general affine group actions.
 """
 
 from .actions import (
-    VARIANTS,
     ActionAxiomReport,
     GroupAction,
     GroupElement,
     TangentAtIdentity,
-    VariantRecord,
     act,
     act_right,
     affine_element,

@@ -123,36 +123,38 @@ class GroupElement:
 
     @staticmethod
     def from_dict(data: dict) -> "GroupElement":
-        a = data["a"] if "a" in data else np.eye(len(data["t"]))
-        return GroupElement(data["kind"], _homogeneous(a, data.get("t")))
+        """Inverse of to_dict: "t" is required unless the kind is
+        general-linear, and "a" unless it is the translation group."""
+        kind = data["kind"]
+        if kind not in _KINDS:
+            raise ValueError(f"unknown group kind {kind!r}")
+        for key, optional_for in (("a", TRANSLATION_GROUP), ("t", GENERAL_LINEAR)):
+            if key not in data and kind != optional_for:
+                raise ValueError(f"{kind} element data needs {key!r}")
+        if kind == TRANSLATION_GROUP and "a" not in data:
+            return translation_element(data["t"])
+        return _element(kind, data["a"], data.get("t"))
 
 
-def _homogeneous(a, t=None) -> np.ndarray:
-    """[[a, t], [0, 1]], with t = 0 when None; GroupElement checks the entries."""
+def _element(kind: str, a, t=None) -> GroupElement:
+    """The ``kind`` element [[a, t], [0, 1]], with t = 0 when None."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix part must be square, got shape {a.shape}")
-    m = np.eye(a.shape[0] + 1)
-    m[:-1, :-1] = a
-    if t is not None:
-        t = np.asarray(t, dtype=float).reshape(-1)
-        if t.size != a.shape[0]:
-            raise ValueError("matrix and translation parts disagree on dimension")
-        m[:-1, -1] = t
-    return m
+    m = augment_affine(a, np.zeros(a.shape[:1]) if t is None else t)
+    m[-1, -1] = 1.0
+    return GroupElement(kind, m)
 
 
 def translation_element(t) -> GroupElement:
     t = np.asarray(t, dtype=float).reshape(-1)
-    return GroupElement(TRANSLATION_GROUP, _homogeneous(np.eye(t.size), t))
+    return _element(TRANSLATION_GROUP, np.eye(t.size), t)
 
 
 def linear_element(a) -> GroupElement:
-    return GroupElement(GENERAL_LINEAR, _homogeneous(a))
+    return _element(GENERAL_LINEAR, a)
 
 
 def affine_element(a, t) -> GroupElement:
-    return GroupElement(GENERAL_AFFINE, _homogeneous(a, t))
+    return _element(GENERAL_AFFINE, a, t)
 
 
 def identity_element(kind: str, n: int) -> GroupElement:
@@ -580,9 +582,19 @@ def one_parameter_subgroup(
     action: GroupAction, tangent: TangentAtIdentity, t: float
 ) -> GroupElement:
     """exp(t X) in the action's group; the orbit map t -> act(exp(t X), x)
-    is the flow of the fundamental field through x."""
+    is the flow of the fundamental field through x.
+
+    Raises OverflowError when t X or exp(t X) is not representable in
+    floats, and ValueError for a non-finite t.
+    """
     _require_kind(action, tangent, "tangent")
-    return GroupElement(action.group_kind, mat_exp(t * tangent.matrix))
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    with np.errstate(over="ignore"):
+        scaled = t * tangent.matrix
+    if not np.isfinite(scaled).all():
+        raise OverflowError(f"time-{t!r} generator overflows")
+    return GroupElement(action.group_kind, mat_exp(scaled))
 
 
 def random_element(

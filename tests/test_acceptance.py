@@ -4,13 +4,9 @@ Each test runs one cross-module check and prints a PASS/FAIL line with the
 measured defect (visible with pytest -s).
 """
 
-import inspect
-
 import pytest
 
-from affine_fields import validate
 from affine_fields.validate import (
-    CheckResult,
     check_chart_conjugation,
     check_degenerate_flows,
     check_field_tangent_roundtrip,
@@ -47,17 +43,3 @@ def test_acceptance_criterion(number, label, check):
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {number} ({label}): {status} [{result.detail}]")
     assert result.passed, f"{label}: {result.detail}"
-
-
-def test_run_all_gives_every_check_the_seed(monkeypatch):
-    for fn in validate.ALL_CHECKS:
-        assert "seed" in inspect.signature(fn).parameters, fn.__name__
-    seen = []
-
-    def check(seed):
-        seen.append(seed)
-        return CheckResult("recorded", True, "")
-
-    monkeypatch.setattr(validate, "ALL_CHECKS", (check, check))
-    assert [r.name for r in validate.run_all(seed=2006)] == ["recorded"] * 2
-    assert seen == [2006, 2006]

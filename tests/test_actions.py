@@ -144,6 +144,18 @@ class TestGroupElements:
                 got = ga.one_parameter_subgroup(action, tangent, t).matrix
                 assert_allclose(got, expm(t * tangent.matrix), rtol=1e-12, atol=1e-13)
 
+    @pytest.mark.parametrize("t", [1e308, 1e3])
+    def test_one_parameter_subgroup_overflow_raises(self, t):
+        # 1e308 overflows t X itself, 1e3 only its exponential e^2000.
+        action = ga.standard_linear_action(1)
+        with pytest.raises(OverflowError):
+            ga.one_parameter_subgroup(action, ga.linear_tangent([[2.0]]), t)
+
+    def test_one_parameter_subgroup_rejects_non_finite_time(self):
+        action = ga.standard_translation_action(1)
+        with pytest.raises(ValueError, match="finite"):
+            ga.one_parameter_subgroup(action, ga.translation_tangent([1.0]), math.nan)
+
     def test_json_round_trip(self):
         for g in (
             ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
@@ -155,6 +167,15 @@ class TestGroupElements:
             assert np.array_equal(again.matrix, g.matrix)
         assert set(ga.translation_element([1.0]).to_dict()) == {"kind", "t"}
         assert set(ga.linear_element([[1.0]]).to_dict()) == {"kind", "a"}
+        for malformed in (
+            {"kind": ga.GENERAL_AFFINE, "t": [1.0, 2.0]},
+            {"kind": ga.GENERAL_AFFINE, "a": [[1.0]]},
+            {"kind": ga.GENERAL_LINEAR, "t": [0.0, 0.0]},
+            {"kind": ga.TRANSLATION_GROUP, "a": [[1.0]]},
+            {"kind": "no-such-group", "a": [[1.0]], "t": [1.0]},
+        ):
+            with pytest.raises(ValueError):
+                ga.GroupElement.from_dict(malformed)
 
 
 class TestTangents:
