@@ -14,11 +14,9 @@ from .actions import (
     GroupElement,
     TangentAtIdentity,
     act,
-    act_right,
     affine_element,
     affine_tangent,
     broken_linear_action,
-    catalog_actions,
     chart_conjugated_action,
     check_action_axioms,
     det_weighted_action,

@@ -199,18 +199,18 @@ def diagonal_scaling_chart(n: int, scales=None) -> Chart:
     )
 
 
-CHART_BUILDERS: dict[str, Callable[[int], Chart]] = {
-    "identity": identity_chart,
-    "exponential": exponential_chart,
-    "lambert": lambda n: _build_lambert(n),
-    "diagonal-scaling": diagonal_scaling_chart,
-}
-
-
 def _build_lambert(n: int) -> Chart:
     if n != 1:
         raise ValueError("the lambert chart is one-dimensional")
     return lambert_chart()
+
+
+CHART_BUILDERS: dict[str, Callable[[int], Chart]] = {
+    "identity": identity_chart,
+    "exponential": exponential_chart,
+    "lambert": _build_lambert,
+    "diagonal-scaling": diagonal_scaling_chart,
+}
 
 
 def get_chart(name: str, n: int) -> Chart:

@@ -166,7 +166,12 @@ def _cmd_fundamental(args) -> int:
     return 0
 
 
-_SLOT_KINDS = ("slot", "square", "sin")
+# Functions of one slot: kind -> (f, f').
+_SLOT_FUNCTIONS = {
+    "slot": (lambda v: v, lambda v: 1.0),
+    "square": (lambda v: v**2, lambda v: 2.0 * v),
+    "sin": (np.sin, np.cos),
+}
 
 
 def _scalar_field_from_json(data: dict, m: int) -> ScalarField:
@@ -178,39 +183,19 @@ def _scalar_field_from_json(data: dict, m: int) -> ScalarField:
     kind = data.get("kind")
     if kind == "zero":
         return ScalarField(m, lambda xi: 0.0, grad=lambda xi: np.zeros(m))
-    if kind in _SLOT_KINDS:
+    if kind in _SLOT_FUNCTIONS:
         index = data.get("index", 1)
         if not 1 <= index <= m:
             raise InputError(f"function index {index} out of range 1..{m}")
         k = index - 1
-        if kind == "slot":
-            def fn(xi, k=k):
-                return float(xi[k])
+        f, df = _SLOT_FUNCTIONS[kind]
 
-            def grad(xi, k=k):
-                g = np.zeros(m)
-                g[k] = 1.0
-                return g
+        def grad(xi):
+            g = np.zeros(m)
+            g[k] = df(xi[k])
+            return g
 
-        elif kind == "square":
-            def fn(xi, k=k):
-                return float(xi[k] ** 2)
-
-            def grad(xi, k=k):
-                g = np.zeros(m)
-                g[k] = 2.0 * xi[k]
-                return g
-
-        else:
-            def fn(xi, k=k):
-                return float(np.sin(xi[k]))
-
-            def grad(xi, k=k):
-                g = np.zeros(m)
-                g[k] = np.cos(xi[k])
-                return g
-
-        return ScalarField(m, fn, grad=grad)
+        return ScalarField(m, lambda xi: float(f(xi[k])), grad=grad)
     if kind == "linear":
         coeffs = np.asarray(data.get("coeffs", []), dtype=float)
         if coeffs.size != m:

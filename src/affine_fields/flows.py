@@ -1,6 +1,7 @@
 """Closed-form flows of affine fields and the flow-map algebra.
 
-The time-t map of the field x -> C x + B takes one of two forms:
+The time-t map of the field x -> C x + B takes one of two forms, which a
+FlowMap derives from its field:
 
 * translation            x + t B                          (C exactly zero)
 * augmented-exponential  the first n entries of exp(t G) (x, 1), where G is
@@ -25,22 +26,21 @@ from .linalg import augment_affine, mat_exp, solve_linear  # noqa: F401
 TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
 
-_FORMS = (TRANSLATION, AUGMENTED_EXPONENTIAL)
-
 
 @dataclass(frozen=True)
 class FlowMap:
     """Closed-form flow of an affine field; immutable and pure to evaluate.
 
-    ``generator`` is the homogeneous embedding [[C, B], [0, 0]], built once.
+    ``form`` is derived from the field: translation exactly when C is zero,
+    else the augmented exponential.  ``generator`` is the homogeneous
+    embedding [[C, B], [0, 0]], built once.
     """
 
     field: AffineField
-    form: str
 
     def __post_init__(self):
-        if self.form not in _FORMS:
-            raise ValueError(f"unknown flow form {self.form!r}")
+        form = AUGMENTED_EXPONENTIAL if np.any(self.field.C) else TRANSLATION
+        object.__setattr__(self, "form", form)
         generator = augment_affine(self.field.C, self.field.B)
         generator.flags.writeable = False
         object.__setattr__(self, "generator", generator)
@@ -48,9 +48,7 @@ class FlowMap:
 
 def make_flow(field: AffineField) -> FlowMap:
     """Translation when C is exactly zero, else the augmented exponential."""
-    if not np.any(field.C):
-        return FlowMap(field, TRANSLATION)
-    return FlowMap(field, AUGMENTED_EXPONENTIAL)
+    return FlowMap(field)
 
 
 def flow_at(flow: FlowMap, t: float, x) -> np.ndarray:

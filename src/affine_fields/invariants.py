@@ -19,6 +19,9 @@ from .linalg import rank
 # Step scale for the central-difference gradient fallback.
 FD_STEP = 1e-6
 
+# Sample points where the field's norm is below this count as irregular.
+IRREGULAR_NORM = 1e-3
+
 
 class DegenerateFieldError(ValueError):
     """The zero field admits no canonical parameter: X(S) = 1 is unsatisfiable."""
@@ -237,10 +240,10 @@ def sample_regular_points(
     count: int,
     rng: np.random.Generator,
     box: float = 2.0,
-    exclusion: float = 1e-3,
 ) -> np.ndarray:
-    """Uniform samples from [-box, box]^n, skipping points where the field
-    nearly vanishes (verification is meaningless at irregular points)."""
+    """Uniform samples from [-box, box]^n, skipping points where the field's
+    norm is below IRREGULAR_NORM (verification is meaningless at irregular
+    points)."""
     points = np.empty((count, field.n))
     produced = 0
     attempts = 0
@@ -249,7 +252,7 @@ def sample_regular_points(
         if attempts > 1000 * count:
             raise RuntimeError("could not sample away from irregular points")
         x = rng.uniform(-box, box, size=field.n)
-        if np.linalg.norm(evaluate(field, x)) < exclusion:
+        if np.linalg.norm(evaluate(field, x)) < IRREGULAR_NORM:
             continue
         points[produced] = x
         produced += 1

@@ -42,10 +42,11 @@ class CheckResult:
     detail: str
 
 
-def _random_affine_field(rng, n, c_scale=2.0, b_scale=2.0) -> AffineField:
+def _random_affine_field(rng, n) -> AffineField:
+    """C and B with entries uniform in [-2, 2], C drawn first."""
     return AffineField(
-        rng.uniform(-c_scale, c_scale, size=(n, n)),
-        rng.uniform(-b_scale, b_scale, size=n),
+        rng.uniform(-2.0, 2.0, size=(n, n)),
+        rng.uniform(-2.0, 2.0, size=n),
     )
 
 

@@ -1,8 +1,8 @@
 from affine_fields import AffineField
 
 
-def random_affine_field(rng, n, c_scale=2.0, b_scale=2.0) -> AffineField:
+def random_affine_field(rng, n) -> AffineField:
     return AffineField(
-        rng.uniform(-c_scale, c_scale, size=(n, n)),
-        rng.uniform(-b_scale, b_scale, size=n),
+        rng.uniform(-2.0, 2.0, size=(n, n)),
+        rng.uniform(-2.0, 2.0, size=n),
     )

@@ -214,26 +214,6 @@ class TestAct:
         with pytest.raises(ValueError, match="kind"):
             ga.act(action, ga.translation_element([1.0, 2.0]), [0.0, 0.0])
 
-    def test_right_translation_matches_left_exactly(self):
-        action = ga.standard_translation_action(3)
-        rng = np.random.default_rng(1)
-        for _ in range(10):
-            g = ga.translation_element(rng.uniform(-1, 1, 3))
-            x = rng.uniform(-2, 2, 3)
-            assert np.array_equal(
-                ga.act(action, g, x), ga.act_right(action, x, g)
-            )
-        with pytest.raises(ValueError, match="dim"):
-            ga.act_right(action, [1.0], g)
-
-    def test_right_action_only_for_translations(self):
-        with pytest.raises(ValueError):
-            ga.act_right(
-                ga.standard_linear_action(2),
-                [1.0, 0.0],
-                ga.linear_element(np.eye(2)),
-            )
-
 
 class TestAxioms:
     @pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)
@@ -292,26 +272,6 @@ class TestFundamentalNumeric:
         assert_allclose(
             ga.fundamental_field_numeric(action, tangent, x), rate * x, atol=1e-8
         )
-
-    def test_left_right_fundamental_fields_coincide_for_translations(self):
-        action = ga.standard_translation_action(2)
-        tangent = ga.translation_tangent([0.3, -0.7])
-        x = np.array([1.0, 2.0])
-        left = ga.fundamental_field_numeric(action, tangent, x, side="left")
-        right = ga.fundamental_field_numeric(action, tangent, x, side="right")
-        assert np.array_equal(left, right)
-
-    def test_richardson_tightens_the_estimate(self):
-        action = ga.det_weighted_action(2, 3)
-        tangent = ga.linear_tangent([[0.4, -1.0], [0.2, 0.9]])
-        x = np.array([1.7, -2.2])
-        exact = evaluate(ga.fundamental_field_analytic(action, tangent), x)
-        plain = ga.fundamental_field_numeric(action, tangent, x, h=1e-4)
-        refined = ga.fundamental_field_numeric(
-            action, tangent, x, h=1e-4, richardson=True
-        )
-        assert np.linalg.norm(refined - exact) <= np.linalg.norm(plain - exact)
-
 
 class TestFundamentalAnalytic:
     def test_planar_field_from_affine_tangent(self):

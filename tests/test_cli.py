@@ -1,12 +1,13 @@
 """CLI surface: JSON/CSV formats, exit codes, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
-from affine_fields.cli import fmt_float, main
+from affine_fields.cli import _scalar_field_from_json, fmt_float, main
 
 PLANAR_FIELD = {"n": 2, "C": [[0.0, 0.0], [2.0, 0.0]], "B": [1.0, 0.0]}
 
@@ -286,6 +287,45 @@ class TestVerifyInvariantsCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    @pytest.mark.parametrize("kind", ["zero", "slot", "square", "sin"])
+    def test_every_slot_kind_passes(self, capsys, tmp_path, kind):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 3, "C": [[0] * 3] * 3, "B": [2, -1, 0.5]}))
+        bundle = tmp_path / "bundle.json"
+        functions = [{"kind": kind, "index": k} for k in (1, 2)]
+        bundle.write_text(
+            json.dumps({"family": "constant", "F": functions[0], "G": functions})
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "verify-invariants",
+            "--field",
+            str(field),
+            "--bundle",
+            str(bundle),
+            "--samples",
+            "30",
+        )
+        payload = json.loads(out)
+        assert payload["max_parameter_defect"] <= 1e-12
+        assert payload["max_invariant_defect"] <= 1e-12
+        # Two zero invariants cannot be coordinates; the other kinds can.
+        assert payload["jacobian_ok"] is (kind != "zero")
+        assert code == (1 if kind == "zero" else 0)
+
+    @pytest.mark.parametrize(
+        "kind, value, gradient",
+        [
+            ("slot", 0.5, [0.0, 1.0]),
+            ("square", 0.25, [0.0, 1.0]),
+            ("sin", math.sin(0.5), [0.0, math.cos(0.5)]),
+        ],
+    )
+    def test_slot_function_table(self, kind, value, gradient):
+        f = _scalar_field_from_json({"kind": kind, "index": 2}, 2)
+        assert f.value([3.0, 0.5]) == value
+        assert f.gradient([3.0, 0.5]).tolist() == gradient
+
     def test_incomplete_bundle_exits_one(self, capsys, tmp_path):
         # No invariants: defect checks pass but the Jacobian cannot reach
         # full rank, so the report fails and the exit code says so.
@@ -345,6 +385,8 @@ class TestCheckActionCommand:
         )
         assert code == 0
         assert json.loads(out)["passed"] is True
+        # The bound is a constant of the package, still part of the report.
+        assert '"tol": 1e-09' in out
 
     def test_chart_conjugated(self, capsys, tmp_path):
         params = tmp_path / "params.json"

@@ -46,9 +46,15 @@ class TestMakeFlow:
         # C U0 = (0, 2 U0[0]) can never hit -B = (-1, 0).
         assert make_flow(PLANAR).form == AUGMENTED_EXPONENTIAL
 
-    def test_unknown_form_rejected(self):
-        with pytest.raises(ValueError, match="unknown flow form"):
-            FlowMap(AffineField(np.eye(2), [1.0, 1.0]), "shifted-exponential")
+    def test_form_follows_the_field(self):
+        # The form is not an argument: a FlowMap named a translation could
+        # flow 0 to (1, 1), where the true time-1 image is (e - 1, e - 1).
+        flow = FlowMap(AffineField(np.eye(2), [1.0, 1.0]))
+        assert flow.form == AUGMENTED_EXPONENTIAL
+        image = flow_at(flow, 1.0, [0.0, 0.0])
+        assert_allclose(image, [math.e - 1.0, math.e - 1.0], rtol=1e-13)
+        with pytest.raises(TypeError):
+            FlowMap(AffineField(np.eye(2), [1.0, 1.0]), TRANSLATION)
 
 
 class TestFlowAt:
