@@ -99,9 +99,9 @@ def _cmd_orbit(args) -> int:
         raise InputError("--steps must be at least 1")
     grid = np.linspace(args.t0, args.t1, args.steps + 1)
     path = orbit(make_flow(field), point, grid)
-    print("t," + ",".join(f"u{i}" for i in range(1, field.n + 1)))
-    for t, row in zip(path.times, path.points):
-        print(",".join([fmt_float(t)] + [fmt_float(v) for v in row]))
+    rows = np.column_stack([path.times, path.points]).tolist()
+    header = "t," + ",".join(f"u{i}" for i in range(1, field.n + 1))
+    print("\n".join([header] + [",".join(map(fmt_float, row)) for row in rows]))
     return 0
 
 

@@ -4,19 +4,57 @@ Provides the matrix exponential, rank-revealing linear solves, and the
 homogeneous (augmented) embedding of an affine map.  Everything operates on
 plain float ndarrays with value semantics: inputs are never mutated.  The
 tolerances are the module constants below; no caller tunes them.
+
+The matrix exponential is one kernel over stacks of square matrices: Pade
+scaling and squaring (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)) with
+the number of squarings chosen per matrix from the norms of its powers (Al-Mohy
+and Higham 2009, SIAM J. Matrix Anal. Appl. 31(3)).  A single matrix is a
+stack of one.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-DEFAULT_EXP_TOL = 1e-12
 DEFAULT_RANK_TOL = 1e-10
 
-# Scaling target for the Taylor core of mat_exp.  With the scaled norm at or
-# below this value the series gains roughly one bit per term.
-_SCALING_TARGET = 0.5
-_MAX_TAYLOR_TERMS = 64
+# Coefficients b_0, ..., b_m of the degree-m Pade approximant p(A) / p(-A) to
+# exp(A), and theta_m, the largest 1-norm at which its backward error is at
+# most the unit roundoff (Higham 2005, Table 2.3).
+_PADE = {
+    3: (120.0, 60.0, 12.0, 1.0),
+    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
+    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
+    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0),
+}
+_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
+          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
+          13: 5.371920351148152e0}
+# 1 / |c_27|, where c_27 leads the series of the degree-13 backward error;
+# the squaring correction ell of Al-Mohy and Higham 2009 uses it.
+_ELL_13 = 113250775606021113483283660800000000.0
+_UNIT_ROUNDOFF = 2.0**-53
+# Exponents 1/p taking ||A^p|| for p = 6, 8, 10 to d_p = ||A^p||^(1/p).
+_INVERSE_POWERS = 1.0 / np.array([[6.0], [8.0], [10.0]])
+
+# Rows combining the even powers [I, A^2, A^4, ...] into the odd part U and
+# the even part V of p(A), so that the approximant is (V - U)^-1 (V + U): for
+# degrees 3 to 9, U = A row0 and V = row1; for degree 13, U = A (A^6 row0 +
+# row1) and V = A^6 row2 + row3 (Higham 2005).
+_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE.items() if m < 13}
+_PADE_ROWS[13] = np.array([
+    (0.0, *_PADE[13][9::2]),
+    _PADE[13][1:9:2],
+    (0.0, *_PADE[13][8::2]),
+    _PADE[13][0:8:2],
+])
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -44,48 +82,182 @@ def _require_square(m: np.ndarray, name: str) -> int:
     return rows
 
 
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential by scaling and squaring with a Taylor core.
+def _norm1(m: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix in a stack."""
+    return np.abs(m).sum(axis=-2).max(axis=-1)
 
-    The argument is scaled by a power of two until its 1-norm is at most
-    0.5, the series sum(A^k / k!) is accumulated until the next term falls
-    below DEFAULT_EXP_TOL relative to the sum (tightened by 2^-s for the s
-    squarings), and the result is squared back up.  The squaring phase can
-    still lose accuracy on strongly non-normal arguments: on a 5 x 5
-    upper-triangular matrix with entries 1000^(j - i) the relative error is
-    about 4e-5, whatever the series cutoff.
 
-    Returns exp(a); the zero matrix maps to the exact identity.  Raises
-    OverflowError if exp(a) has entries beyond the float range.
+def _squarings(
+    a0: np.ndarray, k: np.ndarray, a4: np.ndarray, a6: np.ndarray
+) -> np.ndarray:
+    """Squarings s <= k per matrix for the degree-13 approximant of A = 2^k a0.
+
+    ``a4`` and ``a6`` are the powers of a0.  With d_p = |A^p|_1^(1/p), s is
+    the least with 2^-s eta <= theta_13 for eta = min(max(d_6, d_8),
+    max(d_8, d_10)), raised by the correction ell that keeps the approximant
+    of |2^-s A| accurate (Al-Mohy and Higham 2009).  s never exceeds k, the
+    1-norm choice of Higham 2005, which alone guarantees the backward error;
+    that cap also covers |A| products that overflow.
     """
-    m = as_matrix(a)
-    n = _require_square(m, "mat_exp argument")
-    norm = np.linalg.norm(m, 1)
-    if norm == 0.0:
-        return np.eye(n)
+    # d_p of a0; those of A are 2^k times larger.
+    d = _norm1(np.stack([a6, a4 @ a4, a4 @ a6])) ** _INVERSE_POWERS
+    eta = np.maximum(d[1], np.minimum(d[0], d[2]))  # min(max(d6, d8), max(d8, d10))
+    s = np.clip(k + np.ceil(np.log2(eta / _THETA[13])), 0.0, k)
+    # Where 2^-s |A|_1 <= theta_13, below (u / |c_27|)^(1/26), ell is zero;
+    # that is where s = k, and the cap below keeps those s as they are.
+    if (s < k).any():
+        w = np.abs(np.ldexp(a0, (k - s).astype(int)[:, None, None]))
+        v = w.sum(axis=-2, keepdims=True)
+        scaled_norm = v.max(axis=(-2, -1))
+        # 1^T |2^-s A|^27 by binary powering: 27 = 1 + 2 + 8 + 16.
+        for bit in (1, 0, 1, 1):
+            w = w @ w
+            if bit:
+                v = v @ w
+        alpha = v.max(axis=(-2, -1)) / (_ELL_13 * scaled_norm)
+        ell = np.ceil(np.log2(alpha / _UNIT_ROUNDOFF) / 26.0)
+        s = np.fmin(s + np.maximum(ell, 0.0), k)
+    return s.astype(int)
 
-    squarings = max(0, int(np.ceil(np.log2(norm / _SCALING_TARGET))))
-    scaled = m / 2.0**squarings
-    # Each squaring can roughly double the relative error, hence the 2**-s
-    # tightening; the floor keeps the cutoff meaningful in double precision.
-    cutoff = max(DEFAULT_EXP_TOL * 2.0 ** -(squarings + 2), 1e-17)
 
-    total = np.eye(n)
-    term = np.eye(n)
-    for k in range(1, _MAX_TAYLOR_TERMS + 1):
-        term = term @ scaled / k
-        total = total + term
-        if np.linalg.norm(term, 1) <= cutoff * np.linalg.norm(total, 1):
-            break
-    else:  # pragma: no cover - term norms decay at least like 0.5^k / k!
-        raise RuntimeError("matrix exponential series failed to converge")
+def _taylor(a: np.ndarray, a0: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """I + A + ... + A^5 / 5! for A = a = 2^k a0, exp(A) exactly if A^6 = 0.
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(squarings):
-            total = total @ total
-    if not np.isfinite(total).all():
-        raise OverflowError(f"exp of a matrix with 1-norm {norm:.3e} overflows")
-    return total
+    The powers are formed from a0 and scaled back by 2^(jk), so each term is
+    in range whenever its value is.
+    """
+    a2 = a0 @ a0
+    a4 = a2 @ a2
+    terms = [a2 / 2, (a2 @ a0) / 6, a4 / 24, (a4 @ a0) / 120]
+    if k.any():
+        terms = [np.ldexp(t, j * k[:, None, None]) for j, t in enumerate(terms, 2)]
+    return np.eye(a.shape[-1]) + a + terms[0] + terms[1] + terms[2] + terms[3]
+
+
+def _pade(
+    a0: np.ndarray, k: np.ndarray, powers: np.ndarray, degree: int
+) -> np.ndarray:
+    """exp(2^k a0) by the degree-``degree`` Pade approximant, squared back.
+
+    ``powers`` holds [I, a0^2, a0^4, ...] as _PADE_ROWS[degree] combines
+    them; with k > 0 (degree 13 only) they are rescaled in place.
+    """
+    rows = _PADE_ROWS[degree]
+    a, s = a0, None
+    if k.any():
+        s = _squarings(a0, k, powers[2], powers[3])
+        up = k - s
+        a = np.ldexp(a0, up[:, None, None])
+        np.ldexp(powers[1:], np.outer((2, 4, 6), up)[:, :, None, None], out=powers[1:])
+        if not np.isfinite(powers).all():
+            # Only a matrix far from normal gets here: form the powers anew.
+            np.matmul(a, a, out=powers[1])
+            np.matmul(powers[1], powers[1], out=powers[2])
+            np.matmul(powers[1], powers[2], out=powers[3])
+    parts = (rows @ powers.reshape(len(powers), -1)).reshape(-1, *a.shape)
+    if degree == 13:
+        u = a @ (powers[3] @ parts[0] + parts[1])
+        v = powers[3] @ parts[2] + parts[3]
+    else:
+        u = a @ parts[0]
+        v = parts[1]
+    x = np.linalg.solve(v - u, v + u)
+    if s is not None:
+        always = s.min()
+        for j in range(s.max()):
+            if j < always:
+                x = x @ x
+            else:
+                square = s > j
+                x[square] = x[square] @ x[square]
+    return x
+
+
+def mat_exp(a) -> np.ndarray:
+    """Matrix exponential of a square matrix or of a stack of them.
+
+    ``a`` has shape (..., n, n); the result has the same shape and holds the
+    exponential of each matrix.  A stack is evaluated with one set of numpy
+    calls, so many small matrices cost little more than one.
+
+    The kernel is Pade scaling and squaring.  The degree is 3, 5, 7 or 9 when
+    the largest 1-norm in the stack is at most that degree's theta_m (Higham
+    2005), else 13.  For degree 13 each matrix A is scaled by its own 2^-s,
+    with s from the norms of A^6, A^8 and A^10 (Al-Mohy and Higham 2009), so
+    strongly non-normal matrices are not over-scaled, and the approximant is
+    squared s times.  Powers are formed from A divided by the power of two
+    that brings its 1-norm to theta_13 or below, so none leaves the float
+    range on the way.  Three rules keep results exact where the exponential
+    is exact:
+
+    1. The zero matrix maps to exactly I.
+    2. A row or column of A that is exactly zero maps to exactly that row or
+       column of I; so a homogeneous generator [[C, B], [0, 0]] keeps the
+       bottom row (0, ..., 0, 1) and [[C, 0], [0, 0]] keeps t = 0.
+    3. When a power the kernel forms anyway (A^2, A^4 or A^6) is exactly
+       zero, the finite Taylor sum is used, so exp(A) is bitwise I + A
+       whenever A^2 = 0.
+
+    Raises ValueError for a non-square or non-finite argument and
+    OverflowError if an exponential has entries beyond the float range.
+    """
+    m = np.array(a, dtype=float)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(
+            f"mat_exp argument must be a square matrix or a stack of them, "
+            f"got shape {m.shape}"
+        )
+    if m.size == 0:
+        return m
+    shape, n = m.shape, m.shape[-1]
+    a = m.reshape(-1, n, n)
+    eye = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a2 = a @ a
+        # A non-finite entry makes its whole row of A^2 non-finite, so an
+        # exactly zero A^2 also certifies a finite argument.
+        if not a2.any():
+            return (eye + a).reshape(shape)
+        magnitude = np.abs(a)
+        columns = magnitude.sum(axis=-2)
+        norm = columns.max(axis=-1)
+        top = float(norm.max())
+        if not math.isfinite(top):
+            if not np.isfinite(m).all():
+                raise ValueError("matrix has non-finite entries")
+            raise OverflowError("matrix 1-norm is beyond the float range")
+        if top > _THETA[13]:
+            k = np.maximum(np.ceil(np.log2(norm / _THETA[13])), 0.0).astype(int)
+            a0 = np.ldexp(a, -k[:, None, None])
+            a0_2 = a0 @ a0
+        else:
+            k, a0, a0_2 = np.zeros(len(a), dtype=int), a, a2
+        degree = next((d for d in (3, 5, 7, 9) if top <= _THETA[d]), 13)
+        powers = np.empty((_PADE_ROWS[degree].shape[1], len(a), n, n))
+        powers[0] = eye
+        powers[1] = a0_2
+        for j in range(2, len(powers)):
+            np.matmul(a0_2, powers[j - 1], out=powers[j])
+        # A^2 = 0 implies A^4 = A^6 = 0, so testing the highest of them that
+        # is formed tests all three.
+        taylor = ~powers[min(3, len(powers) - 1)].any(axis=(-2, -1))
+        count = np.count_nonzero(taylor)
+        if count == len(a):
+            x = _taylor(a, a0, k)
+        else:
+            if count:
+                x = np.empty_like(a)
+                x[taylor] = _taylor(a[taylor], a0[taylor], k[taylor])
+                rest = ~taylor
+                x[rest] = _pade(a0[rest], k[rest], powers[:, rest], degree)
+            else:
+                x = _pade(a0, k, powers, degree)
+            rows = magnitude.sum(axis=-1)
+            exact = np.minimum(rows[:, :, None], columns[:, None, :]) == 0.0
+            x = np.where(exact, eye, x)
+    if not np.isfinite(x).all():
+        raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")
+    return x.reshape(shape)
 
 
 def _rank_of(sigma: np.ndarray) -> int:

@@ -5,9 +5,12 @@ import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+from affine_fields import AffineField
 from affine_fields.cli import _scalar_field_from_json, fmt_float, main
+from affine_fields.flows import make_flow, orbit
 
 PLANAR_FIELD = {"n": 2, "C": [[0.0, 0.0], [2.0, 0.0]], "B": [1.0, 0.0]}
 
@@ -124,6 +127,35 @@ class TestOrbitCommand:
         assert lines[1] == "0,0,0"
         assert lines[-1] == "2,2,4"
 
+
+    @pytest.mark.parametrize(
+        "field, point",
+        [
+            ({"n": 2, "C": [[0, 0], [0, 0]], "B": [1, -0.5]}, "-0.0,2"),
+            ({"n": 2, "C": [[0, -1], [1, 0.1]], "B": [0.3, 0]}, "-0.0,0.1"),
+        ],
+    )
+    def test_csv_matches_per_value_formatting(self, capsys, tmp_path, field, point):
+        # Integral times and values print without ".0" and -0.0 as "-0",
+        # exactly as formatting each np.float64 of the orbit one at a time.
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field))
+        argv = ["orbit", "--field", str(path), "--point", point]
+        grid = ["--t0", "-2", "--t1", "6", "--steps", "16"]
+        code, out, _ = run_cli(capsys, *argv, *grid)
+        assert code == 0
+        lib = orbit(
+            make_flow(AffineField.from_dict(field)),
+            [float(v) for v in point.split(",")],
+            np.linspace(-2.0, 6.0, 17),
+        )
+        lines = ["t,u1,u2"] + [
+            ",".join([fmt_float(t)] + [fmt_float(v) for v in row])
+            for t, row in zip(lib.times, lib.points)
+        ]
+        assert out == "\n".join(lines) + "\n"
+        assert "\n0,-0," in out
+        assert "\n4," in out
 
     @pytest.mark.parametrize("spelling", [("--point", "-1,2"), ("--point=-1,2",)])
     def test_negative_first_coordinate(self, capsys, planar_field_file, spelling):

@@ -1,6 +1,7 @@
 """Closed-form flow tests, cross-validated against the RK4 oracle."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -194,6 +195,15 @@ class TestRegressions:
             flow_at(flow, 1.0, x)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_nilpotent_flow_near_the_float_range(self):
+        # The planar flow from 0 is (t, t^2): exact up to t^2 = 1e308, an
+        # overflow beyond, never a wrong finite value.
+        flow = make_flow(PLANAR)
+        assert np.array_equal(flow_at(flow, 1e154, [0.0, 0.0]), [1e154, 1e308])
+        with pytest.raises(OverflowError):
+            flow_at(flow, 1e155, [0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_translation_overflow_raises_without_warning(self):
         flow = make_flow(constant_field([1e300]))
         with pytest.raises(OverflowError):
@@ -232,3 +242,73 @@ class TestOrbit:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             orbit(make_flow(zero_field(2)), [0.0, 0.0], [])
+
+    @pytest.mark.parametrize("n", [1, 2, 6, 20])
+    def test_points_agree_with_flow_at(self, n):
+        # n = 20 spans several mat_exp blocks (18 matrices of 21 x 21 each).
+        rng = np.random.default_rng(n)
+        flow = make_flow(random_affine_field(rng, n))
+        x = rng.uniform(-2.0, 2.0, size=n)
+        grid = np.concatenate([np.linspace(-3.0, 3.0, 121), [1e-300, 0.0, 7.5]])
+        path = orbit(flow, x, grid)
+        assert path.points.shape == (grid.size, n)
+        lifted = np.append(x, 1.0)
+        for t, point in zip(grid, path.points):
+            magnitude = np.abs(expm(t * flow.generator)[:n]) @ np.abs(lifted)
+            diff = np.linalg.norm(point - flow_at(flow, t, x))
+            assert diff <= 1e-14 * np.linalg.norm(magnitude), t
+
+    @pytest.mark.parametrize("b", [[1.0, -3.0], [0.0, 0.0]])
+    def test_translation_is_bitwise_flow_at(self, b):
+        flow = make_flow(constant_field(b))
+        x = np.array([-0.0, 0.1])
+        grid = np.linspace(-2.0, 5.0, 71)
+        path = orbit(flow, x, grid)
+        expected = np.stack([flow_at(flow, t, x) for t in grid])
+        assert np.array_equal(path.points, expected)
+        assert np.array_equal(np.signbit(path.points), np.signbit(expected))
+
+    @pytest.mark.parametrize("field", [PLANAR, constant_field([2.0, 0.5])])
+    def test_time_zero_rows_are_the_start_bitwise(self, field):
+        x = np.array([-0.0, 0.1 + 0.2])
+        path = orbit(make_flow(field), x, [0.0, 1.0, -0.0, 0.0])
+        for row in path.points[[0, 2, 3]]:
+            assert np.array_equal(row, x)
+            assert np.array_equal(np.signbit(row), np.signbit(x))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field, t",
+        [
+            (AffineField([[100.0]], [0.0]), 10.0),
+            (AffineField([[1e10]], [0.0]), 1e300),
+            (constant_field([1e300]), 1e10),
+        ],
+    )
+    def test_overflow_raises_without_warning(self, field, t):
+        with pytest.raises(OverflowError):
+            orbit(make_flow(field), [1.0], [0.0, 1.0, t])
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [0.0], [0, 0, 0]])
+    @pytest.mark.parametrize("field", [PLANAR, constant_field([1.0, 0.0])])
+    def test_bad_start_rejected_like_flow_at(self, field, x):
+        flow = make_flow(field)
+        with pytest.raises(ValueError) as from_flow_at:
+            flow_at(flow, 1.0, x)
+        with pytest.raises(ValueError) as from_orbit:
+            orbit(flow, x, [0.0, 1.0])
+        assert str(from_orbit.value) == str(from_flow_at.value)
+
+    def test_long_orbit_memory_stays_small(self):
+        rng = np.random.default_rng(8)
+        flow = make_flow(random_affine_field(rng, 20))
+        x = rng.uniform(-1.0, 1.0, size=20)
+        grid = np.linspace(0.0, 0.5, 10_000)
+        tracemalloc.start()
+        try:
+            orbit(flow, x, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The points themselves take 1.6 MB; the blocks add a bounded amount.
+        assert peak < 5e6

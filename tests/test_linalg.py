@@ -2,12 +2,13 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from affine_fields.linalg import (
-    DEFAULT_EXP_TOL,
+    _squarings,
     augment_affine,
     mat_exp,
     rank,
@@ -51,14 +52,14 @@ def test_mat_exp_matches_series_oracle():
 
 
 def test_mat_exp_inverse_pairing():
-    # exp(A) exp(-A) = I within 10x the tolerance contract.
+    # exp(A) exp(-A) = I within 10x the accuracy contract of 1e-12.
     rng = np.random.default_rng(1)
     for n in (2, 4, 8):
         for _ in range(10):
             a = rng.standard_normal((n, n))
             a *= rng.uniform(0.5, 5.0) / np.linalg.norm(a, 2)
             product = mat_exp(a) @ mat_exp(-a)
-            assert np.linalg.norm(product - np.eye(n), 1) <= 10 * DEFAULT_EXP_TOL
+            assert np.linalg.norm(product - np.eye(n), 1) <= 10 * 1e-12
 
 
 def test_mat_exp_one_parameter_property():
@@ -70,7 +71,7 @@ def test_mat_exp_one_parameter_property():
         s, t = rng.uniform(-1.0, 1.0, size=2)
         lhs = mat_exp((s + t) * a)
         rhs = mat_exp(s * a) @ mat_exp(t * a)
-        assert np.linalg.norm(lhs - rhs, 1) <= 10 * DEFAULT_EXP_TOL * np.linalg.norm(
+        assert np.linalg.norm(lhs - rhs, 1) <= 10 * 1e-12 * np.linalg.norm(
             lhs, 1
         )
 
@@ -81,9 +82,138 @@ def test_mat_exp_overflow_raises_without_warning():
         mat_exp([[1000.0]])
 
 
+def _mp_expm(a) -> np.ndarray:
+    """exp(a) from mpmath at 50 significant digits, rounded to floats."""
+    with mpmath.workdps(50):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
+
+
+def test_mat_exp_non_normal_accuracy():
+    # Upper triangular with a_ij = 1000^(j - i): the 1-norm (about 1e12)
+    # overstates the growth of the powers, and scaling by it alone lost
+    # 11 digits in the squarings.
+    a = np.diag([0.5, -0.3, 0.2, -0.6, 0.1])
+    for i in range(5):
+        for j in range(i + 1, 5):
+            a[i, j] = 1000.0 ** (j - i)
+    ref = _mp_expm(a)
+    err = np.linalg.norm(mat_exp(a) - ref, 1) / np.linalg.norm(ref, 1)
+    assert err <= 1e-12
+
+
+def _squarings_and_cap(a):
+    """(s, k) for one matrix: the kernel's squarings and the 1-norm choice."""
+    k = max(0, math.ceil(math.log2(np.linalg.norm(a, 1) / 5.371920351148152)))
+    a0 = np.ldexp(a, -k)[None]
+    a2 = a0 @ a0
+    a4 = a2 @ a2
+    return int(_squarings(a0, np.array([k]), a4, a4 @ a2)[0]), k
+
+
+def test_mat_exp_squarings_follow_the_powers():
+    # The 1000^(j - i) matrix: its 1-norm asks for 38 squarings, the norms
+    # of its powers for 3.
+    a = np.diag([0.5, -0.3, 0.2, -0.6, 0.1])
+    for i in range(5):
+        for j in range(i + 1, 5):
+            a[i, j] = 1000.0 ** (j - i)
+    assert _squarings_and_cap(a) == (3, 38)
+    # b N + eps I with N^2 = 0: the powers of A stay small, those of |A| do
+    # not, and the correction ell raises s from 0 to the 1-norm choice.
+    n = np.array([[1.0, 1.0], [-1.0, -1.0]])
+    assert _squarings_and_cap(30.0 * n + 0.1 * np.eye(2)) == (4, 4)
+    assert _squarings_and_cap(1e3 * n + 1e-3 * np.eye(2)) == (9, 9)
+
+
+def test_mat_exp_square_zero_is_identity_plus_a_bitwise():
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        n = int(rng.integers(2, 8))
+        # u v^T with disjoint supports: (u v^T)^2 = u (v . u) v^T is zero.
+        rows = rng.permutation(n) < n // 2
+        u = np.where(rows, rng.normal(size=n), 0.0)
+        v = np.where(rows, 0.0, rng.normal(size=n))
+        a = np.outer(u, v) * 10.0 ** rng.uniform(-3.0, 3.0)
+        assert not (a @ a).any()
+        assert np.array_equal(mat_exp(a), np.eye(n) + a)
+    # Translation generators [[0, t], [0, 0]] at any scale.
+    for t in ([1e-300, 0.0], [3.0, -7.5], [1e150, 1e150]):
+        a = np.zeros((3, 3))
+        a[:2, 2] = t
+        assert np.array_equal(mat_exp(a), np.eye(3) + a)
+
+
+def test_mat_exp_homogeneous_rows_and_columns_exact():
+    # [[C, B], [0, 0]] keeps the bottom row (0, ..., 0, 1) and [[C, 0],
+    # [0, 0]] the last column, bit for bit, up to 1-norm 1e3.  C is skew
+    # minus a nonnegative shift so that exp(C) stays in range.
+    rng = np.random.default_rng(6)
+    for norm in np.logspace(-3.0, 3.0, 25):
+        n = int(rng.integers(1, 7))
+        k = rng.normal(size=(n, n))
+        c = k - k.T - rng.uniform(0.0, 1.0) * np.eye(n)
+        g = augment_affine(c, rng.normal(size=n))
+        g *= norm / np.linalg.norm(g, 1)
+        e = np.eye(n + 1)
+        assert np.array_equal(mat_exp(g)[n], e[n])
+        g[:n, n] = 0.0
+        out = mat_exp(g)
+        assert np.array_equal(out[n], e[n])
+        assert np.array_equal(out[:, n], e[:, n])
+
+
+def test_mat_exp_powers_stay_in_range():
+    # A^2 overflows, but exp(A) = I + A + A^2 / 2 does not.
+    a = np.zeros((3, 3))
+    a[0, 1] = a[1, 2] = 1.5e154
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(a @ a).all()
+    out = mat_exp(a)
+    expected = [[1.0, 1.5e154, 1.125e308], [0.0, 1.0, 1.5e154], [0.0, 0.0, 1.0]]
+    assert_allclose(out, expected, rtol=1e-15)
+    a[0, 2] = 1e308
+    with pytest.raises(OverflowError, match="overflows"):
+        mat_exp(a)
+
+
+def test_mat_exp_stack_shapes():
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(2, 3, 4, 4))
+    out = mat_exp(stack)
+    assert out.shape == (2, 3, 4, 4)
+    for i in range(2):
+        for j in range(3):
+            one = mat_exp(stack[i, j])
+            assert np.linalg.norm(out[i, j] - one, 1) <= 1e-14 * np.linalg.norm(one, 1)
+    assert mat_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+
+
+def test_mat_exp_mixed_stack_keeps_the_exact_rules():
+    # Zero, square-zero and general matrices in one stack each keep their rule.
+    general = np.array([[0.3, 2.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, 0.0]])
+    square_zero = np.zeros((3, 3))
+    square_zero[0, 2] = 5.0
+    out = mat_exp(np.stack([np.zeros((3, 3)), square_zero, general]))
+    assert np.array_equal(out[0], np.eye(3))
+    assert np.array_equal(out[1], np.eye(3) + square_zero)
+    assert np.array_equal(out[2][2], [0.0, 0.0, 1.0])
+    assert np.array_equal(out[2][:, 2], [0.0, 0.0, 1.0])
+    assert_allclose(out[2], _mp_expm(general), rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_mat_exp_rejects_non_finite():
+    with pytest.raises(ValueError, match="non-finite"):
+        mat_exp([[1.0, np.nan], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="non-finite"):
+        mat_exp([[0.0, np.inf], [0.0, 0.0]])
+
+
 def test_mat_exp_rejects_non_square():
     with pytest.raises(ValueError, match="square"):
         mat_exp(np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="square"):
+        mat_exp(np.zeros(3))
 
 
 def test_solve_identity():
