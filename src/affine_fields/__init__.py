@@ -16,7 +16,6 @@ from .actions import (
     act,
     affine_element,
     affine_tangent,
-    broken_linear_action,
     chart_conjugated_action,
     check_action_axioms,
     det_weighted_action,

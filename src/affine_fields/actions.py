@@ -50,8 +50,6 @@ STANDARD_AFFINE = "standard-affine"
 EXP_TRANSLATION = "exp-translation"
 DET_WEIGHTED = "det-weighted"
 CHART_CONJUGATED = "chart-conjugated"
-# Negative control for axiom checks: (a, x) -> a x + x is not an action.
-BROKEN_LINEAR = "broken-linear"
 
 CATALOG_VARIANTS = (
     STANDARD_LINEAR,
@@ -344,7 +342,6 @@ VARIANTS = {
         tangent=_det_weighted_tangent,
         param="q",
     ),
-    BROKEN_LINEAR: VariantRecord(GENERAL_LINEAR, act=lambda action, g, p: g.a @ p + p),
 }
 
 
@@ -424,10 +421,6 @@ def det_weighted_action(n: int, q: int) -> GroupAction:
 
 def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
     return GroupAction(CHART_CONJUGATED, base.n, base=base, chart=chart)
-
-
-def broken_linear_action(n: int) -> GroupAction:
-    return GroupAction(BROKEN_LINEAR, n)
 
 
 def _require_kind(action: GroupAction, g, what: str = "element"):

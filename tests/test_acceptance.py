@@ -43,3 +43,33 @@ def test_acceptance_criterion(number, label, check):
     status = "PASS" if result.passed else "FAIL"
     print(f"ACCEPTANCE {number} ({label}): {status} [{result.detail}]")
     assert result.passed, f"{label}: {result.detail}"
+
+
+# The detail lines of the two checks that run the RK4 oracle, to the printed
+# digit: the ensembles, their draw order and the worst defects must not move
+# when the oracle's state is laid out differently.
+PINNED_DETAILS = [
+    (check_flow_vs_oracle, 42, "worst relative defect 4.179e-10 (bound 1e-06)"),
+    (check_flow_vs_oracle, 2006, "worst relative defect 5.351e-10 (bound 1e-06)"),
+    (
+        check_degenerate_flows,
+        42,
+        "worst fixed-point-choice defect 2.168e-14 (bound 1e-10), "
+        "worst oracle defect 1.037e-09 (bound 1e-06)",
+    ),
+    (
+        check_degenerate_flows,
+        2006,
+        "worst fixed-point-choice defect 2.785e-14 (bound 1e-10), "
+        "worst oracle defect 9.081e-10 (bound 1e-06)",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "check,seed,detail",
+    PINNED_DETAILS,
+    ids=[f"{c.__name__}-{s}" for c, s, _ in PINNED_DETAILS],
+)
+def test_oracle_check_detail_is_pinned(check, seed, detail):
+    assert check(seed).detail == detail

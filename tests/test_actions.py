@@ -229,8 +229,12 @@ class TestAxioms:
         report = ga.check_action_axioms(action, samples=100, seed=0)
         assert report.passed, report.to_dict()
 
-    def test_broken_variant_fails_composition(self):
-        report = ga.check_action_axioms(ga.broken_linear_action(2), samples=50, seed=0)
+    def test_broken_variant_fails_composition(self, monkeypatch):
+        # Negative control: (a, x) -> a x + x is not an action.
+        monkeypatch.setitem(ga.VARIANTS, "broken-linear", ga.VariantRecord(
+            ga.GENERAL_LINEAR, act=lambda action, g, p: g.a @ p + p))
+        action = ga.GroupAction("broken-linear", 2)
+        report = ga.check_action_axioms(action, samples=50, seed=0)
         assert not report.passed
         assert report.max_composition_defect > 1e-3
 
