@@ -1,8 +1,8 @@
 """Numerical toolkit for constant, linear, and affine vector fields on R^n.
 
-Fields are pairs (C, B) with components C x + B; their flows have closed
-forms that the package cross-validates against fixed-step RK4 integration.
-On top of the field algebra (brackets, generators, coordinate changes) sit
+A field C x + B is its generator [[C, B], [0, 0]], whose exponential gives the
+flow, cross-validated against fixed-step RK4 integration.  On top of the
+field algebra (brackets, generators, coordinate changes) sit
 canonical parameters and invariants, and the realization of the three field
 classes as fundamental vector fields of translation, general linear, and
 general affine group actions.

@@ -36,6 +36,7 @@ import numpy as np
 
 from .charts import Chart
 from .fields import AffineField, evaluate, linear_field
+from .invariants import FD_STEP
 from .linalg import as_matrix, as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
@@ -63,9 +64,6 @@ CATALOG_VARIANTS = (
 # column scaled to unit 2-norm, is at most this: |det a| <= 1e-12 prod |a_j|.
 # The test does not depend on the scale of the entries.
 MIN_SCALED_DET = 1e-12
-
-# Step of the central differences in fundamental_field_numeric.
-FD_STEP = 1e-6
 
 # Bound on the relative identity and composition defects of an action.
 AXIOM_TOL = 1e-9
@@ -249,8 +247,8 @@ def affine_tangent(m, v) -> TangentAtIdentity:
     return TangentAtIdentity(GENERAL_AFFINE, m, v)
 
 
-# A standard action's fundamental field of X is X itself, (C, B) = (X_mat,
-# X_vec); the tangent's kind constraint makes the field class exact.
+# A standard action's fundamental field of X is X itself: the field's
+# generator is the tangent's matrix, and its kind makes the class exact.
 def _standard_field(action, tangent) -> AffineField:
     return AffineField(tangent.X_mat, tangent.X_vec)
 

@@ -234,10 +234,7 @@ def _build_bundle(field: AffineField, data: dict) -> InvariantBundle:
         except KeyError as exc:
             raise InputError(f"planar bundle family needs {exc}") from exc
         family_field, bundle = planar_affine_family(alpha, beta, gamma)
-        if not (
-            np.allclose(family_field.C, field.C, atol=1e-12)
-            and np.allclose(family_field.B, field.B, atol=1e-12)
-        ):
+        if not np.allclose(family_field.matrix, field.matrix, atol=1e-12):
             raise InputError("field file does not match the planar family parameters")
         return bundle
     raise InputError(f"unknown bundle family {family!r}")

@@ -1,8 +1,9 @@
 """Constant, linear, and affine vector fields on R^n.
 
-A field is stored by the pair (C, B) of its components X(x) = C x + B in the
-chart's natural frame.  Constant fields have C = 0, linear fields have B = 0.
-Indices in the public generator API are 1-based.
+A field X(x) = C x + B is stored as its homogeneous generator [[C, B], [0, 0]],
+so brackets are commutators and linear coordinate changes are conjugations.
+Constant fields have C = 0, linear fields have B = 0.  Indices in the public
+generator API are 1-based.
 """
 
 from __future__ import annotations
@@ -11,39 +12,39 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, as_vector, rank
+from .linalg import augment_affine, as_matrix, as_vector, rank
 
 CONSTANT = "constant"
 LINEAR = "linear"
 AFFINE = "affine"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineField:
-    """Vector field x -> C x + B with an n x n matrix C and n-vector B."""
+    """Vector field x -> C x + B, stored as the matrix [[C, B], [0, 0]]."""
 
-    C: np.ndarray
-    B: np.ndarray
+    matrix: np.ndarray
 
-    def __post_init__(self):
-        c = as_matrix(self.C, "C")
-        b = as_vector(self.B, "B")
-        if c.shape[0] != c.shape[1]:
-            raise ValueError(f"C must be square, got shape {c.shape}")
-        if b.size != c.shape[0]:
-            raise ValueError(
-                f"B has dim {b.size} but C is {c.shape[0]} x {c.shape[1]}"
-            )
-        if b.size == 0:
+    def __init__(self, C, B):
+        m = augment_affine(C, B)
+        if len(m) == 1:
             raise ValueError("field dimension must be at least 1")
-        c.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "C", c)
-        object.__setattr__(self, "B", b)
+        m.flags.writeable = False
+        object.__setattr__(self, "matrix", m)
 
     @property
     def n(self) -> int:
-        return self.B.size
+        return self.matrix.shape[0] - 1
+
+    @property
+    def C(self) -> np.ndarray:
+        """Matrix part, a read-only view."""
+        return self.matrix[:-1, :-1]
+
+    @property
+    def B(self) -> np.ndarray:
+        """Vector part, a read-only view."""
+        return self.matrix[:-1, -1]
 
     def classify(self) -> str:
         """One of "constant", "linear", "affine"; the zero field is constant.
@@ -56,7 +57,7 @@ class AffineField:
         return AFFINE if self.B.any() else LINEAR
 
     def is_zero(self) -> bool:
-        return not (self.C.any() or self.B.any())
+        return not self.matrix.any()
 
     def to_dict(self) -> dict:
         return {"n": self.n, "C": self.C.tolist(), "B": self.B.tolist()}
@@ -69,6 +70,11 @@ class AffineField:
                 f"declared dimension {data['n']} does not match shapes ({field.n})"
             )
         return field
+
+
+def _of_generator(m: np.ndarray) -> AffineField:
+    """The field whose generator is m (bottom row zero)."""
+    return AffineField(m[:-1, :-1], m[:-1, -1])
 
 
 def constant_field(b) -> AffineField:
@@ -104,15 +110,13 @@ def evaluate_many(field: AffineField, points) -> np.ndarray:
 def bracket(x: AffineField, y: AffineField) -> AffineField:
     """Lie bracket [X, Y] with the convention [X, Y](f) = X(Y(f)) - Y(X(f)).
 
-    For affine fields the bracket is again affine, with matrix part
-    C_Y C_X - C_X C_Y and vector part C_Y B_X - C_X B_Y.
+    For affine fields the bracket is again affine: its generator is the
+    commutator G_Y G_X - G_X G_Y, with matrix part C_Y C_X - C_X C_Y and
+    vector part C_Y B_X - C_X B_Y.
     """
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return AffineField(
-        y.C @ x.C - x.C @ y.C,
-        y.C @ x.B - x.C @ y.B,
-    )
+    return _of_generator(y.matrix @ x.matrix - x.matrix @ y.matrix)
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,15 @@ class GeneratorIndex:
 
 
 def generator(g: GeneratorIndex, n: int) -> AffineField:
-    """Realize a generator label as a field on R^n (1-based indices)."""
+    """Realize a generator label as a field on R^n (1-based indices): the
+    matrix unit at (i, j), or at (i, n + 1) in the column of B for d/du^i."""
     if not 1 <= g.i <= n:
         raise ValueError(f"index i={g.i} out of range 1..{n}")
-    if g.is_constant:
-        b = np.zeros(n)
-        b[g.i - 1] = 1.0
-        return AffineField(np.zeros((n, n)), b)
-    if not 1 <= g.j <= n:
+    if not (g.is_constant or 1 <= g.j <= n):
         raise ValueError(f"index j={g.j} out of range 1..{n}")
-    c = np.zeros((n, n))
-    c[g.i - 1, g.j - 1] = 1.0
-    return AffineField(c, np.zeros(n))
+    m = np.zeros((n + 1, n + 1))
+    m[g.i - 1, n if g.is_constant else g.j - 1] = 1.0
+    return _of_generator(m)
 
 
 def constant_generator(i: int, n: int) -> AffineField:
@@ -155,24 +156,23 @@ def linear_generator(i: int, j: int, n: int) -> AffineField:
 
 def all_generators(n: int) -> list[tuple[GeneratorIndex, AffineField]]:
     """The n constant generators followed by the n^2 linear ones (row-major)."""
-    out = [(GeneratorIndex(i), generator(GeneratorIndex(i), n)) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            out.append((GeneratorIndex(i, j), generator(GeneratorIndex(i, j), n)))
-    return out
+    labels = [GeneratorIndex(i) for i in range(1, n + 1)]
+    labels += [GeneratorIndex(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    return [(g, generator(g, n)) for g in labels]
 
 
 def linear_change(field: AffineField, a) -> AffineField:
     """Rewrite the field in linearly changed coordinates v = a u.
 
-    The matrix part transforms by conjugation a C a^-1 and the vector part
-    by a B, so that evaluating the new field at a x equals a times the old
-    field at x.
+    The generator transforms by conjugation with A = [[a, 0], [0, 1]]: the
+    matrix part becomes a C a^-1 and the vector part a B, so that evaluating
+    the new field at a x equals a times the old field at x.
     """
     m = as_matrix(a, "change matrix")
     if m.shape != (field.n, field.n):
         raise ValueError(f"change matrix must be {field.n} x {field.n}, got {m.shape}")
     if rank(m) < field.n:
         raise ValueError("change matrix is singular")
-    inv = np.linalg.inv(m)
-    return AffineField(m @ field.C @ inv, m @ field.B)
+    lift = np.eye(field.n + 1)
+    lift[:-1, :-1] = m
+    return _of_generator(lift @ field.matrix @ np.linalg.inv(lift))

@@ -1,16 +1,16 @@
 """Closed-form flows of affine fields and the flow-map algebra.
 
-The time-t map of the field x -> C x + B takes one of two forms, which a
-FlowMap derives from its field:
+The time-t map of the field with generator G = [[C, B], [0, 0]] takes one of
+two forms, which a FlowMap derives from its field:
 
 * translation            x + t B                          (C exactly zero)
-* augmented-exponential  the first n entries of exp(t G) (x, 1), where G is
-                         the homogeneous embedding [[C, B], [0, 0]]
+* augmented-exponential  the first n entries of exp(t G) (x, 1)
 
 The augmented exponential covers every affine field (Van Loan 1978), so no
 fixed point is solved for and no tolerance decides which formula runs.  When
 C U + B = 0 has solutions, the paper's form exp(tC)(x - U) + U still holds for
 every such U; validation check 10 tests that identity against this path.
+``flow_at`` is the one evaluation path, for one time or many.
 """
 
 from __future__ import annotations
@@ -21,15 +21,15 @@ import numpy as np
 
 from .fields import AffineField
 # solve_linear is unused here; instrumentation looks it up in this namespace.
-from .linalg import augment_affine, mat_exp, solve_linear  # noqa: F401
+from .linalg import mat_exp, solve_linear  # noqa: F401
 
 TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
 
 # Largest number of matrix entries in the stack of one mat_exp call in
-# orbit.  At 2^13 floats (64 KiB per temporary of the kernel) a long orbit's
-# working memory stays near 2 MB beyond its points, and the fixed cost of a
-# call is spread over 18 grid times at n = 20 and 910 at n = 2.
+# flow_at.  At 2^13 floats (64 KiB per temporary of the kernel) a long
+# orbit's working memory stays near 2 MB beyond its points, and the fixed
+# cost of a call is spread over 18 times at n = 20 and 910 at n = 2.
 ORBIT_BLOCK_ENTRIES = 2**13
 
 
@@ -38,18 +38,14 @@ class FlowMap:
     """Closed-form flow of an affine field; immutable and pure to evaluate.
 
     ``form`` is derived from the field: translation exactly when C is zero,
-    else the augmented exponential.  ``generator`` is the homogeneous
-    embedding [[C, B], [0, 0]], built once.
+    else the augmented exponential of ``field.matrix``.
     """
 
     field: AffineField
 
     def __post_init__(self):
-        form = AUGMENTED_EXPONENTIAL if np.any(self.field.C) else TRANSLATION
+        form = AUGMENTED_EXPONENTIAL if self.field.C.any() else TRANSLATION
         object.__setattr__(self, "form", form)
-        generator = augment_affine(self.field.C, self.field.B)
-        generator.flags.writeable = False
-        object.__setattr__(self, "generator", generator)
 
 
 def make_flow(field: AffineField) -> FlowMap:
@@ -57,42 +53,50 @@ def make_flow(field: AffineField) -> FlowMap:
     return FlowMap(field)
 
 
-def _start_point(flow: FlowMap, x) -> np.ndarray:
-    """x as a finite float vector in the flow's dimension."""
+def flow_at(flow: FlowMap, t, x) -> np.ndarray:
+    """Image of the point x under the time-t flow map.
+
+    ``t`` is a scalar, giving the (n,) image, or a 1-D array of k times,
+    giving the (k, n) images, row j at time t[j].  Many times are evaluated
+    in blocks of at most ORBIT_BLOCK_ENTRIES matrix entries, one ``mat_exp``
+    call on the stack of t G per block, so the working memory does not grow
+    with k; a scalar is a stack of one.  An image at t = 0 is x exactly.
+
+    Raises ValueError for an empty or 2-D array of times and for a
+    non-finite t or x, and OverflowError when t G or an image is not
+    representable in floats.
+    """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1 or times.size == 0:
+        raise ValueError(
+            f"t must be a scalar or a non-empty 1-D array, not shape {times.shape}"
+        )
+    if not np.isfinite(times).all():
+        raise ValueError("t must be finite")
     p = np.asarray(x, dtype=float).reshape(-1)
     n = flow.field.n
     if p.size != n:
         raise ValueError(f"point has dim {p.size}, flow lives on R^{n}")
     if not np.isfinite(p).all():
         raise ValueError("point must be finite")
-    return p
-
-
-def flow_at(flow: FlowMap, t: float, x) -> np.ndarray:
-    """Image of the point x under the time-t flow map.
-
-    Raises OverflowError when t G or the image is not representable in
-    floats, and ValueError for a non-finite t or x.
-    """
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    p = _start_point(flow, x)
-    if t == 0.0:
-        # The time-zero map is the identity exactly, not just up to rounding.
-        return p.copy()
-    n = flow.field.n
+    stack = times.reshape(-1)
     with np.errstate(over="ignore", invalid="ignore"):
         if flow.form == TRANSLATION:
-            image = p + t * flow.field.B
+            images = p + stack[:, None] * flow.field.B
         else:
-            scaled = t * flow.generator
-            if not np.isfinite(scaled).all():
-                raise OverflowError(f"time-{t!r} generator overflows")
-            big = mat_exp(scaled)
-            image = big[:n, :n] @ p + big[:n, n]
-    if not np.isfinite(image).all():
-        raise OverflowError(f"time-{t!r} image overflows")
-    return image
+            images = np.empty((stack.size, n))
+            size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
+            for lo in range(0, stack.size, size):
+                scaled = stack[lo : lo + size, None, None] * flow.field.matrix
+                if not np.isfinite(scaled).all():
+                    raise OverflowError("t G overflows the float range")
+                big = mat_exp(scaled)
+                images[lo : lo + size] = big[:, :n, :n] @ p + big[:, :n, n]
+    if not np.isfinite(images).all():
+        raise OverflowError("image overflows the float range")
+    # The time-zero map is the identity exactly, not just up to rounding.
+    images[stack == 0.0] = p
+    return images if times.ndim else images[0]
 
 
 def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:
@@ -126,14 +130,11 @@ class Orbit:
 
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:
-    """Evaluate the flow from x at each time in t_grid.
+    """Evaluate the flow from x at each time in t_grid (flattened to 1-D).
 
-    A translation is the one broadcast x + t B.  Otherwise the generator G is
-    scaled by a block of grid times, ``mat_exp`` runs once on that stack, and
-    the first n rows of each exp(t G) are applied to (x, 1).  A block holds
-    at most ORBIT_BLOCK_ENTRIES matrix entries, so the working memory does
-    not grow with the grid.  Points at t = 0 are the start exactly; the
-    others agree with ``flow_at`` to rounding (translations bitwise).
+    The points are ``flow_at`` on the whole grid.  Each agrees with the
+    single-time image to rounding (translations bitwise), and the point at
+    t = 0 is the start exactly.
 
     Raises ValueError for an empty or non-finite grid and for a start point
     that ``flow_at`` rejects, and OverflowError when t G or a point is not
@@ -144,21 +145,4 @@ def orbit(flow: FlowMap, x, t_grid) -> Orbit:
         raise ValueError("time grid is empty")
     if not np.all(np.isfinite(times)):
         raise ValueError("time grid has non-finite entries")
-    start = _start_point(flow, x)
-    n = flow.field.n
-    with np.errstate(over="ignore", invalid="ignore"):
-        if flow.form == TRANSLATION:
-            points = start + times[:, None] * flow.field.B
-        else:
-            points = np.empty((times.size, n))
-            size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
-            for lo in range(0, times.size, size):
-                scaled = times[lo : lo + size, None, None] * flow.generator
-                if not np.isfinite(scaled).all():
-                    raise OverflowError("generator overflows on the time grid")
-                big = mat_exp(scaled)
-                points[lo : lo + size] = big[:, :n, :n] @ start + big[:, :n, n]
-    if not np.isfinite(points).all():
-        raise OverflowError("orbit point overflows on the time grid")
-    points[times == 0.0] = start
-    return Orbit(start=start, times=times, points=points)
+    return Orbit(start=x, times=times, points=flow_at(flow, times, x))

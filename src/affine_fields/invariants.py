@@ -16,7 +16,7 @@ import numpy as np
 from .fields import AffineField, evaluate
 from .linalg import rank
 
-# Step scale for the central-difference gradient fallback.
+# Step of the central differences here and in fundamental_field_numeric.
 FD_STEP = 1e-6
 
 # Sample points where the field's norm is below this count as irregular.

@@ -307,8 +307,8 @@ def augment_affine(c, b) -> np.ndarray:
     """Homogeneous embedding [[C, B], [0, 0]] of the affine map x -> Cx + B.
 
     The exponential of t times this (n+1) x (n+1) matrix carries exp(tC) in
-    the upper-left block and the inhomogeneous response in the last column,
-    which is how the flow module evaluates every field with nonzero C.
+    the upper-left block and the inhomogeneous response in the last column;
+    fields, tangents and group elements are stored in this form.
     """
     m = as_matrix(c, "matrix part")
     n = _require_square(m, "matrix part")

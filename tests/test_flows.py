@@ -105,6 +105,49 @@ class TestFlowAt:
             flow_at(make_flow(constant_field([1.0])), 1.0, [1.0, 2.0])
 
 
+class TestFlowAtTimes:
+    """flow_at on a 1-D array of times: one (n,) image per time."""
+
+    @pytest.mark.parametrize("field", [PLANAR, constant_field([2.0, 0.5])])
+    def test_shapes(self, field):
+        flow = make_flow(field)
+        x = [1.0, -2.0]
+        assert flow_at(flow, 0.5, x).shape == (2,)
+        assert flow_at(flow, np.float64(0.5), x).shape == (2,)
+        assert flow_at(flow, np.array(0.5), x).shape == (2,)
+        assert flow_at(flow, [0.5], x).shape == (1, 2)
+        assert flow_at(flow, np.linspace(-1.0, 1.0, 7), x).shape == (7, 2)
+
+    def test_stack_of_one_is_the_scalar_bitwise(self):
+        rng = np.random.default_rng(9)
+        for k in range(60):
+            n = int(rng.integers(1, 21))
+            field = random_affine_field(rng, n)
+            if k % 3 == 0:
+                field = constant_field(field.B)
+            flow = make_flow(field)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            t = rng.uniform(-3.0, 3.0) if k % 4 else 0.0
+            assert np.array_equal(flow_at(flow, [t], x)[0], flow_at(flow, t, x))
+
+    def test_rows_are_the_images_at_each_time(self):
+        flow = make_flow(PLANAR)
+        grid = np.array([-1.0, 0.0, 0.5, 2.0])
+        images = flow_at(flow, grid, [0.0, 0.0])
+        assert_allclose(images, np.stack([grid, grid**2], axis=1), atol=1e-12)
+        assert np.array_equal(images[1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [[], np.zeros((0, 2)), [[0.5, 1.0]], np.ones((2, 2))])
+    def test_empty_or_2d_times_rejected(self, t):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            flow_at(make_flow(PLANAR), t, [0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [[0.0, np.nan], [np.inf]])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(ValueError, match="t must be finite"):
+            flow_at(make_flow(PLANAR), t, [0.0, 0.0])
+
+
 class TestGroupLaw:
     def test_zero_times_exact(self):
         flow = make_flow(PLANAR)
@@ -254,7 +297,7 @@ class TestOrbit:
         assert path.points.shape == (grid.size, n)
         lifted = np.append(x, 1.0)
         for t, point in zip(grid, path.points):
-            magnitude = np.abs(expm(t * flow.generator)[:n]) @ np.abs(lifted)
+            magnitude = np.abs(expm(t * flow.field.matrix)[:n]) @ np.abs(lifted)
             diff = np.linalg.norm(point - flow_at(flow, t, x))
             assert diff <= 1e-14 * np.linalg.norm(magnitude), t
 

@@ -1,4 +1,5 @@
-"""Property tests of the matrix exponential against a 50-digit reference.
+"""Property tests: the matrix exponential against a 50-digit reference, and
+the algebra of fields, flows and group elements.
 
 Hypothesis draws the dimension, the raw entries and a scale exponent; each
 kind below turns them into one family of hard inputs.  The profile is pinned
@@ -13,6 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from affine_fields import AffineField, bracket, flow_at, linear_change, make_flow
+from affine_fields import actions as ga
 from affine_fields.linalg import mat_exp
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=15, database=None)
@@ -87,3 +90,157 @@ def test_stacked_and_single_agree_with_mpmath(kind, data):
         single = mat_exp(a)
         assert _relative_error(single, ref) <= bound, (kind, a)
         assert _relative_error(got, ref) <= bound, (kind, a)
+
+
+# ------------------------------------------------ flows, brackets, changes
+#
+# Fields are drawn with entries in [-1, 1] and n from 1 to 5, the matrix
+# part scaled by 10^e for e in [-2, 1].  Each bound is relative to the size
+# of the quantities it compares, and is at least ten times the worst defect
+# seen in 1,000 or more unpinned draws of its test.  Below the smallest
+# normal float, products of tiny entries lose their relative accuracy, so
+# every bound also admits an absolute defect of that size, _FLOOR.
+
+_ENTRIES = st.floats(-1.0, 1.0, allow_subnormal=False)
+_TIMES = st.floats(-2.0, 2.0, allow_subnormal=False)
+_FLOOR = np.finfo(float).tiny
+
+
+@st.composite
+def _fields(draw, n):
+    c = draw(arrays(float, (n, n), elements=_ENTRIES))
+    b = draw(arrays(float, n, elements=_ENTRIES))
+    return AffineField(c * 10.0 ** draw(st.floats(-2.0, 1.0)), b)
+
+
+@st.composite
+def _field_family(draw, count):
+    """``count`` fields of one dimension n, and a point of R^n."""
+    n = draw(st.integers(1, 5))
+    fields = [draw(_fields(n)) for _ in range(count)]
+    return fields, draw(arrays(float, n, elements=st.floats(-2.0, 2.0)))
+
+
+def _homogeneous(field) -> np.ndarray:
+    """[[C, B], [0, 0]], built here rather than taken from the package."""
+    return np.block([[field.C, field.B[:, None]], [np.zeros((1, field.n + 1))]])
+
+
+def _size(*parts) -> float:
+    return float(np.prod([np.linalg.norm(p, 1) for p in parts]))
+
+
+@PINNED
+@given(data=st.data())
+def test_flow_group_law(data):
+    (field,), x = data.draw(_field_family(1))
+    s, t = data.draw(_TIMES), data.draw(_TIMES)
+    flow = make_flow(field)
+    direct = flow_at(flow, s + t, x)
+    composed = flow_at(flow, s, flow_at(flow, t, x))
+    # exp((s + t) G) = exp(s G) exp(t G): size by the product of the factors.
+    g = _homogeneous(field)
+    size = _size(mat_exp(abs(s) * np.abs(g)), mat_exp(abs(t) * np.abs(g)))
+    size *= 1.0 + np.abs(x).sum()
+    assert np.linalg.norm(direct - composed, 1) <= 1e-12 * size + _FLOOR
+
+
+@PINNED
+@given(data=st.data())
+def test_flow_at_agrees_with_mpmath(data):
+    (field,), x = data.draw(_field_family(1))
+    t = data.draw(_TIMES)
+    # mpmath truncates its series relative to the norm of the argument, so
+    # B is first scaled by a power of two beta to unit size: the image is
+    # then exp(t G') (x, beta) for G' = [[C, B / beta], [0, 0]].
+    beta = 1.0
+    if field.B.any():
+        beta = np.ldexp(1.0, np.frexp(np.abs(field.B).max())[1])
+    scaled = _homogeneous(field)
+    scaled[:-1, -1] /= beta
+    lifted = np.append(x, beta)
+    with mpmath.workdps(50):
+        e = mpmath.expm(mpmath.mpf(t) * mpmath.matrix(scaled.tolist()))
+        want = e * mpmath.matrix(lifted.tolist())
+        want = np.array(want.tolist(), dtype=float)[:-1, 0]
+        magnitude = np.array(e.apply(abs).tolist(), dtype=float)[:-1]
+    got = flow_at(make_flow(field), t, x)
+    size = (magnitude @ np.abs(lifted)).sum()
+    assert np.linalg.norm(got - want, 1) <= 5e-13 * size + _FLOOR
+
+
+@PINNED
+@given(data=st.data())
+def test_bracket_antisymmetry_and_jacobi(data):
+    (x, y, z), _ = data.draw(_field_family(3))
+    xy, yx = bracket(x, y), bracket(y, x)
+    # a - b is -(b - a) exactly in floating point.
+    assert np.array_equal(xy.C, -yx.C) and np.array_equal(xy.B, -yx.B)
+    cycles = ((x, y, z), (y, z, x), (z, x, y))
+    total = sum(_homogeneous(bracket(a, bracket(b, c))) for a, b, c in cycles)
+    size = _size(*map(_homogeneous, (x, y, z)))
+    assert np.linalg.norm(total, 1) <= 1e-14 * size + _FLOOR
+
+
+@st.composite
+def _change(draw, n):
+    """A change matrix a, diagonally dominant so that cond(a) stays small."""
+    raw = draw(arrays(float, (n, n), elements=_ENTRIES))
+    return raw + (n + 1.0) * np.eye(n)
+
+
+@PINNED
+@given(data=st.data())
+def test_linear_change_is_conjugation(data):
+    (x, y), p = data.draw(_field_family(2))
+    a = data.draw(_change(x.n))
+    t = data.draw(_TIMES)
+    lift = np.eye(x.n + 1)
+    lift[:-1, :-1] = a
+    cond = _size(lift, np.linalg.inv(lift))
+    changed = linear_change(x, a)
+    want = lift @ _homogeneous(x) @ np.linalg.inv(lift)
+    assert np.linalg.norm(_homogeneous(changed) - want, 1) <= (
+        1e-14 * cond * _size(_homogeneous(x)) + _FLOOR
+    )
+    # Conjugation is an automorphism of the bracket ...
+    lhs = _homogeneous(linear_change(bracket(x, y), a))
+    rhs = _homogeneous(bracket(changed, linear_change(y, a)))
+    assert np.linalg.norm(lhs - rhs, 1) <= (
+        1e-13 * cond**2 * _size(_homogeneous(x), _homogeneous(y)) + _FLOOR
+    )
+    # ... and carries the flow of x to the flow of the changed field.
+    moved = flow_at(make_flow(changed), t, a @ p)
+    size = cond * _size(mat_exp(abs(t) * np.abs(want))) * (1.0 + np.abs(p).sum())
+    defect = np.linalg.norm(moved - a @ flow_at(make_flow(x), t, p), 1)
+    assert defect <= 1e-13 * size + _FLOOR
+
+
+_ELEMENTS = {
+    ga.TRANSLATION_GROUP: lambda a, t: ga.translation_element(t),
+    ga.GENERAL_LINEAR: lambda a, t: ga.linear_element(a),
+    ga.GENERAL_AFFINE: ga.affine_element,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_ELEMENTS))
+@PINNED
+@given(data=st.data())
+def test_group_element_associativity_and_inverse(kind, data):
+    n = data.draw(st.integers(1, 5))
+    g, h, k = (
+        _ELEMENTS[kind](
+            data.draw(_change(n)) * 10.0 ** data.draw(st.floats(-2.0, 2.0)),
+            data.draw(arrays(float, n, elements=st.floats(-10.0, 10.0))),
+        )
+        for _ in range(3)
+    )
+    left = ga.multiply(ga.multiply(g, h), k).matrix
+    right = ga.multiply(g, ga.multiply(h, k)).matrix
+    size = _size(g.matrix, h.matrix, k.matrix)
+    assert np.linalg.norm(left - right, 1) <= 1e-14 * size + _FLOOR
+    inv = ga.inverse(g)
+    size = _size(g.matrix, inv.matrix)
+    for product in (ga.multiply(g, inv), ga.multiply(inv, g)):
+        defect = np.linalg.norm(product.matrix - np.eye(n + 1), 1)
+        assert defect <= 1e-14 * size + _FLOOR
