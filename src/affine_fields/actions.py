@@ -18,18 +18,19 @@ VARIANTS:
 * exp-translation        (t, x)      -> x * exp(s . t)   for a fixed weight s
 * det-weighted           (a, x)      -> a x (det a)^q    for a fixed power q
 
-plus chart-conjugated local versions of any of these, acting through a chart
-by forward / act / inverse.  For a tangent vector X at the identity, the
-fundamental field at x is the derivative of g -> act(g, x) at the identity
-contracted with X; it is computed both by central differences along the
-nonzero entries of X, with the fixed step FD_STEP, and from the per-variant
-closed forms, and the two must agree.  Every action here is a left action,
-and nothing in the module takes a tolerance or a step as an argument.
+Any of these can carry a chart, which makes it local: it then acts by
+chart.inverse o act o chart.forward.  For a tangent vector X at the identity,
+the fundamental field at x is the derivative of g -> act(g, x) at the
+identity contracted with X; it is computed both by central differences along
+the nonzero entries of X, with the fixed step FD_STEP, and from the
+per-variant closed forms, and the two must agree.  Every action here is a
+left action, and nothing in the module takes a tolerance or a step as an
+argument.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -50,15 +51,6 @@ STANDARD_TRANSLATION = "standard-translation"
 STANDARD_AFFINE = "standard-affine"
 EXP_TRANSLATION = "exp-translation"
 DET_WEIGHTED = "det-weighted"
-CHART_CONJUGATED = "chart-conjugated"
-
-CATALOG_VARIANTS = (
-    STANDARD_LINEAR,
-    STANDARD_TRANSLATION,
-    STANDARD_AFFINE,
-    EXP_TRANSLATION,
-    DET_WEIGHTED,
-)
 
 # A matrix part is rejected as singular when its determinant, with every
 # column scaled to unit 2-norm, is at most this: |det a| <= 1e-12 prod |a_j|.
@@ -116,27 +108,9 @@ class GroupElement:
         """Translation part, a read-only view (0 for general-linear)."""
         return self.matrix[:-1, -1]
 
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.kind != TRANSLATION_GROUP:
-            out["a"] = self.a.tolist()
-        if self.kind != GENERAL_LINEAR:
-            out["t"] = self.t.tolist()
-        return out
-
-    @staticmethod
-    def from_dict(data: dict) -> "GroupElement":
-        """Inverse of to_dict: "t" is required unless the kind is
-        general-linear, and "a" unless it is the translation group."""
-        kind = data["kind"]
-        if kind not in _KINDS:
-            raise ValueError(f"unknown group kind {kind!r}")
-        for key, optional_for in (("a", TRANSLATION_GROUP), ("t", GENERAL_LINEAR)):
-            if key not in data and kind != optional_for:
-                raise ValueError(f"{kind} element data needs {key!r}")
-        if kind == TRANSLATION_GROUP and "a" not in data:
-            return translation_element(data["t"])
-        return _element(kind, data["a"], data.get("t"))
+    def __reduce__(self):
+        # Rebuilt by the constructor, so an unpickled matrix is frozen too.
+        return GroupElement, (self.kind, self.matrix)
 
 
 def _element(kind: str, a, t=None) -> GroupElement:
@@ -216,8 +190,8 @@ class TangentAtIdentity:
         """Translation components, a read-only view."""
         return self.matrix[:-1, -1]
 
-    def to_dict(self) -> dict:
-        return {"X_mat": self.X_mat.tolist(), "X_vec": self.X_vec.tolist()}
+    def __reduce__(self):
+        return TangentAtIdentity, (self.kind, self.X_mat, self.X_vec)
 
     @staticmethod
     def from_dict(kind: str, data: dict) -> "TangentAtIdentity":
@@ -342,29 +316,25 @@ VARIANTS = {
     ),
 }
 
+CATALOG_VARIANTS = tuple(VARIANTS)
+
 
 @dataclass(frozen=True)
 class GroupAction:
-    """A named left action from the catalog, possibly conjugated by a chart."""
+    """A named left action from the catalog; with a chart it is local and
+    acts by chart.inverse o act o chart.forward."""
 
     variant: str
     n: int
     s: np.ndarray | None = None
     q: int | None = None
-    base: "GroupAction | None" = None
     chart: Chart | None = None
 
     def __post_init__(self):
-        if self.variant == CHART_CONJUGATED:
-            if self.base is None or self.chart is None:
-                raise ValueError("chart-conjugated actions need a base and a chart")
-            if self.base.variant == CHART_CONJUGATED:
-                raise ValueError("base action must not itself be chart-conjugated")
-            if self.base.n != self.n or self.chart.n != self.n:
-                raise ValueError("base action, chart, and action dimensions differ")
-            return
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown action variant {self.variant!r}")
+        if self.chart is not None and self.chart.n != self.n:
+            raise ValueError("chart and action dimensions differ")
         param = VARIANTS[self.variant].param
         if param == "s":
             s = as_vector(self.s, "weight vector")
@@ -383,17 +353,14 @@ class GroupAction:
 
     @property
     def group_kind(self) -> str:
-        if self.variant == CHART_CONJUGATED:
-            return self.base.group_kind
         return VARIANTS[self.variant].kind
 
     def describe(self) -> str:
-        if self.variant == CHART_CONJUGATED:
-            return f"{self.base.describe()} via chart {self.chart.name!r}"
         param = VARIANTS[self.variant].param
-        if param is None:
-            return self.variant
-        return f"{self.variant}({param}={np.asarray(getattr(self, param)).tolist()})"
+        name = self.variant
+        if param is not None:
+            name += f"({param}={np.asarray(getattr(self, param)).tolist()})"
+        return name if self.chart is None else f"{name} via chart {self.chart.name!r}"
 
 
 def standard_linear_action(n: int) -> GroupAction:
@@ -418,7 +385,10 @@ def det_weighted_action(n: int, q: int) -> GroupAction:
 
 
 def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
-    return GroupAction(CHART_CONJUGATED, base.n, base=base, chart=chart)
+    """The catalog action ``base`` made local by ``chart``."""
+    if base.chart is not None:
+        raise ValueError("base action must not itself be chart-conjugated")
+    return replace(base, chart=chart)
 
 
 def _require_kind(action: GroupAction, g, what: str = "element"):
@@ -439,12 +409,14 @@ def _point(action: GroupAction, x) -> np.ndarray:
 
 
 def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
-    """Apply the left action of g to the point x."""
+    """Apply the left action of g to the point x (in chart coordinates when
+    the action has a chart)."""
     _require_kind(action, g)
-    if action.variant == CHART_CONJUGATED:
-        chart = action.chart
-        return chart.inverse(act(action.base, g, chart.forward(chart.require(x))))
-    return VARIANTS[action.variant].act(action, g, _point(action, x))
+    chart = action.chart
+    if chart is not None:
+        x = chart.forward(chart.require(x))
+    image = VARIANTS[action.variant].act(action, g, _point(action, x))
+    return image if chart is None else chart.inverse(image)
 
 
 def fundamental_field_numeric(
@@ -480,30 +452,29 @@ def fundamental_field_analytic(
 
     standard-linear (C = X_mat), standard-translation (B = X_vec),
     standard-affine (both), exp-translation (C = (X_vec . s) I), and
-    det-weighted (C = X_mat + q trace(X_mat) I).  Chart-conjugated actions
-    have no ambient closed form; see fundamental_field_chart.
+    det-weighted (C = X_mat + q trace(X_mat) I).  An action with a chart
+    has no ambient closed form; see fundamental_field_chart.
     """
     _require_kind(action, tangent, "tangent")
-    record = VARIANTS.get(action.variant)
-    if record is None or record.field is None:
-        raise ValueError(f"no ambient closed form for variant {action.variant!r}")
-    return record.field(action, tangent)
+    if action.chart is not None:
+        raise ValueError(f"no ambient closed form for {action.describe()}")
+    return VARIANTS[action.variant].field(action, tangent)
 
 
 def fundamental_field_chart(
     action: GroupAction, tangent: TangentAtIdentity, x
 ) -> np.ndarray:
-    """Fundamental vector of a chart-conjugated action in ambient components.
+    """Fundamental vector of an action with a chart, in ambient components.
 
-    In the chart frame the field is the base action's closed form evaluated
-    at the chart coordinates of x; the ambient components follow by solving
-    against the chart's forward Jacobian.
+    In the chart frame the field is the closed form of the action without
+    its chart, evaluated at the chart coordinates of x; the ambient
+    components follow by solving against the chart's forward Jacobian.
     """
-    if action.variant != CHART_CONJUGATED:
-        raise ValueError("fundamental_field_chart needs a chart-conjugated action")
     chart = action.chart
+    if chart is None:
+        raise ValueError("fundamental_field_chart needs an action with a chart")
     p = chart.require(x)
-    base_field = fundamental_field_analytic(action.base, tangent)
+    base_field = fundamental_field_analytic(replace(action, chart=None), tangent)
     chart_components = evaluate(base_field, chart.forward(p))
     return np.linalg.solve(chart.jacobian(p), chart_components)
 
@@ -522,10 +493,9 @@ def tangent_for_field(action: GroupAction, field: AffineField) -> TangentAtIdent
     """
     if field.n != action.n:
         raise ValueError("field and action dimensions differ")
-    record = VARIANTS.get(action.variant)
-    if record is None or record.tangent is None:
-        raise ValueError(f"no tangent recovery for variant {action.variant!r}")
-    return record.tangent(action, field)
+    if action.chart is not None:
+        raise ValueError(f"no tangent recovery for {action.describe()}")
+    return VARIANTS[action.variant].tangent(action, field)
 
 
 def one_parameter_subgroup(
@@ -550,12 +520,12 @@ def one_parameter_subgroup(
 def random_element(action: GroupAction, rng: np.random.Generator) -> GroupElement:
     """Random element for axiom sampling.
 
-    Chart-conjugated actions are only local, so their elements stay close to
+    Actions with a chart are only local, so their elements stay close to
     the identity; global actions use a wider spread.  Matrix parts are
     resampled until comfortably invertible.  The translation part is drawn
     before the matrix part.
     """
-    scale = 0.05 if action.variant == CHART_CONJUGATED else 0.35
+    scale = 0.35 if action.chart is None else 0.05
     kind = action.group_kind
     n = action.n
     m = np.eye(n + 1)
@@ -612,10 +582,10 @@ def check_action_axioms(
     max_id = 0.0
     max_comp = 0.0
     for _ in range(samples):
-        if action.variant == CHART_CONJUGATED:
-            x = action.chart.sample(rng)
-        else:
+        if action.chart is None:
             x = rng.uniform(-2.0, 2.0, size=action.n)
+        else:
+            x = action.chart.sample(rng)
         g1 = random_element(action, rng)
         g2 = random_element(action, rng)
         scale = 1.0 + float(np.linalg.norm(x))

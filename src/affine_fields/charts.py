@@ -178,13 +178,10 @@ def lambert_chart() -> Chart:
     )
 
 
-def diagonal_scaling_chart(n: int, scales=None) -> Chart:
-    """Linear chart v = diag(scales) x with distinct positive factors."""
-    if scales is None:
-        scales = 1.0 + 0.5 * np.arange(n)
-    d = np.asarray(scales, dtype=float).reshape(-1)
-    if d.size != n or np.any(d <= 0.0):
-        raise ValueError("scales must be n positive numbers")
+def diagonal_scaling_chart(n: int) -> Chart:
+    """Linear chart v = diag(d) x with the distinct factors d_k = 1 + 0.5 k,
+    k = 0, ..., n - 1."""
+    d = 1.0 + 0.5 * np.arange(n)
     inv_d = 1.0 / d
     return Chart(
         name="diagonal-scaling",

@@ -250,6 +250,10 @@ def _cmd_verify_invariants(args) -> int:
     return 0 if report.passed else 1
 
 
+# check-action's name for a catalog action made local by a chart.
+CHART_CONJUGATED = "chart-conjugated"
+
+
 def _cmd_check_action(args) -> int:
     params = _load_json(args.params) if args.params else {}
     n = int(params.get("n", 2))
@@ -257,7 +261,7 @@ def _cmd_check_action(args) -> int:
     q = int(params.get("q", 1))
     name = args.action
     try:
-        if name == ga.CHART_CONJUGATED:
+        if name == CHART_CONJUGATED:
             base_name = params.get("base")
             chart_name = params.get("chart")
             if not base_name or not chart_name:
@@ -340,7 +344,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--action",
         required=True,
-        choices=ga.CATALOG_VARIANTS + (ga.CHART_CONJUGATED,),
+        choices=ga.CATALOG_VARIANTS + (CHART_CONJUGATED,),
     )
     p.add_argument("--params", help="parameter JSON file")
     p.add_argument("--samples", type=int, default=200)

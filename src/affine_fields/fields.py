@@ -32,6 +32,10 @@ class AffineField:
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
+    def __reduce__(self):
+        # Rebuilt by the constructor, so an unpickled matrix is frozen too.
+        return AffineField, (self.C, self.B)
+
     @property
     def n(self) -> int:
         return self.matrix.shape[0] - 1

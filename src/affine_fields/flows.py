@@ -128,6 +128,9 @@ class Orbit:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "points", points)
 
+    def __reduce__(self):
+        return Orbit, (self.start, self.times, self.points)
+
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:
     """Evaluate the flow from x at each time in t_grid (flattened to 1-D).

@@ -43,6 +43,17 @@ class CheckResult:
     detail: str
 
 
+def _bounded(name: str, *measures) -> CheckResult:
+    """Check ``name`` from (label, worst, bound) triples: it passes when
+    every worst is at most its bound."""
+    return CheckResult(
+        name,
+        all(worst <= bound for _, worst, bound in measures),
+        ", ".join(f"{label} {worst:.3e} (bound {bound:.0e})"
+                  for label, worst, bound in measures),
+    )
+
+
 def _random_affine_field(rng, n) -> AffineField:
     """C and B with entries uniform in [-2, 2], C drawn first."""
     return AffineField(
@@ -93,11 +104,7 @@ def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
         for x, end in zip(xs, ends[:, : field.n]):
             defect = np.linalg.norm(flow_at(flow, 1.0, x) - end)
             worst = max(worst, defect / (1.0 + np.linalg.norm(x)))
-    return CheckResult(
-        "closed-form-vs-rk4",
-        worst <= 1e-6,
-        f"worst relative defect {worst:.3e} (bound 1e-06)",
-    )
+    return _bounded("closed-form-vs-rk4", ("worst relative defect", worst, 1e-6))
 
 
 def check_group_law(seed: int = 42) -> CheckResult:
@@ -114,11 +121,7 @@ def check_group_law(seed: int = 42) -> CheckResult:
             x = rng.uniform(-2.0, 2.0, size=n)
             rel = group_law_defect(flow, s, t, x) / (1.0 + np.linalg.norm(x))
             worst = max(worst, rel)
-    return CheckResult(
-        "flow-group-law",
-        worst <= 1e-8,
-        f"worst relative defect {worst:.3e} (bound 1e-08)",
-    )
+    return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
 
 def _field_combination(terms, n) -> AffineField:
@@ -282,10 +285,8 @@ def check_fundamental_agreement(seed: int = 42) -> CheckResult:
             analytic = evaluate(ga.fundamental_field_analytic(action, tangent), x)
             rel = np.linalg.norm(numeric - analytic) / (1.0 + np.linalg.norm(x))
             worst = max(worst, rel)
-    return CheckResult(
-        "fundamental-field-agreement",
-        worst <= 1e-5,
-        f"worst relative defect {worst:.3e} (bound 1e-05)",
+    return _bounded(
+        "fundamental-field-agreement", ("worst relative defect", worst, 1e-5)
     )
 
 
@@ -294,36 +295,30 @@ def check_field_tangent_roundtrip(seed: int = 42) -> CheckResult:
     constant, and affine bijections, and the det-weighted trace-removal
     inverse round-trips for q in 0..3, n in 1..4; bound 1e-12."""
     rng = _rng(seed, 6)
-    worst = 0.0
+    cases = []
     for _ in range(50):
         n = int(rng.integers(1, 5))
         c = rng.uniform(-2.0, 2.0, size=(n, n))
         b = rng.uniform(-2.0, 2.0, size=n)
-        cases = [
+        cases += [
             (ga.standard_linear_action(n), AffineField(c, np.zeros(n))),
             (ga.standard_translation_action(n), AffineField(np.zeros((n, n)), b)),
             (ga.standard_affine_action(n), AffineField(c, b)),
         ]
-        for action, field in cases:
-            back = ga.fundamental_field_analytic(
-                action, ga.tangent_for_field(action, field)
-            )
-            worst = max(worst, float(np.max(np.abs(back.matrix - field.matrix))))
     for n in range(1, 5):
         for q in range(4):
             action = ga.det_weighted_action(n, q)
-            for _ in range(5):
-                field = AffineField(
-                    rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)
-                )
-                back = ga.fundamental_field_analytic(
-                    action, ga.tangent_for_field(action, field)
-                )
-                worst = max(worst, float(np.max(np.abs(back.matrix - field.matrix))))
-    return CheckResult(
-        "field-tangent-round-trip",
-        worst <= 1e-12,
-        f"worst round-trip defect {worst:.3e} (bound 1e-12)",
+            cases += [
+                (action, AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)))
+                for _ in range(5)
+            ]
+    worst = 0.0
+    for action, field in cases:
+        tangent = ga.tangent_for_field(action, field)
+        back = ga.fundamental_field_analytic(action, tangent)
+        worst = max(worst, float(np.max(np.abs(back.matrix - field.matrix))))
+    return _bounded(
+        "field-tangent-round-trip", ("worst round-trip defect", worst, 1e-12)
     )
 
 
@@ -347,12 +342,10 @@ def check_chart_conjugation() -> CheckResult:
     for w in (-0.36, -0.2, 0.0, 0.5, 1.0, 5.0, 20.0, 60.0):
         u = lambert_w(w)
         worst_residual = max(worst_residual, abs(u * np.exp(u) - w))
-    passed = worst_field <= 1e-6 and worst_residual <= 1e-12
-    return CheckResult(
+    return _bounded(
         "chart-conjugation",
-        passed,
-        f"worst field defect {worst_field:.3e} (bound 1e-06), "
-        f"worst Newton residual {worst_residual:.3e} (bound 1e-12)",
+        ("worst field defect", worst_field, 1e-6),
+        ("worst Newton residual", worst_residual, 1e-12),
     )
 
 
@@ -398,11 +391,7 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
                 abs(bundle.S.value(moved) - s0 - t),
                 abs(bundle.invariants[0].value(moved) - i0),
             )
-    return CheckResult(
-        "invariant-flow-constancy",
-        worst <= 1e-7,
-        f"worst defect {worst:.3e} (bound 1e-07)",
-    )
+    return _bounded("invariant-flow-constancy", ("worst defect", worst, 1e-7))
 
 
 def check_rk4_order(seed: int = 42) -> CheckResult:
@@ -484,12 +473,10 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
         defect = float(np.linalg.norm(image - end[0, : field.n]))
         worst_oracle = max(worst_oracle, defect)
 
-    passed = worst_pair <= 1e-10 and worst_oracle <= 1e-6
-    return CheckResult(
+    return _bounded(
         "degenerate-flow-consistency",
-        passed,
-        f"worst fixed-point-choice defect {worst_pair:.3e} (bound 1e-10), "
-        f"worst oracle defect {worst_oracle:.3e} (bound 1e-06)",
+        ("worst fixed-point-choice defect", worst_pair, 1e-10),
+        ("worst oracle defect", worst_oracle, 1e-6),
     )
 
 

@@ -1,6 +1,7 @@
 """Group elements, actions, fundamental fields, chart conjugation."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from scipy.linalg import expm
 
 from affine_fields import actions as ga
 from affine_fields.charts import exponential_chart, identity_chart, lambert_chart
-from affine_fields.fields import evaluate
-from affine_fields.flows import flow_at, make_flow
+from affine_fields.fields import AffineField, evaluate, linear_field
+from affine_fields.flows import flow_at, make_flow, orbit
 
 
 def _catalog_action(variant, n, s, q):
@@ -156,27 +157,6 @@ class TestGroupElements:
         with pytest.raises(ValueError, match="finite"):
             ga.one_parameter_subgroup(action, ga.translation_tangent([1.0]), math.nan)
 
-    def test_json_round_trip(self):
-        for g in (
-            ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
-            ga.linear_element([[1.0, 2.0], [0.0, 1.0]]),
-            ga.translation_element([3.0, 4.0]),
-        ):
-            again = ga.GroupElement.from_dict(g.to_dict())
-            assert again.kind == g.kind
-            assert np.array_equal(again.matrix, g.matrix)
-        assert set(ga.translation_element([1.0]).to_dict()) == {"kind", "t"}
-        assert set(ga.linear_element([[1.0]]).to_dict()) == {"kind", "a"}
-        for malformed in (
-            {"kind": ga.GENERAL_AFFINE, "t": [1.0, 2.0]},
-            {"kind": ga.GENERAL_AFFINE, "a": [[1.0]]},
-            {"kind": ga.GENERAL_LINEAR, "t": [0.0, 0.0]},
-            {"kind": ga.TRANSLATION_GROUP, "a": [[1.0]]},
-            {"kind": "no-such-group", "a": [[1.0]], "t": [1.0]},
-        ):
-            with pytest.raises(ValueError):
-                ga.GroupElement.from_dict(malformed)
-
 
 class TestTangents:
     def test_kind_constraints(self):
@@ -187,7 +167,8 @@ class TestTangents:
 
     def test_json_round_trip(self):
         x = ga.affine_tangent([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
-        again = ga.TangentAtIdentity.from_dict(ga.GENERAL_AFFINE, x.to_dict())
+        data = {"X_mat": x.X_mat.tolist(), "X_vec": x.X_vec.tolist()}
+        again = ga.TangentAtIdentity.from_dict(ga.GENERAL_AFFINE, data)
         assert_allclose(again.X_mat, x.X_mat)
         assert_allclose(again.X_vec, x.X_vec)
 
@@ -462,3 +443,49 @@ class TestChartConjugation:
         tangent = ga.linear_tangent([[1.0]])
         with pytest.raises(Exception, match="outside"):
             ga.fundamental_field_chart(action, tangent, [-0.95])
+
+    def test_chart_is_an_attribute_of_the_action(self):
+        base = ga.det_weighted_action(2, 2)
+        chart = exponential_chart(2)
+        action = ga.chart_conjugated_action(base, chart)
+        assert (action.variant, action.n, action.q) == (base.variant, 2, 2)
+        assert base.chart is None and action.chart is chart
+        assert action.describe() == "det-weighted(q=2) via chart 'exponential'"
+        g = ga.linear_element([[1.1, 0.2], [-0.1, 0.9]])
+        x = np.array([0.7, -0.4])
+        want = chart.inverse(ga.act(base, g, chart.forward(x)))
+        assert np.array_equal(ga.act(action, g, x), want)
+
+    def test_chart_refusals(self):
+        base = ga.standard_affine_action(2)
+        action = ga.chart_conjugated_action(base, identity_chart(2))
+        with pytest.raises(ValueError, match="itself"):
+            ga.chart_conjugated_action(action, identity_chart(2))
+        with pytest.raises(ValueError, match="dimensions differ"):
+            ga.chart_conjugated_action(base, identity_chart(3))
+        with pytest.raises(ValueError, match="needs an action with a chart"):
+            ga.fundamental_field_chart(base, ga.translation_tangent([1.0, 0.0]), [0, 0])
+        with pytest.raises(ValueError, match="tangent recovery"):
+            ga.tangent_for_field(action, linear_field(np.eye(2)))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        AffineField([[1.0, 2.0], [0.0, -1.0]], [2.0, 0.5]),
+        ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
+        ga.affine_tangent([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0]),
+        orbit(make_flow(AffineField([[0.5]], [1.0])), [1.0], [0.0, 0.5, 1.0]),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_pickle_keeps_arrays_frozen(value):
+    again = pickle.loads(pickle.dumps(value))
+    assert type(again) is type(value)
+    for name in ("matrix", "start", "times", "points"):
+        if hasattr(value, name):
+            arr = getattr(again, name)
+            assert not arr.flags.writeable, name
+            assert np.array_equal(arr, getattr(value, name)), name
+    if hasattr(value, "kind"):
+        assert again.kind == value.kind

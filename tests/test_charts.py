@@ -87,8 +87,3 @@ def test_registry_lookup():
         get_chart("missing", 2)
     with pytest.raises(ValueError, match="one-dimensional"):
         get_chart("lambert", 2)
-
-
-def test_diagonal_scaling_validation():
-    with pytest.raises(ValueError):
-        diagonal_scaling_chart(2, scales=[1.0, -1.0])
