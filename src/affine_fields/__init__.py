@@ -39,6 +39,7 @@ from .actions import (
 from .charts import (
     Chart,
     ChartDomainError,
+    Coordinate,
     diagonal_scaling_chart,
     exponential_chart,
     get_chart,

@@ -276,8 +276,8 @@ class VariantRecord:
 
     kind: str
     act: Callable[["GroupAction", GroupElement, np.ndarray], np.ndarray]
-    field: Callable[["GroupAction", TangentAtIdentity], AffineField] | None = None
-    tangent: Callable[["GroupAction", AffineField], TangentAtIdentity] | None = None
+    field: Callable[["GroupAction", TangentAtIdentity], AffineField]
+    tangent: Callable[["GroupAction", AffineField], TangentAtIdentity]
     param: str | None = None
 
 

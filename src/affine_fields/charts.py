@@ -1,17 +1,18 @@
 """Registry of explicit charts: diffeomorphisms of open boxes of R^n.
 
-Each chart carries its coordinate map (forward), its inverse, the Jacobian of
-the forward map, the open domain box, and a finite sampling box well inside
-the domain for probing.  Charts localize group actions: conjugating a global
-action by a chart gives a local action whose fundamental fields are affine in
-the chart frame but generally not in the ambient one.
+A chart is n one-dimensional coordinate maps, the k-th reading the k-th
+ambient coordinate on its own, so its Jacobian is diagonal.  Each map carries
+its inverse, its derivative, its open domain interval and a finite sampling
+interval well inside the domain for probing.  Charts localize group actions:
+conjugating a global action by a chart gives a local action whose fundamental
+fields are affine in the chart frame but generally not in the ambient one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -20,29 +21,53 @@ class ChartDomainError(ValueError):
     """A point fell outside a chart's domain or its coordinate image."""
 
 
+class Coordinate(NamedTuple):
+    """A coordinate map v = forward(x) on the open interval ``domain``, with
+    its inverse and derivative; ``box`` is the sampling interval."""
+
+    forward: Callable[[float], float]
+    inverse: Callable[[float], float]
+    derivative: Callable[[float], float]
+    domain: tuple[float, float] = (-math.inf, math.inf)
+    box: tuple[float, float] = (-2.0, 2.0)
+
+
 @dataclass(frozen=True)
 class Chart:
+    """The product of ``coordinates``; ``domain`` and ``box`` are read-only
+    2 x n arrays of lower and upper bounds."""
+
     name: str
-    n: int
-    forward: Callable[[np.ndarray], np.ndarray]
-    inverse: Callable[[np.ndarray], np.ndarray]
-    jacobian: Callable[[np.ndarray], np.ndarray]
-    lower: np.ndarray
-    upper: np.ndarray
-    sample_lower: np.ndarray
-    sample_upper: np.ndarray
+    coordinates: tuple[Coordinate, ...]
+    n: int = field(init=False, compare=False)
+    domain: np.ndarray = field(init=False, repr=False, compare=False)
+    box: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for attr in ("lower", "upper", "sample_lower", "sample_upper"):
-            arr = np.array(getattr(self, attr), dtype=float).reshape(-1)
-            if arr.size != self.n:
-                raise ValueError(f"{attr} must have dim {self.n}")
-            arr.flags.writeable = False
-            object.__setattr__(self, attr, arr)
+        object.__setattr__(self, "n", len(self.coordinates))
+        for attr in ("domain", "box"):
+            bounds = np.array([getattr(c, attr) for c in self.coordinates], dtype=float)
+            bounds = bounds.reshape(self.n, 2).T.copy()
+            bounds.flags.writeable = False
+            object.__setattr__(self, attr, bounds)
+
+    def _apply(self, part: str, x) -> np.ndarray:
+        values = np.asarray(x, dtype=float).reshape(-1).tolist()
+        return np.array([getattr(c, part)(value) for c, value
+                         in zip(self.coordinates, values, strict=True)])
+
+    def forward(self, x) -> np.ndarray:
+        return self._apply("forward", x)
+
+    def inverse(self, v) -> np.ndarray:
+        return self._apply("inverse", v)
+
+    def jacobian(self, x) -> np.ndarray:
+        return np.diag(self._apply("derivative", x))
 
     def contains(self, x) -> bool:
         p = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(p > self.lower) and np.all(p < self.upper))
+        return bool(np.all(p > self.domain[0]) and np.all(p < self.domain[1]))
 
     def require(self, x) -> np.ndarray:
         p = np.asarray(x, dtype=float).reshape(-1)
@@ -55,21 +80,14 @@ class Chart:
         return p
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.sample_lower, self.sample_upper)
+        return rng.uniform(self.box[0], self.box[1])
+
+
+_IDENTITY = Coordinate(lambda x: x, lambda v: v, lambda x: 1.0)
 
 
 def identity_chart(n: int) -> Chart:
-    return Chart(
-        name="identity",
-        n=n,
-        forward=lambda x: np.asarray(x, dtype=float).copy(),
-        inverse=lambda v: np.asarray(v, dtype=float).copy(),
-        jacobian=lambda x: np.eye(n),
-        lower=np.full(n, -np.inf),
-        upper=np.full(n, np.inf),
-        sample_lower=np.full(n, -2.0),
-        sample_upper=np.full(n, 2.0),
-    )
+    return Chart("identity", (_IDENTITY,) * n)
 
 
 def exponential_chart(n: int) -> Chart:
@@ -78,42 +96,8 @@ def exponential_chart(n: int) -> Chart:
     The inverse x1 = exp(v1) keeps the first ambient coordinate positive, so
     translation actions conjugated through this chart rescale x1.
     """
-
-    def forward(x):
-        p = np.asarray(x, dtype=float)
-        out = p.copy()
-        out[0] = math.log(p[0])
-        return out
-
-    def inverse(v):
-        q = np.asarray(v, dtype=float)
-        out = q.copy()
-        out[0] = math.exp(q[0])
-        return out
-
-    def jacobian(x):
-        p = np.asarray(x, dtype=float)
-        jac = np.eye(n)
-        jac[0, 0] = 1.0 / p[0]
-        return jac
-
-    lower = np.full(n, -np.inf)
-    lower[0] = 0.0
-    sample_lower = np.full(n, -2.0)
-    sample_lower[0] = 0.2
-    sample_upper = np.full(n, 2.0)
-    sample_upper[0] = 3.0
-    return Chart(
-        name="exponential",
-        n=n,
-        forward=forward,
-        inverse=inverse,
-        jacobian=jacobian,
-        lower=lower,
-        upper=np.full(n, np.inf),
-        sample_lower=sample_lower,
-        sample_upper=sample_upper,
-    )
+    log = Coordinate(math.log, math.exp, lambda x: 1.0 / x, (0.0, math.inf), (0.2, 3.0))
+    return Chart("exponential", (log,) + (_IDENTITY,) * (n - 1))
 
 
 # u e^u is increasing and convex for u > -1; inverting it is the principal
@@ -149,51 +133,21 @@ def lambert_chart() -> Chart:
     """One-dimensional chart with coordinate v = u * exp(u), domain u > -0.9.
 
     The domain stays clear of u = -1 where the coordinate map degenerates.
+    Sampling keeps a margin from the image floor -1/e so that compositions of
+    near-identity elements stay invertible.  The inverse looks lambert_w up
+    when called, so a rebinding of ``charts.lambert_w`` (a tracer) sees it.
     """
-
-    def forward(x):
-        p = np.asarray(x, dtype=float)
-        return np.array([p[0] * math.exp(p[0])])
-
-    def inverse(v):
-        q = np.asarray(v, dtype=float)
-        return np.array([lambert_w(q[0])])
-
-    def jacobian(x):
-        p = np.asarray(x, dtype=float)
-        return np.array([[math.exp(p[0]) * (1.0 + p[0])]])
-
-    return Chart(
-        name="lambert",
-        n=1,
-        forward=forward,
-        inverse=inverse,
-        jacobian=jacobian,
-        lower=np.array([-0.9]),
-        upper=np.array([np.inf]),
-        # Sampling keeps a margin from the image floor -1/e so that
-        # compositions of near-identity elements stay invertible.
-        sample_lower=np.array([-0.3]),
-        sample_upper=np.array([2.0]),
-    )
+    return Chart("lambert", (Coordinate(
+        lambda u: u * math.exp(u), lambda w: lambert_w(w),
+        lambda u: math.exp(u) * (1.0 + u), (-0.9, math.inf), (-0.3, 2.0)),))
 
 
 def diagonal_scaling_chart(n: int) -> Chart:
     """Linear chart v = diag(d) x with the distinct factors d_k = 1 + 0.5 k,
-    k = 0, ..., n - 1."""
-    d = 1.0 + 0.5 * np.arange(n)
-    inv_d = 1.0 / d
-    return Chart(
-        name="diagonal-scaling",
-        n=n,
-        forward=lambda x: d * np.asarray(x, dtype=float),
-        inverse=lambda v: inv_d * np.asarray(v, dtype=float),
-        jacobian=lambda x: np.diag(d),
-        lower=np.full(n, -np.inf),
-        upper=np.full(n, np.inf),
-        sample_lower=np.full(n, -2.0),
-        sample_upper=np.full(n, 2.0),
-    )
+    k = 0, ..., n - 1; the inverse multiplies by 1 / d_k."""
+    return Chart("diagonal-scaling", tuple(
+        Coordinate(lambda x, d=d: d * x, lambda v, r=1.0 / d: r * v, lambda x, d=d: d)
+        for d in (1.0 + 0.5 * k for k in range(n))))
 
 
 def _build_lambert(n: int) -> Chart:

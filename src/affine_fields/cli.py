@@ -55,11 +55,14 @@ def _fmt_vector(vec) -> str:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise InputError(f"{path} must hold a JSON object")
+    return data
 
 
 def _load_field(path: str) -> AffineField:
@@ -180,11 +183,13 @@ def _scalar_field_from_json(data: dict, m: int) -> ScalarField:
     kinds: zero; slot/square/sin with a 1-based "index"; linear with
     "coeffs" dotted against the slots.
     """
-    kind = data.get("kind")
+    kind = data.get("kind") if isinstance(data, dict) else None
     if kind == "zero":
         return ScalarField(m, lambda xi: 0.0, grad=lambda xi: np.zeros(m))
     if kind in _SLOT_FUNCTIONS:
         index = data.get("index", 1)
+        if not isinstance(index, int) or isinstance(index, bool):
+            raise InputError(f"function index {index!r} is not an integer")
         if not 1 <= index <= m:
             raise InputError(f"function index {index} out of range 1..{m}")
         k = index - 1
@@ -205,7 +210,7 @@ def _scalar_field_from_json(data: dict, m: int) -> ScalarField:
             lambda xi: float(np.dot(coeffs, xi)),
             grad=lambda xi: coeffs.copy(),
         )
-    raise InputError(f"unknown scalar function kind {data.get('kind')!r}")
+    raise InputError(f"unknown scalar function kind {kind!r}")
 
 
 def _build_bundle(field: AffineField, data: dict) -> InvariantBundle:

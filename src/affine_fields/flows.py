@@ -139,13 +139,9 @@ def orbit(flow: FlowMap, x, t_grid) -> Orbit:
     single-time image to rounding (translations bitwise), and the point at
     t = 0 is the start exactly.
 
-    Raises ValueError for an empty or non-finite grid and for a start point
-    that ``flow_at`` rejects, and OverflowError when t G or a point is not
-    representable in floats.
+    Raises what ``flow_at`` raises: ValueError for an empty or non-finite
+    grid and for a non-finite or misshapen start point, and OverflowError
+    when t G or a point is not representable in floats.
     """
     times = np.asarray(t_grid, dtype=float).reshape(-1)
-    if times.size == 0:
-        raise ValueError("time grid is empty")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("time grid has non-finite entries")
     return Orbit(start=x, times=times, points=flow_at(flow, times, x))

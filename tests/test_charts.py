@@ -29,6 +29,7 @@ def test_inverse_of_forward_is_identity(chart):
     rng = np.random.default_rng(0)
     for _ in range(50):
         x = chart.sample(rng)
+        assert chart.contains(x)
         back = chart.inverse(chart.forward(x))
         assert np.linalg.norm(back - x) <= 1e-9 * (1.0 + np.linalg.norm(x))
 

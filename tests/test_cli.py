@@ -438,6 +438,43 @@ class TestCheckActionCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
+    # The whole report at the default 200 samples and seed 42, one base on
+    # each registry chart, as the per-coordinate chart maps must reproduce
+    # it bit for bit.
+    @pytest.mark.parametrize(
+        "base, chart, n, report",
+        [
+            ("standard-affine", "identity", 2, {
+                "action": "standard-affine via chart 'identity'",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 1.9081930863874445e-16}),
+            ("standard-translation", "exponential", 2, {
+                "action": "standard-translation via chart 'exponential'",
+                "max_identity_defect": 1.1783412004380548e-16,
+                "max_composition_defect": 2.311196043967572e-16}),
+            ("det-weighted", "diagonal-scaling", 2, {
+                "action": "det-weighted(q=1) via chart 'diagonal-scaling'",
+                "max_identity_defect": 9.064533807899944e-17,
+                "max_composition_defect": 5.344771175052053e-16}),
+            ("exp-translation", "lambert", 1, {
+                "action": "exp-translation(s=[1.0]) via chart 'lambert'",
+                "max_identity_defect": 9.201567496251857e-15,
+                "max_composition_defect": 7.179881862581109e-15}),
+        ],
+    )
+    def test_chart_conjugated_report_is_pinned(self, capsys, tmp_path, base, chart, n,
+                                               report):
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps({"n": n, "base": base, "chart": chart}))
+        code, out, err = run_cli(
+            capsys, "check-action", "--action", "chart-conjugated", "--params", str(params)
+        )
+        expected = {"action": report["action"], "samples": 200,
+                    "max_identity_defect": report["max_identity_defect"],
+                    "max_composition_defect": report["max_composition_defect"],
+                    "tol": 1e-09, "passed": True}
+        assert (code, err) == (0, "")
+        assert out == json.dumps(expected, indent=2) + "\n"
 
     def test_defaults_for_weight_and_power(self, capsys, tmp_path):
         # Without "s" and "q" the weight is ones(n) and the power is 1.
@@ -486,6 +523,42 @@ class TestErrorHandling:
         )
         assert code == 2
         assert err.startswith("error:")
+
+    # A file that is valid JSON but not an object, and a bundle function
+    # index that is not an integer, are input errors, not crashes.
+    @pytest.mark.parametrize(
+        "command, flag, content",
+        [
+            ("verify-invariants", "--bundle", []),
+            ("check-action", "--params", []),
+            ("fundamental", "--X", []),
+            ("flow", "--field", [1.0]),
+            ("verify-invariants", "--bundle",
+             {"family": "constant", "G": {"kind": "slot", "index": "1"}}),
+            ("verify-invariants", "--bundle",
+             {"family": "constant", "G": {"kind": "slot", "index": 1.5}}),
+            ("verify-invariants", "--bundle",
+             {"family": "constant", "G": {"kind": "sin", "index": True}}),
+            ("verify-invariants", "--bundle", {"family": "constant", "G": [[]]}),
+        ],
+        ids=["bundle-list", "params-list", "tangent-list", "field-list",
+             "index-string", "index-float", "index-bool", "function-list"],
+    )
+    def test_malformed_content_exits_two(self, capsys, tmp_path, command, flag, content):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 3, "C": [[0] * 3] * 3, "B": [2, -1, 0.5]}))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        argv = {
+            "verify-invariants": ["--field", str(field)],
+            "check-action": ["--action", "standard-linear"],
+            "fundamental": ["--group", "GL"],
+            "flow": ["--t", "1", "--point", "0"],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, flag, str(bad))
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
 
     def test_bad_point_string(self, capsys, planar_field_file):
         code, _, err = run_cli(
