@@ -10,10 +10,10 @@ exactly for general-linear elements.  A tangent vector at the identity is
 likewise the matrix [[X_mat, X_vec], [0, 0]].
 
 A fixed catalog of left actions is implemented, one record per variant in
-VARIANTS:
+VARIANTS; the three standard ones share the act a x + t and differ in group:
 
-* standard-linear        (a, x)      -> a x
-* standard-translation   (t, x)      -> x + t
+* standard-linear        (a, x)      -> a x       (t = 0)
+* standard-translation   (t, x)      -> x + t     (a = I)
 * standard-affine        ((a, t), x) -> a x + t
 * exp-translation        (t, x)      -> x * exp(s . t)   for a fixed weight s
 * det-weighted           (a, x)      -> a x (det a)^q    for a fixed power q
@@ -221,6 +221,10 @@ def affine_tangent(m, v) -> TangentAtIdentity:
     return TangentAtIdentity(GENERAL_AFFINE, m, v)
 
 
+def _standard_act(action, g, p) -> np.ndarray:
+    return g.a @ p + g.t
+
+
 # A standard action's fundamental field of X is X itself: the field's
 # generator is the tangent's matrix, and its kind makes the class exact.
 def _standard_field(action, tangent) -> AffineField:
@@ -242,12 +246,12 @@ def _exp_translation_field(action, tangent) -> AffineField:
 
 
 def _exp_translation_tangent(action, field) -> TangentAtIdentity:
-    # The field must be an isotropic scaling c I; any X_vec with X_vec . s = c
-    # works, and the returned one is c s / (s . s).
+    # The field must be an isotropic scaling c I, to 1e-10 of its largest entry;
+    # any X_vec with X_vec . s = c works, and the returned one is c s / (s . s).
     n = action.n
     c = _linear_part(EXP_TRANSLATION, field)
     rate = float(np.trace(c)) / n
-    if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * (1.0 + abs(rate)):
+    if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * np.max(np.abs(c)):
         raise ValueError("exp-translation fundamental fields are isotropic scalings")
     s = action.s
     ss = float(np.dot(s, s))
@@ -281,25 +285,14 @@ class VariantRecord:
     param: str | None = None
 
 
+def _standard_record(kind: str) -> VariantRecord:
+    return VariantRecord(kind, _standard_act, _standard_field, _standard_tangent)
+
+
 VARIANTS = {
-    STANDARD_LINEAR: VariantRecord(
-        GENERAL_LINEAR,
-        act=lambda action, g, p: g.a @ p,
-        field=_standard_field,
-        tangent=_standard_tangent,
-    ),
-    STANDARD_TRANSLATION: VariantRecord(
-        TRANSLATION_GROUP,
-        act=lambda action, g, p: p + g.t,
-        field=_standard_field,
-        tangent=_standard_tangent,
-    ),
-    STANDARD_AFFINE: VariantRecord(
-        GENERAL_AFFINE,
-        act=lambda action, g, p: g.a @ p + g.t,
-        field=_standard_field,
-        tangent=_standard_tangent,
-    ),
+    STANDARD_LINEAR: _standard_record(GENERAL_LINEAR),
+    STANDARD_TRANSLATION: _standard_record(TRANSLATION_GROUP),
+    STANDARD_AFFINE: _standard_record(GENERAL_AFFINE),
     EXP_TRANSLATION: VariantRecord(
         TRANSLATION_GROUP,
         act=lambda action, g, p: p * float(np.exp(np.dot(action.s, g.t))),

@@ -10,7 +10,8 @@ verify-invariants   defect report for a canonical-parameter bundle
 check-action        action-axiom defect report
 validate            full cross-module validation suite
 
-Exit codes: 0 success, 1 validation failure, 2 input error or overflow.
+Exit codes: 0 success, 1 validation failure, 2 input error (a bad value or
+JSON of the wrong type) or overflow.
 Floats are printed in shortest round-trip decimal form so identical inputs
 give byte-identical outputs.
 """
@@ -100,7 +101,9 @@ def _cmd_orbit(args) -> int:
     point = _parse_point(args.point)
     if args.steps < 1:
         raise InputError("--steps must be at least 1")
-    grid = np.linspace(args.t0, args.t1, args.steps + 1)
+    # flow_at rejects a non-finite grid; linspace must not warn about it first.
+    with np.errstate(invalid="ignore", over="ignore"):
+        grid = np.linspace(args.t0, args.t1, args.steps + 1)
     path = orbit(make_flow(field), point, grid)
     rows = np.column_stack([path.times, path.points]).tolist()
     header = "t," + ",".join(f"u{i}" for i in range(1, field.n + 1))
@@ -111,11 +114,7 @@ def _cmd_orbit(args) -> int:
 def _cmd_bracket(args) -> int:
     x = _load_field(args.x)
     y = _load_field(args.y)
-    try:
-        result = bracket(x, y)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _print_json(result.to_dict())
+    _print_json(bracket(x, y).to_dict())
     return 0
 
 
@@ -161,11 +160,7 @@ def _cmd_fundamental(args) -> int:
         raise InputError(f"{args.X}: {exc}") from exc
     s = None if args.s is None else _parse_point(args.s)
     action = _build_action(args.action, tangent.n, s, args.q, kind)
-    try:
-        field = ga.fundamental_field_analytic(action, tangent)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    _print_json(field.to_dict())
+    _print_json(ga.fundamental_field_analytic(action, tangent).to_dict())
     return 0
 
 
@@ -227,10 +222,7 @@ def _build_bundle(field: AffineField, data: dict) -> InvariantBundle:
             G = [_scalar_field_from_json(g, m) for g in raw_g]
         else:
             G = _scalar_field_from_json(raw_g, m)
-        try:
-            return constant_field_bundle(field.B, F=F, G=G)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        return constant_field_bundle(field.B, F=F, G=G)
     if family == "planar":
         try:
             alpha = float(data["alpha"])
@@ -265,18 +257,15 @@ def _cmd_check_action(args) -> int:
     s = params.get("s", np.ones(n))
     q = int(params.get("q", 1))
     name = args.action
-    try:
-        if name == CHART_CONJUGATED:
-            base_name = params.get("base")
-            chart_name = params.get("chart")
-            if not base_name or not chart_name:
-                raise InputError("chart-conjugated needs 'base' and 'chart' params")
-            base = _build_action(base_name, n, s, q)
-            action = ga.chart_conjugated_action(base, get_chart(chart_name, n))
-        else:
-            action = _build_action(name, n, s, q)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if name == CHART_CONJUGATED:
+        base_name = params.get("base")
+        chart_name = params.get("chart")
+        if not base_name or not chart_name:
+            raise InputError("chart-conjugated needs 'base' and 'chart' params")
+        base = _build_action(base_name, n, s, q)
+        action = ga.chart_conjugated_action(base, get_chart(chart_name, n))
+    else:
+        action = _build_action(name, n, s, q)
     report = ga.check_action_axioms(action, samples=args.samples, seed=args.seed)
     _print_json(report.to_dict())
     return 0 if report.passed else 1
@@ -390,7 +379,7 @@ def main(argv=None) -> int:
     )
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OverflowError) as exc:
+    except (ValueError, TypeError, KeyError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -2,7 +2,8 @@
 
 A field X(x) = C x + B is stored as its homogeneous generator [[C, B], [0, 0]],
 so brackets are commutators and linear coordinate changes are conjugations.
-Constant fields have C = 0, linear fields have B = 0.  Indices in the public
+Constant fields have C = 0, linear fields have B = 0, and each basis field is
+a matrix unit of the generator (generator_unit).  Indices in the public
 generator API are 1-based.
 """
 
@@ -138,15 +139,20 @@ class GeneratorIndex:
         return f"E_{self.i}" if self.j is None else f"E_{self.i}^{self.j}"
 
 
-def generator(g: GeneratorIndex, n: int) -> AffineField:
-    """Realize a generator label as a field on R^n (1-based indices): the
-    matrix unit at (i, j), or at (i, n + 1) in the column of B for d/du^i."""
+def generator_unit(g: GeneratorIndex, n: int) -> tuple[int, int]:
+    """0-based (row, column) of a label's matrix unit on R^n: (i, j) for
+    u^j d/du^i, and (i, n + 1), the column of B, for d/du^i."""
     if not 1 <= g.i <= n:
         raise ValueError(f"index i={g.i} out of range 1..{n}")
     if not (g.is_constant or 1 <= g.j <= n):
         raise ValueError(f"index j={g.j} out of range 1..{n}")
+    return g.i - 1, n if g.is_constant else g.j - 1
+
+
+def generator(g: GeneratorIndex, n: int) -> AffineField:
+    """Realize a generator label as a field on R^n: its matrix unit."""
     m = np.zeros((n + 1, n + 1))
-    m[g.i - 1, n if g.is_constant else g.j - 1] = 1.0
+    m[generator_unit(g, n)] = 1.0
     return _of_generator(m)
 
 

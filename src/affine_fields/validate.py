@@ -1,14 +1,16 @@
 """Cross-module validation suite.
 
 Each check pits one computational route against an independent one (closed
-forms against RK4 integration, matrix brackets against index formulas,
-difference quotients against analytic fields) at a fixed tolerance.  The CLI
-``validate`` command and the acceptance tests both run these.
+forms against RK4 integration, matrix brackets against the matrix-unit
+relation of the generators, difference quotients against analytic fields)
+at a fixed tolerance.  The CLI ``validate`` command and the acceptance tests
+both run these.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -21,8 +23,7 @@ from .fields import (
     bracket,
     evaluate,
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
-    generator,
-    zero_field,
+    generator_unit,
 )
 from .flows import flow_at, group_law_defect, make_flow
 from .invariants import (
@@ -124,41 +125,22 @@ def check_group_law(seed: int = 42) -> CheckResult:
     return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
 
-def _field_combination(terms, n) -> AffineField:
-    """Signed sum of generator fields given as (sign, GeneratorIndex)."""
-    m = np.zeros((n + 1, n + 1))
-    for sign, g in terms:
-        m += sign * generator(g, n).matrix
-    return AffineField(m[:-1, :-1], m[:-1, -1])
-
-
 def expected_generator_bracket(
     g1: GeneratorIndex, g2: GeneratorIndex, n: int
 ) -> AffineField:
-    """Bracket of two generators straight from the index relations.
-
-    Constant generators commute; a constant against a linear one gives
-    [d_i, u^j d_k] = delta(i, j) d_k; two linear ones give
-    [u^b d_a, u^d d_c] = delta(a, d) u^b d_c - delta(c, b) u^d d_a.
-    This route never multiplies matrices, so it is an independent oracle for
-    the bracket implementation.
+    """Bracket of two generators from their matrix units (a, b) and (c, d)
+    (generator_unit): [e_ab, e_cd] = delta(d, a) e_cb - delta(b, c) e_ad,
+    which is G_Y G_X - G_X G_Y for matrix units.  This route never multiplies
+    matrices, so it is an independent oracle for the bracket implementation.
     """
-    if g1.is_constant and g2.is_constant:
-        return zero_field(n)
-    if g1.is_constant:
-        if g1.i == g2.j:
-            return _field_combination([(1.0, GeneratorIndex(g2.i))], n)
-        return zero_field(n)
-    if g2.is_constant:
-        if g2.i == g1.j:
-            return _field_combination([(-1.0, GeneratorIndex(g1.i))], n)
-        return zero_field(n)
-    terms = []
-    if g1.i == g2.j:
-        terms.append((1.0, GeneratorIndex(g2.i, g1.j)))
-    if g2.i == g1.j:
-        terms.append((-1.0, GeneratorIndex(g1.i, g2.j)))
-    return _field_combination(terms, n)
+    a, b = generator_unit(g1, n)
+    c, d = generator_unit(g2, n)
+    m = np.zeros((n + 1, n + 1))
+    if d == a:
+        m[c, b] += 1.0
+    if b == c:
+        m[a, d] -= 1.0
+    return AffineField(m[:-1, :-1], m[:-1, -1])
 
 
 def generator_bracket_table(n: int):
@@ -167,23 +149,19 @@ def generator_bracket_table(n: int):
     Entries are (label1, label2, bracket field) over the n constant and n^2
     linear generators, so dimension 4 yields the full 210-pair table.
     """
-    gens = all_generators(n)
-    table = []
-    for p in range(len(gens)):
-        for r in range(p, len(gens)):
-            g1, f1 = gens[p]
-            g2, f2 = gens[r]
-            table.append((g1, g2, bracket(f1, f2)))
-    return table
+    return [
+        (g1, g2, bracket(f1, f2))
+        for (g1, f1), (g2, f2) in combinations_with_replacement(all_generators(n), 2)
+    ]
 
 
 def check_structure_constants() -> CheckResult:
-    """All generator bracket pairs for n <= 4 match the index relations
+    """All generator bracket pairs for n <= 4 match the matrix-unit relation
     exactly, with entries in {0, +-1}."""
     checked = 0
-    table_size_n4 = 0
     for n in range(1, 5):
-        for g1, g2, got in generator_bracket_table(n):
+        table = generator_bracket_table(n)
+        for g1, g2, got in table:
             want = expected_generator_bracket(g1, g2, n)
             if not np.all(np.isin(got.matrix, (-1.0, 0.0, 1.0))):
                 return CheckResult(
@@ -197,13 +175,11 @@ def check_structure_constants() -> CheckResult:
                     False,
                     f"[{g1}, {g2}] mismatch for n={n}",
                 )
-            checked += 1
-            if n == 4:
-                table_size_n4 += 1
+        checked += len(table)
     return CheckResult(
         "bracket-structure-constants",
         True,
-        f"{checked} unordered pairs exact (n=4 table: {table_size_n4} pairs)",
+        f"{checked} unordered pairs exact (n=4 table: {len(table)} pairs)",
     )
 
 

@@ -180,6 +180,29 @@ class TestAct:
         g = ga.affine_element(np.eye(2), [1.0, 2.0])
         assert_allclose(ga.act(action, g, [0.0, 0.0]), [1.0, 2.0])
 
+    def test_standard_linear(self):
+        action = ga.standard_linear_action(2)
+        g = ga.linear_element([[0.0, -1.0], [2.0, 0.5]])
+        assert ga.act(action, g, [3.0, 4.0]).tolist() == [-4.0, 8.0]
+
+    def test_standard_translation(self):
+        action = ga.standard_translation_action(3)
+        g = ga.translation_element([0.5, -1.0, 2.0])
+        assert ga.act(action, g, [1.0, 2.0, -3.0]).tolist() == [1.5, 1.0, -1.0]
+
+    def test_one_standard_act_is_exact_on_each_subgroup(self):
+        # a x + t with t = 0 is a x, and with a = I it is x + t, bit for bit
+        # (np.array_equal ignores only the sign of a zero).
+        rng = np.random.default_rng(11)
+        linear = ga.standard_linear_action(3)
+        translation = ga.standard_translation_action(3)
+        for _ in range(20):
+            a = rng.uniform(-2, 2, (3, 3)) + 4.0 * np.eye(3)
+            t, x = rng.uniform(-2, 2, (2, 3))
+            assert np.array_equal(ga.act(linear, ga.linear_element(a), x), a @ x)
+            assert np.array_equal(
+                ga.act(translation, ga.translation_element(t), x), x + t)
+
     def test_exp_translation(self):
         # s . t = log 2 rescales every coordinate by 2.
         action = ga.exp_translation_action([1.0, 0.0])
@@ -346,6 +369,22 @@ class TestTangentRecovery:
         skew = AffineField(np.array([[1.0, 1.0], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(ValueError, match="isotropic"):
             ga.tangent_for_field(action, skew)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e12])
+    def test_exp_translation_isotropy_is_scale_free(self, scale):
+        # A non-isotropic field is rejected however small its entries are.
+        action = ga.exp_translation_action([1.0, 2.0])
+        c = scale * np.array([[1e-12, 5e-11], [0.0, 1e-12]])
+        with pytest.raises(ValueError, match="isotropic"):
+            ga.tangent_for_field(action, AffineField(c, np.zeros(2)))
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-300, 1e-12, 1e12, 1e300])
+    def test_exp_translation_round_trips_at_every_scale(self, scale):
+        action = ga.exp_translation_action([1.0, 2.0])
+        field = AffineField(scale * np.eye(2), np.zeros(2))
+        tangent = ga.tangent_for_field(action, field)
+        back = ga.fundamental_field_analytic(action, tangent)
+        assert_allclose(back.matrix, field.matrix, rtol=1e-15, atol=0.0)
 
     def test_wrong_field_class_rejected(self):
         from affine_fields.fields import AffineField

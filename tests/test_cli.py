@@ -105,6 +105,13 @@ class TestFlowCommand:
 
 
 class TestOrbitCommand:
+    def test_infinite_end_time_is_an_input_error(self, capsys, planar_field_file):
+        code, out, err = run_cli(
+            capsys, "orbit", "--field", planar_field_file, "--point", "0,0",
+            "--t1", "inf",
+        )
+        assert (code, out, err) == (2, "", "error: t must be finite\n")
+
     def test_csv_shape(self, capsys, planar_field_file):
         code, out, _ = run_cli(
             capsys,
@@ -524,8 +531,9 @@ class TestErrorHandling:
         assert code == 2
         assert err.startswith("error:")
 
-    # A file that is valid JSON but not an object, and a bundle function
-    # index that is not an integer, are input errors, not crashes.
+    # A file that is valid JSON but not an object, a bundle function index
+    # that is not an integer, and a value of the wrong JSON type below the
+    # top level are input errors, not crashes.
     @pytest.mark.parametrize(
         "command, flag, content",
         [
@@ -540,9 +548,15 @@ class TestErrorHandling:
             ("verify-invariants", "--bundle",
              {"family": "constant", "G": {"kind": "sin", "index": True}}),
             ("verify-invariants", "--bundle", {"family": "constant", "G": [[]]}),
+            ("check-action", "--params", {"n": [2]}),
+            ("verify-invariants", "--bundle",
+             {"family": "planar", "alpha": [1], "beta": 1, "gamma": 0}),
+            ("verify-invariants", "--bundle",
+             {"family": "constant", "G": {"kind": "linear", "coeffs": {"a": 1}}}),
         ],
         ids=["bundle-list", "params-list", "tangent-list", "field-list",
-             "index-string", "index-float", "index-bool", "function-list"],
+             "index-string", "index-float", "index-bool", "function-list",
+             "dimension-list", "planar-alpha-list", "coeffs-object"],
     )
     def test_malformed_content_exits_two(self, capsys, tmp_path, command, flag, content):
         field = tmp_path / "field.json"
