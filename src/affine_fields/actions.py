@@ -30,6 +30,7 @@ argument.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -398,6 +399,8 @@ def _point(action: GroupAction, x) -> np.ndarray:
     p = np.asarray(x, dtype=float).reshape(-1)
     if p.size != action.n:
         raise ValueError(f"point has dim {p.size}, action lives on R^{action.n}")
+    if not all(map(math.isfinite, p.tolist())):
+        raise ValueError("point must be finite")
     return p
 
 

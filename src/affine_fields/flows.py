@@ -57,10 +57,11 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     """Image of the point x under the time-t flow map.
 
     ``t`` is a scalar, giving the (n,) image, or a 1-D array of k times,
-    giving the (k, n) images, row j at time t[j].  Many times are evaluated
-    in blocks of at most ORBIT_BLOCK_ENTRIES matrix entries, one ``mat_exp``
-    call on the stack of t G per block, so the working memory does not grow
-    with k; a scalar is a stack of one.  An image at t = 0 is x exactly.
+    giving the (k, n) images, row j at time t[j] and bit for bit the image
+    for the scalar t[j].  Many times are evaluated in blocks of at most
+    ORBIT_BLOCK_ENTRIES matrix entries, one ``mat_exp`` call on the stack of
+    t G per block, so the working memory does not grow with k; a scalar is a
+    stack of one.  An image at t = 0 is x exactly.
 
     Raises ValueError for an empty or 2-D array of times and for a
     non-finite t or x, and OverflowError when t G or an image is not
@@ -135,8 +136,8 @@ class Orbit:
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:
     """Evaluate the flow from x at each time in t_grid (flattened to 1-D).
 
-    The points are ``flow_at`` on the whole grid.  Each agrees with the
-    single-time image to rounding (translations bitwise), and the point at
+    The points are ``flow_at`` on the whole grid.  Each equals the
+    single-time image ``flow_at(flow, t, x)`` bit for bit, and the point at
     t = 0 is the start exactly.
 
     Raises what ``flow_at`` raises: ValueError for an empty or non-finite

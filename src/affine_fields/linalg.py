@@ -55,6 +55,18 @@ _PADE_ROWS[13] = np.array([
     (0.0, *_PADE[13][8::2]),
     _PADE[13][0:8:2],
 ])
+# A 1-norm above i of _THRESHOLDS (theta_3, theta_5, theta_7, theta_9, then
+# theta_13 2^j for j >= 0) takes degree _DEGREE[i] and scale 2^-k = _SCALE[i]
+# for the least k = _K[i] with |2^-k A|_1 <= theta_13.  Degree m combines
+# _POWERS[m] of the powers [I, A^2, ...]; rule 3 tests the one at _TESTED[m].
+_THRESHOLDS = np.append([_THETA[m] for m in (3, 5, 7, 9)],
+                        np.ldexp(_THETA[13], np.arange(1022)))
+_DEGREE = np.array([3, 5, 7, 9] + [13] * (len(_THRESHOLDS) - 3))
+_K = np.maximum(np.arange(len(_DEGREE)) - 4, 0)
+_SCALE = np.ldexp(1.0, -_K)
+_POWERS = np.zeros(14, dtype=int)
+_POWERS[list(_PADE_ROWS)] = [rows.shape[1] for rows in _PADE_ROWS.values()]
+_TESTED = np.minimum(_POWERS - 1, 3)
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -82,11 +94,6 @@ def _require_square(m: np.ndarray, name: str) -> int:
     return rows
 
 
-def _norm1(m: np.ndarray) -> np.ndarray:
-    """1-norm (largest absolute column sum) of each matrix in a stack."""
-    return np.abs(m).sum(axis=-2).max(axis=-1)
-
-
 def _squarings(
     a0: np.ndarray, k: np.ndarray, a4: np.ndarray, a6: np.ndarray
 ) -> np.ndarray:
@@ -100,9 +107,10 @@ def _squarings(
     that cap also covers |A| products that overflow.
     """
     # d_p of a0; those of A are 2^k times larger.
-    d = _norm1(np.stack([a6, a4 @ a4, a4 @ a6])) ** _INVERSE_POWERS
+    d = np.abs(np.stack([a6, a4 @ a4, a4 @ a6])).sum(axis=-2).max(axis=-1)
+    d **= _INVERSE_POWERS
     eta = np.maximum(d[1], np.minimum(d[0], d[2]))  # min(max(d6, d8), max(d8, d10))
-    s = np.clip(k + np.ceil(np.log2(eta / _THETA[13])), 0.0, k)
+    s = np.minimum(np.maximum(k + np.ceil(np.log2(eta / _THETA[13])), 0.0), k)
     # Where 2^-s |A|_1 <= theta_13, below (u / |c_27|)^(1/26), ell is zero;
     # that is where s = k, and the cap below keeps those s as they are.
     if (s < k).any():
@@ -120,46 +128,44 @@ def _squarings(
     return s.astype(int)
 
 
-def _taylor(a: np.ndarray, a0: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """I + A + ... + A^5 / 5! for A = a = 2^k a0, exp(A) exactly if A^6 = 0.
-
-    The powers are formed from a0 and scaled back by 2^(jk), so each term is
-    in range whenever its value is.
-    """
-    a2 = a0 @ a0
-    a4 = a2 @ a2
-    terms = [a2 / 2, (a2 @ a0) / 6, a4 / 24, (a4 @ a0) / 120]
-    if k.any():
-        terms = [np.ldexp(t, j * k[:, None, None]) for j, t in enumerate(terms, 2)]
-    return np.eye(a.shape[-1]) + a + terms[0] + terms[1] + terms[2] + terms[3]
-
-
-def _pade(
-    a0: np.ndarray, k: np.ndarray, powers: np.ndarray, degree: int
+def _exp_class(
+    c: int, a: np.ndarray, a0: np.ndarray, k: np.ndarray, powers: np.ndarray
 ) -> np.ndarray:
-    """exp(2^k a0) by the degree-``degree`` Pade approximant, squared back.
-
-    ``powers`` holds [I, a0^2, a0^4, ...] as _PADE_ROWS[degree] combines
-    them; with k > 0 (degree 13 only) they are rescaled in place.
+    """exp(A) for a stack of class ``c``, each A = a = 2^k a0, given the
+    powers [I, a0^2, a0^4, ...] that mat_exp formed (a0^4 only where a0^2 may
+    be nonzero).  Class 0 is I + A + ... + A^5 / 5!, exact if A^6 = 0, each
+    term scaled back from a0 by 2^(jk) so that it is in range whenever its
+    value is.  Any other class is a Pade degree: 2^-s A by that approximant,
+    squared s times.
     """
-    rows = _PADE_ROWS[degree]
-    a, s = a0, None
-    if k.any():
+    if not c:
+        x = np.eye(a.shape[-1]) + a
+        terms = [t for p in powers[1:3] for t in (p, p @ a0)]
+        for j, t in enumerate(terms, 2):
+            x += np.ldexp(t / math.factorial(j), j * k[:, None, None])
+        return x
+    rows = _PADE_ROWS[c]
+    powers = powers[: rows.shape[1]]
+    scaled, s = a0, None
+    if c == 13 and k.any():
         s = _squarings(a0, k, powers[2], powers[3])
         up = k - s
-        a = np.ldexp(a0, up[:, None, None])
+        scaled = np.ldexp(a0, up[:, None, None])
         np.ldexp(powers[1:], np.outer((2, 4, 6), up)[:, :, None, None], out=powers[1:])
         if not np.isfinite(powers).all():
-            # Only a matrix far from normal gets here: form the powers anew.
-            np.matmul(a, a, out=powers[1])
-            np.matmul(powers[1], powers[1], out=powers[2])
-            np.matmul(powers[1], powers[2], out=powers[3])
-    parts = (rows @ powers.reshape(len(powers), -1)).reshape(-1, *a.shape)
-    if degree == 13:
-        u = a @ (powers[3] @ parts[0] + parts[1])
+            # Only a matrix far from normal gets here: form its powers anew.
+            far = ~np.isfinite(powers).all(axis=(0, 2, 3))
+            a2 = scaled[far] @ scaled[far]
+            a4 = a2 @ a2
+            powers[1:, far] = a2, a4, a2 @ a4
+    # One product per matrix, or a 1 x 1 matrix rounds apart from its stack.
+    parts = rows @ powers.reshape(len(powers), len(a), -1).swapaxes(0, 1)
+    parts = parts.reshape(len(a), len(rows), *a.shape[1:]).swapaxes(0, 1)
+    if c == 13:
+        u = scaled @ (powers[3] @ parts[0] + parts[1])
         v = powers[3] @ parts[2] + parts[3]
     else:
-        u = a @ parts[0]
+        u = scaled @ parts[0]
         v = parts[1]
     x = np.linalg.solve(v - u, v + u)
     if s is not None:
@@ -177,26 +183,27 @@ def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a square matrix or of a stack of them.
 
     ``a`` has shape (..., n, n); the result has the same shape and holds the
-    exponential of each matrix.  A stack is evaluated with one set of numpy
-    calls, so many small matrices cost little more than one.
+    exponential of each matrix.  Every choice below is made per matrix: the
+    result for each matrix does not depend on the rest of the stack, bit for
+    bit.  The matrices of one choice (a Pade degree, or the Taylor sum of
+    rule 3) share one set of numpy calls, so many cost little more than one.
 
-    The kernel is Pade scaling and squaring.  The degree is 3, 5, 7 or 9 when
-    the largest 1-norm in the stack is at most that degree's theta_m (Higham
-    2005), else 13.  For degree 13 each matrix A is scaled by its own 2^-s,
-    with s from the norms of A^6, A^8 and A^10 (Al-Mohy and Higham 2009), so
-    strongly non-normal matrices are not over-scaled, and the approximant is
-    squared s times.  Powers are formed from A divided by the power of two
-    that brings its 1-norm to theta_13 or below, so none leaves the float
-    range on the way.  Three rules keep results exact where the exponential
-    is exact:
+    The kernel is Pade scaling and squaring.  A matrix A takes degree 3, 5,
+    7 or 9 when its 1-norm is at most that degree's theta_m (Higham 2005),
+    else 13.  For degree 13, A is scaled by 2^-s, with s from the norms of
+    A^6, A^8 and A^10 (Al-Mohy and Higham 2009), so strongly non-normal
+    matrices are not over-scaled, and the approximant is squared s times.
+    Powers are formed from A divided by the power of two that brings its
+    1-norm to theta_13 or below, so none leaves the float range on the way.
+    Three rules keep results exact where the exponential is exact:
 
     1. The zero matrix maps to exactly I.
     2. A row or column of A that is exactly zero maps to exactly that row or
        column of I; so a homogeneous generator [[C, B], [0, 0]] keeps the
        bottom row (0, ..., 0, 1) and [[C, 0], [0, 0]] keeps t = 0.
-    3. When a power the kernel forms anyway (A^2, A^4 or A^6) is exactly
-       zero, the finite Taylor sum is used, so exp(A) is bitwise I + A
-       whenever A^2 = 0.
+    3. When the highest power that A's degree forms (A^2 for degree 3, A^4
+       for 5, else A^6) is exactly zero, A takes the finite Taylor sum
+       instead of its degree, so exp(A) is bitwise I + A whenever A^2 = 0.
 
     Raises ValueError for a non-square or non-finite argument and
     OverflowError if an exponential has entries beyond the float range.
@@ -207,8 +214,6 @@ def mat_exp(a) -> np.ndarray:
             f"mat_exp argument must be a square matrix or a stack of them, "
             f"got shape {m.shape}"
         )
-    if m.size == 0:
-        return m
     shape, n = m.shape, m.shape[-1]
     a = m.reshape(-1, n, n)
     eye = np.eye(n)
@@ -221,41 +226,31 @@ def mat_exp(a) -> np.ndarray:
         magnitude = np.abs(a)
         columns = magnitude.sum(axis=-2)
         norm = columns.max(axis=-1)
-        top = float(norm.max())
-        if not math.isfinite(top):
+        if not math.isfinite(norm.max()):
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
             raise OverflowError("matrix 1-norm is beyond the float range")
-        if top > _THETA[13]:
-            k = np.maximum(np.ceil(np.log2(norm / _THETA[13])), 0.0).astype(int)
-            a0 = np.ldexp(a, -k[:, None, None])
-            a0_2 = a0 @ a0
-        else:
-            k, a0, a0_2 = np.zeros(len(a), dtype=int), a, a2
-        degree = next((d for d in (3, 5, 7, 9) if top <= _THETA[d]), 13)
-        powers = np.empty((_PADE_ROWS[degree].shape[1], len(a), n, n))
+        i = _THRESHOLDS.searchsorted(norm)
+        degree, k = _DEGREE[i], _K[i]
+        # a0 = 2^-k A exactly (a power of two); only degree 13 has k > 0.
+        a0 = a * _SCALE[i][:, None, None]
+        powers = np.empty((max(_POWERS[degree].tolist()), len(a), n, n))
         powers[0] = eye
-        powers[1] = a0_2
+        powers[1] = a0 @ a0 if k.any() else a2
         for j in range(2, len(powers)):
-            np.matmul(a0_2, powers[j - 1], out=powers[j])
-        # A^2 = 0 implies A^4 = A^6 = 0, so testing the highest of them that
-        # is formed tests all three.
-        taylor = ~powers[min(3, len(powers) - 1)].any(axis=(-2, -1))
-        count = np.count_nonzero(taylor)
-        if count == len(a):
-            x = _taylor(a, a0, k)
-        else:
-            if count:
-                x = np.empty_like(a)
-                x[taylor] = _taylor(a[taylor], a0[taylor], k[taylor])
-                rest = ~taylor
-                x[rest] = _pade(a0[rest], k[rest], powers[:, rest], degree)
-            else:
-                x = _pade(a0, k, powers, degree)
-            rows = magnitude.sum(axis=-1)
-            exact = np.minimum(rows[:, :, None], columns[:, None, :]) == 0.0
-            x = np.where(exact, eye, x)
+            np.matmul(powers[1], powers[j - 1], out=powers[j])
+        # Class 0 takes the Taylor sum (rule 3), any other class is a degree.
+        nonzero = powers.reshape(len(powers), len(a), -1).any(axis=-1)
+        label = np.where(nonzero[_TESTED[degree], np.arange(len(a))], degree, 0)
+        classes = set(label.tolist())
+        x = np.empty_like(a)
+        for c in classes:
+            rows = label == c if len(classes) > 1 else slice(None)
+            x[rows] = _exp_class(c, a[rows], a0[rows], k[rows], powers[:, rows])
+        exact = np.minimum(magnitude.sum(axis=-1)[:, :, None], columns[:, None, :]) == 0
+        x = np.where(exact, eye, x)
     if not np.isfinite(x).all():
+        top = norm[~np.isfinite(x).all(axis=(-2, -1))].max()
         raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")
     return x.reshape(shape)
 

@@ -219,6 +219,21 @@ class TestAct:
         with pytest.raises(ValueError, match="kind"):
             ga.act(action, ga.translation_element([1.0, 2.0]), [0.0, 0.0])
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("point", [[np.inf, 0.0], [0.0, np.nan], [-np.inf, 1.0]])
+    def test_non_finite_point_rejected(self, point):
+        # a x + t would return NaN components (inf * 0) with a RuntimeWarning.
+        cases = [
+            (ga.standard_linear_action(2), ga.linear_element(np.diag([1.1, 1.1]))),
+            (ga.standard_translation_action(2), ga.translation_element([1.0, 2.0])),
+        ]
+        for action, g in cases:
+            with pytest.raises(ValueError, match="point must be finite"):
+                ga.act(action, g, point)
+        tangent = ga.affine_tangent(np.eye(2), [1.0, 0.0])
+        with pytest.raises(ValueError, match="point must be finite"):
+            ga.fundamental_field_numeric(ga.standard_affine_action(2), tangent, point)
+
 
 class TestAxioms:
     @pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)

@@ -297,8 +297,10 @@ class TestOrbit:
         assert path.points.shape == (grid.size, n)
         lifted = np.append(x, 1.0)
         for t, point in zip(grid, path.points):
+            single = flow_at(flow, t, x)
+            assert np.array_equal(point, single), t
             magnitude = np.abs(expm(t * flow.field.matrix)[:n]) @ np.abs(lifted)
-            diff = np.linalg.norm(point - flow_at(flow, t, x))
+            diff = np.linalg.norm(point - single)
             assert diff <= 1e-14 * np.linalg.norm(magnitude), t
 
     @pytest.mark.parametrize("b", [[1.0, -3.0], [0.0, 0.0]])

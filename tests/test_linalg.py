@@ -183,22 +183,48 @@ def test_mat_exp_stack_shapes():
     assert out.shape == (2, 3, 4, 4)
     for i in range(2):
         for j in range(3):
-            one = mat_exp(stack[i, j])
-            assert np.linalg.norm(out[i, j] - one, 1) <= 1e-14 * np.linalg.norm(one, 1)
+            assert np.array_equal(out[i, j], mat_exp(stack[i, j]))
     assert mat_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
 
 
+def _rule_stack(general):
+    """The zero matrix, a square-zero matrix, then ``general``: n x n
+    matrices whose last row and column are zero."""
+    n = general.shape[-1]
+    square_zero = np.zeros((n, n))
+    square_zero[0, n - 1] = 5.0
+    return np.concatenate([[np.zeros((n, n)), square_zero], general])
+
+
+def _every_class():
+    # 1-norms from 1e-3 to 30 take every Pade degree, and 13 with and
+    # without scaling; the 5 x 5 shift with A^4 != 0 = A^6 takes the Taylor
+    # sum at degree 9.
+    rng = np.random.default_rng(8)
+    general = np.zeros((13, 6, 6))
+    general[:12, :5, :5] = rng.normal(size=(12, 5, 5))
+    norms = np.abs(general[:12]).sum(axis=-2).max(axis=-1)
+    general[:12] *= (np.logspace(-3.0, math.log10(30.0), 12) / norms)[:, None, None]
+    general[12, :5, :5] = np.diag(np.full(4, 1.5), 1)
+    return general
+
+
 def test_mat_exp_mixed_stack_keeps_the_exact_rules():
-    # Zero, square-zero and general matrices in one stack each keep their rule.
-    general = np.array([[0.3, 2.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, 0.0]])
-    square_zero = np.zeros((3, 3))
-    square_zero[0, 2] = 5.0
-    out = mat_exp(np.stack([np.zeros((3, 3)), square_zero, general]))
-    assert np.array_equal(out[0], np.eye(3))
-    assert np.array_equal(out[1], np.eye(3) + square_zero)
-    assert np.array_equal(out[2][2], [0.0, 0.0, 1.0])
-    assert np.array_equal(out[2][:, 2], [0.0, 0.0, 1.0])
-    assert_allclose(out[2], _mp_expm(general), rtol=1e-14, atol=1e-15)
+    # Zero, square-zero and general matrices in one stack each keep their
+    # rule, and each gets the result it gets alone.
+    general = np.array([[[0.3, 2.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, 0.0]]])
+    for stack in (_rule_stack(general), _rule_stack(_every_class())):
+        n = stack.shape[-1]
+        e = np.eye(n)
+        out = mat_exp(stack)
+        for a, got in zip(stack, out):
+            assert np.array_equal(got, mat_exp(a))
+        assert np.array_equal(out[0], e)
+        assert np.array_equal(out[1], e + stack[1])
+        for a, got in zip(stack[2:], out[2:]):
+            assert np.array_equal(got[n - 1], e[n - 1])
+            assert np.array_equal(got[:, n - 1], e[:, n - 1])
+            assert_allclose(got, _mp_expm(a), rtol=1e-14, atol=1e-15)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -1,5 +1,6 @@
-"""Property tests: the matrix exponential against a 50-digit reference, and
-the algebra of fields, flows and group elements.
+"""Property tests: the matrix exponential against a 50-digit reference and
+against itself on stacks, and the algebra of fields, flows, group elements
+and fundamental fields.
 
 Hypothesis draws the dimension, the raw entries and a scale exponent; each
 kind below turns them into one family of hard inputs.  The profile is pinned
@@ -90,6 +91,41 @@ def test_stacked_and_single_agree_with_mpmath(kind, data):
         single = mat_exp(a)
         assert _relative_error(single, ref) <= bound, (kind, a)
         assert _relative_error(got, ref) <= bound, (kind, a)
+        assert np.array_equal(got, single), (kind, a)
+
+
+@st.composite
+def _mixed_stack(draw):
+    """1 to 8 matrices of one size n from 1 to 6: 1-norms from about 1e-4 to
+    200 and exact zeros (entries, whole rows and columns, strictly upper
+    triangular matrices, the zero matrix)."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(1, 8))
+    entries = st.floats(-1.0, 1.0, allow_subnormal=False)
+    stack = draw(arrays(float, (count, n, n), elements=entries))
+    stack *= draw(arrays(bool, (count, n, n)))
+    for a in stack:
+        a *= 10.0 ** draw(st.floats(-4.0, 1.5))
+        zero = draw(st.sampled_from(["none", "row", "column", "upper", "all"]))
+        if zero == "row":
+            a[-1] = 0.0
+        elif zero == "column":
+            a[:, -1] = 0.0
+        elif zero == "upper":
+            a[:] = np.triu(a, 1)
+        elif zero == "all":
+            a[:] = 0.0
+    return stack
+
+
+@PINNED
+@given(data=st.data())
+def test_mat_exp_of_a_stack_is_its_single_results(data):
+    # Every choice of the kernel is made per matrix, so a matrix's result
+    # does not depend on the rest of its stack, bit for bit.
+    stack = data.draw(_mixed_stack())
+    for a, got in zip(stack, mat_exp(stack)):
+        assert np.array_equal(got, mat_exp(a)), a
 
 
 # ------------------------------------------------ flows, brackets, changes
@@ -171,6 +207,18 @@ def test_flow_at_agrees_with_mpmath(data):
 
 @PINNED
 @given(data=st.data())
+def test_flow_at_many_times_is_its_single_times(data):
+    # Row j of a call on many times is the call on t[j] alone, bit for bit.
+    (field,), x = data.draw(_field_family(1))
+    times = st.lists(st.sampled_from([0.0, 1e-3]) | _TIMES, min_size=1, max_size=12)
+    ts = np.array(data.draw(times)) * 10.0 ** data.draw(st.floats(-3.0, 1.0))
+    flow = make_flow(field)
+    for t, image in zip(ts, flow_at(flow, ts, x)):
+        assert np.array_equal(image, flow_at(flow, t, x)), t
+
+
+@PINNED
+@given(data=st.data())
 def test_bracket_antisymmetry_and_jacobi(data):
     (x, y, z), _ = data.draw(_field_family(3))
     xy, yx = bracket(x, y), bracket(y, x)
@@ -244,3 +292,44 @@ def test_group_element_associativity_and_inverse(kind, data):
     for product in (ga.multiply(g, inv), ga.multiply(inv, g)):
         defect = np.linalg.norm(product.matrix - np.eye(n + 1), 1)
         assert defect <= 1e-14 * size + _FLOOR
+
+
+@st.composite
+def _tangents(draw, kind, n):
+    """A tangent of group ``kind`` with entries in [-1, 1], its matrix
+    components scaled by 10^e for e in [-2, 1]."""
+    mat = draw(arrays(float, (n, n), elements=_ENTRIES))
+    mat *= 10.0 ** draw(st.floats(-2.0, 1.0))
+    vec = draw(arrays(float, n, elements=_ENTRIES))
+    if kind == ga.TRANSLATION_GROUP:
+        mat[:] = 0.0
+    if kind == ga.GENERAL_LINEAR:
+        vec[:] = 0.0
+    return ga.TangentAtIdentity(kind, mat, vec)
+
+
+@pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)
+@PINNED
+@given(data=st.data())
+def test_fundamental_fields_reverse_the_bracket(variant, data):
+    # A left action's fundamental fields satisfy xi_[X,Y] = -[xi_X, xi_Y]:
+    # [X, Y] is the matrix commutator of the homogeneous tangents, and the
+    # bracket on the right is that of fields.
+    n = data.draw(st.integers(1, 5))
+    param = ga.VARIANTS[variant].param
+    if param == "s":
+        s = data.draw(arrays(float, n, elements=_ENTRIES))
+        action = ga.GroupAction(variant, n, s=s)
+    elif param == "q":
+        action = ga.GroupAction(variant, n, q=data.draw(st.integers(0, 3)))
+    else:
+        action = ga.GroupAction(variant, n)
+    kind = action.group_kind
+    x, y = data.draw(_tangents(kind, n)), data.draw(_tangents(kind, n))
+    c = x.matrix @ y.matrix - y.matrix @ x.matrix
+    xy = ga.TangentAtIdentity(kind, c[:-1, :-1], c[:-1, -1])
+    fx, fy = (ga.fundamental_field_analytic(action, t) for t in (x, y))
+    lhs = ga.fundamental_field_analytic(action, xy).matrix
+    rhs = -bracket(fx, fy).matrix
+    size = _size(x.matrix, y.matrix) + _size(fx.matrix, fy.matrix)
+    assert np.linalg.norm(lhs - rhs, 1) <= 2e-15 * size + _FLOOR
