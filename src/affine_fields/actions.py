@@ -424,10 +424,15 @@ def fundamental_field_numeric(
     of the homogeneous tangent (row-major: matrix entries, then the
     translation entry, row by row) with step FD_STEP and contracts with
     those entries.  Perturbing the identity by FD_STEP cannot leave the
-    group.
+    group.  This is ``act`` on each perturbed element, with the point
+    checked and taken through the chart once.
     """
     _require_kind(action, tangent, "tangent")
     p = _point(action, x)
+    chart = action.chart
+    if chart is not None:
+        p = _point(action, chart.forward(chart.require(p)))
+    variant_act = VARIANTS[action.variant].act
     kind = action.group_kind
     identity = np.eye(action.n + 1)
     out = np.zeros(action.n)
@@ -436,7 +441,8 @@ def fundamental_field_numeric(
         for step in (FD_STEP, -FD_STEP):
             g = identity.copy()
             g[r, c] += step
-            images.append(act(action, GroupElement(kind, g), p))
+            image = variant_act(action, GroupElement(kind, g), p)
+            images.append(image if chart is None else chart.inverse(image))
         out += tangent.matrix[r, c] * (images[0] - images[1]) / (2.0 * FD_STEP)
     return out
 

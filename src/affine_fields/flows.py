@@ -10,11 +10,16 @@ The augmented exponential covers every affine field (Van Loan 1978), so no
 fixed point is solved for and no tolerance decides which formula runs.  When
 C U + B = 0 has solutions, the paper's form exp(tC)(x - U) + U still holds for
 every such U; validation check 10 tests that identity against this path.
-``flow_at`` is the one evaluation path, for one time or many.
+``flow_images`` is the one evaluation path of the augmented exponential: row
+j is the j-th point under the flow of the j-th generator at the j-th time.
+``flow_at``, for one time or many, is the translation or ``flow_images`` with
+its one generator shared by every time; validation checks 1, 2 and 10 call
+``flow_images`` on whole ensembles.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +32,7 @@ TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
 
 # Largest number of matrix entries in the stack of one mat_exp call in
-# flow_at.  At 2^13 floats (64 KiB per temporary of the kernel) a long
+# flow_images.  At 2^13 floats (64 KiB per temporary of the kernel) a long
 # orbit's working memory stays near 2 MB beyond its points, and the fixed
 # cost of a call is spread over 18 times at n = 20 and 910 at n = 2.
 ORBIT_BLOCK_ENTRIES = 2**13
@@ -53,15 +58,52 @@ def make_flow(field: AffineField) -> FlowMap:
     return FlowMap(field)
 
 
+def flow_images(generators, times, points) -> np.ndarray:
+    """Images of points, each under the flow of its own generator.
+
+    ``times`` has k entries, ``generators`` is a (k, n+1, n+1) stack of
+    [[C, B], [0, 0]] and ``points`` is (k, n); a leading axis of length 1
+    is shared by all k rows.  Row j of the (k, n) result is the first n
+    entries of exp(t_j G_j) (x_j, 1), and a row with t_j = 0 is x_j exactly.
+    The rows are taken in blocks of at most ORBIT_BLOCK_ENTRIES matrix
+    entries, one ``mat_exp`` call per block.  Since ``mat_exp`` decides per
+    matrix, each row is bit for bit what a stack of one gives, whatever the
+    other rows.  A generator with C = 0 gives x + t B (rule 3 of
+    ``mat_exp``), up to the sign of a zero coordinate.  The inputs are taken
+    as finite and of matching shapes; ``flow_at`` checks its own.
+
+    Raises OverflowError when some t G or image is not representable in
+    floats.
+    """
+    k, n = len(times), points.shape[1]
+    images = np.empty((k, n))
+    size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, k, size):
+            rows = slice(lo, lo + size)
+            g = generators if len(generators) == 1 else generators[rows]
+            x = points if len(points) == 1 else points[rows]
+            scaled = times[rows, None, None] * g
+            if not np.isfinite(scaled).all():
+                raise OverflowError("t G overflows the float range")
+            big = mat_exp(scaled)
+            images[rows] = (big[:, :n, :n] @ x[..., None])[..., 0] + big[:, :n, n]
+    if not np.isfinite(images).all():
+        raise OverflowError("image overflows the float range")
+    # The time-zero map is the identity exactly, not just up to rounding.
+    np.copyto(images, points, where=(times == 0.0)[:, None])
+    return images
+
+
 def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     """Image of the point x under the time-t flow map.
 
     ``t`` is a scalar, giving the (n,) image, or a 1-D array of k times,
     giving the (k, n) images, row j at time t[j] and bit for bit the image
-    for the scalar t[j].  Many times are evaluated in blocks of at most
-    ORBIT_BLOCK_ENTRIES matrix entries, one ``mat_exp`` call on the stack of
-    t G per block, so the working memory does not grow with k; a scalar is a
-    stack of one.  An image at t = 0 is x exactly.
+    for the scalar t[j].  An augmented exponential is ``flow_images`` with
+    the field's one generator and x shared by every time, so the working
+    memory does not grow with k; a scalar is a stack of one.  An image at
+    t = 0 is x exactly.
 
     Raises ValueError for an empty or 2-D array of times and for a
     non-finite t or x, and OverflowError when t G or an image is not
@@ -78,25 +120,17 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     n = flow.field.n
     if p.size != n:
         raise ValueError(f"point has dim {p.size}, flow lives on R^{n}")
-    if not np.isfinite(p).all():
+    if not all(map(math.isfinite, p.tolist())):
         raise ValueError("point must be finite")
     stack = times.reshape(-1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        if flow.form == TRANSLATION:
+    if flow.form == TRANSLATION:
+        with np.errstate(over="ignore", invalid="ignore"):
             images = p + stack[:, None] * flow.field.B
-        else:
-            images = np.empty((stack.size, n))
-            size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
-            for lo in range(0, stack.size, size):
-                scaled = stack[lo : lo + size, None, None] * flow.field.matrix
-                if not np.isfinite(scaled).all():
-                    raise OverflowError("t G overflows the float range")
-                big = mat_exp(scaled)
-                images[lo : lo + size] = big[:, :n, :n] @ p + big[:, :n, n]
-    if not np.isfinite(images).all():
-        raise OverflowError("image overflows the float range")
-    # The time-zero map is the identity exactly, not just up to rounding.
-    images[stack == 0.0] = p
+        if not np.isfinite(images).all():
+            raise OverflowError("image overflows the float range")
+        images[stack == 0.0] = p
+    else:
+        images = flow_images(flow.field.matrix[None], stack, p[None])
     return images if times.ndim else images[0]
 
 

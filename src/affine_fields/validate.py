@@ -25,7 +25,7 @@ from .fields import (
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
     generator_unit,
 )
-from .flows import flow_at, group_law_defect, make_flow
+from .flows import flow_at, flow_images, make_flow
 from .invariants import (
     ScalarField,
     constant_field_bundle,
@@ -67,6 +67,31 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
+def _by_dimension(fn, *columns) -> list:
+    """fn on every row, one call per row shape.  Each column is a list of k
+    arrays (or scalars); the rows whose first entry has one shape are stacked
+    column by column, in row order, and fn maps those stacks to a stack of
+    results.  Returns the k results in row order.  With ``mat_exp`` or
+    ``flow_images`` as fn, each result is bit for bit that of the row alone,
+    because both decide per matrix, and no row is padded to another shape."""
+    groups = {}
+    for j, row in enumerate(columns[0]):
+        groups.setdefault(np.shape(row), []).append(j)
+    out = [None] * len(columns[0])
+    for rows in groups.values():
+        stacks = (np.stack([column[j] for j in rows]) for column in columns)
+        for j, result in zip(rows, fn(*stacks)):
+            out[j] = result
+    return out
+
+
+def _ensemble_images(fields, times, points) -> list:
+    """flow_at(make_flow(fields[j]), times[j], points[j]) for every j, by one
+    ``flow_images`` call per dimension; bit for bit that value for every
+    field whose C is not zero."""
+    return _by_dimension(flow_images, [field.matrix for field in fields], times, points)
+
+
 def _stacked_rk4_ends(fields, starts) -> np.ndarray:
     """RK4 ends at t=1, step 1e-3, of each field from its rows of starts
     (equal row counts), by one integrate of the (fields, starts, n_max) state
@@ -91,37 +116,52 @@ def _stacked_rk4_ends(fields, starts) -> np.ndarray:
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     """500 random affine fields, closed-form flow at t=1 against RK4 with
-    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  RK4
-    integrates the whole ensemble as one stacked state."""
+    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Once the
+    ensemble is drawn, RK4 integrates it as one stacked state and the closed
+    forms take one ``flow_images`` call per dimension."""
     rng = _rng(seed, 1)
     fields, starts = [], []
     for _ in range(500):
         n = int(rng.integers(1, 7))
         fields.append(_random_affine_field(rng, n))
         starts.append(rng.uniform(-2.0, 2.0, size=(3, n)))
+    ends = [
+        end[: field.n]
+        for field, field_ends in zip(fields, _stacked_rk4_ends(fields, starts))
+        for end in field_ends
+    ]
+    points = [x for xs in starts for x in xs]
+    repeated = [field for field, xs in zip(fields, starts) for _ in xs]
+    images = _ensemble_images(repeated, [1.0] * len(points), points)
     worst = 0.0
-    for field, xs, ends in zip(fields, starts, _stacked_rk4_ends(fields, starts)):
-        flow = make_flow(field)
-        for x, end in zip(xs, ends[:, : field.n]):
-            defect = np.linalg.norm(flow_at(flow, 1.0, x) - end)
-            worst = max(worst, defect / (1.0 + np.linalg.norm(x)))
+    for x, image, end in zip(points, images, ends):
+        defect = np.linalg.norm(image - end)
+        worst = max(worst, defect / (1.0 + np.linalg.norm(x)))
     return _bounded("closed-form-vs-rk4", ("worst relative defect", worst, 1e-6))
 
 
 def check_group_law(seed: int = 42) -> CheckResult:
     """Flow composition flow(s+t) = flow(s) o flow(t) on 500 random fields,
-    s, t in [-1, 1]; bound 1e-8 * (1 + |x|)."""
+    3 cases each, s, t in [-1, 1]; bound 1e-8 * (1 + |x|).  Once the cases
+    are drawn, the direct, inner and outer flows each take one
+    ``flow_images`` call per dimension."""
     rng = _rng(seed, 2)
-    worst = 0.0
+    fields, s_times, t_times, points = [], [], [], []
     for _ in range(500):
         n = int(rng.integers(1, 7))
         field = _random_affine_field(rng, n)
-        flow = make_flow(field)
         for _ in range(3):
             s, t = rng.uniform(-1.0, 1.0, size=2)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            rel = group_law_defect(flow, s, t, x) / (1.0 + np.linalg.norm(x))
-            worst = max(worst, rel)
+            fields.append(field)
+            s_times.append(s)
+            t_times.append(t)
+            points.append(rng.uniform(-2.0, 2.0, size=n))
+    direct = _ensemble_images(fields, [s + t for s, t in zip(s_times, t_times)], points)
+    inner = _ensemble_images(fields, t_times, points)
+    composed = _ensemble_images(fields, s_times, inner)
+    worst = 0.0
+    for x, d, c in zip(points, direct, composed):
+        worst = max(worst, np.linalg.norm(d - c) / (1.0 + np.linalg.norm(x)))
     return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
 
@@ -347,8 +387,10 @@ def _random_reshaping(rng, m: int) -> ScalarField:
 def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
     """100 random constant-field bundles with nontrivial reshapings: along
     the flow, invariants stay fixed and the canonical parameter advances by
-    exactly t, to 1e-7, for t in {-1, -0.5, 0.5, 1}."""
+    exactly t, to 1e-7, for t in {-1, -0.5, 0.5, 1}, all four images from
+    one ``flow_at`` call."""
     rng = _rng(seed, 8)
+    times = np.array([-1.0, -0.5, 0.5, 1.0])
     worst = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 5))
@@ -360,8 +402,7 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
         x = rng.uniform(-2.0, 2.0, size=n)
         s0 = bundle.S.value(x)
         i0 = bundle.invariants[0].value(x)
-        for t in (-1.0, -0.5, 0.5, 1.0):
-            moved = flow_at(flow, t, x)
+        for t, moved in zip(times, flow_at(flow, times, x)):
             worst = max(
                 worst,
                 abs(bundle.S.value(moved) - s0 - t),
@@ -407,13 +448,15 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
     """Singular-matrix fields: when a fixed point exists but is not unique,
     the flow must equal exp(tC)(x - U) + U for two fixed points U that differ
     by a null vector (1e-10); when none exists, it must match RK4 (1e-6),
-    run on those 50 fields as one stacked state."""
+    run on those 50 fields as one stacked state.  Once both ensembles are
+    drawn, their flows take one ``flow_images`` call per dimension and the
+    exp(tC) one ``mat_exp`` call per dimension."""
     rng = _rng(seed, 10)
     worst_pair = 0.0
     worst_oracle = 0.0
 
-    produced = 0
-    while produced < 50:
+    cases = []  # (field, t, x, fixed points U) of the first part
+    while len(cases) < 150:  # 50 fields, 3 cases each
         n = int(rng.integers(2, 5))
         c, null_vec = _singular_matrix(rng, n)
         anchor = rng.uniform(-2.0, 2.0, size=n)
@@ -422,17 +465,18 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
             continue
         field = AffineField(c, b)
         u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
-        flow = make_flow(field)
         for _ in range(3):
             t = rng.uniform(-1.0, 1.0)
             x = rng.uniform(-2.0, 2.0, size=n)
-            image = flow_at(flow, t, x)
-            e = mat_exp(t * c)
-            for u in (u0, u0 + null_vec):
-                worst_pair = max(
-                    worst_pair, float(np.linalg.norm(image - (e @ (x - u) + u)))
-                )
-        produced += 1
+            cases.append((field, t, x, (u0, u0 + null_vec)))
+    fields, times, points, fixed = zip(*cases)
+    images = _ensemble_images(fields, times, points)
+    exps = _by_dimension(mat_exp, [t * f.C for f, t in zip(fields, times)])
+    for image, e, x, us in zip(images, exps, points, fixed):
+        for u in us:
+            worst_pair = max(
+                worst_pair, float(np.linalg.norm(image - (e @ (x - u) + u)))
+            )
 
     fields, starts = [], []
     for _ in range(50):
@@ -444,8 +488,9 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
         b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
         fields.append(AffineField(c, b))
         starts.append(rng.uniform(-2.0, 2.0, size=(1, n)))
-    for field, x, end in zip(fields, starts, _stacked_rk4_ends(fields, starts)):
-        image = flow_at(make_flow(field), 1.0, x[0])
+    images = _ensemble_images(fields, [1.0] * len(fields), [x[0] for x in starts])
+    ends = _stacked_rk4_ends(fields, starts)
+    for field, image, end in zip(fields, images, ends):
         defect = float(np.linalg.norm(image - end[0, : field.n]))
         worst_oracle = max(worst_oracle, defect)
 

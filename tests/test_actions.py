@@ -10,7 +10,12 @@ from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
 from affine_fields import actions as ga
-from affine_fields.charts import exponential_chart, identity_chart, lambert_chart
+from affine_fields.charts import (
+    ChartDomainError,
+    exponential_chart,
+    identity_chart,
+    lambert_chart,
+)
 from affine_fields.fields import AffineField, evaluate, linear_field
 from affine_fields.flows import flow_at, make_flow, orbit
 
@@ -498,6 +503,11 @@ class TestChartConjugation:
         tangent = ga.linear_tangent([[1.0]])
         with pytest.raises(Exception, match="outside"):
             ga.fundamental_field_chart(action, tangent, [-0.95])
+        # The numeric route checks the point once, before any perturbation,
+        # so a zero tangent is refused there too.
+        for x_mat in ([[1.0]], [[0.0]]):
+            with pytest.raises(ChartDomainError, match="outside"):
+                ga.fundamental_field_numeric(action, ga.linear_tangent(x_mat), [-0.95])
 
     def test_chart_is_an_attribute_of_the_action(self):
         base = ga.det_weighted_action(2, 2)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -615,3 +616,11 @@ def test_validate_command_clean_build():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.splitlines() == VALIDATE_SEED_7
+
+
+@pytest.mark.parametrize("seed", [42, 2006])
+def test_validate_stdout_is_pinned(capsys, seed):
+    # The whole stdout of ``validate``, in process, against its pinned file.
+    code, out, _ = run_cli(capsys, "validate", "--seed", str(seed))
+    assert code == 0
+    assert out == Path(__file__).with_name(f"validate_seed_{seed}.txt").read_text()

@@ -17,6 +17,7 @@ from hypothesis.extra.numpy import arrays
 
 from affine_fields import AffineField, bracket, flow_at, linear_change, make_flow
 from affine_fields import actions as ga
+from affine_fields.flows import ORBIT_BLOCK_ENTRIES, flow_images
 from affine_fields.linalg import mat_exp
 
 PINNED = settings(derandomize=True, deadline=None, max_examples=15, database=None)
@@ -215,6 +216,44 @@ def test_flow_at_many_times_is_its_single_times(data):
     flow = make_flow(field)
     for t, image in zip(ts, flow_at(flow, ts, x)):
         assert np.array_equal(image, flow_at(flow, t, x)), t
+
+
+@st.composite
+def _generator_rows(draw):
+    """1 to 8 fields of one dimension n from 1 to 6, each with its own time
+    and point: some fields have C = 0, some times are zero or negative."""
+    n = draw(st.integers(1, 6))
+    fields = []
+    for _ in range(draw(st.integers(1, 8))):
+        field = draw(_fields(n))
+        if draw(st.booleans()):
+            field = AffineField(np.zeros((n, n)), field.B)
+        fields.append(field)
+    times = st.sampled_from([0.0, -1e-3]) | _TIMES
+    ts = draw(arrays(float, len(fields), elements=times))
+    xs = draw(arrays(float, (len(fields), n), elements=st.floats(-2.0, 2.0)))
+    return fields, ts, xs
+
+
+@PINNED
+@given(data=st.data())
+def test_flow_images_rows_are_flow_at(data):
+    # Row j of flow_images is flow_at for field j alone, bit for bit, also
+    # when the rows are repeated past one ORBIT_BLOCK_ENTRIES block.
+    fields, ts, xs = data.draw(_generator_rows())
+    block = ORBIT_BLOCK_ENTRIES // (fields[0].n + 1) ** 2
+    copies = block // len(fields) + 1 if data.draw(st.booleans()) else 1
+    generators = np.stack([field.matrix for field in fields] * copies)
+    images = flow_images(generators, np.tile(ts, copies), np.tile(xs, (copies, 1)))
+    for j, (field, t, x) in enumerate(zip(fields, ts, xs)):
+        want = flow_at(make_flow(field), t, x)
+        for image in images[j :: len(fields)]:
+            if field.C.any():
+                assert image.tobytes() == want.tobytes(), (field, t, x)
+            else:
+                # flow_at's translation x + t B; exp(t G) x turns a -0.0
+                # coordinate into +0.0, so only the value is the same.
+                assert np.array_equal(image, want), (field, t, x)
 
 
 @PINNED
