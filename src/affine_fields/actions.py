@@ -222,8 +222,8 @@ def affine_tangent(m, v) -> TangentAtIdentity:
     return TangentAtIdentity(GENERAL_AFFINE, m, v)
 
 
-def _standard_act(action, g, p) -> np.ndarray:
-    return g.a @ p + g.t
+def _standard_act(action, m, p) -> np.ndarray:
+    return m[:-1, :-1] @ p + m[:-1, -1]
 
 
 # A standard action's fundamental field of X is X itself: the field's
@@ -275,12 +275,13 @@ def _det_weighted_tangent(action, field) -> TangentAtIdentity:
 
 @dataclass(frozen=True)
 class VariantRecord:
-    """One action variant: its group, the action on a point p of R^n, the
+    """One action variant: its group, the action of an element's
+    homogeneous matrix [[a, t], [0, 1]] on a point p of R^n, the
     closed-form fundamental field of a tangent, the tangent recovered from
     a field, and the parameter the variant takes ("s", "q" or None)."""
 
     kind: str
-    act: Callable[["GroupAction", GroupElement, np.ndarray], np.ndarray]
+    act: Callable[["GroupAction", np.ndarray, np.ndarray], np.ndarray]
     field: Callable[["GroupAction", TangentAtIdentity], AffineField]
     tangent: Callable[["GroupAction", AffineField], TangentAtIdentity]
     param: str | None = None
@@ -296,14 +297,16 @@ VARIANTS = {
     STANDARD_AFFINE: _standard_record(GENERAL_AFFINE),
     EXP_TRANSLATION: VariantRecord(
         TRANSLATION_GROUP,
-        act=lambda action, g, p: p * float(np.exp(np.dot(action.s, g.t))),
+        act=lambda action, m, p: p * float(np.exp(np.dot(action.s, m[:-1, -1]))),
         field=_exp_translation_field,
         tangent=_exp_translation_tangent,
         param="s",
     ),
     DET_WEIGHTED: VariantRecord(
         GENERAL_LINEAR,
-        act=lambda action, g, p: (g.a @ p) * float(np.linalg.det(g.a)) ** action.q,
+        act=lambda action, m, p: (
+            (m[:-1, :-1] @ p) * float(np.linalg.det(m[:-1, :-1])) ** action.q
+        ),
         field=_det_weighted_field,
         tangent=_det_weighted_tangent,
         param="q",
@@ -411,7 +414,7 @@ def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
     chart = action.chart
     if chart is not None:
         x = chart.forward(chart.require(x))
-    image = VARIANTS[action.variant].act(action, g, _point(action, x))
+    image = VARIANTS[action.variant].act(action, g.matrix, _point(action, x))
     return image if chart is None else chart.inverse(image)
 
 
@@ -423,9 +426,12 @@ def fundamental_field_numeric(
     Differentiates g -> act(g, x) at the identity along each nonzero entry
     of the homogeneous tangent (row-major: matrix entries, then the
     translation entry, row by row) with step FD_STEP and contracts with
-    those entries.  Perturbing the identity by FD_STEP cannot leave the
-    group.  This is ``act`` on each perturbed element, with the point
-    checked and taken through the chart once.
+    those entries.  Perturbing the identity by FD_STEP along an entry of
+    the tangent, which its kind confines to the action's group, cannot leave
+    the group, so each perturbed matrix goes to the variant's act without
+    the checks of GroupElement's constructor.  This is ``act`` on each
+    perturbed element, with the point checked and taken through the chart
+    once.
     """
     _require_kind(action, tangent, "tangent")
     p = _point(action, x)
@@ -433,7 +439,6 @@ def fundamental_field_numeric(
     if chart is not None:
         p = _point(action, chart.forward(chart.require(p)))
     variant_act = VARIANTS[action.variant].act
-    kind = action.group_kind
     identity = np.eye(action.n + 1)
     out = np.zeros(action.n)
     for r, c in zip(*np.nonzero(tangent.matrix)):
@@ -441,7 +446,7 @@ def fundamental_field_numeric(
         for step in (FD_STEP, -FD_STEP):
             g = identity.copy()
             g[r, c] += step
-            image = variant_act(action, GroupElement(kind, g), p)
+            image = variant_act(action, g, p)
             images.append(image if chart is None else chart.inverse(image))
         out += tangent.matrix[r, c] * (images[0] - images[1]) / (2.0 * FD_STEP)
     return out

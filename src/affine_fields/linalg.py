@@ -5,11 +5,11 @@ homogeneous (augmented) embedding of an affine map.  Everything operates on
 plain float ndarrays with value semantics: inputs are never mutated.  The
 tolerances are the module constants below; no caller tunes them.
 
-The matrix exponential is one kernel over stacks of square matrices: Pade
-scaling and squaring (Higham 2005, SIAM J. Matrix Anal. Appl. 26(4)) with
-the number of squarings chosen per matrix from the norms of its powers (Al-Mohy
-and Higham 2009, SIAM J. Matrix Anal. Appl. 31(3)).  A single matrix is a
-stack of one.
+The matrix exponential is one kernel over stacks of square matrices:
+Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
+33(2)), with matrix products only.  A Pade approximant of the same accuracy
+needs a linear solve, which for the small matrices here costs as much as 30
+products.  A single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -20,53 +20,46 @@ import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
 
-# Coefficients b_0, ..., b_m of the degree-m Pade approximant p(A) / p(-A) to
-# exp(A), and theta_m, the largest 1-norm at which its backward error is at
-# most the unit roundoff (Higham 2005, Table 2.3).
-_PADE = {
-    3: (120.0, 60.0, 12.0, 1.0),
-    5: (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0),
-    7: (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    9: (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-        2162160.0, 110880.0, 3960.0, 90.0, 1.0),
-    13: (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0),
-}
-_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1,
-          7: 9.504178996162932e-1, 9: 2.097847961257068e0,
-          13: 5.371920351148152e0}
-# 1 / |c_27|, where c_27 leads the series of the degree-13 backward error;
-# the squaring correction ell of Al-Mohy and Higham 2009 uses it.
-_ELL_13 = 113250775606021113483283660800000000.0
-_UNIT_ROUNDOFF = 2.0**-53
-# Exponents 1/p taking ||A^p|| for p = 6, 8, 10 to d_p = ||A^p||^(1/p).
-_INVERSE_POWERS = 1.0 / np.array([[6.0], [8.0], [10.0]])
+# (m, b, theta_m): T_m is evaluated in blocks of A^b, with b - 1 products
+# for the powers A^2, ..., A^b and m / b - 1 for Horner's rule in A^b, and
+# theta_m is the largest norm at which its backward error is at most the
+# unit roundoff 2^-53 (Al-Mohy and Higham 2011, Table 3.1).  Each m is the
+# highest degree that its number of products reaches.
+_TAYLOR = (
+    (4, 2, 3.397168839976962e-4),
+    (6, 3, 9.065656407595102e-3),
+    (9, 3, 8.957760203223343e-2),
+    (12, 4, 2.996158913811580e-1),
+    (16, 4, 7.802874256626574e-1),
+    (20, 5, 1.438252596804337e0),
+    (25, 5, 2.428582524442827e0),
+    (30, 6, 3.539666348743689e0),
+)
 
-# Rows combining the even powers [I, A^2, A^4, ...] into the odd part U and
-# the even part V of p(A), so that the approximant is (V - U)^-1 (V + U): for
-# degrees 3 to 9, U = A row0 and V = row1; for degree 13, U = A (A^6 row0 +
-# row1) and V = A^6 row2 + row3 (Higham 2005).
-_PADE_ROWS = {m: np.array([b[1::2], b[0::2]]) for m, b in _PADE.items() if m < 13}
-_PADE_ROWS[13] = np.array([
-    (0.0, *_PADE[13][9::2]),
-    _PADE[13][1:9:2],
-    (0.0, *_PADE[13][8::2]),
-    _PADE[13][0:8:2],
-])
-# A 1-norm above i of _THRESHOLDS (theta_3, theta_5, theta_7, theta_9, then
-# theta_13 2^j for j >= 0) takes degree _DEGREE[i] and scale 2^-k = _SCALE[i]
-# for the least k = _K[i] with |2^-k A|_1 <= theta_13.  Degree m combines
-# _POWERS[m] of the powers [I, A^2, ...]; rule 3 tests the one at _TESTED[m].
-_THRESHOLDS = np.append([_THETA[m] for m in (3, 5, 7, 9)],
-                        np.ldexp(_THETA[13], np.arange(1022)))
-_DEGREE = np.array([3, 5, 7, 9] + [13] * (len(_THRESHOLDS) - 3))
-_K = np.maximum(np.arange(len(_DEGREE)) - 4, 0)
+
+def _block_rows(m: int, b: int) -> np.ndarray:
+    """Row i takes the powers [A^b, ..., A, I] (highest first, so that the
+    smallest terms add first) to B_i = sum_(j<b) A^j / (b i + j)!, and
+    T_m = sum_i B_i (A^b)^i; the last row also takes A^b / m!."""
+    c = [1 / math.factorial(j) for j in range(m + 1)]
+    rows = np.array([c[i + b : i - 1 if i else None : -1] for i in range(0, m, b)])
+    rows[:-1, 0] = 0.0
+    return rows
+
+
+_BLOCKS = {m: _block_rows(m, b) for m, b, _ in _TAYLOR}
+_MAX_BLOCKS = max(len(rows) for rows in _BLOCKS.values())
+# A 1-norm above i of _THRESHOLDS (each theta_m, then theta_30 2^k for
+# k >= 1) takes row _DEGREE[i] of _TAYLOR, blocks of _BLOCK_SIZE[i], and
+# at most k = _K[i] squarings, with the scale _SCALE[i] = 2^-k.
+_THETA_TOP = _TAYLOR[-1][2]
+_THRESHOLDS = np.append(
+    [t for _, _, t in _TAYLOR], np.ldexp(_THETA_TOP, np.arange(1, 1023))
+)
+_DEGREE = np.minimum(np.arange(len(_THRESHOLDS) + 1), len(_TAYLOR) - 1)
+_K = np.arange(len(_DEGREE)) - _DEGREE
 _SCALE = np.ldexp(1.0, -_K)
-_POWERS = np.zeros(14, dtype=int)
-_POWERS[list(_PADE_ROWS)] = [rows.shape[1] for rows in _PADE_ROWS.values()]
-_TESTED = np.minimum(_POWERS - 1, 3)
+_BLOCK_SIZE = np.array([b for _, b, _ in _TAYLOR])[_DEGREE]
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -94,89 +87,64 @@ def _require_square(m: np.ndarray, name: str) -> int:
     return rows
 
 
-def _squarings(
-    a0: np.ndarray, k: np.ndarray, a4: np.ndarray, a6: np.ndarray
-) -> np.ndarray:
-    """Squarings s <= k per matrix for the degree-13 approximant of A = 2^k a0.
+def _times_pow2(x: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """x 2^e in place, for integers e >= 0 broadcast against x: a product
+    with the exact power of two while every 2^e is a float, ldexp beyond."""
+    if e.max() < 1024:
+        return np.multiply(x, np.ldexp(1.0, e), out=x)
+    return np.ldexp(x, e, out=x)
 
-    ``a4`` and ``a6`` are the powers of a0.  With d_p = |A^p|_1^(1/p), s is
-    the least with 2^-s eta <= theta_13 for eta = min(max(d_6, d_8),
-    max(d_8, d_10)), raised by the correction ell that keeps the approximant
-    of |2^-s A| accurate (Al-Mohy and Higham 2009).  s never exceeds k, the
-    1-norm choice of Higham 2005, which alone guarantees the backward error;
-    that cap also covers |A| products that overflow.
+
+def _squarings(powers: np.ndarray, k: np.ndarray, theta: float) -> np.ndarray:
+    """Squarings s <= k per matrix for T_m of A = 2^k a0, given the powers
+    [a0^b, ..., a0] of its degree: the least s with 2^-s alpha <= theta_m,
+    where alpha = max(d_p, d_(p+1)), d_p = |A^p|_1^(1/p) and p = b - 1, so
+    that p (p - 1) <= m + 1 (Al-Mohy and Higham 2011, Theorem 4.2).  For a
+    non-normal A, alpha is far below the 1-norm, the choice k.
     """
+    b = len(powers)
     # d_p of a0; those of A are 2^k times larger.
-    d = np.abs(np.stack([a6, a4 @ a4, a4 @ a6])).sum(axis=-2).max(axis=-1)
-    d **= _INVERSE_POWERS
-    eta = np.maximum(d[1], np.minimum(d[0], d[2]))  # min(max(d6, d8), max(d8, d10))
-    s = np.minimum(np.maximum(k + np.ceil(np.log2(eta / _THETA[13])), 0.0), k)
-    # Where 2^-s |A|_1 <= theta_13, below (u / |c_27|)^(1/26), ell is zero;
-    # that is where s = k, and the cap below keeps those s as they are.
-    if (s < k).any():
-        w = np.abs(np.ldexp(a0, (k - s).astype(int)[:, None, None]))
-        v = w.sum(axis=-2, keepdims=True)
-        scaled_norm = v.max(axis=(-2, -1))
-        # 1^T |2^-s A|^27 by binary powering: 27 = 1 + 2 + 8 + 16.
-        for bit in (1, 0, 1, 1):
-            w = w @ w
-            if bit:
-                v = v @ w
-        alpha = v.max(axis=(-2, -1)) / (_ELL_13 * scaled_norm)
-        ell = np.ceil(np.log2(alpha / _UNIT_ROUNDOFF) / 26.0)
-        s = np.fmin(s + np.maximum(ell, 0.0), k)
-    return s.astype(int)
+    d = np.abs(powers[:2]).sum(axis=-2).max(axis=-1) ** (1.0 / np.array([[b], [b - 1]]))
+    return np.clip(k + np.ceil(np.log2(d.max(axis=0) / theta)), 0, k).astype(int)
 
 
 def _exp_class(
-    c: int, a: np.ndarray, a0: np.ndarray, k: np.ndarray, powers: np.ndarray
-) -> np.ndarray:
-    """exp(A) for a stack of class ``c``, each A = a = 2^k a0, given the
-    powers [I, a0^2, a0^4, ...] that mat_exp formed (a0^4 only where a0^2 may
-    be nonzero).  Class 0 is I + A + ... + A^5 / 5!, exact if A^6 = 0, each
-    term scaled back from a0 by 2^(jk) so that it is in range whenever its
-    value is.  Any other class is a Pade degree: 2^-s A by that approximant,
-    squared s times.
+    c: int, a: np.ndarray, k: np.ndarray, powers: np.ndarray, work: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(X, s) for a stack of class ``c``, each A = a = 2^k a0, given the
+    powers [..., a0^2, a0] that mat_exp formed and ``work``, room for the
+    blocks: exp(A) is X squared s times.  Class -1 is the Taylor sum
+    I + A + A^2 / 2! + ... with s = 0, exact when the powers it stops at are
+    zero, each term scaled back from a0 by 2^(jk) after its division by j!,
+    so that it is in range whenever its value is.  Class c >= 0 is row c of
+    _TAYLOR: X = T_m(2^-s A).
     """
-    if not c:
+    if c < 0:
         x = np.eye(a.shape[-1]) + a
-        terms = [t for p in powers[1:3] for t in (p, p @ a0)]
-        for j, t in enumerate(terms, 2):
-            x += np.ldexp(t / math.factorial(j), j * k[:, None, None])
-        return x
-    rows = _PADE_ROWS[c]
-    powers = powers[: rows.shape[1]]
-    scaled, s = a0, None
-    if c == 13 and k.any():
-        s = _squarings(a0, k, powers[2], powers[3])
-        up = k - s
-        scaled = np.ldexp(a0, up[:, None, None])
-        np.ldexp(powers[1:], np.outer((2, 4, 6), up)[:, :, None, None], out=powers[1:])
-        if not np.isfinite(powers).all():
-            # Only a matrix far from normal gets here: form its powers anew.
-            far = ~np.isfinite(powers).all(axis=(0, 2, 3))
-            a2 = scaled[far] @ scaled[far]
-            a4 = a2 @ a2
-            powers[1:, far] = a2, a4, a2 @ a4
-    # One product per matrix, or a 1 x 1 matrix rounds apart from its stack.
-    parts = rows @ powers.reshape(len(powers), len(a), -1).swapaxes(0, 1)
-    parts = parts.reshape(len(a), len(rows), *a.shape[1:]).swapaxes(0, 1)
-    if c == 13:
-        u = scaled @ (powers[3] @ parts[0] + parts[1])
-        v = powers[3] @ parts[2] + parts[3]
-    else:
-        u = scaled @ parts[0]
-        v = parts[1]
-    x = np.linalg.solve(v - u, v + u)
-    if s is not None:
-        always = s.min()
-        for j in range(s.max()):
-            if j < always:
-                x = x @ x
-            else:
-                square = s > j
-                x[square] = x[square] @ x[square]
-    return x
+        for j in range(2, len(powers) + 1):
+            x += _times_pow2(powers[-j] / math.factorial(j), j * k[:, None, None])
+        return x, 0 * k
+    m, b, theta = _TAYLOR[c]
+    powers, s = powers[-b:], k
+    if c == len(_TAYLOR) - 1 and k.any():
+        s = _squarings(powers, k, theta)
+        if (s < k).any():
+            # The powers of 2^-s A = 2^(k-s) a0.
+            up = np.outer(np.arange(b, 0, -1), k - s)
+            powers = _times_pow2(powers, up[:, :, None, None])
+    # One product per matrix, or a 1 x 1 matrix rounds apart from its stack;
+    # the identity's coefficients go on the diagonals after it.
+    rows = _BLOCKS[m]
+    blocks = work[: len(rows), : len(a)]
+    flat = blocks.reshape(len(rows), len(a), -1)
+    stacked = powers.reshape(b, len(a), -1).swapaxes(0, 1)
+    np.matmul(rows[:, :-1], stacked, out=flat.swapaxes(0, 1))
+    flat[:, :, :: a.shape[-1] + 1] += rows[:, -1:, None]
+    # Horner's rule in A^b, each product into a power's slot no longer used.
+    x = blocks[-1]
+    for block in blocks[-2::-1]:
+        x = block + np.matmul(x, powers[0], out=powers[1])
+    return x, s
 
 
 def mat_exp(a) -> np.ndarray:
@@ -184,71 +152,99 @@ def mat_exp(a) -> np.ndarray:
 
     ``a`` has shape (..., n, n); the result has the same shape and holds the
     exponential of each matrix.  Every choice below is made per matrix: the
-    result for each matrix does not depend on the rest of the stack, bit for
-    bit.  The matrices of one choice (a Pade degree, or the Taylor sum of
+    result for each matrix does not depend on the rest of its stack, bit for
+    bit.  The matrices of one choice (a Taylor degree, or the finite sum of
     rule 3) share one set of numpy calls, so many cost little more than one.
 
-    The kernel is Pade scaling and squaring.  A matrix A takes degree 3, 5,
-    7 or 9 when its 1-norm is at most that degree's theta_m (Higham 2005),
-    else 13.  For degree 13, A is scaled by 2^-s, with s from the norms of
-    A^6, A^8 and A^10 (Al-Mohy and Higham 2009), so strongly non-normal
-    matrices are not over-scaled, and the approximant is squared s times.
-    Powers are formed from A divided by the power of two that brings its
-    1-norm to theta_13 or below, so none leaves the float range on the way.
+    A matrix A takes the least degree m of _TAYLOR (4 to 30) whose theta_m
+    is at least its 1-norm, else 30, and T_m is evaluated by the
+    Paterson-Stockmeyer scheme in blocks of A^b.  For degree 30, A is scaled
+    by 2^-s, with s from the norms of A^5 and A^6, so strongly non-normal
+    matrices are not over-scaled, and T_30 is squared s times.  Powers are
+    formed from A divided by the power of two that brings its 1-norm to
+    theta_30 or below, so none leaves the float range on the way.  A matrix
+    whose mean eigenvalue mu = tr(A) / n is below -theta_30 is shifted,
+    exp(A) = e^mu exp(A - mu I), or T_m would cancel at its large negative
+    argument (exp(-450.9) had a relative error of 6e-12 without the shift).
     Three rules keep results exact where the exponential is exact:
 
     1. The zero matrix maps to exactly I.
     2. A row or column of A that is exactly zero maps to exactly that row or
        column of I; so a homogeneous generator [[C, B], [0, 0]] keeps the
        bottom row (0, ..., 0, 1) and [[C, 0], [0, 0]] keeps t = 0.
-    3. When the highest power that A's degree forms (A^2 for degree 3, A^4
-       for 5, else A^6) is exactly zero, A takes the finite Taylor sum
-       instead of its degree, so exp(A) is bitwise I + A whenever A^2 = 0.
+    3. When the highest power that A's degree forms (A^b, b from 2 to 6) is
+       exactly zero, A takes the finite Taylor sum unscaled instead, so
+       exp(A) is bitwise I + A whenever A^2 = 0.
 
     Raises ValueError for a non-square or non-finite argument and
     OverflowError if an exponential has entries beyond the float range.
     """
-    m = np.array(a, dtype=float)
+    m = np.asarray(a, dtype=float)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(
             f"mat_exp argument must be a square matrix or a stack of them, "
             f"got shape {m.shape}"
         )
+    if not m.size:
+        return m.copy()
     shape, n = m.shape, m.shape[-1]
     a = m.reshape(-1, n, n)
     eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a2 = a @ a
-        # A non-finite entry makes its whole row of A^2 non-finite, so an
-        # exactly zero A^2 also certifies a finite argument.
-        if not a2.any():
-            return (eye + a).reshape(shape)
         magnitude = np.abs(a)
         columns = magnitude.sum(axis=-2)
+        zero_rows, zero_columns = magnitude.sum(axis=-1) == 0, columns == 0
         norm = columns.max(axis=-1)
-        if not math.isfinite(norm.max()):
+        top = norm.max()
+        if not math.isfinite(top):
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
             raise OverflowError("matrix 1-norm is beyond the float range")
-        i = _THRESHOLDS.searchsorted(norm)
-        degree, k = _DEGREE[i], _K[i]
-        # a0 = 2^-k A exactly (a power of two); only degree 13 has k > 0.
-        a0 = a * _SCALE[i][:, None, None]
-        powers = np.empty((max(_POWERS[degree].tolist()), len(a), n, n))
-        powers[0] = eye
-        powers[1] = a0 @ a0 if k.any() else a2
-        for j in range(2, len(powers)):
-            np.matmul(powers[1], powers[j - 1], out=powers[j])
-        # Class 0 takes the Taylor sum (rule 3), any other class is a degree.
+        # Only a 1-norm above theta_30 admits a shift or a squaring.
+        scaled = top > _THETA_TOP
+        if scaled:
+            mu = (a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)
+            mu[mu >= -_THETA_TOP] = 0.0
+        if shift := scaled and mu.any():
+            a = a - mu[:, None, None] * eye
+        i = _THRESHOLDS.searchsorted(
+            np.abs(a).sum(axis=-2).max(axis=-1) if shift else norm
+        )
+        degree, k, b = _DEGREE[i], _K[i], _BLOCK_SIZE[i]
+        # Powers of a0 = 2^-k A (exact), highest first, after room for the
+        # blocks.  One allocation holds most of a call's memory, so glibc's
+        # malloc keeps it mapped for the next call; in two, a call on 2^13
+        # entries at n = 20 faulted about 140 pages in anew.
+        work = np.empty((_MAX_BLOCKS + b.max(), len(a), n, n))
+        powers = work[_MAX_BLOCKS:]
+        a0 = np.multiply(a, _SCALE[i][:, None, None], out=powers[-1])
+        np.matmul(a0, a0, out=powers[-2])
+        if not powers[-2].any():
+            x = eye + a
+            return (x * np.exp(mu)[:, None, None] if shift else x).reshape(shape)
+        for j in range(3, len(powers) + 1):
+            np.matmul(powers[1 - j], a0, out=powers[-j])
+        # Class -1 takes the Taylor sum (rule 3), any other class its degree.
         nonzero = powers.reshape(len(powers), len(a), -1).any(axis=-1)
-        label = np.where(nonzero[_TESTED[degree], np.arange(len(a))], degree, 0)
+        label = degree
+        if not nonzero.all():
+            label = np.where(nonzero[len(powers) - b, np.arange(len(a))], degree, -1)
         classes = set(label.tolist())
-        x = np.empty_like(a)
+        x, s = np.empty_like(a), np.empty_like(k)
         for c in classes:
             rows = label == c if len(classes) > 1 else slice(None)
-            x[rows] = _exp_class(c, a[rows], a0[rows], k[rows], powers[:, rows])
-        exact = np.minimum(magnitude.sum(axis=-1)[:, :, None], columns[:, None, :]) == 0
-        x = np.where(exact, eye, x)
+            x[rows], s[rows] = _exp_class(c, a[rows], k[rows], powers[:, rows], work)
+        if shift:
+            x *= np.exp(np.ldexp(mu, -s))[:, None, None]
+        always = s.min() if scaled else 0
+        for j in range(s.max() if scaled else 0):
+            if j < always:
+                x = x @ x
+            else:
+                square = s > j
+                x[square] = x[square] @ x[square]
+        np.copyto(x, eye, where=zero_rows[:, :, None])
+        np.copyto(x, eye, where=zero_columns[:, None, :])
     if not np.isfinite(x).all():
         top = norm[~np.isfinite(x).all(axis=(-2, -1))].max()
         raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")

@@ -257,7 +257,7 @@ class TestAxioms:
     def test_broken_variant_fails_composition(self, monkeypatch):
         # Negative control: (a, x) -> a x + x is not an action.
         monkeypatch.setitem(ga.VARIANTS, "broken-linear", dataclasses.replace(
-            ga.VARIANTS[ga.STANDARD_LINEAR], act=lambda action, g, p: g.a @ p + p))
+            ga.VARIANTS[ga.STANDARD_LINEAR], act=lambda action, m, p: m[:-1, :-1] @ p + p))
         action = ga.GroupAction("broken-linear", 2)
         report = ga.check_action_axioms(action, samples=50, seed=0)
         assert not report.passed

@@ -8,6 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from affine_fields.linalg import (
+    _TAYLOR,
     _squarings,
     augment_affine,
     mat_exp,
@@ -88,41 +89,79 @@ def _mp_expm(a) -> np.ndarray:
         return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=float)
 
 
-def test_mat_exp_non_normal_accuracy():
-    # Upper triangular with a_ij = 1000^(j - i): the 1-norm (about 1e12)
-    # overstates the growth of the powers, and scaling by it alone lost
-    # 11 digits in the squarings.
+def _thousand_powers():
+    """Upper triangular with a_ij = 1000^(j - i) and a small diagonal."""
     a = np.diag([0.5, -0.3, 0.2, -0.6, 0.1])
     for i in range(5):
         for j in range(i + 1, 5):
             a[i, j] = 1000.0 ** (j - i)
+    return a
+
+
+def test_mat_exp_non_normal_accuracy():
+    # The 1-norm of the 1000^(j - i) matrix (about 1e12) overstates the
+    # growth of its powers, and scaling by it alone lost 11 digits in the
+    # squarings.
+    a = _thousand_powers()
     ref = _mp_expm(a)
     err = np.linalg.norm(mat_exp(a) - ref, 1) / np.linalg.norm(ref, 1)
     assert err <= 1e-12
 
 
 def _squarings_and_cap(a):
-    """(s, k) for one matrix: the kernel's squarings and the 1-norm choice."""
-    k = max(0, math.ceil(math.log2(np.linalg.norm(a, 1) / 5.371920351148152)))
-    a0 = np.ldexp(a, -k)[None]
-    a2 = a0 @ a0
-    a4 = a2 @ a2
-    return int(_squarings(a0, np.array([k]), a4, a4 @ a2)[0]), k
+    """(s, k) for one matrix of the top degree: the kernel's squarings and
+    the 1-norm choice."""
+    _, b, theta = _TAYLOR[-1]
+    k = max(0, math.ceil(math.log2(np.linalg.norm(a, 1) / theta)))
+    a0 = np.ldexp(a, -k)
+    powers = np.array([np.linalg.matrix_power(a0, j) for j in range(b, 0, -1)])
+    return int(_squarings(powers[:, None], np.array([k]), theta)[0]), k
 
 
 def test_mat_exp_squarings_follow_the_powers():
-    # The 1000^(j - i) matrix: its 1-norm asks for 38 squarings, the norms
-    # of its powers for 3.
-    a = np.diag([0.5, -0.3, 0.2, -0.6, 0.1])
-    for i in range(5):
-        for j in range(i + 1, 5):
-            a[i, j] = 1000.0 ** (j - i)
-    assert _squarings_and_cap(a) == (3, 38)
-    # b N + eps I with N^2 = 0: the powers of A stay small, those of |A| do
-    # not, and the correction ell raises s from 0 to the 1-norm choice.
+    # The 1000^(j - i) matrix: its 1-norm asks for 39 squarings, the norms
+    # of A^5 and A^6 for 7.  b N + eps I with N^2 = 0: the powers of A stay
+    # small, and so does s, although the 1-norm is large.
     n = np.array([[1.0, 1.0], [-1.0, -1.0]])
-    assert _squarings_and_cap(30.0 * n + 0.1 * np.eye(2)) == (4, 4)
-    assert _squarings_and_cap(1e3 * n + 1e-3 * np.eye(2)) == (9, 9)
+    cases = [
+        (_thousand_powers(), (7, 39)),
+        (30.0 * n + 0.1 * np.eye(2), (0, 5)),
+        (1e3 * n + 1e-3 * np.eye(2), (0, 10)),
+    ]
+    for a, squarings in cases:
+        assert _squarings_and_cap(a) == squarings
+        ref = _mp_expm(a)
+        err = np.linalg.norm(mat_exp(a) - ref, 1) / np.linalg.norm(ref, 1)
+        assert err <= 1e-11
+
+
+def _theta(m: int) -> mpmath.mpf:
+    """The largest theta with sum_(k > m) |c_k| theta^(k-1) <= 2^-53, where
+    c_k are the coefficients of log(e^-x T_m(x)) (Al-Mohy and Higham 2011,
+    section 3), by bisection in log theta on 60 terms of the series."""
+    with mpmath.workdps(30):
+        terms = m + 60
+        t = [1 / mpmath.factorial(j) for j in range(m + 1)] + [0] * (terms - m)
+        # log T_m by the recurrence of (log t)' = t' / t; for k > m its
+        # coefficients are those of log(e^-x T_m(x)).
+        c = [mpmath.mpf(0)] * (terms + 1)
+        for k in range(1, terms + 1):
+            c[k] = t[k] - mpmath.fsum(j * c[j] * t[k - j] for j in range(1, k)) / k
+        tail = [abs(ck) for ck in c[: m : -1]]
+        lo, hi = mpmath.mpf(1e-10), mpmath.mpf(10)
+        for _ in range(60):
+            mid = mpmath.sqrt(lo * hi)
+            if mpmath.polyval(tail, mid) * mid**m <= mpmath.mpf(2) ** -53:
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+
+@pytest.mark.parametrize("m,b,theta", _TAYLOR)
+def test_taylor_thetas_are_the_backward_error_bounds(m, b, theta):
+    assert m % b == 0
+    assert float(_theta(m)) == pytest.approx(theta, rel=1e-10)
 
 
 def test_mat_exp_square_zero_is_identity_plus_a_bitwise():
@@ -197,9 +236,10 @@ def _rule_stack(general):
 
 
 def _every_class():
-    # 1-norms from 1e-3 to 30 take every Pade degree, and 13 with and
-    # without scaling; the 5 x 5 shift with A^4 != 0 = A^6 takes the Taylor
-    # sum at degree 9.
+    # 1-norms from 1e-3 to 30 take the Taylor degrees 6, 9, 12, 16, 25 and
+    # 30, the last with 0, 1 and 2 squarings; the 5 x 5 shift with
+    # A^4 != 0 = A^5 takes the finite Taylor sum at degree 25 (blocks of
+    # A^5).
     rng = np.random.default_rng(8)
     general = np.zeros((13, 6, 6))
     general[:12, :5, :5] = rng.normal(size=(12, 5, 5))
