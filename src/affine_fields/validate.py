@@ -34,7 +34,7 @@ from .invariants import (
     straightened_frame_flow,
 )
 from .linalg import mat_exp, solve_linear
-from .oracle import OdeProblem, integrate
+from .oracle import OdeProblem, integrate, integrate_linear
 
 
 @dataclass(frozen=True)
@@ -94,30 +94,29 @@ def _ensemble_images(fields, times, points) -> list:
 
 def _stacked_rk4_ends(fields, starts) -> np.ndarray:
     """RK4 ends at t=1, step 1e-3, of each field from its rows of starts
-    (equal row counts), by one integrate of the (fields, starts, n_max) state
-    with the batched right-hand side z Cᵀ + B.  Padded coordinates have zero
-    rows and columns in C and zero B entries, so they stay exactly 0: field
-    k ends at ``ends[k, :, :n_k]``."""
+    (equal row counts), by one ``integrate_linear`` of the homogeneous
+    (fields, starts, n_max + 1) state (x, 1) under the per-field Gᵀ =
+    [[Cᵀ, 0], [B, 0]]: one batched product with the RK4 increment matrix per
+    step.  Padded coordinates have zero rows and columns in Gᵀ and its last
+    column is zero, so they stay exactly 0 and the homogeneous coordinate
+    exactly 1: field k ends at ``ends[k, :, :n_k]``."""
     n_max = max(field.n for field in fields)
-    shape = (len(fields), len(starts[0]), n_max)
-    c_t = np.zeros((len(fields), n_max, n_max))
-    b = np.zeros((len(fields), 1, n_max))
-    state = np.zeros(shape)
+    g_t = np.zeros((len(fields), n_max + 1, n_max + 1))
+    state = np.zeros((len(fields), len(starts[0]), n_max + 1))
+    state[..., n_max] = 1.0
     for k, (field, x) in enumerate(zip(fields, starts)):
-        c_t[k, : field.n, : field.n] = field.C.T
-        b[k, 0, : field.n] = field.B
+        g_t[k, : field.n, : field.n] = field.C.T
+        g_t[k, n_max, : field.n] = field.B
         state[k, :, : field.n] = x
-
-    def rhs(z):
-        return (z.reshape(shape) @ c_t + b).ravel()
-
-    return integrate(OdeProblem(rhs, state.ravel(), 1.0, 1e-3)).reshape(shape)
+    ends = integrate_linear(OdeProblem(lambda z: z @ g_t, state, 1.0, 1e-3))
+    return ends[..., :n_max]
 
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     """500 random affine fields, closed-form flow at t=1 against RK4 with
     step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Once the
-    ensemble is drawn, RK4 integrates it as one stacked state and the closed
+    ensemble is drawn, RK4 marches it as one stacked homogeneous state, one
+    batched product with its increment matrices per step, and the closed
     forms take one ``flow_images`` call per dimension."""
     rng = _rng(seed, 1)
     fields, starts = [], []
@@ -448,9 +447,10 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
     """Singular-matrix fields: when a fixed point exists but is not unique,
     the flow must equal exp(tC)(x - U) + U for two fixed points U that differ
     by a null vector (1e-10); when none exists, it must match RK4 (1e-6),
-    run on those 50 fields as one stacked state.  Once both ensembles are
-    drawn, their flows take one ``flow_images`` call per dimension and the
-    exp(tC) one ``mat_exp`` call per dimension."""
+    marched on those 50 fields as one stacked homogeneous state by the RK4
+    increment matrices.  Once both ensembles are drawn, their flows take one
+    ``flow_images`` call per dimension and the exp(tC) one ``mat_exp`` call
+    per dimension."""
     rng = _rng(seed, 10)
     worst_pair = 0.0
     worst_oracle = 0.0

@@ -249,11 +249,27 @@ def _every_class():
     return general
 
 
+def _assert_close_to_row_and_column(got, want, rtol):
+    """|got - want| <= rtol * (the largest modulus of want in the entry's row
+    and column), entry by entry: the error an entry can carry after products
+    that mix it with the large entries of its row and column."""
+    scale = np.maximum(
+        np.abs(want).max(axis=1, keepdims=True), np.abs(want).max(axis=0, keepdims=True)
+    )
+    assert np.all(np.abs(got - want) <= rtol * scale)
+
+
 def test_mat_exp_mixed_stack_keeps_the_exact_rules():
     # Zero, square-zero and general matrices in one stack each keep their
-    # rule, and each gets the result it gets alone.
+    # rule, and each gets the result it gets alone.  The matrices of
+    # _every_class reach entries near 285 beside entries near 1, which no
+    # kernel computes to a fraction of an ulp of 285, so they are held to
+    # the size of each entry's row and column.
     general = np.array([[[0.3, 2.0, 0.0], [-1.0, 0.1, 0.0], [0.0, 0.0, 0.0]]])
-    for stack in (_rule_stack(general), _rule_stack(_every_class())):
+    for stack, elementwise in (
+        (_rule_stack(general), True),
+        (_rule_stack(_every_class()), False),
+    ):
         n = stack.shape[-1]
         e = np.eye(n)
         out = mat_exp(stack)
@@ -264,7 +280,10 @@ def test_mat_exp_mixed_stack_keeps_the_exact_rules():
         for a, got in zip(stack[2:], out[2:]):
             assert np.array_equal(got[n - 1], e[n - 1])
             assert np.array_equal(got[:, n - 1], e[:, n - 1])
-            assert_allclose(got, _mp_expm(a), rtol=1e-14, atol=1e-15)
+            if elementwise:
+                assert_allclose(got, _mp_expm(a), rtol=1e-14, atol=1e-15)
+            else:
+                _assert_close_to_row_and_column(got, _mp_expm(a), 1e-14)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
