@@ -37,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart
-from .fields import AffineField, evaluate, linear_field
+from .fields import AffineField, MatrixValue, evaluate, linear_field
 from .invariants import FD_STEP
 from .linalg import as_matrix, as_vector, augment_affine, mat_exp
 
@@ -62,8 +62,8 @@ MIN_SCALED_DET = 1e-12
 AXIOM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class GroupElement:
+@dataclass(frozen=True, eq=False)
+class GroupElement(MatrixValue):
     """Element [[a, t], [0, 1]] of GA(n), of its translation subgroup
     (a = I) or of its general linear subgroup (t = 0), as ``kind`` says."""
 
@@ -152,8 +152,8 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.kind, np.linalg.inv(g.matrix))
 
 
-@dataclass(frozen=True, init=False)
-class TangentAtIdentity:
+@dataclass(frozen=True, init=False, eq=False)
+class TangentAtIdentity(MatrixValue):
     """Tangent vector at the group identity, stored as the homogeneous
     matrix [[X_mat, X_vec], [0, 0]].
 

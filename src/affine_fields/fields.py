@@ -20,8 +20,28 @@ LINEAR = "linear"
 AFFINE = "affine"
 
 
-@dataclass(frozen=True, init=False)
-class AffineField:
+class MatrixValue:
+    """Exact value equality for the frozen homogeneous matrices of this
+    package: equal when of the same type and kind (where there is one) with
+    equal entries, and hashed alike (-0.0 hashes as 0.0, as it compares).
+    A subclass is a dataclass with eq=False, so that these methods hold."""
+
+    def _value(self) -> np.ndarray:
+        return self.matrix
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (getattr(self, "kind", None) == getattr(other, "kind", None)
+                and np.array_equal(self._value(), other._value()))
+
+    def __hash__(self):
+        entries = (self._value() + 0.0).tobytes()
+        return hash((type(self), getattr(self, "kind", None), entries))
+
+
+@dataclass(frozen=True, init=False, eq=False)
+class AffineField(MatrixValue):
     """Vector field x -> C x + B, stored as the matrix [[C, B], [0, 0]]."""
 
     matrix: np.ndarray

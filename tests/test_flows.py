@@ -1,11 +1,16 @@
 """Closed-form flow tests, cross-validated against the RK4 oracle."""
 
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import expm
 
@@ -16,6 +21,7 @@ from affine_fields import (
     linear_field,
     zero_field,
 )
+from affine_fields import flows
 from affine_fields.flows import (
     AUGMENTED_EXPONENTIAL,
     TRANSLATION,
@@ -148,25 +154,191 @@ class TestFlowAtTimes:
             flow_at(make_flow(PLANAR), t, [0.0, 0.0])
 
 
+def _outcome(call):
+    """The bytes of call()'s result, or the type and text of what it raised."""
+    try:
+        return call().tobytes()
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+class TestMemo:
+    """A FlowMap keeps exp(t G) for its last scalar time; no result shows it."""
+
+    @settings(derandomize=True, deadline=None, max_examples=30, database=None)
+    @given(data=st.data())
+    def test_calls_equal_those_of_fresh_flows(self, data):
+        n = data.draw(st.integers(1, 4), label="n")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        # At scale 100 some images overflow, so exceptions are compared too.
+        scale = data.draw(st.sampled_from([1e-3, 1.0, 100.0]), label="scale")
+        t1, t2 = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+        times = data.draw(
+            st.lists(st.sampled_from([t1, t2, 0.0, -0.0]), max_size=8), label="times"
+        )
+        rng = np.random.default_rng(seed)
+        c, b = rng.uniform(-2.0, 2.0, (n, n)), rng.uniform(-2.0, 2.0, n)
+        field = AffineField(scale * c, b)
+        flow = make_flow(field)
+        for t in [t1, t1, t2, t1, 0.0, -0.0, 0.0] + times:
+            x = rng.uniform(-2.0, 2.0, size=n)
+            assert _outcome(lambda: flow_at(flow, t, x)) == _outcome(
+                lambda: flow_at(make_flow(field), t, x)
+            ), t
+
+    def test_points_at_one_time_take_one_exponential(self, monkeypatch):
+        calls = []
+
+        def counted(a):
+            calls.append(a.shape)
+            return mat_exp(a)
+
+        mat_exp = flows.mat_exp
+        monkeypatch.setattr(flows, "mat_exp", counted)
+        flow = make_flow(PLANAR)
+        for x in ([0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]):
+            flow_at(flow, 0.5, x)
+        assert calls == [(1, 3, 3)]
+        flow_at(flow, 0.25, [0.0, 0.0])
+        flow_at(flow, [0.5, 0.5], [0.0, 0.0])  # many times: no memo
+        flow_at(flow, 0.25, [1.0, 0.0])
+        assert calls == [(1, 3, 3), (1, 3, 3), (2, 3, 3)]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_time_leaves_no_memo(self):
+        field = AffineField([[1e10]], [0.0])
+        flow = make_flow(field)
+        for _ in range(2):
+            with pytest.raises(OverflowError, match="t G"):
+                flow_at(flow, 1e300, [1.0])
+        assert flow._memo is None
+        want = flow_at(make_flow(field), 1e-10, [1.0])
+        assert np.array_equal(flow_at(flow, 1e-10, [1.0]), want)
+        with pytest.raises(OverflowError, match="t G"):
+            flow_at(flow, 1e300, [1.0])
+        assert np.array_equal(flow_at(flow, 1e-10, [1.0]), want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_image_overflow_at_one_point_spares_the_others(self):
+        # exp(700) is about 1e304: finite from 1, beyond the range from 1e10.
+        field = AffineField([[100.0]], [0.0])
+        flow = make_flow(field)
+        with pytest.raises(OverflowError, match="image"):
+            flow_at(flow, 7.0, [1e10])
+        got = flow_at(flow, 7.0, [1.0])
+        assert np.isfinite(got).all()
+        assert np.array_equal(got, flow_at(make_flow(field), 7.0, [1.0]))
+        with pytest.raises(OverflowError, match="image"):
+            flow_at(flow, 7.0, [1e10])
+
+    def test_memo_is_read_only(self):
+        flow = make_flow(PLANAR)
+        flow_at(flow, 0.5, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            flow._memo[1][0, 0, 0] = 2.0
+
+    def test_threads_sharing_a_flow_see_whole_memos(self):
+        # Threads alternate two times on one flow, so the memo changes hands
+        # all the time; a time paired with the other time's exponential
+        # would show as a wrong image.
+        rng = np.random.default_rng(24)
+        field = random_affine_field(rng, 4)
+        flow = make_flow(field)
+        x = rng.uniform(-2.0, 2.0, size=4)
+        want = {t: flow_at(make_flow(field), t, x) for t in (0.25, -0.5)}
+        wrong = []
+
+        def work(k):
+            for j in range(200):
+                t = (0.25, -0.5)[(j + k) % 2]
+                if not np.array_equal(flow_at(flow, t, x), want[t]):
+                    wrong.append(t)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_pickle_carries_no_memo(self):
+        rng = np.random.default_rng(23)
+        field = random_affine_field(rng, 3)
+        used = make_flow(field)
+        x = rng.uniform(-2.0, 2.0, size=3)
+        want = flow_at(used, 0.75, x)
+        again = pickle.loads(pickle.dumps(used))
+        assert again == used and again._memo is None
+        assert len(pickle.dumps(used)) == len(pickle.dumps(make_flow(field)))
+        assert np.array_equal(flow_at(again, 0.75, x), want)
+        assert np.array_equal(flow_at(again, -0.5, x), flow_at(make_flow(field), -0.5, x))
+
+
 class TestGroupLaw:
     def test_zero_times_exact(self):
         flow = make_flow(PLANAR)
         assert group_law_defect(flow, 0.0, 0.0, [1.0, -1.0]) == 0.0
 
+    def test_zero_times_exact_for_random_fields(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            n = int(rng.integers(1, 6))
+            flow = make_flow(random_affine_field(rng, n))
+            x = rng.uniform(-2.0, 2.0, size=n)
+            assert group_law_defect(flow, 0.0, 0.0, x) == 0.0
+
     def test_translation_defect_is_rounding(self):
         flow = make_flow(constant_field([1.0, -2.0]))
         assert group_law_defect(flow, 0.7, -0.3, [4.0, 5.0]) <= 1e-14
 
+    def test_translation_defect_is_exact_without_rounding(self):
+        # Dyadic times, B and x make every sum x + t B exact, and the zero
+        # field adds nothing at any time.
+        flow = make_flow(constant_field([1.5, -2.25]))
+        assert group_law_defect(flow, 0.75, -0.125, [4.0, 5.5]) == 0.0
+        assert group_law_defect(make_flow(zero_field(2)), 0.7, -0.3, [0.1, 0.2]) == 0.0
+
     def test_random_ensemble(self):
+        # Relative to the terms the composed flow sums, |E_s| |E_t| |(x, 1)|
+        # with E_t = exp(t G); the worst of 2,000 such draws is 7.4e-16.
         rng = np.random.default_rng(2)
         for _ in range(200):
             n = int(rng.integers(1, 6))
-            flow = make_flow(random_affine_field(rng, n))
+            field = random_affine_field(rng, n)
+            flow = make_flow(field)
             s, t = rng.uniform(-1.0, 1.0, size=2)
             x = rng.uniform(-2.0, 2.0, size=n)
-            assert group_law_defect(flow, s, t, x) <= 1e-8 * (
-                1.0 + np.linalg.norm(x)
-            )
+            lifted = np.append(np.abs(x), 1.0)
+            g = field.matrix
+            terms = np.abs(expm(s * g)) @ (np.abs(expm(t * g)) @ lifted)
+            assert group_law_defect(flow, s, t, x) <= 1e-14 * np.linalg.norm(terms)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field, s, t, x, error",
+        [
+            (PLANAR, np.nan, 1.0, [0.0, 0.0], ValueError),
+            (PLANAR, 1.0, 1.0, [0.0], ValueError),
+            (PLANAR, 1.0, 1.0, [np.inf, 0.0], ValueError),
+            (PLANAR, 1e308, 1e308, [0.0, 0.0], ValueError),  # s + t is not finite
+            (AffineField([[100.0]], [0.0]), 5.0, 5.0, [1.0], OverflowError),
+            (AffineField([[1e10]], [0.0]), 1e300, 0.0, [1.0], OverflowError),
+            (constant_field([1e300]), 1e10, 0.0, [0.0], OverflowError),
+        ],
+    )
+    def test_raises_what_flow_at_raises(self, field, s, t, x, error):
+        flow = make_flow(field)
+        with pytest.raises(error) as from_defect:
+            group_law_defect(flow, s, t, x)
+        with pytest.raises(error) as from_flow_at:
+            flow_at(make_flow(field), s + t, x)
+        assert str(from_defect.value) == str(from_flow_at.value)
 
 
 class TestAgreement:
