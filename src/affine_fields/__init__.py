@@ -12,10 +12,8 @@ from .actions import (
     ActionAxiomReport,
     GroupAction,
     GroupElement,
-    TangentAtIdentity,
     act,
     affine_element,
-    affine_tangent,
     chart_conjugated_action,
     check_action_axioms,
     det_weighted_action,
@@ -26,7 +24,6 @@ from .actions import (
     identity_element,
     inverse,
     linear_element,
-    linear_tangent,
     multiply,
     one_parameter_subgroup,
     standard_affine_action,
@@ -34,7 +31,6 @@ from .actions import (
     standard_translation_action,
     tangent_for_field,
     translation_element,
-    translation_tangent,
 )
 from .charts import (
     Chart,

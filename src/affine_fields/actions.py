@@ -6,8 +6,11 @@ so multiplication, inversion and the exponential are those of matrices
 ((a1, t1)(a2, t2) = (a1 a2, a1 t2 + t1)).  The translation group and the
 general linear group are subgroups of GA(n), and an element's kind is a
 constraint its constructor checks: a = I exactly for translations, t = 0
-exactly for general-linear elements.  A tangent vector at the identity is
-likewise the matrix [[X_mat, X_vec], [0, 0]].
+exactly for general-linear elements.  A tangent vector X at the identity is
+its generator [[X_mat, X_vec], [0, 0]], stored as the AffineField of that
+matrix.  The Lie algebras are nested as the groups are: translations have
+X_mat = 0, general-linear tangents X_vec = 0, and general-affine ones are any
+affine field, so a generator serves every action whose algebra holds it.
 
 A fixed catalog of left actions is implemented, one record per variant in
 VARIANTS; the three standard ones share the act a x + t and differ in group:
@@ -19,13 +22,13 @@ VARIANTS; the three standard ones share the act a x + t and differ in group:
 * det-weighted           (a, x)      -> a x (det a)^q    for a fixed power q
 
 Any of these can carry a chart, which makes it local: it then acts by
-chart.inverse o act o chart.forward.  For a tangent vector X at the identity,
-the fundamental field at x is the derivative of g -> act(g, x) at the
-identity contracted with X; it is computed both by central differences along
-the nonzero entries of X, with the fixed step FD_STEP, and from the
-per-variant closed forms, and the two must agree.  Every action here is a
-left action, and nothing in the module takes a tolerance or a step as an
-argument.
+chart.inverse o act o chart.forward.  The fundamental field of X at x is the
+derivative of g -> act(g, x) at the identity contracted with X; it is
+computed both by central differences along the nonzero entries of X, with
+the fixed step FD_STEP, and from the per-variant closed forms, and the two
+must agree.  For the three standard actions it is the field X itself.
+Every action here is a left action, and nothing in the module takes a
+tolerance or a step as an argument.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart
-from .fields import AffineField, MatrixValue, evaluate, linear_field
+from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
 from .invariants import FD_STEP
 from .linalg import as_matrix, as_vector, augment_affine, mat_exp
 
@@ -152,105 +155,38 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(g.kind, np.linalg.inv(g.matrix))
 
 
-@dataclass(frozen=True, init=False, eq=False)
-class TangentAtIdentity(MatrixValue):
-    """Tangent vector at the group identity, stored as the homogeneous
-    matrix [[X_mat, X_vec], [0, 0]].
-
-    X_mat holds the components along the matrix coordinates (zero for the
-    translation group), X_vec those along the translation coordinates (zero
-    for the general linear group).
-    """
-
-    kind: str
-    matrix: np.ndarray
-
-    def __init__(self, kind: str, X_mat, X_vec):
-        if kind not in _KINDS:
-            raise ValueError(f"unknown group kind {kind!r}")
-        m = augment_affine(X_mat, X_vec)
-        if kind == TRANSLATION_GROUP and m[:-1, :-1].any():
-            raise ValueError("translation tangents have zero matrix components")
-        if kind == GENERAL_LINEAR and m[:-1, -1].any():
-            raise ValueError("general-linear tangents have zero vector components")
-        m.flags.writeable = False
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0] - 1
-
-    @property
-    def X_mat(self) -> np.ndarray:
-        """Matrix components, a read-only view."""
-        return self.matrix[:-1, :-1]
-
-    @property
-    def X_vec(self) -> np.ndarray:
-        """Translation components, a read-only view."""
-        return self.matrix[:-1, -1]
-
-    def __reduce__(self):
-        return TangentAtIdentity, (self.kind, self.X_mat, self.X_vec)
-
-    @staticmethod
-    def from_dict(kind: str, data: dict) -> "TangentAtIdentity":
-        mat = data.get("X_mat")
-        vec = data.get("X_vec")
-        if mat is None and vec is None:
-            raise ValueError("tangent data needs X_mat or X_vec")
-        n = len(mat if vec is None else vec)
-        return TangentAtIdentity(
-            kind,
-            np.zeros((n, n)) if mat is None else np.asarray(mat, dtype=float),
-            np.zeros(n) if vec is None else np.asarray(vec, dtype=float),
-        )
+def _in_algebra(kind: str, X: AffineField) -> AffineField:
+    """The generator X, once it lies in the Lie algebra of the ``kind``
+    group: C = 0 exactly for translations, B = 0 exactly for general-linear."""
+    if kind == TRANSLATION_GROUP and X.C.any():
+        raise ValueError("translation generators are constant fields (X_mat = 0)")
+    if kind == GENERAL_LINEAR and X.B.any():
+        raise ValueError("general-linear generators are linear fields (X_vec = 0)")
+    return X
 
 
-def translation_tangent(v) -> TangentAtIdentity:
-    v = as_vector(v)
-    return TangentAtIdentity(TRANSLATION_GROUP, np.zeros((v.size, v.size)), v)
-
-
-def linear_tangent(m) -> TangentAtIdentity:
-    m = as_matrix(m)
-    return TangentAtIdentity(GENERAL_LINEAR, m, np.zeros(m.shape[0]))
-
-
-def affine_tangent(m, v) -> TangentAtIdentity:
-    return TangentAtIdentity(GENERAL_AFFINE, m, v)
+def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
+    """The tangent at the identity of the ``kind`` group with matrix
+    components X_mat and translation components X_vec: its generator
+    [[X_mat, X_vec], [0, 0]], the AffineField(X_mat, X_vec)."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown group kind {kind!r}")
+    return _in_algebra(kind, AffineField(X_mat, X_vec))
 
 
 def _standard_act(action, m, p) -> np.ndarray:
     return m[:-1, :-1] @ p + m[:-1, -1]
 
 
-# A standard action's fundamental field of X is X itself: the field's
-# generator is the tangent's matrix, and its kind makes the class exact.
-def _standard_field(action, tangent) -> AffineField:
-    return AffineField(tangent.X_mat, tangent.X_vec)
+def _exp_translation_field(action, X) -> AffineField:
+    return linear_field(float(np.dot(X.B, action.s)) * np.eye(action.n))
 
 
-def _standard_tangent(action, field) -> TangentAtIdentity:
-    return TangentAtIdentity(action.group_kind, field.C, field.B)
-
-
-def _linear_part(variant: str, field: AffineField) -> np.ndarray:
-    if field.B.any():
-        raise ValueError(f"{variant} fundamental fields are linear")
-    return field.C
-
-
-def _exp_translation_field(action, tangent) -> AffineField:
-    return linear_field(float(np.dot(tangent.X_vec, action.s)) * np.eye(action.n))
-
-
-def _exp_translation_tangent(action, field) -> TangentAtIdentity:
+def _exp_translation_tangent(action, field) -> AffineField:
     # The field must be an isotropic scaling c I, to 1e-10 of its largest entry;
     # any X_vec with X_vec . s = c works, and the returned one is c s / (s . s).
     n = action.n
-    c = _linear_part(EXP_TRANSLATION, field)
+    c = _in_algebra(GENERAL_LINEAR, field).C
     rate = float(np.trace(c)) / n
     if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * np.max(np.abs(c)):
         raise ValueError("exp-translation fundamental fields are isotropic scalings")
@@ -258,37 +194,43 @@ def _exp_translation_tangent(action, field) -> TangentAtIdentity:
     ss = float(np.dot(s, s))
     if ss == 0.0:
         raise ValueError("weight vector is zero; only the zero field is reachable")
-    return translation_tangent((rate / ss) * s)
+    return constant_field((rate / ss) * s)
 
 
-def _det_weighted_field(action, tangent) -> AffineField:
-    x_mat = tangent.X_mat
-    return linear_field(x_mat + action.q * np.trace(x_mat) * np.eye(action.n))
+def _det_weighted_field(action, X) -> AffineField:
+    return linear_field(X.C + action.q * np.trace(X.C) * np.eye(action.n))
 
 
-def _det_weighted_tangent(action, field) -> TangentAtIdentity:
+def _det_weighted_tangent(action, field) -> AffineField:
     # Removes the trace feedback: X_mat = C - q / (1 + q n) trace(C) I.
     n, q = action.n, action.q
-    c = _linear_part(DET_WEIGHTED, field)
-    return linear_tangent(c - (q / (1.0 + q * n)) * np.trace(c) * np.eye(n))
+    c = _in_algebra(GENERAL_LINEAR, field).C
+    return linear_field(c - (q / (1.0 + q * n)) * np.trace(c) * np.eye(n))
 
 
 @dataclass(frozen=True)
 class VariantRecord:
     """One action variant: its group, the action of an element's
     homogeneous matrix [[a, t], [0, 1]] on a point p of R^n, the
-    closed-form fundamental field of a tangent, the tangent recovered from
-    a field, and the parameter the variant takes ("s", "q" or None)."""
+    closed-form fundamental field of a generator X in the group's algebra,
+    the generator recovered from a field, and the parameter the variant
+    takes ("s", "q" or None).  For the three standard actions both maps are
+    the identity: the fundamental field of X is the field X."""
 
     kind: str
     act: Callable[["GroupAction", np.ndarray, np.ndarray], np.ndarray]
-    field: Callable[["GroupAction", TangentAtIdentity], AffineField]
-    tangent: Callable[["GroupAction", AffineField], TangentAtIdentity]
+    field: Callable[["GroupAction", AffineField], AffineField]
+    tangent: Callable[["GroupAction", AffineField], AffineField]
     param: str | None = None
 
 
 def _standard_record(kind: str) -> VariantRecord:
-    return VariantRecord(kind, _standard_act, _standard_field, _standard_tangent)
+    return VariantRecord(
+        kind,
+        _standard_act,
+        field=lambda action, X: X,
+        tangent=lambda action, field: _in_algebra(action.group_kind, field),
+    )
 
 
 VARIANTS = {
@@ -316,10 +258,11 @@ VARIANTS = {
 CATALOG_VARIANTS = tuple(VARIANTS)
 
 
-@dataclass(frozen=True)
-class GroupAction:
+@dataclass(frozen=True, eq=False)
+class GroupAction(MatrixValue):
     """A named left action from the catalog; with a chart it is local and
-    acts by chart.inverse o act o chart.forward."""
+    acts by chart.inverse o act o chart.forward.  Two actions are equal when
+    their variant, n, s, q and chart are."""
 
     variant: str
     n: int
@@ -347,6 +290,9 @@ class GroupAction:
             object.__setattr__(self, "q", int(self.q))
         elif self.q is not None:
             raise ValueError(f"variant {self.variant!r} takes no power q")
+
+    def _parts(self) -> tuple:
+        return self.variant, self.n, self.s, self.q, self.chart
 
     @property
     def group_kind(self) -> str:
@@ -388,14 +334,22 @@ def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
     return replace(base, chart=chart)
 
 
-def _require_kind(action: GroupAction, g, what: str = "element"):
-    """An element or tangent ``g`` must be of the action's group and dimension."""
+def _require_kind(action: GroupAction, g: GroupElement):
+    """An element ``g`` must be of the action's group and dimension."""
     if g.kind != action.group_kind:
         raise ValueError(
-            f"{what} of kind {g.kind!r} fed to a {action.group_kind!r} action"
+            f"element of kind {g.kind!r} fed to a {action.group_kind!r} action"
         )
     if g.n != action.n:
-        raise ValueError(f"{what} dimension {g.n} differs from action's {action.n}")
+        raise ValueError(f"element dimension {g.n} differs from action's {action.n}")
+
+
+def _generator(action: GroupAction, X: AffineField):
+    """A generator X must lie in the algebra of the action's group and have
+    its dimension."""
+    if X.n != action.n:
+        raise ValueError(f"generator dimension {X.n} differs from action's {action.n}")
+    _in_algebra(action.group_kind, X)
 
 
 def _point(action: GroupAction, x) -> np.ndarray:
@@ -419,21 +373,21 @@ def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
 
 
 def fundamental_field_numeric(
-    action: GroupAction, tangent: TangentAtIdentity, x
+    action: GroupAction, tangent: AffineField, x
 ) -> np.ndarray:
     """Fundamental vector at x by central differences along group coordinates.
 
     Differentiates g -> act(g, x) at the identity along each nonzero entry
-    of the homogeneous tangent (row-major: matrix entries, then the
-    translation entry, row by row) with step FD_STEP and contracts with
-    those entries.  Perturbing the identity by FD_STEP along an entry of
-    the tangent, which its kind confines to the action's group, cannot leave
-    the group, so each perturbed matrix goes to the variant's act without
-    the checks of GroupElement's constructor.  This is ``act`` on each
-    perturbed element, with the point checked and taken through the chart
-    once.
+    of the generator [[X_mat, X_vec], [0, 0]] (row-major: matrix entries,
+    then the translation entry, row by row) with step FD_STEP and contracts
+    with those entries.  The generator must lie in the algebra of the
+    action's group, so perturbing the identity by FD_STEP along one of its
+    entries cannot leave the group, and each perturbed matrix goes to the
+    variant's act without the checks of GroupElement's constructor.  This
+    is ``act`` on each perturbed element, with the point checked and taken
+    through the chart once.
     """
-    _require_kind(action, tangent, "tangent")
+    _generator(action, tangent)
     p = _point(action, x)
     chart = action.chart
     if chart is not None:
@@ -453,23 +407,25 @@ def fundamental_field_numeric(
 
 
 def fundamental_field_analytic(
-    action: GroupAction, tangent: TangentAtIdentity
+    action: GroupAction, tangent: AffineField
 ) -> AffineField:
-    """Closed-form fundamental field of a catalog action.
+    """Closed-form fundamental field of a catalog action for the generator
+    X = [[X_mat, X_vec], [0, 0]] in the algebra of its group.
 
-    standard-linear (C = X_mat), standard-translation (B = X_vec),
-    standard-affine (both), exp-translation (C = (X_vec . s) I), and
-    det-weighted (C = X_mat + q trace(X_mat) I).  An action with a chart
+    The three standard actions return X itself: a constant field for
+    standard-translation, a linear one for standard-linear and any affine
+    one for standard-affine.  exp-translation gives C = (X_vec . s) I and
+    det-weighted C = X_mat + q trace(X_mat) I.  An action with a chart
     has no ambient closed form; see fundamental_field_chart.
     """
-    _require_kind(action, tangent, "tangent")
+    _generator(action, tangent)
     if action.chart is not None:
         raise ValueError(f"no ambient closed form for {action.describe()}")
     return VARIANTS[action.variant].field(action, tangent)
 
 
 def fundamental_field_chart(
-    action: GroupAction, tangent: TangentAtIdentity, x
+    action: GroupAction, tangent: AffineField, x
 ) -> np.ndarray:
     """Fundamental vector of an action with a chart, in ambient components.
 
@@ -486,17 +442,17 @@ def fundamental_field_chart(
     return np.linalg.solve(chart.jacobian(p), chart_components)
 
 
-def tangent_for_field(action: GroupAction, field: AffineField) -> TangentAtIdentity:
-    """Tangent vector whose fundamental field under the action is the field.
+def tangent_for_field(action: GroupAction, field: AffineField) -> AffineField:
+    """Generator whose fundamental field under the action is the field.
 
     This is the constructive direction of the bijections between field
-    classes and fundamental fields: linear fields for standard-linear,
-    constant for standard-translation, affine for standard-affine.  Zero
-    parts are tested exactly.  For the det-weighted action the matrix part
-    is recovered by removing the trace feedback, X_mat = C - q / (1 + q n)
-    trace(C) I; for exp-translation the field must be an isotropic scaling
-    c I and any X_vec with X_vec . s = c works (the returned one is
-    c s / (s . s)).
+    classes and fundamental fields: for standard-linear, -translation and
+    -affine the generator is the field itself, once it is linear, constant
+    or affine.  Zero parts are tested exactly.  For the det-weighted action
+    the matrix part is recovered by removing the trace feedback,
+    X_mat = C - q / (1 + q n) trace(C) I; for exp-translation the field
+    must be an isotropic scaling c I and any X_vec with X_vec . s = c works
+    (the returned one is c s / (s . s)).
     """
     if field.n != action.n:
         raise ValueError("field and action dimensions differ")
@@ -506,7 +462,7 @@ def tangent_for_field(action: GroupAction, field: AffineField) -> TangentAtIdent
 
 
 def one_parameter_subgroup(
-    action: GroupAction, tangent: TangentAtIdentity, t: float
+    action: GroupAction, tangent: AffineField, t: float
 ) -> GroupElement:
     """exp(t X) in the action's group; the orbit map t -> act(exp(t X), x)
     is the flow of the fundamental field through x.
@@ -514,7 +470,7 @@ def one_parameter_subgroup(
     Raises OverflowError when t X or exp(t X) is not representable in
     floats, and ValueError for a non-finite t.
     """
-    _require_kind(action, tangent, "tangent")
+    _generator(action, tangent)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     with np.errstate(over="ignore"):

@@ -155,7 +155,12 @@ def _cmd_fundamental(args) -> int:
     kind = _GROUP_KINDS[args.group]
     data = _load_json(args.X)
     try:
-        tangent = ga.TangentAtIdentity.from_dict(kind, data)
+        mat, vec = data.get("X_mat"), data.get("X_vec")
+        if mat is None and vec is None:
+            raise ValueError("tangent data needs X_mat or X_vec")
+        n = len(mat if vec is None else vec)
+        mat = np.zeros((n, n)) if mat is None else mat
+        tangent = ga.TangentAtIdentity(kind, mat, np.zeros(n) if vec is None else vec)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"{args.X}: {exc}") from exc
     s = None if args.s is None else _parse_point(args.s)

@@ -21,23 +21,28 @@ AFFINE = "affine"
 
 
 class MatrixValue:
-    """Exact value equality for the frozen homogeneous matrices of this
-    package: equal when of the same type and kind (where there is one) with
-    equal entries, and hashed alike (-0.0 hashes as 0.0, as it compares).
-    A subclass is a dataclass with eq=False, so that these methods hold."""
+    """Exact value equality for the frozen array-backed values of this
+    package: equal when of the same type with equal ``_parts``, arrays of
+    the same shape and entries, and hashed alike (-0.0 hashes as 0.0, as it
+    compares).  A subclass is a dataclass with eq=False, so that these
+    methods hold."""
 
-    def _value(self) -> np.ndarray:
-        return self.matrix
+    def _parts(self) -> tuple:
+        """The kind (where there is one) and the homogeneous matrix."""
+        return getattr(self, "kind", None), self.matrix
+
+    def _key(self) -> tuple:
+        # a + 0.0 turns -0.0 into 0.0, so equal entries have equal bytes.
+        return tuple((p.shape, (p + 0.0).tobytes()) if isinstance(p, np.ndarray)
+                     else p for p in self._parts())
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return (getattr(self, "kind", None) == getattr(other, "kind", None)
-                and np.array_equal(self._value(), other._value()))
+        return self._key() == other._key()
 
     def __hash__(self):
-        entries = (self._value() + 0.0).tobytes()
-        return hash((type(self), getattr(self, "kind", None), entries))
+        return hash((type(self), self._key()))
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -63,8 +63,8 @@ class FlowMap(MatrixValue):
     def __reduce__(self):
         return FlowMap, (self.field,)
 
-    def _value(self) -> np.ndarray:
-        return self.field.matrix
+    def _parts(self) -> tuple:
+        return (self.field,)
 
     def _exp_at(self, t: float) -> np.ndarray:
         """exp(t G) as a read-only stack of one, formed once for a run of
@@ -203,9 +203,10 @@ def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:
     return float(np.linalg.norm(direct - composed))
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """Sampled integral path: points[k] is the flow at times[k] from start."""
+@dataclass(frozen=True, eq=False)
+class Orbit(MatrixValue):
+    """Sampled integral path: points[k] is the flow at times[k] from start.
+    Two orbits are equal when their three arrays are."""
 
     start: np.ndarray
     times: np.ndarray
@@ -223,6 +224,9 @@ class Orbit:
 
     def __reduce__(self):
         return Orbit, (self.start, self.times, self.points)
+
+    def _parts(self) -> tuple:
+        return self.start, self.times, self.points
 
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:

@@ -17,8 +17,13 @@ from affine_fields.charts import (
     identity_chart,
     lambert_chart,
 )
-from affine_fields.fields import AffineField, evaluate, linear_field
-from affine_fields.flows import flow_at, make_flow, orbit
+from affine_fields.fields import (
+    AffineField,
+    constant_field,
+    evaluate,
+    linear_field,
+)
+from affine_fields.flows import Orbit, flow_at, make_flow, orbit
 from affine_fields.oracle import OdeProblem, integrate
 
 
@@ -33,14 +38,14 @@ def _catalog_action(variant, n, s, q):
 
 
 def _random_tangent(rng, kind, n):
-    """Tangent with entries drawn from [-1, 1] on the coordinates of ``kind``."""
+    """Generator with entries drawn from [-1, 1] on the coordinates of ``kind``."""
     mat = rng.uniform(-1, 1, (n, n))
     vec = rng.uniform(-1, 1, n)
     if kind == ga.TRANSLATION_GROUP:
         mat[:] = 0.0
     if kind == ga.GENERAL_LINEAR:
         vec[:] = 0.0
-    return ga.TangentAtIdentity(kind, mat, vec)
+    return AffineField(mat, vec)
 
 
 KIND_ACTIONS = [
@@ -158,12 +163,12 @@ class TestGroupElements:
         # 1e308 overflows t X itself, 1e3 only its exponential e^2000.
         action = ga.standard_linear_action(1)
         with pytest.raises(OverflowError):
-            ga.one_parameter_subgroup(action, ga.linear_tangent([[2.0]]), t)
+            ga.one_parameter_subgroup(action, linear_field([[2.0]]), t)
 
     def test_one_parameter_subgroup_rejects_non_finite_time(self):
         action = ga.standard_translation_action(1)
         with pytest.raises(ValueError, match="finite"):
-            ga.one_parameter_subgroup(action, ga.translation_tangent([1.0]), math.nan)
+            ga.one_parameter_subgroup(action, constant_field([1.0]), math.nan)
 
 
 class TestTangents:
@@ -172,13 +177,8 @@ class TestTangents:
             ga.TangentAtIdentity(ga.TRANSLATION_GROUP, np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             ga.TangentAtIdentity(ga.GENERAL_LINEAR, np.zeros((2, 2)), np.ones(2))
-
-    def test_json_round_trip(self):
-        x = ga.affine_tangent([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
-        data = {"X_mat": x.X_mat.tolist(), "X_vec": x.X_vec.tolist()}
-        again = ga.TangentAtIdentity.from_dict(ga.GENERAL_AFFINE, data)
-        assert_allclose(again.X_mat, x.X_mat)
-        assert_allclose(again.X_vec, x.X_vec)
+        with pytest.raises(ValueError, match="unknown group kind"):
+            ga.TangentAtIdentity("rotation", np.eye(2), np.zeros(2))
 
 
 class TestAct:
@@ -237,7 +237,7 @@ class TestAct:
         for action, g in cases:
             with pytest.raises(ValueError, match="point must be finite"):
                 ga.act(action, g, point)
-        tangent = ga.affine_tangent(np.eye(2), [1.0, 0.0])
+        tangent = AffineField(np.eye(2), [1.0, 0.0])
         with pytest.raises(ValueError, match="point must be finite"):
             ga.fundamental_field_numeric(ga.standard_affine_action(2), tangent, point)
 
@@ -269,7 +269,7 @@ class TestAxioms:
 class TestFundamentalNumeric:
     def test_translation_gives_constant_components(self):
         action = ga.standard_translation_action(3)
-        tangent = ga.translation_tangent([1.0, 0.0, 0.0])
+        tangent = constant_field([1.0, 0.0, 0.0])
         rng = np.random.default_rng(2)
         for _ in range(5):
             x = rng.uniform(-2, 2, 3)
@@ -288,7 +288,7 @@ class TestFundamentalNumeric:
                 mat = np.zeros((3, 3))
                 mat[i, j] = 1.0
                 out = ga.fundamental_field_numeric(
-                    action, ga.linear_tangent(mat), x
+                    action, linear_field(mat), x
                 )
                 expected = np.zeros(3)
                 expected[i] = x[j]
@@ -297,9 +297,9 @@ class TestFundamentalNumeric:
     def test_exp_translation_scales_the_point(self):
         s = np.array([0.5, -1.0])
         action = ga.exp_translation_action(s)
-        tangent = ga.translation_tangent([2.0, 1.0])
+        tangent = constant_field([2.0, 1.0])
         x = np.array([3.0, -1.0])
-        rate = float(np.dot(tangent.X_vec, s))
+        rate = float(np.dot(tangent.B, s))
         assert_allclose(
             ga.fundamental_field_numeric(action, tangent, x), rate * x, atol=1e-8
         )
@@ -307,14 +307,14 @@ class TestFundamentalNumeric:
 class TestFundamentalAnalytic:
     def test_planar_field_from_affine_tangent(self):
         action = ga.standard_affine_action(2)
-        tangent = ga.affine_tangent([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
+        tangent = AffineField([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0])
         field = ga.fundamental_field_analytic(action, tangent)
         assert_allclose(field.C, [[0.0, 0.0], [2.0, 0.0]])
         assert_allclose(field.B, [1.0, 0.0])
 
     def test_det_weighted_trace_feedback(self):
         action = ga.det_weighted_action(2, 1)
-        field = ga.fundamental_field_analytic(action, ga.linear_tangent(np.eye(2)))
+        field = ga.fundamental_field_analytic(action, linear_field(np.eye(2)))
         assert_allclose(field.C, 3.0 * np.eye(2))
 
     def test_chart_conjugated_has_no_ambient_closed_form(self):
@@ -322,7 +322,7 @@ class TestFundamentalAnalytic:
             ga.standard_linear_action(1), lambert_chart()
         )
         with pytest.raises(ValueError, match="closed form"):
-            ga.fundamental_field_analytic(action, ga.linear_tangent([[1.0]]))
+            ga.fundamental_field_analytic(action, linear_field([[1.0]]))
 
     def test_numeric_agreement_random(self):
         rng = np.random.default_rng(3)
@@ -346,27 +346,54 @@ class TestFundamentalAnalytic:
 
 class TestTangentRecovery:
     def test_linear_constant_affine_bijections(self):
+        # For the standard actions both maps are the identity, exactly.
         rng = np.random.default_rng(4)
         n = 3
         c = rng.uniform(-2, 2, (n, n))
         b = rng.uniform(-2, 2, n)
-        for action, c_want, b_want in [
-            (ga.standard_linear_action(n), c, np.zeros(n)),
-            (ga.standard_translation_action(n), np.zeros((n, n)), b),
-            (ga.standard_affine_action(n), c, b),
+        for action, field in [
+            (ga.standard_linear_action(n), linear_field(c)),
+            (ga.standard_translation_action(n), constant_field(b)),
+            (ga.standard_affine_action(n), AffineField(c, b)),
         ]:
-            from affine_fields.fields import AffineField
+            assert ga.fundamental_field_analytic(action, field) == field
+            assert ga.tangent_for_field(action, field) == field
 
-            field = AffineField(c_want, b_want)
-            back = ga.fundamental_field_analytic(
-                action, ga.tangent_for_field(action, field)
-            )
-            assert np.max(np.abs(back.C - field.C)) <= 1e-12
-            assert np.max(np.abs(back.B - field.B)) <= 1e-12
+    def test_subgroup_generators_lie_in_the_affine_algebra(self):
+        # gl(n) and the translations sit inside aff(n): standard-affine takes
+        # their generators and agrees with their own standard action.
+        rng = np.random.default_rng(9)
+        affine = ga.standard_affine_action(3)
+        for _ in range(5):
+            t = float(rng.uniform(-2, 2))
+            mat, vec = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, 3)
+            for action, X in [
+                (ga.standard_linear_action(3), linear_field(mat)),
+                (ga.standard_translation_action(3), constant_field(vec)),
+            ]:
+                assert (ga.fundamental_field_analytic(affine, X)
+                        == ga.fundamental_field_analytic(action, X))
+                assert (ga.one_parameter_subgroup(affine, X, t).matrix.tobytes()
+                        == ga.one_parameter_subgroup(action, X, t).matrix.tobytes())
+
+    def test_generator_outside_the_algebra_rejected(self):
+        affine = AffineField([[1.0, 0.0], [0.0, 2.0]], [0.0, 1.0])
+        for action, X, match in [
+            (ga.standard_translation_action(2), linear_field(np.eye(2)), "constant"),
+            (ga.exp_translation_action([1.0, 2.0]), affine, "constant"),
+            (ga.standard_linear_action(2), constant_field([1.0, 0.0]), "linear"),
+            (ga.det_weighted_action(2, 1), affine, "linear"),
+            (ga.standard_affine_action(3), affine, "dimension"),
+        ]:
+            for call in (
+                lambda: ga.fundamental_field_analytic(action, X),
+                lambda: ga.fundamental_field_numeric(action, X, np.zeros(action.n)),
+                lambda: ga.one_parameter_subgroup(action, X, 1.0),
+            ):
+                with pytest.raises(ValueError, match=match):
+                    call()
 
     def test_det_weighted_inverse_formula(self):
-        from affine_fields.fields import AffineField
-
         rng = np.random.default_rng(5)
         for n in (1, 2, 3, 4):
             for q in (0, 1, 2, 3):
@@ -376,13 +403,11 @@ class TestTangentRecovery:
                 expected = field.C - (q / (1.0 + q * n)) * np.trace(
                     field.C
                 ) * np.eye(n)
-                assert_allclose(tangent.X_mat, expected, atol=1e-14)
+                assert_allclose(tangent.C, expected, atol=1e-14)
                 back = ga.fundamental_field_analytic(action, tangent)
                 assert np.max(np.abs(back.C - field.C)) <= 1e-12
 
     def test_exp_translation_needs_isotropic_scaling(self):
-        from affine_fields.fields import AffineField
-
         action = ga.exp_translation_action([1.0, 2.0])
         iso = AffineField(0.75 * np.eye(2), np.zeros(2))
         tangent = ga.tangent_for_field(action, iso)
@@ -409,8 +434,6 @@ class TestTangentRecovery:
         assert_allclose(back.matrix, field.matrix, rtol=1e-15, atol=0.0)
 
     def test_wrong_field_class_rejected(self):
-        from affine_fields.fields import AffineField
-
         field = AffineField(np.eye(2), [1.0, 0.0])
         with pytest.raises(ValueError):
             ga.tangent_for_field(ga.standard_linear_action(2), field)
@@ -466,7 +489,7 @@ class TestOrbitTangency:
         rng = np.random.default_rng(16)
         for _ in range(5):
             drawn = _random_tangent(rng, base.group_kind, base.n)
-            tangent = ga.TangentAtIdentity(drawn.kind, drawn.X_mat / 2, drawn.X_vec / 2)
+            tangent = AffineField(drawn.C / 2, drawn.B / 2)
             x = chart.sample(rng)
             t = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
             along_orbit = ga.act(action, ga.one_parameter_subgroup(action, tangent, t), x)
@@ -481,7 +504,7 @@ class TestChartConjugation:
     def test_identity_chart_reduces_to_analytic(self):
         base = ga.standard_affine_action(2)
         action = ga.chart_conjugated_action(base, identity_chart(2))
-        tangent = ga.affine_tangent([[0.2, -0.4], [0.1, 0.3]], [0.5, -0.5])
+        tangent = AffineField([[0.2, -0.4], [0.1, 0.3]], [0.5, -0.5])
         x = np.array([0.7, -1.1])
         via_chart = ga.fundamental_field_chart(action, tangent, x)
         analytic = evaluate(ga.fundamental_field_analytic(base, tangent), x)
@@ -493,7 +516,7 @@ class TestChartConjugation:
         action = ga.chart_conjugated_action(
             ga.standard_linear_action(1), lambert_chart()
         )
-        tangent = ga.linear_tangent([[1.0]])
+        tangent = linear_field([[1.0]])
         want = u / (1.0 + u)
         via_chart = ga.fundamental_field_chart(action, tangent, [u])[0]
         via_numeric = ga.fundamental_field_numeric(action, tangent, [u])[0]
@@ -505,7 +528,7 @@ class TestChartConjugation:
         action = ga.chart_conjugated_action(
             ga.standard_translation_action(2), exponential_chart(2)
         )
-        tangent = ga.translation_tangent([1.0, 0.0])
+        tangent = constant_field([1.0, 0.0])
         rng = np.random.default_rng(7)
         for _ in range(5):
             x = np.array([rng.uniform(0.3, 3.0), rng.uniform(-2.0, 2.0)])
@@ -523,7 +546,7 @@ class TestChartConjugation:
             ga.standard_affine_action(1), lambert_chart()
         )
         for _ in range(20):
-            tangent = ga.affine_tangent(
+            tangent = AffineField(
                 rng.uniform(-1, 1, (1, 1)), rng.uniform(-1, 1, 1)
             )
             x = np.array([rng.uniform(-0.6, 2.0)])
@@ -537,14 +560,14 @@ class TestChartConjugation:
         action = ga.chart_conjugated_action(
             ga.standard_linear_action(1), lambert_chart()
         )
-        tangent = ga.linear_tangent([[1.0]])
+        tangent = linear_field([[1.0]])
         with pytest.raises(Exception, match="outside"):
             ga.fundamental_field_chart(action, tangent, [-0.95])
         # The numeric route checks the point once, before any perturbation,
         # so a zero tangent is refused there too.
         for x_mat in ([[1.0]], [[0.0]]):
             with pytest.raises(ChartDomainError, match="outside"):
-                ga.fundamental_field_numeric(action, ga.linear_tangent(x_mat), [-0.95])
+                ga.fundamental_field_numeric(action, linear_field(x_mat), [-0.95])
 
     def test_chart_is_an_attribute_of_the_action(self):
         base = ga.det_weighted_action(2, 2)
@@ -566,7 +589,7 @@ class TestChartConjugation:
         with pytest.raises(ValueError, match="dimensions differ"):
             ga.chart_conjugated_action(base, identity_chart(3))
         with pytest.raises(ValueError, match="needs an action with a chart"):
-            ga.fundamental_field_chart(base, ga.translation_tangent([1.0, 0.0]), [0, 0])
+            ga.fundamental_field_chart(base, constant_field([1.0, 0.0]), [0, 0])
         with pytest.raises(ValueError, match="tangent recovery"):
             ga.tangent_for_field(action, linear_field(np.eye(2)))
 
@@ -576,7 +599,6 @@ class TestChartConjugation:
     [
         AffineField([[1.0, 2.0], [0.0, -1.0]], [2.0, 0.5]),
         ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
-        ga.affine_tangent([[0.0, 0.0], [2.0, 0.0]], [1.0, 0.0]),
         orbit(make_flow(AffineField([[0.5]], [1.0])), [1.0], [0.0, 0.5, 1.0]),
     ],
     ids=lambda value: type(value).__name__,
@@ -599,8 +621,9 @@ def _matrix_values(entry):
     return {
         "AffineField": field,
         "GroupElement": ga.affine_element([[1.0, entry], [0.0, 1.0]], [3.0, 4.0]),
-        "TangentAtIdentity": ga.affine_tangent([[entry, 0.0], [2.0, 0.0]], [1.0, 0.0]),
         "FlowMap": make_flow(field),
+        "GroupAction": ga.exp_translation_action([1.0, entry]),
+        "Orbit": Orbit([1.0, 2.0], [0.0, 0.5], [[1.0, 2.0], [entry, 3.0]]),
     }
 
 
@@ -617,10 +640,11 @@ def test_equality_is_exact_and_agrees_with_the_hash(name):
 
 
 def test_equality_needs_the_same_type_and_kind():
+    # A tangent is its generator, so a general-linear tangent equals the
+    # general-affine one with the same matrix (gl(n) inside aff(n)).
     field = AffineField([[1.0]], [0.0])
-    linear = ga.linear_tangent([[1.0]])
-    assert linear == ga.linear_tangent([[1.0]])
-    assert linear != ga.affine_tangent([[1.0]], [0.0])
+    for kind in (ga.GENERAL_LINEAR, ga.GENERAL_AFFINE):
+        assert ga.TangentAtIdentity(kind, [[1.0]], [0.0]) == field == linear_field([[1.0]])
     assert ga.linear_element([[2.0]]) != ga.affine_element([[2.0]], [0.0])
-    assert field != ga.affine_tangent([[1.0]], [0.0])
+    assert ga.standard_linear_action(1) != ga.standard_affine_action(1)
     assert make_flow(field) != field and field != field.matrix.tolist()

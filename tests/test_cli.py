@@ -533,14 +533,17 @@ class TestErrorHandling:
         assert err.startswith("error:")
 
     # A file that is valid JSON but not an object, a bundle function index
-    # that is not an integer, and a value of the wrong JSON type below the
-    # top level are input errors, not crashes.
+    # that is not an integer, a value of the wrong JSON type below the top
+    # level, and a tangent with no part or outside its group's algebra are
+    # input errors, not crashes.
     @pytest.mark.parametrize(
         "command, flag, content",
         [
             ("verify-invariants", "--bundle", []),
             ("check-action", "--params", []),
             ("fundamental", "--X", []),
+            ("fundamental", "--X", {}),
+            ("fundamental", "--X", {"X_vec": [1.0]}),
             ("flow", "--field", [1.0]),
             ("verify-invariants", "--bundle",
              {"family": "constant", "G": {"kind": "slot", "index": "1"}}),
@@ -555,7 +558,8 @@ class TestErrorHandling:
             ("verify-invariants", "--bundle",
              {"family": "constant", "G": {"kind": "linear", "coeffs": {"a": 1}}}),
         ],
-        ids=["bundle-list", "params-list", "tangent-list", "field-list",
+        ids=["bundle-list", "params-list", "tangent-list", "tangent-empty",
+             "tangent-vector-under-GL", "field-list",
              "index-string", "index-float", "index-bool", "function-list",
              "dimension-list", "planar-alpha-list", "coeffs-object"],
     )

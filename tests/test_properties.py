@@ -338,8 +338,8 @@ def test_group_element_associativity_and_inverse(kind, data):
 
 @st.composite
 def _tangents(draw, kind, n):
-    """A tangent of group ``kind`` with entries in [-1, 1], its matrix
-    components scaled by 10^e for e in [-2, 1]."""
+    """A generator in the algebra of group ``kind`` with entries in [-1, 1],
+    its matrix part scaled by 10^e for e in [-2, 1]."""
     mat = draw(arrays(float, (n, n), elements=_ENTRIES))
     mat *= 10.0 ** draw(st.floats(-2.0, 1.0))
     vec = draw(arrays(float, n, elements=_ENTRIES))
@@ -347,7 +347,7 @@ def _tangents(draw, kind, n):
         mat[:] = 0.0
     if kind == ga.GENERAL_LINEAR:
         vec[:] = 0.0
-    return ga.TangentAtIdentity(kind, mat, vec)
+    return AffineField(mat, vec)
 
 
 @st.composite
@@ -374,7 +374,7 @@ def test_fundamental_fields_reverse_the_bracket(variant, data):
     kind = action.group_kind
     x, y = data.draw(_tangents(kind, n)), data.draw(_tangents(kind, n))
     c = x.matrix @ y.matrix - y.matrix @ x.matrix
-    xy = ga.TangentAtIdentity(kind, c[:-1, :-1], c[:-1, -1])
+    xy = AffineField(c[:-1, :-1], c[:-1, -1])
     fx, fy = (ga.fundamental_field_analytic(action, t) for t in (x, y))
     lhs = ga.fundamental_field_analytic(action, xy).matrix
     rhs = -bracket(fx, fy).matrix
@@ -403,10 +403,10 @@ def test_fundamental_fields_of_matrix_units_reverse_the_bracket_exactly(variant,
     for r, c in (data.draw(st.sampled_from(units)) for _ in range(2)):
         e = np.zeros((n + 1, n + 1))
         e[r, c] = 1.0
-        tangents.append(ga.TangentAtIdentity(kind, e[:-1, :-1], e[:-1, -1]))
+        tangents.append(AffineField(e[:-1, :-1], e[:-1, -1]))
     x, y = tangents
     c = x.matrix @ y.matrix - y.matrix @ x.matrix
-    xy = ga.TangentAtIdentity(kind, c[:-1, :-1], c[:-1, -1])
+    xy = AffineField(c[:-1, :-1], c[:-1, -1])
     fx, fy = (ga.fundamental_field_analytic(action, t) for t in (x, y))
     lhs = ga.fundamental_field_analytic(action, xy).matrix
     assert np.array_equal(lhs, -bracket(fx, fy).matrix)
