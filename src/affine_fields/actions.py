@@ -3,14 +3,15 @@
 Three groups are covered, all in the homogeneous embedding of the general
 affine group GA(n): an element is the (n+1) x (n+1) matrix [[a, t], [0, 1]],
 so multiplication, inversion and the exponential are those of matrices
-((a1, t1)(a2, t2) = (a1 a2, a1 t2 + t1)).  The translation group and the
-general linear group are subgroups of GA(n), and an element's kind is a
-constraint its constructor checks: a = I exactly for translations, t = 0
-exactly for general-linear elements.  A tangent vector X at the identity is
-its generator [[X_mat, X_vec], [0, 0]], stored as the AffineField of that
-matrix.  The Lie algebras are nested as the groups are: translations have
-X_mat = 0, general-linear tangents X_vec = 0, and general-affine ones are any
-affine field, so a generator serves every action whose algebra holds it.
+((a1, t1)(a2, t2) = (a1 a2, a1 t2 + t1)), and an element is only its matrix.
+A tangent vector X at the identity is its generator [[X_mat, X_vec], [0, 0]],
+stored as the AffineField of that matrix.  The translation group and the
+general linear group are subgroups of GA(n), and one table, _SUBGROUPS,
+decides membership in them and in their Lie algebras: the block that the
+algebra holds at exactly zero, X_mat for translations and X_vec for
+general-linear, must be zero in X for a generator and in g - I for an
+element.  So the groups and algebras are nested, and an action takes every
+element and generator of its group, whatever built it.
 
 A fixed catalog of left actions is implemented, one record per variant in
 VARIANTS; the three standard ones share the act a x + t and differ in group:
@@ -35,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,17 +67,34 @@ MIN_SCALED_DET = 1e-12
 AXIOM_TOL = 1e-9
 
 
+# Each proper subgroup of GA(n) by the block of the homogeneous matrix that
+# its Lie algebra holds at exactly zero, and what that says of a generator
+# and of an element: X lies in the algebra when that block of X is zero, g in
+# the group when that block of g - I is.  General-affine has no such block.
+_SUBGROUPS = {
+    TRANSLATION_GROUP: ((slice(-1), slice(-1)),
+                        "are constant fields (X_mat = 0)", "have matrix part I"),
+    GENERAL_LINEAR: ((slice(-1), -1),
+                     "are linear fields (X_vec = 0)", "have translation part 0"),
+}
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The read-only identity of GA(n)."""
+    e = np.eye(n + 1)
+    e.flags.writeable = False
+    return e
+
+
 @dataclass(frozen=True, eq=False)
 class GroupElement(MatrixValue):
-    """Element [[a, t], [0, 1]] of GA(n), of its translation subgroup
-    (a = I) or of its general linear subgroup (t = 0), as ``kind`` says."""
+    """Element [[a, t], [0, 1]] of GA(n); of its translation subgroup when
+    a = I, of its general linear one when t = 0 (see _SUBGROUPS)."""
 
-    kind: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown group kind {self.kind!r}")
         m = as_matrix(self.matrix, "group element")
         n = m.shape[0] - 1
         if n < 1 or m.shape[1] != n + 1:
@@ -84,17 +103,9 @@ class GroupElement(MatrixValue):
         if m[n, n] != 1.0 or np.count_nonzero(m[n, :n]):
             raise ValueError("group element's bottom row must be (0, ..., 0, 1)")
         a = m[:n, :n]
-        if self.kind == TRANSLATION_GROUP:
-            # a = I: n nonzero entries, and the n diagonal ones equal 1.
-            if np.count_nonzero(a) != n or np.count_nonzero(a.diagonal() - 1.0):
-                raise ValueError("translation elements have matrix part I")
-        else:
-            if self.kind == GENERAL_LINEAR and np.count_nonzero(m[:n, n]):
-                raise ValueError("general-linear elements have translation part 0")
-            norms = np.hypot.reduce(a, axis=0)
-            if (np.count_nonzero(norms) < n
-                    or abs(np.linalg.det(a / norms)) <= MIN_SCALED_DET):
-                raise ValueError("matrix part is singular")
+        norms = np.hypot.reduce(a, axis=0)
+        if np.count_nonzero(norms) < n or abs(np.linalg.det(a / norms)) <= MIN_SCALED_DET:
+            raise ValueError("matrix part is singular")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -104,65 +115,61 @@ class GroupElement(MatrixValue):
 
     @property
     def a(self) -> np.ndarray:
-        """Matrix part, a read-only view (I for translations)."""
+        """Matrix part, a read-only view."""
         return self.matrix[:-1, :-1]
 
     @property
     def t(self) -> np.ndarray:
-        """Translation part, a read-only view (0 for general-linear)."""
+        """Translation part, a read-only view."""
         return self.matrix[:-1, -1]
 
     def __reduce__(self):
         # Rebuilt by the constructor, so an unpickled matrix is frozen too.
-        return GroupElement, (self.kind, self.matrix)
-
-
-def _element(kind: str, a, t=None) -> GroupElement:
-    """The ``kind`` element [[a, t], [0, 1]], with t = 0 when None."""
-    a = np.asarray(a, dtype=float)
-    m = augment_affine(a, np.zeros(a.shape[:1]) if t is None else t)
-    m[-1, -1] = 1.0
-    return GroupElement(kind, m)
-
-
-def translation_element(t) -> GroupElement:
-    t = np.asarray(t, dtype=float).reshape(-1)
-    return _element(TRANSLATION_GROUP, np.eye(t.size), t)
-
-
-def linear_element(a) -> GroupElement:
-    return _element(GENERAL_LINEAR, a)
+        return GroupElement, (self.matrix,)
 
 
 def affine_element(a, t) -> GroupElement:
-    return _element(GENERAL_AFFINE, a, t)
+    """The element [[a, t], [0, 1]]."""
+    m = augment_affine(a, t)
+    m[-1, -1] = 1.0
+    return GroupElement(m)
 
 
-def identity_element(kind: str, n: int) -> GroupElement:
-    return GroupElement(kind, np.eye(n + 1))
+def translation_element(t) -> GroupElement:
+    return affine_element(np.eye(np.size(t)), t)
+
+
+def linear_element(a) -> GroupElement:
+    return affine_element(a, np.zeros(np.shape(a)[:1]))
+
+
+def identity_element(n: int) -> GroupElement:
+    return GroupElement(np.eye(n + 1))
 
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
-    """Group product g h (for the affine group: (a1 a2, a1 t2 + t1))."""
-    if g.kind != h.kind:
-        raise ValueError(f"cannot multiply {g.kind!r} by {h.kind!r}")
-    if g.n != h.n:
-        raise ValueError("dimension mismatch")
-    return GroupElement(g.kind, g.matrix @ h.matrix)
+    """Group product g h (for the affine group: (a1 a2, a1 t2 + t1)); the
+    product of matrices raises ValueError when the dimensions differ."""
+    return GroupElement(g.matrix @ h.matrix)
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(g.kind, np.linalg.inv(g.matrix))
+    return GroupElement(np.linalg.inv(g.matrix))
 
 
-def _in_algebra(kind: str, X: AffineField) -> AffineField:
-    """The generator X, once it lies in the Lie algebra of the ``kind``
-    group: C = 0 exactly for translations, B = 0 exactly for general-linear."""
-    if kind == TRANSLATION_GROUP and X.C.any():
-        raise ValueError("translation generators are constant fields (X_mat = 0)")
-    if kind == GENERAL_LINEAR and X.B.any():
-        raise ValueError("general-linear generators are linear fields (X_vec = 0)")
-    return X
+def _member(kind: str, value, n: int):
+    """The generator X or element g ``value``, once it acts on R^n and lies
+    in the Lie algebra, or the group, of the ``kind`` group (_SUBGROUPS)."""
+    element = isinstance(value, GroupElement)
+    what = "element" if element else "generator"
+    if value.n != n:
+        raise ValueError(f"{what} dimension {value.n} differs from action's {n}")
+    if kind in _SUBGROUPS:
+        block, of_generators, of_elements = _SUBGROUPS[kind]
+        origin = _identity(n) if element else 0.0
+        if np.count_nonzero((value.matrix - origin)[block]):
+            raise ValueError(f"{kind} {what}s {of_elements if element else of_generators}")
+    return value
 
 
 def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
@@ -171,7 +178,8 @@ def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
     [[X_mat, X_vec], [0, 0]], the AffineField(X_mat, X_vec)."""
     if kind not in _KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
-    return _in_algebra(kind, AffineField(X_mat, X_vec))
+    X = AffineField(X_mat, X_vec)
+    return _member(kind, X, X.n)
 
 
 def _standard_act(action, m, p) -> np.ndarray:
@@ -186,15 +194,16 @@ def _exp_translation_tangent(action, field) -> AffineField:
     # The field must be an isotropic scaling c I, to 1e-10 of its largest entry;
     # any X_vec with X_vec . s = c works, and the returned one is c s / (s . s).
     n = action.n
-    c = _in_algebra(GENERAL_LINEAR, field).C
+    c = _member(GENERAL_LINEAR, field, n).C
     rate = float(np.trace(c)) / n
     if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * np.max(np.abs(c)):
         raise ValueError("exp-translation fundamental fields are isotropic scalings")
-    s = action.s
-    ss = float(np.dot(s, s))
+    if rate == 0.0:
+        return constant_field(np.zeros(n))
+    ss = float(np.dot(action.s, action.s))
     if ss == 0.0:
         raise ValueError("weight vector is zero; only the zero field is reachable")
-    return constant_field((rate / ss) * s)
+    return constant_field((rate / ss) * action.s)
 
 
 def _det_weighted_field(action, X) -> AffineField:
@@ -204,7 +213,7 @@ def _det_weighted_field(action, X) -> AffineField:
 def _det_weighted_tangent(action, field) -> AffineField:
     # Removes the trace feedback: X_mat = C - q / (1 + q n) trace(C) I.
     n, q = action.n, action.q
-    c = _in_algebra(GENERAL_LINEAR, field).C
+    c = _member(GENERAL_LINEAR, field, n).C
     return linear_field(c - (q / (1.0 + q * n)) * np.trace(c) * np.eye(n))
 
 
@@ -229,7 +238,7 @@ def _standard_record(kind: str) -> VariantRecord:
         kind,
         _standard_act,
         field=lambda action, X: X,
-        tangent=lambda action, field: _in_algebra(action.group_kind, field),
+        tangent=lambda action, field: _member(action.group_kind, field, action.n),
     )
 
 
@@ -334,24 +343,6 @@ def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
     return replace(base, chart=chart)
 
 
-def _require_kind(action: GroupAction, g: GroupElement):
-    """An element ``g`` must be of the action's group and dimension."""
-    if g.kind != action.group_kind:
-        raise ValueError(
-            f"element of kind {g.kind!r} fed to a {action.group_kind!r} action"
-        )
-    if g.n != action.n:
-        raise ValueError(f"element dimension {g.n} differs from action's {action.n}")
-
-
-def _generator(action: GroupAction, X: AffineField):
-    """A generator X must lie in the algebra of the action's group and have
-    its dimension."""
-    if X.n != action.n:
-        raise ValueError(f"generator dimension {X.n} differs from action's {action.n}")
-    _in_algebra(action.group_kind, X)
-
-
 def _point(action: GroupAction, x) -> np.ndarray:
     p = np.asarray(x, dtype=float).reshape(-1)
     if p.size != action.n:
@@ -362,13 +353,19 @@ def _point(action: GroupAction, x) -> np.ndarray:
 
 
 def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
-    """Apply the left action of g to the point x (in chart coordinates when
-    the action has a chart)."""
-    _require_kind(action, g)
+    """Apply the left action of g, any element of the action's group, to
+    the point x (in chart coordinates when the action has a chart).
+
+    Raises OverflowError when the image, before any chart, is not finite.
+    """
+    _member(action.group_kind, g, action.n)
     chart = action.chart
     if chart is not None:
         x = chart.forward(chart.require(x))
-    image = VARIANTS[action.variant].act(action, g.matrix, _point(action, x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = VARIANTS[action.variant].act(action, g.matrix, _point(action, x))
+    if not all(map(math.isfinite, image.tolist())):
+        raise OverflowError(f"image under {action.describe()} is not finite")
     return image if chart is None else chart.inverse(image)
 
 
@@ -387,18 +384,17 @@ def fundamental_field_numeric(
     is ``act`` on each perturbed element, with the point checked and taken
     through the chart once.
     """
-    _generator(action, tangent)
+    _member(action.group_kind, tangent, action.n)
     p = _point(action, x)
     chart = action.chart
     if chart is not None:
         p = _point(action, chart.forward(chart.require(p)))
     variant_act = VARIANTS[action.variant].act
-    identity = np.eye(action.n + 1)
     out = np.zeros(action.n)
     for r, c in zip(*np.nonzero(tangent.matrix)):
         images = []
         for step in (FD_STEP, -FD_STEP):
-            g = identity.copy()
+            g = _identity(action.n).copy()
             g[r, c] += step
             image = variant_act(action, g, p)
             images.append(image if chart is None else chart.inverse(image))
@@ -418,7 +414,7 @@ def fundamental_field_analytic(
     det-weighted C = X_mat + q trace(X_mat) I.  An action with a chart
     has no ambient closed form; see fundamental_field_chart.
     """
-    _generator(action, tangent)
+    _member(action.group_kind, tangent, action.n)
     if action.chart is not None:
         raise ValueError(f"no ambient closed form for {action.describe()}")
     return VARIANTS[action.variant].field(action, tangent)
@@ -454,8 +450,6 @@ def tangent_for_field(action: GroupAction, field: AffineField) -> AffineField:
     must be an isotropic scaling c I and any X_vec with X_vec . s = c works
     (the returned one is c s / (s . s)).
     """
-    if field.n != action.n:
-        raise ValueError("field and action dimensions differ")
     if action.chart is not None:
         raise ValueError(f"no tangent recovery for {action.describe()}")
     return VARIANTS[action.variant].tangent(action, field)
@@ -470,14 +464,14 @@ def one_parameter_subgroup(
     Raises OverflowError when t X or exp(t X) is not representable in
     floats, and ValueError for a non-finite t.
     """
-    _generator(action, tangent)
+    _member(action.group_kind, tangent, action.n)
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     with np.errstate(over="ignore"):
         scaled = t * tangent.matrix
     if not np.isfinite(scaled).all():
         raise OverflowError(f"time-{t!r} generator overflows")
-    return GroupElement(action.group_kind, mat_exp(scaled))
+    return GroupElement(mat_exp(scaled))
 
 
 def random_element(action: GroupAction, rng: np.random.Generator) -> GroupElement:
@@ -502,7 +496,7 @@ def random_element(action: GroupAction, rng: np.random.Generator) -> GroupElemen
         else:  # pragma: no cover - a tiny perturbation of I is invertible
             raise RuntimeError("failed to sample an invertible matrix")
         m[:n, :n] = a
-    return GroupElement(kind, m)
+    return GroupElement(m)
 
 
 @dataclass(frozen=True)
@@ -541,7 +535,7 @@ def check_action_axioms(
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    e = identity_element(action.group_kind, action.n)
+    e = identity_element(action.n)
     max_id = 0.0
     max_comp = 0.0
     for _ in range(samples):

@@ -6,12 +6,15 @@ its inverse, its derivative, its open domain interval and a finite sampling
 interval well inside the domain for probing.  Charts localize group actions:
 conjugating a global action by a chart gives a local action whose fundamental
 fields are affine in the chart frame but generally not in the ambient one.
+Charts compare their maps by identity, so the registry's builders share
+their maps or are cached: equal arguments give equal, equally hashed charts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -90,6 +93,7 @@ def identity_chart(n: int) -> Chart:
     return Chart("identity", (_IDENTITY,) * n)
 
 
+@lru_cache(maxsize=None)
 def exponential_chart(n: int) -> Chart:
     """First coordinate is read through a logarithm: v1 = log(x1), vk = xk.
 
@@ -129,6 +133,7 @@ def lambert_w(w: float) -> float:
     raise ChartDomainError(f"inversion of u * exp(u) did not converge for {w}")
 
 
+@lru_cache(maxsize=None)
 def lambert_chart() -> Chart:
     """One-dimensional chart with coordinate v = u * exp(u), domain u > -0.9.
 
@@ -142,6 +147,7 @@ def lambert_chart() -> Chart:
         lambda u: math.exp(u) * (1.0 + u), (-0.9, math.inf), (-0.3, 2.0)),))
 
 
+@lru_cache(maxsize=None)
 def diagonal_scaling_chart(n: int) -> Chart:
     """Linear chart v = diag(d) x with the distinct factors d_k = 1 + 0.5 k,
     k = 0, ..., n - 1; the inverse multiplies by 1 / d_k."""

@@ -28,8 +28,7 @@ class MatrixValue:
     methods hold."""
 
     def _parts(self) -> tuple:
-        """The kind (where there is one) and the homogeneous matrix."""
-        return getattr(self, "kind", None), self.matrix
+        return (self.matrix,)
 
     def _key(self) -> tuple:
         # a + 0.0 turns -0.0 into 0.0, so equal entries have equal bytes.

@@ -22,6 +22,7 @@ from affine_fields.fields import (
     constant_field,
     evaluate,
     linear_field,
+    zero_field,
 )
 from affine_fields.flows import Orbit, flow_at, make_flow, orbit
 from affine_fields.oracle import OdeProblem, integrate
@@ -65,10 +66,9 @@ class TestGroupElements:
 
     def test_identity_and_inverse(self):
         rng = np.random.default_rng(0)
+        e = ga.identity_element(2)
+        assert ga.multiply(e, e) == e == ga.inverse(e)
         for kind in (ga.TRANSLATION_GROUP, ga.GENERAL_LINEAR, ga.GENERAL_AFFINE):
-            e = ga.identity_element(kind, 2)
-            action_free_check = ga.multiply(e, e)
-            assert action_free_check.kind == kind
             for _ in range(5):
                 g = ga.random_element(ga.GroupAction(ga.STANDARD_AFFINE, 2), rng)
                 if kind == ga.TRANSLATION_GROUP:
@@ -104,22 +104,27 @@ class TestGroupElements:
         sheared[0, 1] = 0.5
         shifted = np.eye(3)
         shifted[0, 2] = 0.5
-        for kind, matrix in [
-            (ga.GENERAL_AFFINE, bad_bottom),
-            (ga.GENERAL_AFFINE, not_one),
-            (ga.GENERAL_AFFINE, np.eye(3)[:, :2]),
-            (ga.GENERAL_AFFINE, np.eye(1)),
-            (ga.GENERAL_AFFINE, [[1.0, np.nan], [0.0, 1.0]]),
-            (ga.TRANSLATION_GROUP, sheared),
-            (ga.GENERAL_LINEAR, shifted),
-            ("rotation", np.eye(3)),
+        for matrix in [
+            bad_bottom, not_one, np.eye(3)[:, :2], np.eye(1), [[1.0, np.nan], [0.0, 1.0]],
         ]:
             with pytest.raises(ValueError):
-                ga.GroupElement(kind, matrix)
+                ga.GroupElement(matrix)
+        # Both are elements of GA(2), but a sheared one is no translation and
+        # a shifted one is not in GL(2), so those actions refuse them.
+        for action, matrix, match in [
+            (ga.standard_translation_action(2), sheared, "matrix part I"),
+            (ga.exp_translation_action([1.0, 2.0]), sheared, "matrix part I"),
+            (ga.standard_linear_action(2), shifted, "translation part 0"),
+            (ga.det_weighted_action(2, 1), shifted, "translation part 0"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ga.act(action, ga.GroupElement(matrix), [1.0, 2.0])
         with pytest.raises(ValueError):
             ga.affine_element(np.eye(2), np.zeros(3))
         with pytest.raises(ValueError):
             ga.linear_element(np.ones(2))
+        with pytest.raises(ValueError):
+            ga.multiply(ga.identity_element(2), ga.identity_element(3))
 
     def test_elements_are_read_only(self):
         g = ga.affine_element(np.eye(2), [1.0, 2.0])
@@ -130,9 +135,11 @@ class TestGroupElements:
     @pytest.mark.parametrize("kind, make_action", KIND_ACTIONS)
     def test_subgroups_are_closed_exactly(self, kind, make_action):
         # Products, inverses and exponentials keep a = I exactly for
-        # translations and t = 0 exactly for general-linear elements.
+        # translations and t = 0 exactly for general-linear elements, so the
+        # action, which takes only elements of its group, takes them.
         rng = np.random.default_rng(11)
         action = make_action(3)
+        x = np.array([0.5, -1.0, 2.0])
         for _ in range(20):
             g = ga.random_element(action, rng)
             h = ga.random_element(action, rng)
@@ -142,7 +149,7 @@ class TestGroupElements:
                 ga.inverse(g),
                 ga.one_parameter_subgroup(action, tangent, float(rng.uniform(-3, 3))),
             ):
-                assert out.kind == kind
+                ga.act(action, out, x)
                 if kind == ga.TRANSLATION_GROUP:
                     assert np.array_equal(out.a, np.eye(3))
                 if kind == ga.GENERAL_LINEAR:
@@ -222,9 +229,31 @@ class TestAct:
         assert_allclose(ga.act(action, g, [1.0, 1.0]), [4.0, 2.0])
 
     def test_kind_mismatch(self):
-        action = ga.standard_linear_action(2)
-        with pytest.raises(ValueError, match="kind"):
-            ga.act(action, ga.translation_element([1.0, 2.0]), [0.0, 0.0])
+        # An action takes the elements of its group and dimension only.
+        x = [0.0, 0.0]
+        for action, g, match in [
+            (ga.standard_linear_action(2), ga.translation_element([1.0, 2.0]),
+             "general-linear elements have translation part 0"),
+            (ga.standard_translation_action(2), ga.linear_element([[1.0, 0.5], [0.0, 1.0]]),
+             "translation elements have matrix part I"),
+            (ga.standard_affine_action(2), ga.identity_element(3), "dimension"),
+        ]:
+            with pytest.raises(ValueError, match=match):
+                ga.act(action, g, x)
+
+    def test_subgroup_elements_act_under_the_affine_action(self):
+        # GL(n) and the translations sit inside GA(n): standard-affine takes
+        # their elements and acts as their own standard action, bit for bit.
+        rng = np.random.default_rng(13)
+        affine = ga.standard_affine_action(3)
+        for _ in range(10):
+            a = rng.uniform(-2, 2, (3, 3)) + 4.0 * np.eye(3)
+            t, x = rng.uniform(-2, 2, (2, 3))
+            for action, g in [
+                (ga.standard_linear_action(3), ga.linear_element(a)),
+                (ga.standard_translation_action(3), ga.translation_element(t)),
+            ]:
+                assert ga.act(affine, g, x).tobytes() == ga.act(action, g, x).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("point", [[np.inf, 0.0], [0.0, np.nan], [-np.inf, 1.0]])
@@ -240,6 +269,25 @@ class TestAct:
         tangent = AffineField(np.eye(2), [1.0, 0.0])
         with pytest.raises(ValueError, match="point must be finite"):
             ga.fundamental_field_numeric(ga.standard_affine_action(2), tangent, point)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "action, g, x",
+        [
+            (ga.exp_translation_action([1.0]), ga.translation_element([1000.0]), [2.0]),
+            (ga.exp_translation_action([1.0]), ga.translation_element([1000.0]), [0.0]),
+            (ga.det_weighted_action(2, 2), ga.linear_element(1e75 * np.eye(2)), [1e10, 1.0]),
+            (ga.standard_linear_action(1), ga.linear_element([[1e300]]), [1e10]),
+            (ga.chart_conjugated_action(ga.standard_linear_action(1), lambert_chart()),
+             ga.linear_element([[1e308]]), [2.0]),
+        ],
+        ids=["exp-overflow", "exp-zero-times-inf", "det-weighted", "linear", "lambert"],
+    )
+    def test_non_finite_image_raises_overflow(self, action, g, x):
+        # The image is checked before the chart's inverse, which would
+        # otherwise be handed inf.
+        with pytest.raises(OverflowError, match="not finite"):
+            ga.act(action, g, x)
 
 
 class TestAxioms:
@@ -433,6 +481,12 @@ class TestTangentRecovery:
         back = ga.fundamental_field_analytic(action, tangent)
         assert_allclose(back.matrix, field.matrix, rtol=1e-15, atol=0.0)
 
+    def test_exp_translation_with_zero_weight_reaches_the_zero_field(self):
+        action = ga.exp_translation_action([0.0, 0.0])
+        assert ga.tangent_for_field(action, zero_field(2)) == zero_field(2)
+        with pytest.raises(ValueError, match="weight vector is zero"):
+            ga.tangent_for_field(action, linear_field(np.eye(2)))
+
     def test_wrong_field_class_rejected(self):
         field = AffineField(np.eye(2), [1.0, 0.0])
         with pytest.raises(ValueError):
@@ -611,8 +665,6 @@ def test_pickle_keeps_arrays_frozen(value):
             arr = getattr(again, name)
             assert not arr.flags.writeable, name
             assert np.array_equal(arr, getattr(value, name)), name
-    if hasattr(value, "kind"):
-        assert again.kind == value.kind
 
 
 def _matrix_values(entry):
@@ -639,12 +691,21 @@ def test_equality_is_exact_and_agrees_with_the_hash(name):
     assert value != other and len({value, other}) == 2
 
 
-def test_equality_needs_the_same_type_and_kind():
-    # A tangent is its generator, so a general-linear tangent equals the
-    # general-affine one with the same matrix (gl(n) inside aff(n)).
+def test_equality_needs_the_same_type():
+    # A tangent is its generator and an element its matrix, so a
+    # general-linear tangent or element equals the general-affine one with
+    # the same matrix (gl(n) inside aff(n), GL(n) inside GA(n)).
     field = AffineField([[1.0]], [0.0])
     for kind in (ga.GENERAL_LINEAR, ga.GENERAL_AFFINE):
         assert ga.TangentAtIdentity(kind, [[1.0]], [0.0]) == field == linear_field([[1.0]])
-    assert ga.linear_element([[2.0]]) != ga.affine_element([[2.0]], [0.0])
+    a = np.array([[2.0, 1.0], [0.5, 3.0]])
+    t = np.array([1.0, -2.0])
+    for g, h in [
+        (ga.linear_element(a), ga.affine_element(a, np.zeros(2))),
+        (ga.translation_element(t), ga.affine_element(np.eye(2), t)),
+        (ga.multiply(ga.translation_element(t), ga.linear_element(a)), ga.affine_element(a, t)),
+    ]:
+        assert g == h and hash(g) == hash(h)
+    assert ga.identity_element(1) != ga.identity_element(1).matrix.tolist()
     assert ga.standard_linear_action(1) != ga.standard_affine_action(1)
     assert make_flow(field) != field and field != field.matrix.tolist()

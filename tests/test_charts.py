@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from affine_fields import actions as ga
 from affine_fields.charts import (
+    CHART_BUILDERS,
     ChartDomainError,
     diagonal_scaling_chart,
     exponential_chart,
@@ -88,3 +90,16 @@ def test_registry_lookup():
         get_chart("missing", 2)
     with pytest.raises(ValueError, match="one-dimensional"):
         get_chart("lambert", 2)
+
+
+@pytest.mark.parametrize("name", sorted(CHART_BUILDERS))
+def test_equal_arguments_give_equal_charts(name):
+    # Charts compare their coordinate maps by identity, so each builder
+    # reuses its maps; actions with charts built apart are then equal too.
+    n = 1 if name == "lambert" else 3
+    chart, again = get_chart(name, n), get_chart(name, n)
+    assert chart == again and hash(chart) == hash(again)
+    assert chart != (identity_chart(2) if name == "identity" else identity_chart(n))
+    action, same = (ga.chart_conjugated_action(ga.standard_linear_action(n), c)
+                    for c in (chart, again))
+    assert action == same and hash(action) == hash(same)

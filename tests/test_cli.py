@@ -446,9 +446,11 @@ class TestCheckActionCommand:
         assert code == 0
         assert json.loads(out)["passed"] is True
 
-    # The whole report at the default 200 samples and seed 42, one base on
-    # each registry chart, as the per-coordinate chart maps must reproduce
-    # it bit for bit.
+    # The whole report at the default 200 samples and seed 42, n = 2, s =
+    # ones and q = 1, bit for bit: one base on each registry chart, which the
+    # per-coordinate chart maps must reproduce, and each catalog action
+    # without a chart (chart None), which a change to how an action checks
+    # its elements must not move.
     @pytest.mark.parametrize(
         "base, chart, n, report",
         [
@@ -468,14 +470,39 @@ class TestCheckActionCommand:
                 "action": "exp-translation(s=[1.0]) via chart 'lambert'",
                 "max_identity_defect": 9.201567496251857e-15,
                 "max_composition_defect": 7.179881862581109e-15}),
+            ("standard-linear", None, 2, {
+                "action": "standard-linear",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 3.3083374214324304e-16}),
+            ("standard-translation", None, 2, {
+                "action": "standard-translation",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 1.7105731709606052e-16}),
+            ("standard-affine", None, 2, {
+                "action": "standard-affine",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 2.9605314874891544e-16}),
+            ("exp-translation", None, 2, {
+                "action": "exp-translation(s=[1.0, 1.0])",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 2.4452521457503725e-16}),
+            ("det-weighted", None, 2, {
+                "action": "det-weighted(q=1)",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 8.875734185247046e-16}),
         ],
     )
     def test_chart_conjugated_report_is_pinned(self, capsys, tmp_path, base, chart, n,
                                                report):
         params = tmp_path / "params.json"
-        params.write_text(json.dumps({"n": n, "base": base, "chart": chart}))
+        if chart is None:
+            params.write_text(json.dumps({"n": n}))
+            action = base
+        else:
+            params.write_text(json.dumps({"n": n, "base": base, "chart": chart}))
+            action = "chart-conjugated"
         code, out, err = run_cli(
-            capsys, "check-action", "--action", "chart-conjugated", "--params", str(params)
+            capsys, "check-action", "--action", action, "--params", str(params)
         )
         expected = {"action": report["action"], "samples": 200,
                     "max_identity_defect": report["max_identity_defect"],
