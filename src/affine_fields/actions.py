@@ -23,18 +23,21 @@ VARIANTS; the three standard ones share the act a x + t and differ in group:
 * det-weighted           (a, x)      -> a x (det a)^q    for a fixed power q
 
 Any of these can carry a chart, which makes it local: it then acts by
-chart.inverse o act o chart.forward.  The fundamental field of X at x is the
-derivative of g -> act(g, x) at the identity contracted with X; it is
-computed both by central differences along the nonzero entries of X, with
-the fixed step FD_STEP, and from the per-variant closed forms, and the two
-must agree.  For the three standard actions it is the field X itself.
-Every action here is a left action, and nothing in the module takes a
-tolerance or a step as an argument.
+chart.inverse o act o chart.forward.  Each variant has one act, on a stack
+of element matrices and a stack of points, and each row of its result is bit
+for bit the act of that row alone: ``act`` applies it to one element,
+check_action_axioms to a block of samples at a time, and the difference
+quotients below to every perturbed identity at once.  The fundamental field
+of X at x is the derivative of g -> act(g, x) at the identity contracted
+with X; it is computed both by central differences along the nonzero
+entries of X, with the fixed step FD_STEP, and from the per-variant closed
+forms, and the two must agree.  For the three standard actions it is the
+field X itself.  Every action here is a left action, and nothing in the
+module takes a tolerance or a step as an argument.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
@@ -43,8 +46,9 @@ import numpy as np
 
 from .charts import Chart
 from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
+from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import as_matrix, as_vector, augment_affine, mat_exp
+from .linalg import as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -72,9 +76,9 @@ AXIOM_TOL = 1e-9
 # and of an element: X lies in the algebra when that block of X is zero, g in
 # the group when that block of g - I is.  General-affine has no such block.
 _SUBGROUPS = {
-    TRANSLATION_GROUP: ((slice(-1), slice(-1)),
+    TRANSLATION_GROUP: ((..., slice(-1), slice(-1)),
                         "are constant fields (X_mat = 0)", "have matrix part I"),
-    GENERAL_LINEAR: ((slice(-1), -1),
+    GENERAL_LINEAR: ((..., slice(-1), -1),
                      "are linear fields (X_vec = 0)", "have translation part 0"),
 }
 
@@ -95,17 +99,10 @@ class GroupElement(MatrixValue):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = as_matrix(self.matrix, "group element")
-        n = m.shape[0] - 1
-        if n < 1 or m.shape[1] != n + 1:
+        m = np.array(self.matrix, dtype=float, order="C")
+        if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] != m.shape[0]:
             raise ValueError(f"group element must be (n+1) x (n+1), got {m.shape}")
-        # count_nonzero is the cheapest exact zero test on small arrays.
-        if m[n, n] != 1.0 or np.count_nonzero(m[n, :n]):
-            raise ValueError("group element's bottom row must be (0, ..., 0, 1)")
-        a = m[:n, :n]
-        norms = np.hypot.reduce(a, axis=0)
-        if np.count_nonzero(norms) < n or abs(np.linalg.det(a / norms)) <= MIN_SCALED_DET:
-            raise ValueError("matrix part is singular")
+        _check_elements(m)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -126,6 +123,24 @@ class GroupElement(MatrixValue):
     def __reduce__(self):
         # Rebuilt by the constructor, so an unpickled matrix is frozen too.
         return GroupElement, (self.matrix,)
+
+
+def _check_elements(m: np.ndarray) -> np.ndarray:
+    """The (..., n+1, n+1) stack m, once it passes GroupElement's tests:
+    finite entries, each bottom row (0, ..., 0, 1) and each matrix part
+    invertible, with every column scaled to unit 2-norm (MIN_SCALED_DET)."""
+    if not np.isfinite(m).all():
+        raise ValueError("group element has non-finite entries")
+    n = m.shape[-1] - 1
+    # count_nonzero is the cheapest exact zero test on small arrays.
+    if np.count_nonzero(m[..., n, :] != _identity(n)[n]):
+        raise ValueError("group element's bottom row must be (0, ..., 0, 1)")
+    a = m[..., :n, :n]
+    norms = np.hypot.reduce(a, axis=-2)
+    if (np.count_nonzero(norms) < norms.size
+            or np.count_nonzero(abs(np.linalg.det(a / norms[..., None, :])) <= MIN_SCALED_DET)):
+        raise ValueError("matrix part is singular")
+    return m
 
 
 def affine_element(a, t) -> GroupElement:
@@ -158,16 +173,18 @@ def inverse(g: GroupElement) -> GroupElement:
 
 
 def _member(kind: str, value, n: int):
-    """The generator X or element g ``value``, once it acts on R^n and lies
-    in the Lie algebra, or the group, of the ``kind`` group (_SUBGROUPS)."""
-    element = isinstance(value, GroupElement)
+    """The generator X, element g or stack of element matrices ``value``,
+    once it acts on R^n and lies in the Lie algebra, or the group, of the
+    ``kind`` group (_SUBGROUPS)."""
+    element = not isinstance(value, AffineField)
     what = "element" if element else "generator"
-    if value.n != n:
-        raise ValueError(f"{what} dimension {value.n} differs from action's {n}")
+    matrix = getattr(value, "matrix", value)
+    if matrix.shape[-1] != n + 1:
+        raise ValueError(f"{what} dimension {matrix.shape[-1] - 1} differs from action's {n}")
     if kind in _SUBGROUPS:
         block, of_generators, of_elements = _SUBGROUPS[kind]
         origin = _identity(n) if element else 0.0
-        if np.count_nonzero((value.matrix - origin)[block]):
+        if np.count_nonzero((matrix - origin)[block]):
             raise ValueError(f"{kind} {what}s {of_elements if element else of_generators}")
     return value
 
@@ -182,8 +199,25 @@ def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
     return _member(kind, X, X.n)
 
 
+# The acts of VARIANTS take a (..., n+1, n+1) stack of homogeneous matrices
+# and (..., n) points.  Each is written to round as a lone element's would:
+# the matrix product as a stack of matrix-vector products, the weight s . t
+# as a stack of 1 x n by n x 1 products (np.dot's order), and the power of
+# the determinant by np.float_power (Python's float ** int; numpy's ** on an
+# array may differ in the last bit).
 def _standard_act(action, m, p) -> np.ndarray:
-    return m[:-1, :-1] @ p + m[:-1, -1]
+    return (m[..., :-1, :-1] @ p[..., None])[..., 0] + m[..., :-1, -1]
+
+
+def _exp_translation_act(action, m, p) -> np.ndarray:
+    rate = (m[..., None, :-1, -1] @ action.s[:, None])[..., 0, 0]
+    return p * np.exp(rate)[..., None]
+
+
+def _det_weighted_act(action, m, p) -> np.ndarray:
+    a = m[..., :-1, :-1]
+    weight = np.float_power(np.linalg.det(a), action.q)
+    return (a @ p[..., None])[..., 0] * weight[..., None]
 
 
 def _exp_translation_field(action, X) -> AffineField:
@@ -219,12 +253,14 @@ def _det_weighted_tangent(action, field) -> AffineField:
 
 @dataclass(frozen=True)
 class VariantRecord:
-    """One action variant: its group, the action of an element's
-    homogeneous matrix [[a, t], [0, 1]] on a point p of R^n, the
-    closed-form fundamental field of a generator X in the group's algebra,
-    the generator recovered from a field, and the parameter the variant
-    takes ("s", "q" or None).  For the three standard actions both maps are
-    the identity: the fundamental field of X is the field X."""
+    """One action variant: its group, its act, the closed-form fundamental
+    field of a generator X in the group's algebra, the generator recovered
+    from a field, and the parameter the variant takes ("s", "q" or None).
+    The act takes the homogeneous matrices [[a, t], [0, 1]] of elements as a
+    (..., n+1, n+1) stack and points of R^n as (..., n), broadcast against
+    each other, and returns the (..., n) images without checking either.
+    For the three standard actions both maps are the identity: the
+    fundamental field of X is the field X."""
 
     kind: str
     act: Callable[["GroupAction", np.ndarray, np.ndarray], np.ndarray]
@@ -248,16 +284,14 @@ VARIANTS = {
     STANDARD_AFFINE: _standard_record(GENERAL_AFFINE),
     EXP_TRANSLATION: VariantRecord(
         TRANSLATION_GROUP,
-        act=lambda action, m, p: p * float(np.exp(np.dot(action.s, m[:-1, -1]))),
+        act=_exp_translation_act,
         field=_exp_translation_field,
         tangent=_exp_translation_tangent,
         param="s",
     ),
     DET_WEIGHTED: VariantRecord(
         GENERAL_LINEAR,
-        act=lambda action, m, p: (
-            (m[:-1, :-1] @ p) * float(np.linalg.det(m[:-1, :-1])) ** action.q
-        ),
+        act=_det_weighted_act,
         field=_det_weighted_field,
         tangent=_det_weighted_tangent,
         param="q",
@@ -344,29 +378,42 @@ def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
 
 
 def _point(action: GroupAction, x) -> np.ndarray:
-    p = np.asarray(x, dtype=float).reshape(-1)
-    if p.size != action.n:
-        raise ValueError(f"point has dim {p.size}, action lives on R^{action.n}")
-    if not all(map(math.isfinite, p.tolist())):
+    """x as float points, (n,) or (..., n), once they are finite."""
+    p = np.asarray(x, dtype=float)
+    if p.shape[-1] != action.n:
+        raise ValueError(f"point has dim {p.shape[-1]}, action lives on R^{action.n}")
+    if not np.isfinite(p).all():
         raise ValueError("point must be finite")
     return p
 
 
-def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
-    """Apply the left action of g, any element of the action's group, to
-    the point x (in chart coordinates when the action has a chart).
-
-    Raises OverflowError when the image, before any chart, is not finite.
-    """
-    _member(action.group_kind, g, action.n)
+def _act(action: GroupAction, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The variant's act of the element matrices m, (..., n+1, n+1), on the
+    points x, (..., n), through the action's chart, with act's checks of
+    the points and of the images.  A message that names a point or value
+    names the first failing one."""
     chart = action.chart
     if chart is not None:
         x = chart.forward(chart.require(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        image = VARIANTS[action.variant].act(action, g.matrix, _point(action, x))
-    if not all(map(math.isfinite, image.tolist())):
+        image = VARIANTS[action.variant].act(action, m, _point(action, x))
+    if not np.isfinite(image).all():
         raise OverflowError(f"image under {action.describe()} is not finite")
     return image if chart is None else chart.inverse(image)
+
+
+def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
+    """Apply the left action of g, any element of the action's group, to
+    the point x (in chart coordinates when the action has a chart): the
+    variant's act on one element and one point.
+
+    Raises OverflowError when the image, before any chart, is not finite.
+    """
+    _member(action.group_kind, g, action.n)
+    return _act(action, g.matrix, np.reshape(x, -1))
+
+
+_STEPS = np.array([[FD_STEP], [-FD_STEP]])
 
 
 def fundamental_field_numeric(
@@ -377,29 +424,22 @@ def fundamental_field_numeric(
     Differentiates g -> act(g, x) at the identity along each nonzero entry
     of the generator [[X_mat, X_vec], [0, 0]] (row-major: matrix entries,
     then the translation entry, row by row) with step FD_STEP and contracts
-    with those entries.  The generator must lie in the algebra of the
-    action's group, so perturbing the identity by FD_STEP along one of its
-    entries cannot leave the group, and each perturbed matrix goes to the
-    variant's act without the checks of GroupElement's constructor.  This
-    is ``act`` on each perturbed element, with the point checked and taken
-    through the chart once.
+    with those entries, summed in that order.  The generator must lie in the
+    algebra of the action's group, so perturbing the identity by FD_STEP
+    along one of its entries cannot leave the group, and the stack of the
+    2 nnz perturbed matrices is acted on in one call, without the checks of
+    GroupElement's constructor; the point is checked, and taken through the
+    chart, once, as act does.  Raises OverflowError when an image is not
+    finite.
     """
     _member(action.group_kind, tangent, action.n)
-    p = _point(action, x)
-    chart = action.chart
-    if chart is not None:
-        p = _point(action, chart.forward(chart.require(p)))
-    variant_act = VARIANTS[action.variant].act
-    out = np.zeros(action.n)
-    for r, c in zip(*np.nonzero(tangent.matrix)):
-        images = []
-        for step in (FD_STEP, -FD_STEP):
-            g = _identity(action.n).copy()
-            g[r, c] += step
-            image = variant_act(action, g, p)
-            images.append(image if chart is None else chart.inverse(image))
-        out += tangent.matrix[r, c] * (images[0] - images[1]) / (2.0 * FD_STEP)
-    return out
+    rows, cols = np.nonzero(tangent.matrix)
+    g = np.empty((2, len(rows)) + _identity(action.n).shape)
+    g[...] = _identity(action.n)
+    g[:, np.arange(len(rows)), rows, cols] += _STEPS
+    images = _act(action, g, np.reshape(x, -1))
+    terms = tangent.matrix[rows, cols, None] * (images[0] - images[1]) / (2.0 * FD_STEP)
+    return sum(terms, np.zeros(action.n))
 
 
 def fundamental_field_analytic(
@@ -474,8 +514,8 @@ def one_parameter_subgroup(
     return GroupElement(mat_exp(scaled))
 
 
-def random_element(action: GroupAction, rng: np.random.Generator) -> GroupElement:
-    """Random element for axiom sampling.
+def _random_matrix(action: GroupAction, rng: np.random.Generator) -> np.ndarray:
+    """Matrix of a random element for axiom sampling.
 
     Actions with a chart are only local, so their elements stay close to
     the identity; global actions use a wider spread.  Matrix parts are
@@ -496,7 +536,13 @@ def random_element(action: GroupAction, rng: np.random.Generator) -> GroupElemen
         else:  # pragma: no cover - a tiny perturbation of I is invertible
             raise RuntimeError("failed to sample an invertible matrix")
         m[:n, :n] = a
-    return GroupElement(m)
+    return m
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of the (k, n) array d, each rounded as
+    np.linalg.norm rounds one row."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
@@ -531,25 +577,41 @@ def check_action_axioms(
 ) -> ActionAxiomReport:
     """Sample (g1, g2, x) triples and measure the defects of act(e, x) = x
     and act(g1 g2, x) = act(g1, act(g2, x)), relative to 1 + |x|; both must
-    be at most AXIOM_TOL."""
+    be at most AXIOM_TOL.
+
+    Each sample draws x, then g1, then g2.  The samples go in blocks of at
+    most ORBIT_BLOCK_ENTRIES matrix entries per element stack, and in a
+    block each act is one call on the stack: e, then g1 g2, then g2, then
+    g1.  A failure raises what act, multiply or GroupElement would raise on
+    the failing sample.  When several samples fail, the first block with a
+    failure raises, and in it the first failing check in this order: g1 and
+    g2 as elements, the act of e, g1 g2 as an element, the acts of g1 g2,
+    g2 and g1, each with the first failing sample where the message names a
+    point or value.
+    """
     if samples < 1:
         raise ValueError("samples must be at least 1")
     rng = np.random.default_rng(seed)
-    e = identity_element(action.n)
+    kind, n, chart = action.group_kind, action.n, action.chart
+    size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
     max_id = 0.0
     max_comp = 0.0
-    for _ in range(samples):
-        if action.chart is None:
-            x = rng.uniform(-2.0, 2.0, size=action.n)
-        else:
-            x = action.chart.sample(rng)
-        g1 = random_element(action, rng)
-        g2 = random_element(action, rng)
-        scale = 1.0 + float(np.linalg.norm(x))
-        max_id = max(max_id, float(np.linalg.norm(act(action, e, x) - x)) / scale)
-        direct = act(action, multiply(g1, g2), x)
-        chained = act(action, g1, act(action, g2, x))
-        max_comp = max(max_comp, float(np.linalg.norm(direct - chained)) / scale)
+    for lo in range(0, samples, size):
+        k = min(size, samples - lo)
+        x = np.empty((k, n))
+        g = np.empty((2, k, n + 1, n + 1))
+        for i in range(k):
+            x[i] = rng.uniform(-2.0, 2.0, size=n) if chart is None else chart.sample(rng)
+            g[0, i] = _random_matrix(action, rng)
+            g[1, i] = _random_matrix(action, rng)
+        g1, g2 = _member(kind, _check_elements(g), n)
+        scale = 1.0 + _norms(x)
+        max_id = max(max_id, float(np.max(_norms(_act(action, _identity(n), x) - x) / scale)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            product = _member(kind, _check_elements(g1 @ g2), n)
+        direct = _act(action, product, x)
+        chained = _act(action, g1, _act(action, g2, x))
+        max_comp = max(max_comp, float(np.max(_norms(direct - chained) / scale)))
     return ActionAxiomReport(
         action=action.describe(),
         samples=samples,

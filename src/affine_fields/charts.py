@@ -55,9 +55,13 @@ class Chart:
             object.__setattr__(self, attr, bounds)
 
     def _apply(self, part: str, x) -> np.ndarray:
-        values = np.asarray(x, dtype=float).reshape(-1).tolist()
-        return np.array([getattr(c, part)(value) for c, value
-                         in zip(self.coordinates, values, strict=True)])
+        """Each coordinate's ``part`` map on its column of x, one point of n
+        coordinates or a (..., n) stack of them, a value at a time."""
+        p = np.asarray(x, dtype=float)
+        rows = p.reshape(-1, self.n) if p.ndim > 1 else p.reshape(1, self.n)
+        columns = [list(map(getattr(c, part), column))
+                   for c, column in zip(self.coordinates, rows.T.tolist())]
+        return np.array(columns).T.reshape(p.shape if p.ndim > 1 else self.n)
 
     def forward(self, x) -> np.ndarray:
         return self._apply("forward", x)
@@ -73,13 +77,20 @@ class Chart:
         return bool(np.all(p > self.domain[0]) and np.all(p < self.domain[1]))
 
     def require(self, x) -> np.ndarray:
-        p = np.asarray(x, dtype=float).reshape(-1)
-        if p.size != self.n:
+        """x as a float point, or a (..., n) stack of points, once every
+        point lies in the domain; else the first point outside it is named."""
+        p = np.asarray(x, dtype=float)
+        if p.ndim < 2:
+            p = p.reshape(-1)
+        if p.shape[-1] != self.n:
             raise ChartDomainError(
-                f"point has dim {p.size}, chart {self.name!r} lives on R^{self.n}"
+                f"point has dim {p.shape[-1]}, chart {self.name!r} lives on R^{self.n}"
             )
-        if not self.contains(p):
-            raise ChartDomainError(f"point {p.tolist()} outside chart {self.name!r}")
+        inside = (p > self.domain[0]) & (p < self.domain[1])
+        if not inside.all():
+            rows = p.reshape(-1, self.n)
+            outside = rows[~inside.reshape(-1, self.n).all(axis=1)][0]
+            raise ChartDomainError(f"point {outside.tolist()} outside chart {self.name!r}")
         return p
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
@@ -109,6 +120,13 @@ def exponential_chart(n: int) -> Chart:
 _LAMBERT_FLOOR = -1.0 + 1e-12
 _LAMBERT_MAX_ITERATIONS = 50
 _LAMBERT_RESIDUAL = 1e-14
+# A Newton step of at most this many ulps of u ends the iteration: once u is
+# in the hundreds, the rounding of u e^u exceeds the residual bound, and the
+# iterates settle within an ulp of the root instead.
+_LAMBERT_STEP_ULPS = 1
+# Above e the residual is taken 2^-10 times, which keeps u e^u finite up to
+# the largest float and, a power of two being exact, changes no rounding.
+_LAMBERT_SCALE = 2.0**-10
 
 
 def lambert_w(w: float) -> float:
@@ -116,20 +134,27 @@ def lambert_w(w: float) -> float:
 
     The first Newton step from any start lands at or right of the root
     because the map is convex and increasing there; subsequent steps
-    converge monotonically and quadratically.
+    converge monotonically and quadratically.  The iteration stops when the
+    residual is within 1e-14 (1 + |w|) or a step moves u by at most
+    _LAMBERT_STEP_ULPS ulps; the latter returns the stepped u.
     """
     if w == 0.0:
         return 0.0
     if w < -math.exp(-1.0):
         raise ChartDomainError(f"{w} is below the image of u * exp(u) on u > -1")
+    scale = _LAMBERT_SCALE if w > math.e else 1.0
     u = math.log(w) if w > math.e else min(w, 1.0)
     u = max(u, _LAMBERT_FLOOR)
+    bound = _LAMBERT_RESIDUAL * (1.0 + abs(w)) * scale
     for _ in range(_LAMBERT_MAX_ITERATIONS):
-        eu = math.exp(u)
-        residual = u * eu - w
-        if abs(residual) <= _LAMBERT_RESIDUAL * (1.0 + abs(w)):
+        eu = math.exp(u) * scale
+        residual = u * eu - w * scale
+        if abs(residual) <= bound:
             return u
-        u = max(u - residual / (eu * (1.0 + u)), _LAMBERT_FLOOR)
+        stepped = max(u - residual / (eu * (1.0 + u)), _LAMBERT_FLOOR)
+        if abs(stepped - u) <= _LAMBERT_STEP_ULPS * math.ulp(u):
+            return stepped
+        u = stepped
     raise ChartDomainError(f"inversion of u * exp(u) did not converge for {w}")
 
 

@@ -25,6 +25,7 @@ from affine_fields.fields import (
     zero_field,
 )
 from affine_fields.flows import Orbit, flow_at, make_flow, orbit
+from affine_fields.invariants import FD_STEP
 from affine_fields.oracle import OdeProblem, integrate
 
 
@@ -70,7 +71,7 @@ class TestGroupElements:
         assert ga.multiply(e, e) == e == ga.inverse(e)
         for kind in (ga.TRANSLATION_GROUP, ga.GENERAL_LINEAR, ga.GENERAL_AFFINE):
             for _ in range(5):
-                g = ga.random_element(ga.GroupAction(ga.STANDARD_AFFINE, 2), rng)
+                g = ga.GroupElement(ga._random_matrix(ga.GroupAction(ga.STANDARD_AFFINE, 2), rng))
                 if kind == ga.TRANSLATION_GROUP:
                     g = ga.translation_element(g.t)
                 elif kind == ga.GENERAL_LINEAR:
@@ -141,8 +142,8 @@ class TestGroupElements:
         action = make_action(3)
         x = np.array([0.5, -1.0, 2.0])
         for _ in range(20):
-            g = ga.random_element(action, rng)
-            h = ga.random_element(action, rng)
+            g = ga.GroupElement(ga._random_matrix(action, rng))
+            h = ga.GroupElement(ga._random_matrix(action, rng))
             tangent = _random_tangent(rng, kind, 3)
             for out in (
                 ga.multiply(g, h),
@@ -307,14 +308,203 @@ class TestAxioms:
     def test_broken_variant_fails_composition(self, monkeypatch):
         # Negative control: (a, x) -> a x + x is not an action.
         monkeypatch.setitem(ga.VARIANTS, "broken-linear", dataclasses.replace(
-            ga.VARIANTS[ga.STANDARD_LINEAR], act=lambda action, m, p: m[:-1, :-1] @ p + p))
+            ga.VARIANTS[ga.STANDARD_LINEAR],
+            act=lambda action, m, p: (m[..., :-1, :-1] @ p[..., None])[..., 0] + p))
         action = ga.GroupAction("broken-linear", 2)
         report = ga.check_action_axioms(action, samples=50, seed=0)
         assert not report.passed
         assert report.max_composition_defect > 1e-3
 
 
+def _axiom_loop(action, samples, seed):
+    """check_action_axioms one sample at a time through the public act and
+    multiply, drawing x, g1 and g2 in the same order: the oracle of the
+    stacked report."""
+    rng = np.random.default_rng(seed)
+    e = ga.identity_element(action.n)
+    max_id = max_comp = 0.0
+    for _ in range(samples):
+        if action.chart is None:
+            x = rng.uniform(-2.0, 2.0, size=action.n)
+        else:
+            x = action.chart.sample(rng)
+        g1 = ga.GroupElement(ga._random_matrix(action, rng))
+        g2 = ga.GroupElement(ga._random_matrix(action, rng))
+        scale = 1.0 + float(np.linalg.norm(x))
+        max_id = max(max_id, float(np.linalg.norm(ga.act(action, e, x) - x)) / scale)
+        direct = ga.act(action, ga.multiply(g1, g2), x)
+        chained = ga.act(action, g1, ga.act(action, g2, x))
+        max_comp = max(max_comp, float(np.linalg.norm(direct - chained)) / scale)
+    return max_id, max_comp
+
+
+def _every_action(rng, n):
+    """The five catalog actions on R^n, det-weighted with each q in 0..3,
+    and the standard-affine, exp-translation and det-weighted ones on each
+    registry chart that lives on R^n."""
+    s = rng.uniform(-1.5, 1.5, n)
+    actions = [ga.standard_linear_action(n), ga.standard_translation_action(n),
+               ga.standard_affine_action(n), ga.exp_translation_action(s)]
+    actions += [ga.det_weighted_action(n, q) for q in range(4)]
+    charts = [identity_chart(n), exponential_chart(n), diagonal_scaling_chart(n)]
+    for chart in charts + ([lambert_chart()] if n == 1 else []):
+        actions += [ga.chart_conjugated_action(base, chart) for base in (
+            ga.standard_affine_action(n), ga.exp_translation_action(s),
+            ga.det_weighted_action(n, 3))]
+    return actions
+
+
+class TestStackedAct:
+    # A variant's act takes a stack of elements and of points; each row must
+    # be bit for bit the act of that row alone, the act that the public act
+    # and every single-element caller make.
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_each_row_is_the_act_of_that_row(self, n):
+        rng = np.random.default_rng(30 + n)
+        for action in _every_action(rng, n):
+            k = 40
+            m = np.array([ga._random_matrix(action, rng) for _ in range(k)])
+            x = np.array([rng.uniform(-2.0, 2.0, n) if action.chart is None
+                          else action.chart.sample(rng) for _ in range(k)])
+            if action.chart is None:
+                variant_act = ga.VARIANTS[action.variant].act
+                stacked = variant_act(action, m, x)
+                shared = variant_act(action, m, x[0])
+                for i in range(k):
+                    assert stacked[i].tobytes() == variant_act(action, m[i], x[i]).tobytes()
+                    assert shared[i].tobytes() == variant_act(action, m[i], x[0]).tobytes()
+            stacked = ga._act(action, m, x)
+            for i in range(k):
+                one = ga.act(action, ga.GroupElement(m[i]), x[i])
+                assert stacked[i].tobytes() == one.tobytes(), (action.describe(), i)
+
+    @pytest.mark.parametrize("n, samples", [(1, 90), (2, 60), (3, 40), (3, 600)])
+    def test_report_is_the_per_sample_loop(self, n, samples):
+        # 600 samples at n = 3 span two blocks of ORBIT_BLOCK_ENTRIES entries.
+        rng = np.random.default_rng(50 + samples)
+        for action in _every_action(rng, n)[:: 1 if samples < 100 else 5]:
+            seed = int(rng.integers(0, 2**31))
+            report = ga.check_action_axioms(action, samples, seed)
+            got = (report.max_identity_defect, report.max_composition_defect)
+            assert got == _axiom_loop(action, samples, seed), action.describe()
+
+    @staticmethod
+    def _sample(action, seed, j):
+        """x, g1 and g2 of sample j, drawn as check_action_axioms draws them."""
+        rng = np.random.default_rng(seed)
+        for _ in range(j + 1):
+            x = (rng.uniform(-2.0, 2.0, size=action.n) if action.chart is None
+                 else action.chart.sample(rng))
+            g1, g2 = (ga._random_matrix(action, rng) for _ in range(2))
+        return x, g1, g2
+
+    @staticmethod
+    def _overflow_at(monkeypatch, base, poison):
+        """The action on R^2 of a variant that acts as ``base`` but overflows
+        at each point equal to ``poison[0]``."""
+        def act(action, m, p):
+            at = np.all(p == poison[0], axis=-1, keepdims=True)
+            return np.where(at, np.inf, ga.VARIANTS[base].act(action, m, p))
+
+        monkeypatch.setitem(ga.VARIANTS, "overflow-once",
+                            dataclasses.replace(ga.VARIANTS[base], act=act))
+        return ga.GroupAction("overflow-once", 2)
+
+    @pytest.mark.parametrize("role", ["identity", "chained"])
+    def test_one_overflowing_sample_raises_as_act_does(self, monkeypatch, role):
+        # The act overflows at one point of sample 13: at x itself, so the
+        # act of e meets it first, or at the image of x under g2, which only
+        # the act of g1 in act(g1, act(g2, x)) sees.
+        poison = [None]
+        action = self._overflow_at(monkeypatch, ga.STANDARD_AFFINE, poison)
+        x, _, g2 = self._sample(action, 7, 13)
+        poison[0] = x if role == "identity" else ga.VARIANTS[ga.STANDARD_AFFINE].act(
+            action, g2, x)
+        assert ga.check_action_axioms(action, 13, seed=7).passed
+        message = "^image under overflow-once is not finite$"
+        with pytest.raises(OverflowError, match=message):
+            ga.check_action_axioms(action, 40, seed=7)
+        # The public act raises the same on that sample's point.
+        with pytest.raises(OverflowError, match=message):
+            ga.act(action, ga.identity_element(2), poison[0])
+
+    def test_near_singular_product_raises_as_multiply_does(self, monkeypatch):
+        # Columns (1, 0) and (1, 1e-7) are an element (scaled determinant
+        # 1e-7), but its square has scaled determinant 1e-14.
+        sheared = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
+        g = ga.GroupElement(sheared)
+        with pytest.raises(ValueError, match="^matrix part is singular$"):
+            ga.multiply(g, g)
+        draw, calls = ga._random_matrix, []
+
+        def shear_sample_9(action, rng):
+            calls.append(draw(action, rng))
+            return sheared if len(calls) in (19, 20) else calls[-1]
+
+        monkeypatch.setattr(ga, "_random_matrix", shear_sample_9)
+        action = ga.standard_linear_action(2)
+        with pytest.raises(ValueError, match="^matrix part is singular$"):
+            ga.check_action_axioms(action, 30, seed=3)
+        calls.clear()
+        assert ga.check_action_axioms(action, 9, seed=3).passed
+
+    def test_several_failures_raise_in_role_order(self, monkeypatch):
+        # Sample 2 has a singular product, sample 5 overflows under e: the
+        # act of e comes before the product's test, so its error is raised.
+        poison = [None]
+        action = self._overflow_at(monkeypatch, ga.STANDARD_LINEAR, poison)
+        poison[0] = self._sample(action, 11, 5)[0]
+        sheared = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
+        draw, calls = ga._random_matrix, []
+
+        def shear_sample_2(action, rng):
+            calls.append(draw(action, rng))
+            return sheared if len(calls) in (5, 6) else calls[-1]
+
+        monkeypatch.setattr(ga, "_random_matrix", shear_sample_2)
+        with pytest.raises(OverflowError, match="not finite"):
+            ga.check_action_axioms(action, 10, seed=11)
+
+
+def _fundamental_loop(action, tangent, x):
+    """fundamental_field_numeric one perturbed element at a time: the
+    oracle of the stacked differences."""
+    p = np.asarray(x, dtype=float)
+    chart = action.chart
+    if chart is not None:
+        p = chart.forward(p)
+    out = np.zeros(action.n)
+    for r, c in zip(*np.nonzero(tangent.matrix)):
+        images = []
+        for step in (FD_STEP, -FD_STEP):
+            g = np.eye(action.n + 1)
+            g[r, c] += step
+            image = ga.VARIANTS[action.variant].act(action, g, p)
+            images.append(image if chart is None else chart.inverse(image))
+        out += tangent.matrix[r, c] * (images[0] - images[1]) / (2.0 * FD_STEP)
+    return out
+
+
 class TestFundamentalNumeric:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_is_the_per_entry_loop(self, n):
+        rng = np.random.default_rng(70 + n)
+        for action in _every_action(rng, n):
+            for _ in range(5):
+                # About a third of the entries zero, so nnz varies.
+                X = _random_tangent(rng, action.group_kind, n).matrix
+                X = X * (rng.uniform(size=X.shape) > 0.3)
+                tangent = AffineField(X[:-1, :-1], X[:-1, -1])
+                x = rng.uniform(-2.0, 2.0, n) if action.chart is None else action.chart.sample(rng)
+                got = ga.fundamental_field_numeric(action, tangent, x)
+                assert got.tobytes() == _fundamental_loop(action, tangent, x).tobytes()
+
+    def test_overflowing_difference_raises(self):
+        # exp(s . t) overflows at t = +FD_STEP e_1 once s_1 FD_STEP > 710.
+        action = ga.exp_translation_action([1e12, 0.0])
+        with pytest.raises(OverflowError, match="not finite"):
+            ga.fundamental_field_numeric(action, constant_field([1.0, 0.0]), [1.0, 1.0])
+
     def test_translation_gives_constant_components(self):
         action = ga.standard_translation_action(3)
         tangent = constant_field([1.0, 0.0, 0.0])

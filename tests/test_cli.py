@@ -450,7 +450,10 @@ class TestCheckActionCommand:
     # ones and q = 1, bit for bit: one base on each registry chart, which the
     # per-coordinate chart maps must reproduce, and each catalog action
     # without a chart (chart None), which a change to how an action checks
-    # its elements must not move.
+    # its elements must not move.  The last three (q = 3 at n = 3, and the
+    # weight s . t at n = 3 and 6) are where a stacked act that rounds
+    # differently from a lone element's (numpy's ** for the power, a
+    # matrix-vector product for s . t) moves a reported defect.
     @pytest.mark.parametrize(
         "base, chart, n, report",
         [
@@ -490,19 +493,33 @@ class TestCheckActionCommand:
                 "action": "det-weighted(q=1)",
                 "max_identity_defect": 0.0,
                 "max_composition_defect": 8.875734185247046e-16}),
+            ("det-weighted", None, {"n": 3, "q": 3}, {
+                "action": "det-weighted(q=3)",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 1.5972757848511278e-14}),
+            ("exp-translation", None, 3, {
+                "action": "exp-translation(s=[1.0, 1.0, 1.0])",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 3.5538107761115506e-16}),
+            ("exp-translation", None, 6, {
+                "action": "exp-translation(s=[1.0, 1.0, 1.0, 1.0, 1.0, 1.0])",
+                "max_identity_defect": 0.0,
+                "max_composition_defect": 8.164088992115388e-16}),
         ],
     )
     def test_chart_conjugated_report_is_pinned(self, capsys, tmp_path, base, chart, n,
                                                report):
-        params = tmp_path / "params.json"
+        # n is the dimension, or the whole parameter file.
+        params = n if isinstance(n, dict) else {"n": n}
+        path = tmp_path / "params.json"
         if chart is None:
-            params.write_text(json.dumps({"n": n}))
+            path.write_text(json.dumps(params))
             action = base
         else:
-            params.write_text(json.dumps({"n": n, "base": base, "chart": chart}))
+            path.write_text(json.dumps({**params, "base": base, "chart": chart}))
             action = "chart-conjugated"
         code, out, err = run_cli(
-            capsys, "check-action", "--action", action, "--params", str(params)
+            capsys, "check-action", "--action", action, "--params", str(path)
         )
         expected = {"action": report["action"], "samples": 200,
                     "max_identity_defect": report["max_identity_defect"],
