@@ -3,7 +3,8 @@
 This is the independent check for every closed-form flow in the package: it
 consumes only a right-hand-side callable, never the flow module itself.
 ``integrate`` evaluates the four RK4 stages at every step; for a linear
-right-hand side, ``integrate_linear`` marches by RK4's increment matrix.
+right-hand side, ``integrate_linear`` reaches the same discrete end by
+squaring RK4's increment matrix, in O(log N) products for N steps.
 """
 
 from __future__ import annotations
@@ -53,26 +54,32 @@ def _rk4_increment(rhs, y, h):
     return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
-def _march(problem: OdeProblem, advance) -> np.ndarray:
-    """y ← advance(y, h) from the start: int(|t_end| / step) full steps, then
-    one shortened step that lands exactly on t_end.  Raises DivergenceError
-    with the time of the first non-finite state."""
-    y = problem.start.copy()
+def _steps(problem: OdeProblem) -> tuple[float, int, float]:
+    """(h, n_full, tail): int(|t_end| / step) full steps of signed length h,
+    then one shortened step of length tail (0.0 when there is none) that
+    lands exactly on t_end."""
     t_end = problem.t_end
-    if t_end == 0.0:
-        return y
-    direction = 1.0 if t_end > 0.0 else -1.0
-    h = direction * problem.step
+    h = (1.0 if t_end > 0.0 else -1.0) * problem.step
     n_full = int(abs(t_end) / problem.step)
-    for k in range(n_full):
-        y = advance(y, h)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError((k + 1) * h)
     tail = t_end - n_full * h
-    if abs(tail) > 1e-15 * abs(t_end):
-        y = advance(y, tail)
-        if not np.all(np.isfinite(y)):
-            raise DivergenceError(t_end)
+    return h, n_full, tail if abs(tail) > 1e-15 * abs(t_end) else 0.0
+
+
+def _march(problem: OdeProblem, advance) -> np.ndarray:
+    """y ← advance(y, h) from the start, step by step as ``_steps`` lays
+    out.  Raises DivergenceError with the time of the first non-finite state;
+    overflow on the way there is that error, not a warning."""
+    y = problem.start.copy()
+    h, n_full, tail = _steps(problem)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_full):
+            y = advance(y, h)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError((k + 1) * h)
+        if tail:
+            y = advance(y, tail)
+            if not np.all(np.isfinite(y)):
+                raise DivergenceError(problem.t_end)
     return y
 
 
@@ -82,19 +89,45 @@ def integrate(problem: OdeProblem) -> np.ndarray:
     return _march(problem, lambda y, h: y + _rk4_increment(problem.rhs, y, h))
 
 
+def _power_increment(d: np.ndarray, n: int) -> np.ndarray:
+    """(I + d)^n − I for n ≥ 1 by binary powering with the identity kept
+    out: P_2k = P_k + P_k + P_k P_k, and acc ← acc + P + acc P for each set
+    bit of n, lowest first; about 2 log2 n products."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = d if acc is None else acc + d + acc @ d
+        n >>= 1
+        if not n:
+            return acc
+        d = d + d + d @ d
+
+
 def integrate_linear(problem: OdeProblem) -> np.ndarray:
     """``integrate`` for a linear rhs z ↦ z @ M on row stacks, where M may be
     a stack that broadcasts against the leading axes of the start.  One RK4
     step is then y ↦ y + y D, with D = R(hM) − I the RK4 increment of the
-    identity (R the stability polynomial), formed once per step length.  The
-    identity stays out of D: a march by I + D would round each step's
-    increment against 1."""
+    identity (R the stability polynomial), formed once per step length, so
+    the N full steps end at y + y P_N with P_N = (I + D)^N − I, formed by
+    squaring D.  The identity stays out of D and P_N: a power of I + D would
+    round each step's increment against 1.  When that end is not finite the
+    steps are marched one by one instead, so that a divergence reports its
+    time and a march that stays finite returns its own end."""
     eye = np.eye(problem.start.shape[-1])
     increments = {}
 
-    def advance(y, h):
+    def increment(h):
         if h not in increments:
             increments[h] = _rk4_increment(problem.rhs, eye, h)
-        return y + y @ increments[h]
+        return increments[h]
 
-    return _march(problem, advance)
+    h, n_full, tail = _steps(problem)
+    y = problem.start.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n_full:
+            y = y + y @ _power_increment(increment(h), n_full)
+        if tail:
+            y = y + y @ increment(tail)
+    if np.all(np.isfinite(y)):
+        return y
+    return _march(problem, lambda y, h: y + y @ increment(h))

@@ -634,7 +634,7 @@ class TestErrorHandling:
 # The whole stdout of ``validate --seed 7``: every check's worst defect and
 # bound, then the summary line.
 VALIDATE_SEED_7 = [
-    "ok   closed-form-vs-rk4: worst relative defect 8.424e-10 (bound 1e-06)",
+    "ok   closed-form-vs-rk4: worst relative defect 8.423e-10 (bound 1e-06)",
     "ok   flow-group-law: worst relative defect 9.859e-14 (bound 1e-08)",
     "ok   bracket-structure-constants: "
     "312 unordered pairs exact (n=4 table: 210 pairs)",
@@ -649,7 +649,7 @@ VALIDATE_SEED_7 = [
     "ok   rk4-convergence-order: smallest measured exponent 3.824 (bound 3.7)",
     "ok   degenerate-flow-consistency: "
     "worst fixed-point-choice defect 1.823e-14 (bound 1e-10), "
-    "worst oracle defect 1.065e-10 (bound 1e-06)",
+    "worst oracle defect 1.066e-10 (bound 1e-06)",
     "all 10 checks passed",
 ]
 

@@ -12,6 +12,7 @@ from affine_fields import AffineField, evaluate
 from affine_fields.oracle import (
     DivergenceError,
     OdeProblem,
+    _power_increment,
     _rk4_increment,
     integrate,
     integrate_linear,
@@ -74,7 +75,6 @@ def test_convergence_order():
         assert math.log2(errors[0] / errors[1]) >= 3.7
 
 
-@pytest.mark.filterwarnings("ignore:overflow")
 def test_divergence_reports_time():
     problem = OdeProblem(lambda x: x**2, [10.0], 2.0, 0.05)
     with pytest.raises(DivergenceError) as info:
@@ -118,7 +118,7 @@ def _march_by_folded_matrix(rhs, start, h, steps):
 
 def test_linear_march_matches_exact_discrete_rk4():
     # Relative to the exact discrete solution the stage form and the
-    # increment march stay near 1e-14; folding the identity into the step
+    # squared increment stay near 1e-14; folding the identity into the step
     # matrix rounds each step's O(h) increment against 1 and drifts above
     # the bound.
     worst = {"stage": 0.0, "increment": 0.0, "folded": 0.0}
@@ -165,7 +165,6 @@ def test_linear_march_zero_t_end_returns_start():
     assert np.array_equal(out, [[3.0, 4.0]])
 
 
-@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
 @pytest.mark.parametrize("rate", [0.5, 2.0 / 3.0])
 def test_linear_blow_up_fails_at_the_time_integrate_does(rate):
     # At rate * step = 3 or 4 no RK4 stage exceeds the next state, so the
@@ -178,3 +177,50 @@ def test_linear_blow_up_fails_at_the_time_integrate_does(rate):
     with pytest.raises(DivergenceError) as linear:
         integrate_linear(problem)
     assert 0.0 < linear.value.time == stage.value.time < 3000.0
+
+
+def _march_by_increment(rhs, start, h, steps, tail):
+    """y <- y + y D, step by step: the march the squared power replaces."""
+    eye = np.eye(start.shape[-1])
+    d = _rk4_increment(rhs, eye, h)
+    y = start
+    for _ in range(steps):
+        y = y + y @ d
+    if tail:
+        y = y + y @ _rk4_increment(rhs, eye, tail)
+    return y
+
+
+@pytest.mark.parametrize("tail", [0.0, 0.5], ids=["whole", "shortened"])
+@pytest.mark.parametrize("direction", [1.0, -1.0], ids=["forwards", "backwards"])
+@pytest.mark.parametrize("steps", [1, 2, 3, 7, 8, 1000, 1023, 1024])
+def test_squared_power_is_the_march(steps, direction, tail):
+    # A binary step makes t_end exact: int(|t_end| / step) is steps, and
+    # the shortened last step is tail * h.
+    step = 2.0**-10
+    rng = np.random.default_rng([steps, 19])
+    g_t = np.stack([random_affine_field(rng, 3).matrix.T for _ in range(4)])
+    start = np.ones((4, 2, 4))
+    start[..., :3] = rng.uniform(-2.0, 2.0, size=(4, 2, 3))
+    t_end = direction * (steps + tail) * step
+    got = integrate_linear(OdeProblem(_linear_rhs(g_t), start, t_end, step))
+    want = _march_by_increment(
+        _linear_rhs(g_t), start, direction * step, steps, direction * tail * step
+    )
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(got[..., -1], np.ones((4, 2)))
+
+
+def test_finite_march_whose_power_overflows_returns_the_march_end():
+    # On the decaying axis of diag(a, -b) every step stays finite, but
+    # R(h a)^1024 = 2.708^1024 overflows the squared power.
+    m = np.diag([1024.0, -1.0])
+    rhs = _linear_rhs(m)
+    step = 2.0**-10
+    with np.errstate(over="ignore"):
+        power = _power_increment(_rk4_increment(rhs, np.eye(2), step), 1024)
+    assert not np.all(np.isfinite(power))
+    start = np.array([[0.0, 1.0]])
+    got = integrate_linear(OdeProblem(rhs, start, 1.0, step))
+    assert np.array_equal(got, _march_by_increment(rhs, start, step, 1024, 0.0))
+    assert 0.0 < got[0, 1] < 1.0
