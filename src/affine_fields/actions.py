@@ -48,7 +48,7 @@ from .charts import Chart
 from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import as_vector, augment_affine, mat_exp
+from .linalg import _norms, as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -537,12 +537,6 @@ def _random_matrix(action: GroupAction, rng: np.random.Generator) -> np.ndarray:
             raise RuntimeError("failed to sample an invertible matrix")
         m[:n, :n] = a
     return m
-
-
-def _norms(d: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of the (k, n) array d, each rounded as
-    np.linalg.norm rounds one row."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Dense real linear algebra kernels.
 
-Provides the matrix exponential, rank-revealing linear solves, and the
-homogeneous (augmented) embedding of an affine map.  Everything operates on
-plain float ndarrays with value semantics: inputs are never mutated.  The
-tolerances are the module constants below; no caller tunes them.
+Provides the matrix exponential, rank-revealing linear solves, the
+homogeneous (augmented) embedding of an affine map, and row norms.
+Everything operates on plain float ndarrays with value semantics: inputs are
+never mutated.  The tolerances are the module constants below; no caller
+tunes them.
 
 The matrix exponential is one kernel over stacks of square matrices:
 Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
@@ -310,3 +311,9 @@ def augment_affine(c, b) -> np.ndarray:
     out[:n, :n] = m
     out[:n, n] = v
     return out
+
+
+def _norms(d: np.ndarray) -> np.ndarray:
+    """2-norms of the rows of the (k, n) array d, each rounded as
+    np.linalg.norm rounds one row."""
+    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])

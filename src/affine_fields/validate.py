@@ -33,7 +33,7 @@ from .invariants import (
     planar_affine_family,
     straightened_frame_flow,
 )
-from .linalg import mat_exp, solve_linear
+from .linalg import _norms, mat_exp, solve_linear
 from .oracle import OdeProblem, integrate, integrate_linear
 
 
@@ -55,11 +55,20 @@ def _bounded(name: str, *measures) -> CheckResult:
     )
 
 
-def _random_affine_field(rng, n) -> AffineField:
+def _generator(c, b) -> np.ndarray:
+    """[[C, B], [0, 0]] of the field x -> Cx + B, without the input checks
+    of ``augment_affine``: the callers' C and B are finite draws."""
+    n = len(b)
+    g = np.zeros((n + 1, n + 1))
+    g[:n, :n] = c
+    g[:n, n] = b
+    return g
+
+
+def _random_generator(rng, n) -> np.ndarray:
     """C and B with entries uniform in [-2, 2], C drawn first."""
-    return AffineField(
-        rng.uniform(-2.0, 2.0, size=(n, n)),
-        rng.uniform(-2.0, 2.0, size=n),
+    return _generator(
+        rng.uniform(-2.0, 2.0, size=(n, n)), rng.uniform(-2.0, 2.0, size=n)
     )
 
 
@@ -67,109 +76,103 @@ def _rng(seed: int, salt: int) -> np.random.Generator:
     return np.random.default_rng([seed, salt])
 
 
-def _by_dimension(fn, *columns) -> list:
-    """fn on every row, one call per row shape.  Each column is a list of k
-    arrays (or scalars); the rows whose first entry has one shape are stacked
-    column by column, in row order, and fn maps those stacks to a stack of
-    results.  Returns the k results in row order.  With ``mat_exp`` or
-    ``flow_images`` as fn, each result is bit for bit that of the row alone,
-    because both decide per matrix, and no row is padded to another shape."""
-    groups = {}
-    for j, row in enumerate(columns[0]):
-        groups.setdefault(np.shape(row), []).append(j)
-    out = [None] * len(columns[0])
-    for rows in groups.values():
-        stacks = (np.stack([column[j] for j in rows]) for column in columns)
-        for j, result in zip(rows, fn(*stacks)):
-            out[j] = result
-    return out
+def _stacks(cases: dict) -> list[tuple]:
+    """Cases drawn as {n: [(value, ...), ...]}, one tuple of stacks per
+    dimension n, in increasing n: each value column stacked in draw order.
+    With ``flow_images``, ``mat_exp`` or ``_norms`` on them, each row is bit
+    for bit that of the case alone, because all three decide per row."""
+    return [tuple(map(np.array, zip(*cases[n]))) for n in sorted(cases)]
 
 
-def _ensemble_images(fields, times, points) -> list:
-    """flow_at(make_flow(fields[j]), times[j], points[j]) for every j, by one
-    ``flow_images`` call per dimension; bit for bit that value for every
-    field whose C is not zero."""
-    return _by_dimension(flow_images, [field.matrix for field in fields], times, points)
-
-
-def _homogeneous_stack(fields, starts) -> tuple[np.ndarray, np.ndarray]:
-    """(Gᵀ, state) for stacked integration of the fields from their rows of
-    starts (equal row counts): the per-field Gᵀ = [[Cᵀ, 0], [B, 0]] and the
-    homogeneous (fields, starts, n_max + 1) state (x, 1), so that z ↦ z @ Gᵀ
-    is every field at once.  Padded coordinates have zero rows and columns
-    in Gᵀ and its last column is zero, so under RK4 they stay exactly 0 and
-    the homogeneous coordinate exactly 1: field k ends at ``[k, :, :n_k]``."""
-    n_max = max(field.n for field in fields)
-    g_t = np.zeros((len(fields), n_max + 1, n_max + 1))
-    state = np.zeros((len(fields), len(starts[0]), n_max + 1))
+def _homogeneous_stack(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(Gᵀ, state) for stacked integration of per-dimension blocks
+    (generators (k, n+1, n+1), starts (k, s, n)), all with s starts:
+    the per-field Gᵀ = [[Cᵀ, 0], [B, 0]] and the homogeneous
+    (fields, s, n_max + 1) state (x, 1), block after block, so that
+    z ↦ z @ Gᵀ is every field at once.  Padded coordinates have zero rows
+    and columns in Gᵀ and its last column is zero, so under RK4 they stay
+    exactly 0 and the homogeneous coordinate exactly 1."""
+    n_max = max(x.shape[-1] for _, x in blocks)
+    k = sum(len(g) for g, _ in blocks)
+    g_t = np.zeros((k, n_max + 1, n_max + 1))
+    state = np.zeros((k, blocks[0][1].shape[1], n_max + 1))
     state[..., n_max] = 1.0
-    for k, (field, x) in enumerate(zip(fields, starts)):
-        g_t[k, : field.n, : field.n] = field.C.T
-        g_t[k, n_max, : field.n] = field.B
-        state[k, :, : field.n] = x
+    lo = 0
+    for g, x in blocks:
+        rows, n = slice(lo, lo + len(g)), x.shape[-1]
+        g_t[rows, :n, :n] = g[:, :n, :n].transpose(0, 2, 1)
+        g_t[rows, n_max, :n] = g[:, :n, n]
+        state[rows, :, :n] = x
+        lo += len(g)
     return g_t, state
 
 
-def _stacked_rk4_ends(fields, starts) -> np.ndarray:
-    """RK4 ends at t=1, step 1e-3, of each field from its rows of starts
-    (equal row counts), by one ``integrate_linear`` of the
-    ``_homogeneous_stack``: one batched power of the RK4 increment matrices
-    for the 1,000 steps, in about 20 products.  Field k ends at
-    ``ends[k, :, :n_k]``."""
-    g_t, state = _homogeneous_stack(fields, starts)
+def _by_block(ends, blocks) -> list:
+    """Stacked ends cut back into the blocks of ``_homogeneous_stack``, each
+    (k, s, n_max), its own coordinates first."""
+    return np.split(ends[..., :-1], np.cumsum([len(g) for g, _ in blocks])[:-1])
+
+
+def _stacked_rk4_ends(blocks) -> list:
+    """RK4 ends at t=1, step 1e-3, of each field of the blocks from its
+    starts, by one ``integrate_linear`` of the ``_homogeneous_stack``: one
+    batched power of the RK4 increment matrices for the 1,000 steps, in
+    about 20 products.  Returns one (k, s, n_max) array per block; a block
+    of dimension n ends at ``[..., :n]``."""
+    g_t, state = _homogeneous_stack(blocks)
     ends = integrate_linear(OdeProblem(lambda z: z @ g_t, state, 1.0, 1e-3))
-    return ends[..., :-1]
+    return _by_block(ends, blocks)
+
+
+def _rk4_defects(blocks):
+    """(starts, defects) per block: the starts as (k s, n) rows, and the
+    norms of closed form at t=1 minus RK4 end from each, the closed forms by
+    one ``flow_images`` call per block."""
+    for (g, x), ends in zip(blocks, _stacked_rk4_ends(blocks)):
+        k, s, n = x.shape
+        x = x.reshape(-1, n)
+        images = flow_images(np.repeat(g, s, axis=0), np.ones(k * s), x)
+        yield x, _norms(images - ends[..., :n].reshape(-1, n))
 
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     """500 random affine fields, closed-form flow at t=1 against RK4 with
-    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Once the
-    ensemble is drawn, RK4 runs it as one stacked homogeneous state by a
-    batched power of its increment matrices, and the closed forms take one
-    ``flow_images`` call per dimension."""
+    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  The fields
+    and starts are drawn into per-dimension stacks; RK4 runs them as one
+    stacked homogeneous state by a batched power of its increment matrices,
+    and the closed forms and norms take one call per dimension."""
     rng = _rng(seed, 1)
-    fields, starts = [], []
+    cases = {}
     for _ in range(500):
         n = int(rng.integers(1, 7))
-        fields.append(_random_affine_field(rng, n))
-        starts.append(rng.uniform(-2.0, 2.0, size=(3, n)))
-    ends = [
-        end[: field.n]
-        for field, field_ends in zip(fields, _stacked_rk4_ends(fields, starts))
-        for end in field_ends
-    ]
-    points = [x for xs in starts for x in xs]
-    repeated = [field for field, xs in zip(fields, starts) for _ in xs]
-    images = _ensemble_images(repeated, [1.0] * len(points), points)
-    worst = 0.0
-    for x, image, end in zip(points, images, ends):
-        defect = np.linalg.norm(image - end)
-        worst = max(worst, defect / (1.0 + np.linalg.norm(x)))
+        g = _random_generator(rng, n)
+        cases.setdefault(n, []).append((g, rng.uniform(-2.0, 2.0, size=(3, n))))
+    worst = max(
+        np.max(defects / (1.0 + _norms(x)))
+        for x, defects in _rk4_defects(_stacks(cases))
+    )
     return _bounded("closed-form-vs-rk4", ("worst relative defect", worst, 1e-6))
 
 
 def check_group_law(seed: int = 42) -> CheckResult:
     """Flow composition flow(s+t) = flow(s) o flow(t) on 500 random fields,
-    3 cases each, s, t in [-1, 1]; bound 1e-8 * (1 + |x|).  Once the cases
-    are drawn, the direct, inner and outer flows each take one
-    ``flow_images`` call per dimension."""
+    3 cases each, s, t in [-1, 1]; bound 1e-8 * (1 + |x|).  The cases are
+    drawn into per-dimension stacks, and the direct, inner and outer flows
+    each take one ``flow_images`` call per dimension on one generator
+    stack."""
     rng = _rng(seed, 2)
-    fields, s_times, t_times, points = [], [], [], []
+    cases = {}
     for _ in range(500):
         n = int(rng.integers(1, 7))
-        field = _random_affine_field(rng, n)
+        g = _random_generator(rng, n)
         for _ in range(3):
             s, t = rng.uniform(-1.0, 1.0, size=2)
-            fields.append(field)
-            s_times.append(s)
-            t_times.append(t)
-            points.append(rng.uniform(-2.0, 2.0, size=n))
-    direct = _ensemble_images(fields, [s + t for s, t in zip(s_times, t_times)], points)
-    inner = _ensemble_images(fields, t_times, points)
-    composed = _ensemble_images(fields, s_times, inner)
+            cases.setdefault(n, []).append((g, s, t, rng.uniform(-2.0, 2.0, size=n)))
     worst = 0.0
-    for x, d, c in zip(points, direct, composed):
-        worst = max(worst, np.linalg.norm(d - c) / (1.0 + np.linalg.norm(x)))
+    for g, s, t, x in _stacks(cases):
+        composed = flow_images(g, s, flow_images(g, t, x))
+        defects = _norms(flow_images(g, s + t, x) - composed) / (1.0 + _norms(x))
+        worst = max(worst, np.max(defects))
     return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
 
@@ -211,7 +214,7 @@ def check_structure_constants() -> CheckResult:
         table = generator_bracket_table(n)
         for g1, g2, got in table:
             want = expected_generator_bracket(g1, g2, n)
-            if not np.all(np.isin(got.matrix, (-1.0, 0.0, 1.0))):
+            if not np.all((got.matrix == 0.0) | (np.abs(got.matrix) == 1.0)):
                 return CheckResult(
                     "bracket-structure-constants",
                     False,
@@ -293,9 +296,10 @@ def _random_tangent(rng, kind: str, n: int) -> AffineField:
 def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     """Difference-quotient fundamental fields against the closed forms for
     all five catalog actions, 100 random (X, x) pairs each; bound
-    1e-5 * (1 + |x|)."""
+    1e-5 * (1 + |x|).  The differences and points are collected per
+    dimension, and their norms take two calls per dimension."""
     rng = _rng(seed, 5)
-    worst = 0.0
+    cases = {}
     for variant in ga.CATALOG_VARIANTS:
         for _ in range(100):
             n = int(rng.integers(1, 4))
@@ -309,8 +313,8 @@ def check_fundamental_agreement(seed: int = 42) -> CheckResult:
             x = rng.uniform(-2.0, 2.0, size=n)
             numeric = ga.fundamental_field_numeric(action, tangent, x)
             analytic = evaluate(ga.fundamental_field_analytic(action, tangent), x)
-            rel = np.linalg.norm(numeric - analytic) / (1.0 + np.linalg.norm(x))
-            worst = max(worst, rel)
+            cases.setdefault(n, []).append((numeric - analytic, x))
+    worst = max(np.max(_norms(d) / (1.0 + _norms(x))) for d, x in _stacks(cases))
     return _bounded(
         "fundamental-field-agreement", ("worst relative defect", worst, 1e-5)
     )
@@ -423,30 +427,29 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
 
 def check_rk4_order(seed: int = 42) -> CheckResult:
     """Halving the RK4 step against the closed-form flow must show fourth
-    order: measured exponent >= 3.7 on 20 random affine fields.  The
-    references take one ``flow_images`` call per dimension, and each step
-    length one four-stage ``integrate`` of all 20 fields as one stacked
-    homogeneous state."""
+    order: measured exponent >= 3.7 on 20 random affine fields, drawn into
+    per-dimension stacks.  The references take one ``flow_images`` call per
+    dimension, and each step length one four-stage ``integrate`` of all 20
+    fields as one stacked homogeneous state."""
     rng = _rng(seed, 9)
-    fields, points = [], []
+    cases = {}
     for _ in range(20):
         n = int(rng.integers(2, 5))
-        fields.append(_random_affine_field(rng, n))
-        points.append(rng.uniform(-2.0, 2.0, size=n))
-    references = _ensemble_images(fields, [1.0] * len(fields), points)
-    g_t, state = _homogeneous_stack(fields, [x[None] for x in points])
+        g = _random_generator(rng, n)
+        cases.setdefault(n, []).append((g, rng.uniform(-2.0, 2.0, size=(1, n))))
+    blocks = _stacks(cases)
+    references = [flow_images(g, np.ones(len(g)), x[:, 0]) for g, x in blocks]
+    g_t, state = _homogeneous_stack(blocks)
     errors = []
     for step in (0.1, 0.05):
         ends = integrate(OdeProblem(lambda z: z @ g_t, state, 1.0, step))
-        errors.append([
-            np.linalg.norm(end[0, : field.n] - reference)
-            for field, end, reference in zip(fields, ends, references)
-        ])
-    worst_exponent = np.inf
-    for coarse, fine in zip(*errors):
-        if fine == 0.0:
-            continue
-        worst_exponent = min(worst_exponent, float(np.log2(coarse / fine)))
+        errors.append(np.concatenate([
+            _norms(end[:, 0, : x.shape[-1]] - reference)
+            for end, (_, x), reference in zip(_by_block(ends, blocks), blocks, references)
+        ]))
+    coarse, fine = errors
+    ratios = coarse[fine != 0.0] / fine[fine != 0.0]
+    worst_exponent = float(np.min(np.log2(ratios), initial=np.inf))
     return CheckResult(
         "rk4-convergence-order",
         worst_exponent >= 3.7,
@@ -467,37 +470,37 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
     the flow must equal exp(tC)(x - U) + U for two fixed points U that differ
     by a null vector (1e-10); when none exists, it must match RK4 (1e-6),
     run on those 50 fields as one stacked homogeneous state by a batched
-    power of the RK4 increment matrices.  Once both ensembles are drawn,
-    their flows take one ``flow_images`` call per dimension and the exp(tC)
-    one ``mat_exp`` call per dimension."""
+    power of the RK4 increment matrices.  Both ensembles are drawn into
+    per-dimension stacks; their flows take one ``flow_images`` call per
+    dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
+    norms one call per dimension and term."""
     rng = _rng(seed, 10)
-    worst_pair = 0.0
-    worst_oracle = 0.0
-
-    cases = []  # (field, t, x, fixed points U) of the first part
-    while len(cases) < 150:  # 50 fields, 3 cases each
+    cases = {}  # n: [(generator, t, x, U, U + null vector)], 3 for each of 50 fields
+    fields = 0
+    while fields < 50:
         n = int(rng.integers(2, 5))
         c, null_vec = _singular_matrix(rng, n)
         anchor = rng.uniform(-2.0, 2.0, size=n)
         b = -(c @ anchor)
         if np.max(np.abs(b)) < 0.1:
             continue
-        field = AffineField(c, b)
+        fields += 1
+        g = _generator(c, b)
         u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
         for _ in range(3):
             t = rng.uniform(-1.0, 1.0)
             x = rng.uniform(-2.0, 2.0, size=n)
-            cases.append((field, t, x, (u0, u0 + null_vec)))
-    fields, times, points, fixed = zip(*cases)
-    images = _ensemble_images(fields, times, points)
-    exps = _by_dimension(mat_exp, [t * f.C for f, t in zip(fields, times)])
-    for image, e, x, us in zip(images, exps, points, fixed):
-        for u in us:
-            worst_pair = max(
-                worst_pair, float(np.linalg.norm(image - (e @ (x - u) + u)))
-            )
+            cases.setdefault(n, []).append((g, t, x, u0, u0 + null_vec))
+    worst_pair = 0.0
+    for g, t, x, *fixed in _stacks(cases):
+        n = x.shape[1]
+        images = flow_images(g, t, x)
+        e = mat_exp(t[:, None, None] * g[:, :n, :n])
+        for u in fixed:
+            paper = (e @ (x - u)[..., None])[..., 0] + u
+            worst_pair = max(worst_pair, np.max(_norms(images - paper)))
 
-    fields, starts = [], []
+    cases = {}
     for _ in range(50):
         n = int(rng.integers(2, 5))
         c, _ = _singular_matrix(rng, n)
@@ -505,13 +508,8 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
         # b has a component along the left null vector, so C U + B = 0 has
         # no solution.
         b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
-        fields.append(AffineField(c, b))
-        starts.append(rng.uniform(-2.0, 2.0, size=(1, n)))
-    images = _ensemble_images(fields, [1.0] * len(fields), [x[0] for x in starts])
-    ends = _stacked_rk4_ends(fields, starts)
-    for field, image, end in zip(fields, images, ends):
-        defect = float(np.linalg.norm(image - end[0, : field.n]))
-        worst_oracle = max(worst_oracle, defect)
+        cases.setdefault(n, []).append((_generator(c, b), rng.uniform(-2.0, 2.0, size=(1, n))))
+    worst_oracle = max(np.max(defects) for _, defects in _rk4_defects(_stacks(cases)))
 
     return _bounded(
         "degenerate-flow-consistency",

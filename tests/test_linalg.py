@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 from affine_fields.linalg import (
     _TAYLOR,
+    _norms,
     _squarings,
     augment_affine,
     mat_exp,
@@ -385,6 +386,16 @@ def test_augment_affine_layout():
 def test_augment_affine_dimension_check():
     with pytest.raises(ValueError):
         augment_affine(np.eye(2), [1.0, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_row_norms_are_each_rows_norm_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    scales = 10.0 ** np.arange(-30, 31, 2)
+    d = rng.uniform(-1.0, 1.0, size=(len(scales), 8, n)) * scales[:, None, None]
+    d = d.reshape(-1, n)
+    want = np.array([np.linalg.norm(row) for row in d])
+    assert np.array_equal(_norms(d), want)
 
 
 def test_inputs_are_not_mutated():

@@ -1,12 +1,21 @@
-"""The stacked RK4 passes behind validation checks 1, 9 and 10."""
+"""The per-dimension stacks and the stacked RK4 passes behind validation
+checks 1, 2, 9 and 10, against one case at a time."""
 
 import numpy as np
 import pytest
 
 from affine_fields import AffineField, evaluate
 from affine_fields.flows import flow_at, make_flow
-from affine_fields.oracle import DivergenceError, OdeProblem, integrate
-from affine_fields.validate import _stacked_rk4_ends, check_rk4_order
+from affine_fields.linalg import mat_exp, solve_linear
+from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
+from affine_fields.validate import (
+    _singular_matrix,
+    _stacked_rk4_ends,
+    check_degenerate_flows,
+    check_flow_vs_oracle,
+    check_group_law,
+    check_rk4_order,
+)
 
 from conftest import random_affine_field
 
@@ -18,11 +27,16 @@ def _ensemble():
     return fields, starts
 
 
+def _blocks(fields, starts):
+    """Each field with its starts as a block of one."""
+    return [(field.matrix[None], xs[None]) for field, xs in zip(fields, starts)]
+
+
 def test_stack_matches_one_integration_per_field_and_start():
     fields, starts = _ensemble()
-    ends = _stacked_rk4_ends(fields, starts)
-    assert ends.shape == (6, 2, 6)
-    for field, xs, stacked in zip(fields, starts, ends):
+    ends = _stacked_rk4_ends(_blocks(fields, starts))
+    assert [block.shape for block in ends] == [(1, 2, 6)] * 6
+    for field, xs, (stacked,) in zip(fields, starts, ends):
         for x, end in zip(xs, stacked[:, : field.n]):
             want = integrate(
                 OdeProblem(lambda z: evaluate(field, z), x, 1.0, 1e-3)
@@ -32,8 +46,8 @@ def test_stack_matches_one_integration_per_field_and_start():
 
 def test_padded_coordinates_stay_exactly_zero():
     fields, starts = _ensemble()
-    ends = _stacked_rk4_ends(fields, starts)
-    for field, stacked in zip(fields, ends):
+    ends = _stacked_rk4_ends(_blocks(fields, starts))
+    for field, (stacked,) in zip(fields, ends):
         assert np.array_equal(stacked[:, field.n :], np.zeros((2, 6 - field.n)))
 
 
@@ -42,7 +56,7 @@ def test_one_diverging_field_fails_the_stack():
     fields.insert(2, AffineField([[1e4]], [0.0]))
     starts.insert(2, np.ones((2, 1)))
     with pytest.raises(DivergenceError):
-        _stacked_rk4_ends(fields, starts)
+        _stacked_rk4_ends(_blocks(fields, starts))
 
 
 def _rk4_order_detail_field_by_field(seed):
@@ -69,3 +83,110 @@ def _rk4_order_detail_field_by_field(seed):
 @pytest.mark.parametrize("seed", [42, 2006, 7])
 def test_stacked_rk4_order_is_the_field_by_field_check(seed):
     assert check_rk4_order(seed).detail == _rk4_order_detail_field_by_field(seed)
+
+
+def _rk4_ends_in_draw_order(fields, starts):
+    """RK4 ends at t=1, step 1e-3, from one ``integrate_linear`` of the
+    zero-padded homogeneous state laid out field by field in draw order."""
+    n_max = max(field.n for field in fields)
+    g_t = np.zeros((len(fields), n_max + 1, n_max + 1))
+    state = np.zeros((len(fields), len(starts[0]), n_max + 1))
+    state[..., n_max] = 1.0
+    for k, (field, xs) in enumerate(zip(fields, starts)):
+        g_t[k, : field.n, : field.n] = field.C.T
+        g_t[k, n_max, : field.n] = field.B
+        state[k, :, : field.n] = xs
+    return integrate_linear(OdeProblem(lambda z: z @ g_t, state, 1.0, 1e-3))
+
+
+def _oracle_detail_case_by_case(seed):
+    """Check 1 with one flow per field, one ``flow_at`` and two
+    ``np.linalg.norm`` calls per start, in the same draw order."""
+    rng = np.random.default_rng([seed, 1])
+    fields, starts = [], []
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        fields.append(random_affine_field(rng, n))
+        starts.append(rng.uniform(-2.0, 2.0, size=(3, n)))
+    worst = 0.0
+    for field, xs, ends in zip(fields, starts, _rk4_ends_in_draw_order(fields, starts)):
+        flow = make_flow(field)
+        for x, end in zip(xs, ends):
+            defect = np.linalg.norm(flow_at(flow, 1.0, x) - end[: field.n])
+            worst = max(worst, defect / (1.0 + np.linalg.norm(x)))
+    return f"worst relative defect {worst:.3e} (bound 1e-06)"
+
+
+def _group_law_detail_case_by_case(seed):
+    """Check 2 with one flow per field, three ``flow_at`` calls and two
+    ``np.linalg.norm`` calls per case, in the same draw order."""
+    rng = np.random.default_rng([seed, 2])
+    worst = 0.0
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        flow = make_flow(random_affine_field(rng, n))
+        for _ in range(3):
+            s, t = rng.uniform(-1.0, 1.0, size=2)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            direct = flow_at(flow, s + t, x)
+            composed = flow_at(flow, s, flow_at(flow, t, x))
+            worst = max(worst, np.linalg.norm(direct - composed) / (1.0 + np.linalg.norm(x)))
+    return f"worst relative defect {worst:.3e} (bound 1e-08)"
+
+
+def _degenerate_detail_case_by_case(seed):
+    """Check 10 with one flow per field, one ``flow_at`` and one ``mat_exp``
+    per case and one ``np.linalg.norm`` per case and fixed point, in the
+    same draw order."""
+    rng = np.random.default_rng([seed, 10])
+    worst_pair = 0.0
+    fields = 0
+    while fields < 50:
+        n = int(rng.integers(2, 5))
+        c, null_vec = _singular_matrix(rng, n)
+        anchor = rng.uniform(-2.0, 2.0, size=n)
+        b = -(c @ anchor)
+        if np.max(np.abs(b)) < 0.1:
+            continue
+        fields += 1
+        field = AffineField(c, b)
+        flow = make_flow(field)
+        u0, _ = solve_linear(c, -b)
+        for _ in range(3):
+            t = rng.uniform(-1.0, 1.0)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            image = flow_at(flow, t, x)
+            e = mat_exp(t * field.C)
+            for u in (u0, u0 + null_vec):
+                worst_pair = max(worst_pair, float(np.linalg.norm(image - (e @ (x - u) + u))))
+    fields, starts = [], []
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        c, _ = _singular_matrix(rng, n)
+        left_null = np.linalg.svd(c)[0][:, -1]
+        b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
+        fields.append(AffineField(c, b))
+        starts.append(rng.uniform(-2.0, 2.0, size=(1, n)))
+    worst_oracle = 0.0
+    for field, xs, ends in zip(fields, starts, _rk4_ends_in_draw_order(fields, starts)):
+        image = flow_at(make_flow(field), 1.0, xs[0])
+        worst_oracle = max(worst_oracle, float(np.linalg.norm(image - ends[0, : field.n])))
+    return (
+        f"worst fixed-point-choice defect {worst_pair:.3e} (bound 1e-10), "
+        f"worst oracle defect {worst_oracle:.3e} (bound 1e-06)"
+    )
+
+
+CASE_BY_CASE = [
+    (check_flow_vs_oracle, _oracle_detail_case_by_case),
+    (check_group_law, _group_law_detail_case_by_case),
+    (check_degenerate_flows, _degenerate_detail_case_by_case),
+]
+
+
+@pytest.mark.parametrize("seed", [*range(10), 42, 2006, 7])
+@pytest.mark.parametrize(
+    "check,reference", CASE_BY_CASE, ids=[c.__name__ for c, _ in CASE_BY_CASE]
+)
+def test_stacked_check_is_the_case_by_case_check(check, reference, seed):
+    assert check(seed).detail == reference(seed)
