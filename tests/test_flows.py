@@ -425,6 +425,13 @@ class TestRegressions:
             flow_at(flow, 1e10, [0.0])
 
 
+def _random_case(n):
+    """The field and start of test_points_agree_with_flow_at on a uniform grid."""
+    rng = np.random.default_rng(n)
+    field = random_affine_field(rng, n)
+    return field, rng.uniform(-2.0, 2.0, size=n), np.linspace(-3.0, 3.0, 121)
+
+
 class TestOrbit:
     def test_constant_field_grid(self):
         flow = make_flow(constant_field([1.0, 0.0]))
@@ -529,3 +536,113 @@ class TestOrbit:
             tracemalloc.stop()
         # The points themselves take 1.6 MB; the blocks add a bounded amount.
         assert peak < 5e6
+
+    @pytest.mark.parametrize(
+        "field, x, grid",
+        [
+            *(_random_case(n) for n in (1, 2, 6, 20)),
+            # A hump: |exp(t C)| rises to about 250 before it decays.
+            (AffineField([[-1.0, 1e3], [0.0, -2.0]], [1.0, -1.0]), np.array([0.5, 1.0]),
+             np.linspace(0.0, 10.0, 2001)),
+            (AffineField(np.diag([-50.0, -60.0]), [3.0, -2.0]), np.array([1.0, -1.0]),
+             np.linspace(0.0, 2.0, 2001)),
+            (AffineField([[0.0, 30.0], [-30.0, 0.0]], [1.0, 0.5]), np.array([1.0, 0.25]),
+             np.linspace(0.0, 20.0, 10_001)),
+        ],
+        ids=["n1", "n2", "n6", "n20", "hump", "stiff", "rotation"],
+    )
+    def test_uniform_grid_is_within_conditioning_of_mpmath(self, field, x, grid):
+        flow = make_flow(field)
+        assert flows._grid_step(grid) != 0.0
+        path = orbit(flow, x, grid).points
+        g, n = field.matrix, field.n
+        magnitude = np.linalg.norm(
+            np.abs(expm(grid[:, None, None] * g)[:, :n]) @ np.abs(np.append(x, 1.0)),
+            axis=1,
+        )
+        bound = 1e-14 * (1.0 + np.abs(grid) * np.abs(g).sum(axis=0).max()) * magnitude
+        want = _uniform_grid_reference(g, x, grid)
+        assert (np.linalg.norm(path - want, axis=1) <= bound).all()
+        assert (np.linalg.norm(path - flow_at(flow, grid, x), axis=1) <= bound).all()
+
+    @pytest.mark.parametrize("grid", [np.linspace(-1.0, 1.0, 21), np.linspace(-3.0, 7.0, 11)])
+    @pytest.mark.parametrize("field", [PLANAR, AffineField([[0.0, -1.0], [1.0, 0.1]], [0.3, 0.0])])
+    def test_uniform_grid_keeps_the_start_at_time_zero(self, field, grid):
+        # Time zero is an anchor on the first grid and a step on the second.
+        x = np.array([-0.0, 0.1 + 0.2])
+        assert flows._grid_step(grid) != 0.0
+        row = orbit(make_flow(field), x, grid).points[grid == 0.0]
+        assert row.shape == (1, 2)
+        assert np.array_equal(row[0], x)
+        assert np.array_equal(np.signbit(row[0]), np.signbit(x))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "field, x, grid",
+        [
+            (AffineField([[100.0]], [0.0]), [1.0], np.linspace(0.0, 10.0, 11)),
+            (AffineField([[1e10]], [0.0]), [1.0], np.linspace(0.0, 1e300, 11)),
+            # Every anchor point is finite; the step to t = 9 overflows.
+            (AffineField([[1.0]], [0.0]), [3e304], np.linspace(0.0, 9.0, 10)),
+        ],
+    )
+    def test_uniform_grid_overflow_raises_without_warning(self, field, x, grid):
+        assert flows._grid_step(grid) != 0.0
+        with pytest.raises(OverflowError):
+            orbit(make_flow(field), x, grid)
+
+    @pytest.mark.parametrize(
+        "grid", [[0.5], [0.5, 1.0], [0.0, 0.5, 1.0], [0.7] * 5, [0.0, 0.5, 1.0, 1.5 + 1e-9]]
+    )
+    def test_short_flat_and_uneven_grids_are_flow_at_bitwise(self, grid):
+        flow = make_flow(AffineField([[0.0, -1.0], [1.0, 0.1]], [0.3, 0.0]))
+        x = np.array([-0.0, 0.1])
+        assert flows._grid_step(np.array(grid)) == 0.0
+        points = orbit(flow, x, grid).points
+        expected = np.stack([flow_at(flow, t, x) for t in grid])
+        assert np.array_equal(points, expected)
+        assert np.array_equal(np.signbit(points), np.signbit(expected))
+
+    def test_uniform_grid_takes_about_two_sqrt_k_exponentials(self, monkeypatch):
+        sizes = []
+
+        def counted(a):
+            sizes.append(len(a))
+            return mat_exp(a)
+
+        mat_exp = flows.mat_exp
+        monkeypatch.setattr(flows, "mat_exp", counted)
+        # M = 101: 100 anchors at t_0, t_101, ..., t_9999 and 100 steps.
+        orbit(make_flow(PLANAR), [1.0, 0.0], np.linspace(0.0, 1.0, 10_001))
+        assert sum(sizes) == 200
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_time_between_anchors_rejected(self, bad):
+        grid = np.linspace(0.0, 1.0, 10)
+        grid[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            orbit(make_flow(PLANAR), [0.0, 0.0], grid)
+
+
+def _uniform_grid_reference(g, x, grid) -> np.ndarray:
+    """exp(t_k G) (x, 1) at 40 digits, cut to the first n entries.
+
+    Propagated from t_0 by exp(h G) at h = (t_(K-1) - t_0) / (K - 1); each
+    row is then moved to its float time t_k by the first-order term of
+    exp(d_k G), with d_k = t_k - (t_0 + k h) a few ulps of max |t|.
+    """
+    m = len(g)
+    with mpmath.workdps(40):
+        gen = mpmath.matrix(g.tolist())
+        t0 = mpmath.mpf(grid[0])
+        h = (mpmath.mpf(grid[-1]) - t0) / (len(grid) - 1)
+        step = mpmath.expm(h * gen).tolist()
+        z = (mpmath.expm(t0 * gen) * mpmath.matrix([*x.tolist(), 1.0])).T.tolist()[0]
+        rows = gen.tolist()
+        out = []
+        for k, t in enumerate(grid.tolist()):
+            if k:
+                z = [mpmath.fdot(row, z) for row in step]
+            d = mpmath.mpf(t) - (t0 + k * h)
+            out.append([float(z[i] + d * mpmath.fdot(rows[i], z)) for i in range(m - 1)])
+    return np.array(out)

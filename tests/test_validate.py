@@ -184,7 +184,7 @@ CASE_BY_CASE = [
 ]
 
 
-@pytest.mark.parametrize("seed", [*range(10), 42, 2006, 7])
+@pytest.mark.parametrize("seed", [*range(10), 42, 2006])
 @pytest.mark.parametrize(
     "check,reference", CASE_BY_CASE, ids=[c.__name__ for c, _ in CASE_BY_CASE]
 )
