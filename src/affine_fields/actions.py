@@ -316,6 +316,9 @@ class GroupAction(MatrixValue):
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown action variant {self.variant!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
+            raise ValueError(f"action dimension n must be an integer >= 1, not {self.n!r}")
+        object.__setattr__(self, "n", int(self.n))
         if self.chart is not None and self.chart.n != self.n:
             raise ValueError("chart and action dimensions differ")
         param = VARIANTS[self.variant].param

@@ -258,9 +258,11 @@ CHART_CONJUGATED = "chart-conjugated"
 
 def _cmd_check_action(args) -> int:
     params = _load_json(args.params) if args.params else {}
-    n = int(params.get("n", 2))
+    n, q = params.get("n", 2), params.get("q", 1)
+    for key, value, least in (("n", n, 1), ("q", q, 0)):
+        if not isinstance(value, int) or isinstance(value, bool) or value < least:
+            raise InputError(f"parameter {key!r} must be an integer >= {least}, not {value!r}")
     s = params.get("s", np.ones(n))
-    q = int(params.get("q", 1))
     name = args.action
     if name == CHART_CONJUGATED:
         base_name = params.get("base")

@@ -1,26 +1,24 @@
 """Closed-form flows of affine fields and the flow-map algebra.
 
-The time-t map of the field with generator G = [[C, B], [0, 0]] takes one of
-two forms, which a FlowMap derives from its field:
-
-* translation            x + t B                          (C exactly zero)
-* augmented-exponential  the first n entries of exp(t G) (x, 1)
-
-The augmented exponential covers every affine field (Van Loan 1978), so no
-fixed point is solved for and no tolerance decides which formula runs.  When
-C U + B = 0 has solutions, the paper's form exp(tC)(x - U) + U still holds for
-every such U; validation check 10 tests that identity against this path.
-``flow_images`` is the evaluation path of the augmented exponential: row j
-is the j-th point under the flow of the j-th generator at the j-th time, in
-two steps, the exponentials exp(t_j G_j) and then their images of the
-points.  ``flow_at`` over many times is ``flow_images`` with its one
-generator shared by every time.  The time-t map is one group element that
-acts on every point alike, so a FlowMap keeps exp(t G) for the last scalar
-time it was evaluated at, and a scalar ``flow_at`` at that time again takes
-only the image step.  Validation checks 1, 2 and 10 call ``flow_images`` on
-whole ensembles.  ``orbit`` on a uniform grid of K times takes ``flow_at``
-at about sqrt(K) of them and carries those points on by about sqrt(K) step
-exponentials (the group law), within a rounding bound of ``flow_at``.
+The time-t map of the field with generator G = [[C, B], [0, 0]] is the
+first n entries of exp(t G) (x, 1), the augmented exponential (Van Loan
+1978).  It covers every affine field, so no fixed point is solved for and no
+tolerance decides which formula runs.  A constant field is no exception: its
+G^2 = 0, so ``mat_exp`` returns I + t G bit for bit and the map is x + t B,
+up to the sign of a zero coordinate.  When C U + B = 0 has solutions, the
+paper's form exp(tC)(x - U) + U still holds for every such U; validation
+check 10 tests that identity against this path.  ``flow_images`` is the
+evaluation path: row j is the j-th point under the flow of the j-th
+generator at the j-th time, in two steps, the exponentials exp(t_j G_j) and
+then their images of the points.  ``flow_at`` over many times is
+``flow_images`` with its one generator shared by every time.  The time-t
+map is one group element that acts on every point alike, so a FlowMap keeps
+exp(t G) for the last scalar time it was evaluated at, and a scalar
+``flow_at`` at that time again takes only the image step.  Validation
+checks 1, 2, 8 and 10 call ``flow_images`` on whole ensembles.  ``orbit`` on
+a uniform grid of K times takes ``flow_at`` at about sqrt(K) of them and
+carries those points on by about sqrt(K) step exponentials (the group law),
+within a rounding bound of ``flow_at``.
 """
 
 from __future__ import annotations
@@ -48,11 +46,11 @@ ORBIT_BLOCK_ENTRIES = 2**13
 class FlowMap(MatrixValue):
     """Closed-form flow of an affine field; immutable and pure to evaluate.
 
-    ``form`` is derived from the field: translation exactly when C is zero,
-    else the augmented exponential of ``field.matrix``.  Two flows are equal
-    when their fields are.  A flow keeps exp(t G) for the last scalar time it
-    was evaluated at; that memo is no field, so equality, repr and pickles
-    do not see it.
+    Every flow is the augmented exponential of ``field.matrix``; ``form`` is
+    a label derived from the field, translation exactly when C is zero, else
+    augmented exponential.  Two flows are equal when their fields are.  A
+    flow keeps exp(t G) for the last scalar time it was evaluated at; that
+    memo is no field, so equality, repr and pickles do not see it.
     """
 
     field: AffineField
@@ -84,7 +82,7 @@ class FlowMap(MatrixValue):
 
 
 def make_flow(field: AffineField) -> FlowMap:
-    """Translation when C is exactly zero, else the augmented exponential."""
+    """The flow of ``field``: the augmented exponential of its generator."""
     return FlowMap(field)
 
 
@@ -153,13 +151,13 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
 
     ``t`` is a scalar, giving the (n,) image, or a 1-D array of k times,
     giving the (k, n) images, row j at time t[j] and bit for bit the image
-    for the scalar t[j].  An augmented exponential over an array is
-    ``flow_images`` with the field's one generator and x shared by every
-    time, so the working memory does not grow with k.  At a scalar t it is
-    the image of x under the flow's exp(t G), a stack of one, which the flow
-    forms once and keeps until it is called at another scalar time: several
-    points at one time cost one exponential, and each result is bit for bit
-    that of a fresh flow.  An image at t = 0 is x exactly.
+    for the scalar t[j].  Every field takes the augmented exponential.  Over
+    an array it is ``flow_images`` with the field's one generator and x
+    shared by every time, so the working memory does not grow with k.  At a
+    scalar t it is the image of x under the flow's exp(t G), a stack of one,
+    which the flow forms once and keeps until it is called at another scalar
+    time: several points at one time cost one exponential, and each result
+    is bit for bit that of a fresh flow.  An image at t = 0 is x exactly.
 
     Raises ValueError for an empty or 2-D array of times and for a
     non-finite t or x, and OverflowError when t G or an image is not
@@ -178,20 +176,10 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
         raise ValueError(f"point has dim {p.size}, flow lives on R^{n}")
     if not all(map(math.isfinite, p.tolist())):
         raise ValueError("point must be finite")
-    stack = times.reshape(-1)
-    if flow.form == TRANSLATION:
-        with np.errstate(over="ignore", invalid="ignore"):
-            images = p + stack[:, None] * flow.field.B
-        if not np.isfinite(images).all():
-            raise OverflowError("image overflows the float range")
-        # Not _checked: its masked copy over every entry costs a long
-        # translation orbit more than this row index.
-        images[stack == 0.0] = p
-    elif times.ndim:
-        images = flow_images(flow.field.matrix[None], stack, p[None])
-    else:
-        images = _checked(_images(flow._exp_at(float(times)), p[None]), stack, p[None])
-    return images if times.ndim else images[0]
+    if times.ndim:
+        return flow_images(flow.field.matrix[None], times, p[None])
+    images = _images(flow._exp_at(float(times)), p[None])
+    return _checked(images, times.reshape(1), p[None])[0]
 
 
 def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:
@@ -247,7 +235,10 @@ def _grid_step(times) -> float:
 def _uniform_orbit(flow: FlowMap, times, x, h: float) -> np.ndarray:
     """The points of ``orbit`` on the grid t_0 + j h, h != 0, by the group
     law: row q m + r is (exp(r h G) (w_q, 1))[:n] for the anchor point w_q
-    at t_(q m), with m = isqrt(k - 1) + 1."""
+    at t_(q m), with m = isqrt(k - 1) + 1.  One product of the stacked
+    (w_q, 1) with the step exponentials writes the carried rows in place
+    into an (anchors, m, n) array; the rows past t_(k-1) that fill the last
+    anchor's run are cut off."""
     k, n = len(times), flow.field.n
     m = math.isqrt(k - 1) + 1
     anchors = flow_at(flow, times[::m], x)
@@ -256,11 +247,11 @@ def _uniform_orbit(flow: FlowMap, times, x, h: float) -> np.ndarray:
         _exponentials(flow.field.matrix[None], steps[lo:lo + size])
         for lo in range(0, m - 1, size)
     ])
-    images = np.empty((k, n))
-    images[::m] = anchors
-    for lo, w in zip(range(0, k, m), anchors):
-        images[lo + 1:lo + m] = _images(exps[:k - lo - 1], w[None])
-    return _checked(images, times, np.asarray(x, dtype=float).reshape(1, n))
+    rows, lifted = np.empty((len(anchors), m, n)), np.ones((len(anchors), n + 1))
+    rows[:, 0] = lifted[:, :n] = anchors
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.matmul(lifted, exps[:, :n].transpose(0, 2, 1), out=rows[:, 1:].transpose(1, 0, 2))
+    return _checked(rows.reshape(-1, n)[:k], times, np.asarray(x, dtype=float).reshape(1, n))
 
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:
@@ -268,20 +259,19 @@ def orbit(flow: FlowMap, x, t_grid) -> Orbit:
 
     On a uniform grid, K >= 4 times t_0 + k h to within 4 eps max |t|
     (eps = 2^-52) with h = (t_(K-1) - t_0) / (K - 1) != 0, as ``linspace``
-    gives, an augmented exponential goes by the group law
+    gives, the flow goes by the group law
     exp(t_(qM+r) G) = exp(r h G) exp(t_(qM) G), M = isqrt(K - 1) + 1: about
     2 sqrt(K) exponentials instead of K.  Its anchor points, at t_(qM), are
     ``flow_at(flow, t, x)`` bit for bit; each other point is within
     1e-14 (1 + |t| |G|_1) |(|exp(t G)| |(x, 1)|)[:n]| of it and of the exact
-    image.  On every other grid, and for a translation, each point is
-    ``flow_at(flow, t, x)`` bit for bit.  On every grid the point at t = 0
-    is the start exactly.
+    image.  On every other grid each point is ``flow_at(flow, t, x)`` bit
+    for bit.  On every grid the point at t = 0 is the start exactly.
 
     Raises what ``flow_at`` raises: ValueError for an empty or non-finite
     grid and for a non-finite or misshapen start point, and OverflowError
     when t G or a point is not representable in floats.
     """
     times = np.asarray(t_grid, dtype=float).reshape(-1)
-    h = _grid_step(times) if flow.form == AUGMENTED_EXPONENTIAL else 0.0
+    h = _grid_step(times)
     points = _uniform_orbit(flow, times, x, h) if h else flow_at(flow, times, x)
     return Orbit(start=x, times=times, points=points)

@@ -190,6 +190,16 @@ class TestTangents:
 
 
 class TestAct:
+    @pytest.mark.parametrize("n", [0, -1, 2.5, 2.0, True, "2", None])
+    def test_dimension_must_be_an_integer_of_at_least_one(self, n):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            ga.GroupAction(ga.STANDARD_LINEAR, n)
+
+    def test_numpy_integer_dimension_is_kept_as_an_int(self):
+        action = ga.GroupAction(ga.STANDARD_LINEAR, np.int64(3))
+        assert type(action.n) is int
+        assert action == ga.standard_linear_action(3)
+
     def test_standard_affine(self):
         action = ga.standard_affine_action(2)
         g = ga.affine_element(np.eye(2), [1.0, 2.0])

@@ -528,6 +528,21 @@ class TestCheckActionCommand:
         assert (code, err) == (0, "")
         assert out == json.dumps(expected, indent=2) + "\n"
 
+    @pytest.mark.parametrize(
+        "params",
+        [{"n": 0}, {"n": -1}, {"n": 2.5}, {"n": 2.0}, {"n": True}, {"n": "2"},
+         {"n": 2, "q": 1.5}, {"n": 2, "q": True}, {"n": 2, "q": -1}],
+    )
+    def test_dimension_and_power_must_be_json_integers(self, capsys, tmp_path, params):
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code, out, err = run_cli(
+            capsys, "check-action", "--action", "det-weighted", "--params", str(path)
+        )
+        key = "q" if "q" in params else "n"
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: parameter {key!r} must be an integer")
+
     def test_defaults_for_weight_and_power(self, capsys, tmp_path):
         # Without "s" and "q" the weight is ones(n) and the power is 1.
         params = tmp_path / "params.json"

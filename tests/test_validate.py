@@ -1,19 +1,22 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
-checks 1, 2, 9 and 10, against one case at a time."""
+checks 1, 2, 8, 9 and 10, against one case at a time."""
 
 import numpy as np
 import pytest
 
 from affine_fields import AffineField, evaluate
 from affine_fields.flows import flow_at, make_flow
+from affine_fields.invariants import constant_field_bundle
 from affine_fields.linalg import mat_exp, solve_linear
 from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
 from affine_fields.validate import (
+    _random_reshaping,
     _singular_matrix,
     _stacked_rk4_ends,
     check_degenerate_flows,
     check_flow_vs_oracle,
     check_group_law,
+    check_invariant_flow_constancy,
     check_rk4_order,
 )
 
@@ -177,9 +180,34 @@ def _degenerate_detail_case_by_case(seed):
     )
 
 
+def _invariant_detail_case_by_case(seed):
+    """Check 8 with one flow and one ``flow_at`` call per bundle, in the
+    same draw order."""
+    rng = np.random.default_rng([seed, 8])
+    times = np.array([-1.0, -0.5, 0.5, 1.0])
+    worst = 0.0
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        b = rng.uniform(0.3, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        bundle = constant_field_bundle(
+            b, F=_random_reshaping(rng, n - 1), G=_random_reshaping(rng, n - 1)
+        )
+        flow = make_flow(bundle.field)
+        x = rng.uniform(-2.0, 2.0, size=n)
+        s0, i0 = bundle.S.value(x), bundle.invariants[0].value(x)
+        for t, moved in zip(times, flow_at(flow, times, x)):
+            worst = max(
+                worst,
+                abs(bundle.S.value(moved) - s0 - t),
+                abs(bundle.invariants[0].value(moved) - i0),
+            )
+    return f"worst defect {worst:.3e} (bound 1e-07)"
+
+
 CASE_BY_CASE = [
     (check_flow_vs_oracle, _oracle_detail_case_by_case),
     (check_group_law, _group_law_detail_case_by_case),
+    (check_invariant_flow_constancy, _invariant_detail_case_by_case),
     (check_degenerate_flows, _degenerate_detail_case_by_case),
 ]
 
