@@ -27,13 +27,14 @@ chart.inverse o act o chart.forward.  Each variant has one act, on a stack
 of element matrices and a stack of points, and each row of its result is bit
 for bit the act of that row alone: ``act`` applies it to one element,
 check_action_axioms to a block of samples at a time, and the difference
-quotients below to every perturbed identity at once.  The fundamental field
-of X at x is the derivative of g -> act(g, x) at the identity contracted
-with X; it is computed both by central differences along the nonzero
-entries of X, with the fixed step FD_STEP, and from the per-variant closed
-forms, and the two must agree.  For the three standard actions it is the
-field X itself.  Every action here is a left action, and nothing in the
-module takes a tolerance or a step as an argument.
+quotients below to every perturbed identity and point at once.  The
+fundamental field of X at x, the derivative of g -> act(g, x) at the
+identity contracted with X, is computed both by central differences along
+the nonzero entries of X, with the fixed step FD_STEP, for a stack of
+generators at once, and from the per-variant closed forms; the two must
+agree.  For the three standard actions it is the field X itself.  Every
+action here is a left action, and nothing in the module takes a tolerance
+or a step as an argument.
 """
 
 from __future__ import annotations
@@ -331,8 +332,8 @@ class GroupAction(MatrixValue):
         elif self.s is not None:
             raise ValueError(f"variant {self.variant!r} takes no weight vector")
         if param == "q":
-            if self.q is None or self.q < 0 or int(self.q) != self.q:
-                raise ValueError("det-weighted actions need a nonnegative integer q")
+            if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 0:
+                raise ValueError(f"det-weighted power q must be an integer >= 0, not {self.q!r}")
             object.__setattr__(self, "q", int(self.q))
         elif self.q is not None:
             raise ValueError(f"variant {self.variant!r} takes no power q")
@@ -416,7 +417,33 @@ def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
     return _act(action, g.matrix, np.reshape(x, -1))
 
 
-_STEPS = np.array([[FD_STEP], [-FD_STEP]])
+@lru_cache(maxsize=16)
+def _perturbed_identities(n: int, support: bytes) -> tuple:
+    """(rows, cols, m): the row-major positions of the P entries flagged in
+    the (n+1) x (n+1) boolean mask ``support``, and the read-only
+    (2, P, 1, n+1, n+1) identities plus, then minus, FD_STEP at each."""
+    rows, cols = np.nonzero(np.frombuffer(support, dtype=bool).reshape(n + 1, n + 1))
+    m = np.tile(_identity(n), (2, len(rows), 1, 1, 1))
+    m[:, np.arange(len(rows)), 0, rows, cols] += [[FD_STEP], [-FD_STEP]]
+    for a in (rows, cols, m):
+        a.flags.writeable = False
+    return rows, cols, m
+
+
+def _fundamental_rows(action: GroupAction, g: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """fundamental_field_numeric of each generator of the (k, n+1, n+1) stack
+    g, in the algebra of the action's group, at its row of the (k, n) points
+    x: the identities perturbed along the P entries nonzero in any generator
+    act on all k points in one call, and each row sums, from +0.0 and in
+    row-major order, its entries times the difference quotients.  An entry
+    zero in a row adds +-0.0, which leaves the sum as it is, so every row is
+    bit for bit its generator's alone.  Raises OverflowError when an image
+    is not finite, that of an entry padded into a row included."""
+    rows, cols, m = _perturbed_identities(action.n, g.any(axis=0).tobytes())
+    images = _act(action, m, x)
+    terms = np.zeros((len(rows) + 1,) + x.shape)  # terms[0]: the +0.0 each sum starts from
+    terms[1:] = g[:, rows, cols].T[..., None] * (images[0] - images[1]) / (2.0 * FD_STEP)
+    return np.add.accumulate(terms)[-1]
 
 
 def fundamental_field_numeric(
@@ -432,17 +459,11 @@ def fundamental_field_numeric(
     along one of its entries cannot leave the group, and the stack of the
     2 nnz perturbed matrices is acted on in one call, without the checks of
     GroupElement's constructor; the point is checked, and taken through the
-    chart, once, as act does.  Raises OverflowError when an image is not
-    finite.
+    chart, once, as act does.  It is _fundamental_rows on a stack of one.
+    Raises OverflowError when an image is not finite.
     """
     _member(action.group_kind, tangent, action.n)
-    rows, cols = np.nonzero(tangent.matrix)
-    g = np.empty((2, len(rows)) + _identity(action.n).shape)
-    g[...] = _identity(action.n)
-    g[:, np.arange(len(rows)), rows, cols] += _STEPS
-    images = _act(action, g, np.reshape(x, -1))
-    terms = tangent.matrix[rows, cols, None] * (images[0] - images[1]) / (2.0 * FD_STEP)
-    return sum(terms, np.zeros(action.n))
+    return _fundamental_rows(action, tangent.matrix[None], np.reshape(x, (1, -1)))[0]
 
 
 def fundamental_field_analytic(

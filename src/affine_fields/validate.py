@@ -21,7 +21,7 @@ from .fields import (
     GeneratorIndex,
     all_generators,
     bracket,
-    evaluate,
+    evaluate,  # noqa: F401  (unused; instrumentation looks it up here)
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
     generator_unit,
 )
@@ -161,15 +161,17 @@ def check_group_law(seed: int = 42) -> CheckResult:
     each take one ``flow_images`` call per dimension on one generator
     stack."""
     rng = _rng(seed, 2)
-    cases = {}
+    cases = {}  # n: ([generator per field], [(s, t) per case], [x per case])
     for _ in range(500):
         n = int(rng.integers(1, 7))
-        g = _random_generator(rng, n)
+        generators, times, starts = cases.setdefault(n, ([], [], []))
+        generators.append(_random_generator(rng, n))
         for _ in range(3):
-            s, t = rng.uniform(-1.0, 1.0, size=2)
-            cases.setdefault(n, []).append((g, s, t, rng.uniform(-2.0, 2.0, size=n)))
+            times.append(rng.uniform(-1.0, 1.0, size=2))
+            starts.append(rng.uniform(-2.0, 2.0, size=n))
     worst = 0.0
-    for g, s, t, x in _stacks(cases):
+    for generators, times, starts in cases.values():
+        g, (s, t), x = np.repeat(generators, 3, axis=0), np.array(times).T, np.array(starts)
         composed = flow_images(g, s, flow_images(g, t, x))
         defects = _norms(flow_images(g, s + t, x) - composed) / (1.0 + _norms(x))
         worst = max(worst, np.max(defects))
@@ -281,40 +283,36 @@ def check_planar_family(seed: int = 42) -> CheckResult:
     )
 
 
-def _random_tangent(rng, kind: str, n: int) -> AffineField:
-    """A generator in the algebra of ``kind``; both parts are drawn for every
-    kind, so each takes the same draws, and the part outside is zeroed."""
-    mat = rng.uniform(-1.0, 1.0, size=(n, n))
-    vec = rng.uniform(-1.0, 1.0, size=n)
-    if kind == ga.TRANSLATION_GROUP:
-        mat[:] = 0.0
-    if kind == ga.GENERAL_LINEAR:
-        vec[:] = 0.0
-    return AffineField(mat, vec)
-
-
 def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     """Difference-quotient fundamental fields against the closed forms for
     all five catalog actions, 100 random (X, x) pairs each; bound
-    1e-5 * (1 + |x|).  The differences and points are collected per
-    dimension, and their norms take two calls per dimension."""
+    1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
+    det-weighted by (n, q)) form a stack: one ``actions._fundamental_rows``
+    call, and one row product for the closed forms X x, (X_vec . s) x or
+    (X_mat + q trace(X_mat) I) x."""
     rng = _rng(seed, 5)
-    cases = {}
-    for variant in ga.CATALOG_VARIANTS:
+    cases = {}  # (variant, n, "s" or "q" or None, its value): [(generator, x), ...]
+    for variant, record in ga.VARIANTS.items():
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            if variant == ga.EXP_TRANSLATION:
-                action = ga.exp_translation_action(rng.uniform(-1.5, 1.5, size=n))
-            elif variant == ga.DET_WEIGHTED:
-                action = ga.det_weighted_action(n, int(rng.integers(0, 4)))
-            else:
-                action = ga.GroupAction(variant, n)
-            tangent = _random_tangent(rng, action.group_kind, n)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            numeric = ga.fundamental_field_numeric(action, tangent, x)
-            analytic = evaluate(ga.fundamental_field_analytic(action, tangent), x)
-            cases.setdefault(n, []).append((numeric - analytic, x))
-    worst = max(np.max(_norms(d) / (1.0 + _norms(x))) for d, x in _stacks(cases))
+            value = (tuple(rng.uniform(-1.5, 1.5, size=n)) if record.param == "s"
+                     else int(rng.integers(0, 4)) if record.param == "q" else None)
+            g = _generator(rng.uniform(-1.0, 1.0, size=(n, n)), rng.uniform(-1.0, 1.0, size=n))
+            if record.kind in ga._SUBGROUPS:  # zero the block outside the algebra
+                g[ga._SUBGROUPS[record.kind][0]] = 0.0
+            key = (variant, n, record.param, value)
+            cases.setdefault(key, []).append((g, rng.uniform(-2.0, 2.0, size=n)))
+    worst = 0.0
+    for (variant, n, param, value), drawn in cases.items():
+        g, x = map(np.array, zip(*drawn))
+        action = ga.GroupAction(variant, n, **({param: value} if param else {}))
+        c, b = g[:, :n, :n], g[:, :n, n]
+        if param == "s":
+            c, b = (b @ action.s)[:, None, None] * np.eye(n), np.zeros(n)
+        elif param == "q":
+            c = c + (value * np.trace(c, axis1=1, axis2=2))[:, None, None] * np.eye(n)
+        defects = ga._fundamental_rows(action, g, x) - ((c @ x[..., None])[..., 0] + b)
+        worst = max(worst, np.max(_norms(defects) / (1.0 + _norms(x))))
     return _bounded(
         "fundamental-field-agreement", ("worst relative defect", worst, 1e-5)
     )

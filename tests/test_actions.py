@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -194,6 +195,19 @@ class TestAct:
     def test_dimension_must_be_an_integer_of_at_least_one(self, n):
         with pytest.raises(ValueError, match="integer >= 1"):
             ga.GroupAction(ga.STANDARD_LINEAR, n)
+
+    @pytest.mark.parametrize(
+        "q", [-1, 2.0, 1.5, True, False, "2", math.inf, math.nan, None, np.float64(1.0)]
+    )
+    def test_power_must_be_an_integer_of_at_least_zero(self, q):
+        with pytest.raises(ValueError, match=re.escape(f"q must be an integer >= 0, not {q!r}")):
+            ga.det_weighted_action(2, q)
+
+    def test_numpy_integer_power_is_kept_as_an_int(self):
+        action = ga.det_weighted_action(2, np.uint8(2))
+        assert type(action.q) is int
+        assert action == ga.det_weighted_action(2, 2)
+        assert ga.det_weighted_action(2, 0).q == 0
 
     def test_numpy_integer_dimension_is_kept_as_an_int(self):
         action = ga.GroupAction(ga.STANDARD_LINEAR, np.int64(3))
@@ -551,6 +565,65 @@ class TestFundamentalNumeric:
         assert_allclose(
             ga.fundamental_field_numeric(action, tangent, x), rate * x, atol=1e-8
         )
+
+
+class TestFundamentalRows:
+    # The kernel behind validation check 5: one act of the identities
+    # perturbed along the union of a stack's generator entries on all its
+    # points.  Each row must be bit for bit fundamental_field_numeric of
+    # that generator and point alone, the entries zero in a row included.
+    @staticmethod
+    def _alone(action, g, x):
+        return ga.fundamental_field_numeric(action, AffineField(g[:-1, :-1], g[:-1, -1]), x)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_row_is_the_one_case_call(self, n):
+        rng = np.random.default_rng(90 + n)
+        for action in _every_action(rng, n):
+            k = 8
+            g = np.stack([_random_tangent(rng, action.group_kind, n).matrix for _ in range(k)])
+            # About a third of the entries exactly zero (some -0.0), so the
+            # rows' supports differ and the union pads them; row 0 is zero.
+            g *= rng.uniform(size=g.shape) > 0.3
+            g[0] = 0.0
+            if action.chart is None:
+                x = rng.uniform(-2.0, 2.0, (k, n))
+            else:
+                x = np.array([action.chart.sample(rng) for _ in range(k)])
+            x[:2, -1] = -0.0
+            if action.chart is not None and not action.chart.contains(x[0]):
+                x[:2, -1] = 0.5
+            rows = ga._fundamental_rows(action, g, x)
+            assert rows.shape == (k, n)
+            for gi, xi, row in zip(g, x, rows):
+                assert row.tobytes() == self._alone(action, gi, xi).tobytes()
+                tangent = AffineField(gi[:-1, :-1], gi[:-1, -1])
+                assert row.tobytes() == _fundamental_loop(action, tangent, xi).tobytes()
+
+    def test_rows_with_disjoint_supports(self):
+        # Row i has only entry i of the union, so every other term is padded.
+        action = ga.standard_affine_action(2)
+        g = np.zeros((6, 3, 3))
+        g[np.arange(6), [0, 0, 0, 1, 1, 1], [0, 1, 2, 0, 1, 2]] = [1.5, -0.5, 2.0, -1.0, 0.25, 3.0]
+        x = np.array([[-0.0, 1.0], [2.0, -0.0], [0.5, -1.5], [-0.0, -0.0], [3.0, 1.0], [1.0, 2.0]])
+        rows = ga._fundamental_rows(action, g, x)
+        for gi, xi, row in zip(g, x, rows):
+            assert row.tobytes() == self._alone(action, gi, xi).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "action", [ga.standard_linear_action(2), ga.det_weighted_action(2, 1)]
+    )
+    def test_an_overflowing_row_raises_as_the_one_case_call(self, action):
+        # (1 + FD_STEP) times the largest float is not finite.
+        g = np.zeros((3, 3, 3))
+        g[:, 0, 0] = 1.0
+        x = np.array([[1.0, 2.0], [np.finfo(float).max, 1.0], [-1.0, 0.5]])
+        with pytest.raises(OverflowError, match="not finite"):
+            self._alone(action, g[1], x[1])
+        with pytest.raises(OverflowError, match="not finite"):
+            ga._fundamental_rows(action, g, x)
+
 
 class TestFundamentalAnalytic:
     def test_planar_field_from_affine_tangent(self):

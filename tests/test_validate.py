@@ -1,10 +1,12 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
-checks 1, 2, 8, 9 and 10, against one case at a time."""
+checks 1, 2, 8, 9 and 10, and the per-action stacks of check 5, against one
+case at a time."""
 
 import numpy as np
 import pytest
 
 from affine_fields import AffineField, evaluate
+from affine_fields import actions as ga
 from affine_fields.flows import flow_at, make_flow
 from affine_fields.invariants import constant_field_bundle
 from affine_fields.linalg import mat_exp, solve_linear
@@ -15,6 +17,7 @@ from affine_fields.validate import (
     _stacked_rk4_ends,
     check_degenerate_flows,
     check_flow_vs_oracle,
+    check_fundamental_agreement,
     check_group_law,
     check_invariant_flow_constancy,
     check_rk4_order,
@@ -204,9 +207,45 @@ def _invariant_detail_case_by_case(seed):
     return f"worst defect {worst:.3e} (bound 1e-07)"
 
 
+def _random_tangent(rng, kind, n):
+    """A generator in the algebra of ``kind``: both parts drawn, the part
+    outside the algebra zeroed."""
+    mat = rng.uniform(-1.0, 1.0, size=(n, n))
+    vec = rng.uniform(-1.0, 1.0, size=n)
+    if kind == ga.TRANSLATION_GROUP:
+        mat[:] = 0.0
+    if kind == ga.GENERAL_LINEAR:
+        vec[:] = 0.0
+    return AffineField(mat, vec)
+
+
+def _fundamental_detail_case_by_case(seed):
+    """Check 5 with one action, one ``fundamental_field_numeric`` call, one
+    closed form through ``evaluate`` and two ``np.linalg.norm`` calls per
+    case, in the same draw order."""
+    rng = np.random.default_rng([seed, 5])
+    worst = 0.0
+    for variant in ga.CATALOG_VARIANTS:
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            if variant == ga.EXP_TRANSLATION:
+                action = ga.exp_translation_action(rng.uniform(-1.5, 1.5, size=n))
+            elif variant == ga.DET_WEIGHTED:
+                action = ga.det_weighted_action(n, int(rng.integers(0, 4)))
+            else:
+                action = ga.GroupAction(variant, n)
+            tangent = _random_tangent(rng, action.group_kind, n)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            numeric = ga.fundamental_field_numeric(action, tangent, x)
+            analytic = evaluate(ga.fundamental_field_analytic(action, tangent), x)
+            worst = max(worst, np.linalg.norm(numeric - analytic) / (1.0 + np.linalg.norm(x)))
+    return f"worst relative defect {worst:.3e} (bound 1e-05)"
+
+
 CASE_BY_CASE = [
     (check_flow_vs_oracle, _oracle_detail_case_by_case),
     (check_group_law, _group_law_detail_case_by_case),
+    (check_fundamental_agreement, _fundamental_detail_case_by_case),
     (check_invariant_flow_constancy, _invariant_detail_case_by_case),
     (check_degenerate_flows, _degenerate_detail_case_by_case),
 ]
