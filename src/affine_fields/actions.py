@@ -49,7 +49,7 @@ from .charts import Chart
 from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import _norms, as_vector, augment_affine, mat_exp
+from .linalg import _norms, as_integer, as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -70,6 +70,9 @@ MIN_SCALED_DET = 1e-12
 
 # Bound on the relative identity and composition defects of an action.
 AXIOM_TOL = 1e-9
+
+# An axiom sample's matrix part is redrawn while its |det| is at most this.
+MIN_SAMPLE_DET = 1e-6
 
 
 # Each proper subgroup of GA(n) by the block of the homogeneous matrix that
@@ -317,9 +320,7 @@ class GroupAction(MatrixValue):
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown action variant {self.variant!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise ValueError(f"action dimension n must be an integer >= 1, not {self.n!r}")
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", as_integer(self.n, "action dimension n", 1))
         if self.chart is not None and self.chart.n != self.n:
             raise ValueError("chart and action dimensions differ")
         param = VARIANTS[self.variant].param
@@ -332,9 +333,7 @@ class GroupAction(MatrixValue):
         elif self.s is not None:
             raise ValueError(f"variant {self.variant!r} takes no weight vector")
         if param == "q":
-            if isinstance(self.q, bool) or not isinstance(self.q, (int, np.integer)) or self.q < 0:
-                raise ValueError(f"det-weighted power q must be an integer >= 0, not {self.q!r}")
-            object.__setattr__(self, "q", int(self.q))
+            object.__setattr__(self, "q", as_integer(self.q, "det-weighted power q", 0))
         elif self.q is not None:
             raise ValueError(f"variant {self.variant!r} takes no power q")
 
@@ -538,15 +537,21 @@ def one_parameter_subgroup(
     return GroupElement(mat_exp(scaled))
 
 
+def _sample_scale(action: GroupAction) -> float:
+    """Half-width of the entries drawn for an axiom sample's element: actions
+    with a chart are only local, so their elements stay close to the
+    identity; global actions use a wider spread."""
+    return 0.35 if action.chart is None else 0.05
+
+
 def _random_matrix(action: GroupAction, rng: np.random.Generator) -> np.ndarray:
     """Matrix of a random element for axiom sampling.
 
-    Actions with a chart are only local, so their elements stay close to
-    the identity; global actions use a wider spread.  Matrix parts are
-    resampled until comfortably invertible.  The translation part is drawn
-    before the matrix part.
+    The translation part is drawn before the matrix part, each entry from
+    +-_sample_scale, and the matrix part I + U is redrawn while its |det| is
+    at most MIN_SAMPLE_DET.
     """
-    scale = 0.35 if action.chart is None else 0.05
+    scale = _sample_scale(action)
     kind = action.group_kind
     n = action.n
     m = np.eye(n + 1)
@@ -555,12 +560,45 @@ def _random_matrix(action: GroupAction, rng: np.random.Generator) -> np.ndarray:
     if kind != TRANSLATION_GROUP:
         for _ in range(100):
             a = m[:n, :n] + rng.uniform(-scale, scale, size=(n, n))
-            if abs(np.linalg.det(a)) > 1e-6:
+            if abs(np.linalg.det(a)) > MIN_SAMPLE_DET:
                 break
         else:  # pragma: no cover - a tiny perturbation of I is invertible
             raise RuntimeError("failed to sample an invertible matrix")
         m[:n, :n] = a
     return m
+
+
+def _random_samples(action: GroupAction, rng: np.random.Generator, k: int) -> tuple:
+    """(x, g) of k axiom samples, the (k, n) points and the (2, k, n+1, n+1)
+    matrices of g1 and g2, bit for bit as k rounds of the point (+-2, or the
+    chart's box as Chart.sample draws it), then _random_matrix twice.
+
+    One rng.uniform call draws the block, each row laid out in that order
+    with per-position bounds; Generator.uniform forms low + (high - low) u
+    on its scalar and array paths alike, so the doubles are the same.  When
+    some matrix part would have been redrawn, the generator goes back to
+    the block's start and the block is drawn one sample at a time.
+    """
+    n, kind, chart = action.n, action.group_kind, action.chart
+    # Flat positions in an element matrix, in _random_matrix's order: the
+    # translation part, then the matrix part row by row.
+    drawn = [i * (n + 1) + n for i in range(n)] if kind != GENERAL_LINEAR else []
+    if kind != TRANSLATION_GROUP:
+        drawn += [i * (n + 1) + j for i in range(n) for j in range(n)]
+    scale = np.full(2 * len(drawn), _sample_scale(action))
+    low, high = (np.full(n, -2.0), np.full(n, 2.0)) if chart is None else chart.box
+    low, high = np.concatenate([low, -scale]), np.concatenate([high, scale])
+    state = rng.bit_generator.state
+    u = rng.uniform(low, high, size=(k, low.size))
+    x, g = u[:, :n], np.tile(_identity(n), (2, k, 1, 1))
+    g.reshape(2, k, -1)[..., drawn] += u[:, n:].reshape(k, 2, -1).swapaxes(0, 1)
+    if (kind != TRANSLATION_GROUP
+            and np.count_nonzero(abs(np.linalg.det(g[..., :n, :n])) <= MIN_SAMPLE_DET)):
+        rng.bit_generator.state = state
+        for i in range(k):
+            x[i] = rng.uniform(-2.0, 2.0, size=n) if chart is None else chart.sample(rng)
+            g[:, i] = _random_matrix(action, rng), _random_matrix(action, rng)
+    return x, g
 
 
 @dataclass(frozen=True)
@@ -597,9 +635,14 @@ def check_action_axioms(
     and act(g1 g2, x) = act(g1, act(g2, x)), relative to 1 + |x|; both must
     be at most AXIOM_TOL.
 
-    Each sample draws x, then g1, then g2.  The samples go in blocks of at
-    most ORBIT_BLOCK_ENTRIES matrix entries per element stack, and in a
-    block each act is one call on the stack: e, then g1 g2, then g2, then
+    ``samples`` is an int or numpy integer >= 1, not a bool.  Each sample
+    draws x, then g1, then g2.  The samples go in blocks of at most
+    ORBIT_BLOCK_ENTRIES matrix entries per element stack.  A block is drawn
+    in one rng.uniform call, with the same doubles in the same order as one
+    sample at a time (_random_samples); only when some matrix part of the
+    block has |det| <= MIN_SAMPLE_DET, which one sample at a time would
+    redraw, is the block drawn again from its start by _random_matrix.  In
+    a block each act is one call on the stack: e, then g1 g2, then g2, then
     g1.  A failure raises what act, multiply or GroupElement would raise on
     the failing sample.  When several samples fail, the first block with a
     failure raises, and in it the first failing check in this order: g1 and
@@ -607,21 +650,15 @@ def check_action_axioms(
     g2 and g1, each with the first failing sample where the message names a
     point or value.
     """
-    if samples < 1:
-        raise ValueError("samples must be at least 1")
+    samples = as_integer(samples, "samples", 1)
     rng = np.random.default_rng(seed)
-    kind, n, chart = action.group_kind, action.n, action.chart
+    kind, n = action.group_kind, action.n
     size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
     max_id = 0.0
     max_comp = 0.0
     for lo in range(0, samples, size):
         k = min(size, samples - lo)
-        x = np.empty((k, n))
-        g = np.empty((2, k, n + 1, n + 1))
-        for i in range(k):
-            x[i] = rng.uniform(-2.0, 2.0, size=n) if chart is None else chart.sample(rng)
-            g[0, i] = _random_matrix(action, rng)
-            g[1, i] = _random_matrix(action, rng)
+        x, g = _random_samples(action, rng, k)
         g1, g2 = _member(kind, _check_elements(g), n)
         scale = 1.0 + _norms(x)
         max_id = max(max_id, float(np.max(_norms(_act(action, _identity(n), x) - x) / scale)))

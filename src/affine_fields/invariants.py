@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import AffineField, evaluate
-from .linalg import rank
+from .linalg import as_integer, rank
 
 # Step of the central differences here and in fundamental_field_numeric.
 FD_STEP = 1e-6
@@ -269,29 +269,32 @@ def verify_bundle(
     """Sample the defining equations X(S) = 1 and X(I) = 0 and test that the
     bundle functions have a full-rank Jacobian (a genuine local coordinate
     system needs n independent functions, so bundles with fewer than n - 1
-    invariants report jacobian_ok = False)."""
-    if sample_count < 1:
-        raise ValueError("sample_count must be at least 1")
+    invariants report jacobian_ok = False).  ``sample_count`` is an int or
+    numpy integer >= 1, not a bool.
+
+    Each point evaluates the field once and takes each function's gradient
+    once; that gradient gives both the defect |grad . X(x) - c|, as
+    directional_derivative would, and the function's Jacobian row."""
+    sample_count = as_integer(sample_count, "sample_count", 1)
     rng = np.random.default_rng(seed)
     field = bundle.field
-    n = field.n
     points = sample_regular_points(field, sample_count, rng, box=box)
 
-    max_s = 0.0
-    max_i = [0.0] * len(bundle.invariants)
+    functions = (bundle.S,) + bundle.invariants
+    targets = (1.0,) + (0.0,) * len(bundle.invariants)
+    worst = [0.0] * len(functions)
     jacobian_ok = True
     for x in points:
-        max_s = max(max_s, abs(directional_derivative(field, bundle.S, x) - 1.0))
-        rows = [bundle.S.gradient(x)]
-        for k, f in enumerate(bundle.invariants):
-            max_i[k] = max(max_i[k], abs(directional_derivative(field, f, x)))
-            rows.append(f.gradient(x))
-        if rank(np.stack(rows)) < n:
+        v = evaluate(field, x)
+        rows = [f.gradient(x) for f in functions]
+        for k, (row, c) in enumerate(zip(rows, targets)):
+            worst[k] = max(worst[k], abs(float(np.dot(row, v)) - c))
+        if rank(np.stack(rows)) < field.n:
             jacobian_ok = False
     return VerificationReport(
         sample_count=sample_count,
         tol=tol,
-        max_parameter_defect=max_s,
-        invariant_defects=tuple(max_i),
+        max_parameter_defect=worst[0],
+        invariant_defects=tuple(worst[1:]),
         jacobian_ok=jacobian_ok,
     )

@@ -81,6 +81,14 @@ def as_vector(b, name: str = "vector") -> np.ndarray:
     return v
 
 
+def as_integer(value, name: str, least: int) -> int:
+    """``value`` as an int, once it is an int or numpy integer, not a bool,
+    and at least ``least``; else a ValueError names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, not {value!r}")
+    return int(value)
+
+
 def _require_square(m: np.ndarray, name: str) -> int:
     rows, cols = m.shape
     if rows != cols:

@@ -452,24 +452,36 @@ class TestStackedAct:
         with pytest.raises(OverflowError, match=message):
             ga.act(action, ga.identity_element(2), poison[0])
 
+    # Columns (1, 0) and (1, 1e-7) are an element (scaled determinant 1e-7),
+    # but its square has scaled determinant 1e-14.
+    SHEARED = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
+
+    @classmethod
+    def _shear_sample(cls, monkeypatch, j):
+        """Makes the block draw of check_action_axioms give sample j the
+        sheared g1 and g2; samples are counted from the returned counter,
+        which the caller sets back to [0] before a new check."""
+        draw, drawn = ga._random_samples, [0]
+
+        def shear(action, rng, k):
+            x, g = draw(action, rng, k)
+            if 0 <= j - drawn[0] < k:
+                g[:, j - drawn[0]] = cls.SHEARED
+            drawn[0] += k
+            return x, g
+
+        monkeypatch.setattr(ga, "_random_samples", shear)
+        return drawn
+
     def test_near_singular_product_raises_as_multiply_does(self, monkeypatch):
-        # Columns (1, 0) and (1, 1e-7) are an element (scaled determinant
-        # 1e-7), but its square has scaled determinant 1e-14.
-        sheared = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
-        g = ga.GroupElement(sheared)
+        g = ga.GroupElement(self.SHEARED)
         with pytest.raises(ValueError, match="^matrix part is singular$"):
             ga.multiply(g, g)
-        draw, calls = ga._random_matrix, []
-
-        def shear_sample_9(action, rng):
-            calls.append(draw(action, rng))
-            return sheared if len(calls) in (19, 20) else calls[-1]
-
-        monkeypatch.setattr(ga, "_random_matrix", shear_sample_9)
+        drawn = self._shear_sample(monkeypatch, 9)
         action = ga.standard_linear_action(2)
         with pytest.raises(ValueError, match="^matrix part is singular$"):
             ga.check_action_axioms(action, 30, seed=3)
-        calls.clear()
+        drawn[0] = 0
         assert ga.check_action_axioms(action, 9, seed=3).passed
 
     def test_several_failures_raise_in_role_order(self, monkeypatch):
@@ -478,16 +490,60 @@ class TestStackedAct:
         poison = [None]
         action = self._overflow_at(monkeypatch, ga.STANDARD_LINEAR, poison)
         poison[0] = self._sample(action, 11, 5)[0]
-        sheared = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
-        draw, calls = ga._random_matrix, []
-
-        def shear_sample_2(action, rng):
-            calls.append(draw(action, rng))
-            return sheared if len(calls) in (5, 6) else calls[-1]
-
-        monkeypatch.setattr(ga, "_random_matrix", shear_sample_2)
+        drawn = self._shear_sample(monkeypatch, 2)
         with pytest.raises(OverflowError, match="not finite"):
             ga.check_action_axioms(action, 10, seed=11)
+        # Without the overflow, sample 2's product is what raises.
+        poison[0] = np.full(2, np.nan)
+        drawn[0] = 0
+        with pytest.raises(ValueError, match="^matrix part is singular$"):
+            ga.check_action_axioms(action, 10, seed=11)
+
+    def test_rejected_draw_falls_back_to_the_per_sample_loop(self, monkeypatch):
+        # Under a rejection threshold of 0.5 about one matrix part I + U in
+        # 20 is redrawn at n = 3, so some blocks go back to their start and
+        # draw one sample at a time and some do not; the report and the
+        # generator's end state are those of the per-sample loop either way.
+        monkeypatch.setattr(ga, "MIN_SAMPLE_DET", 0.5)
+        draw, per_sample = ga._random_matrix, [0]
+
+        def counted(action, rng):
+            per_sample[0] += 1
+            return draw(action, rng)
+
+        monkeypatch.setattr(ga, "_random_matrix", counted)
+        rng = np.random.default_rng(63)
+        fell_back = set()
+        for action in _every_action(rng, 3):
+            seed = int(rng.integers(0, 2**31))
+            for samples in (1, 7, 40, 600):
+                before = per_sample[0]
+                report = ga.check_action_axioms(action, samples, seed)
+                fell_back.add(per_sample[0] > before)
+                got = (report.max_identity_defect, report.max_composition_defect)
+                assert got == _axiom_loop(action, samples, seed), action.describe()
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            x, g = ga._random_samples(action, block, 40)
+            for i in range(40):
+                xi = (loop.uniform(-2.0, 2.0, size=3) if action.chart is None
+                      else action.chart.sample(loop))
+                assert x[i].tobytes() == xi.tobytes()
+                for role in (0, 1):
+                    assert g[role, i].tobytes() == ga._random_matrix(action, loop).tobytes()
+            assert block.bit_generator.state == loop.bit_generator.state
+        assert fell_back == {False, True}
+
+    @pytest.mark.parametrize("samples", [0, -1, 2.0, 2.5, True, False, "2", None,
+                                         np.float64(3.0)])
+    def test_samples_must_be_an_integer_of_at_least_one(self, samples):
+        with pytest.raises(ValueError, match=re.escape(
+                f"samples must be an integer >= 1, not {samples!r}")):
+            ga.check_action_axioms(ga.standard_affine_action(2), samples)
+
+    def test_numpy_integer_samples_are_kept_as_an_int(self):
+        report = ga.check_action_axioms(ga.standard_affine_action(2), np.int32(7), seed=4)
+        assert type(report.samples) is int
+        assert report == ga.check_action_axioms(ga.standard_affine_action(2), 7, seed=4)
 
 
 def _fundamental_loop(action, tangent, x):

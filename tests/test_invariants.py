@@ -1,6 +1,7 @@
 """Canonical parameters and invariants."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from affine_fields.invariants import (
     DegenerateFieldError,
     InvariantBundle,
     ScalarField,
+    VerificationReport,
     bundle_coordinates,
     constant_field_bundle,
+    sample_regular_points,
 )
+from affine_fields.linalg import rank
 
 
 def slot(k, m):
@@ -186,6 +190,96 @@ class TestVerifyBundle:
         payload = json.loads(json.dumps(report.to_dict()))
         assert payload["passed"] is True
         assert payload["sample_count"] == 10
+
+
+def _two_gradient_report(bundle, sample_count, tol, box, seed):
+    """verify_bundle through directional_derivative, which takes each
+    function's gradient once more than its Jacobian row does: the oracle of
+    the one-gradient report."""
+    rng = np.random.default_rng(seed)
+    field = bundle.field
+    points = sample_regular_points(field, sample_count, rng, box=box)
+    max_s = 0.0
+    max_i = [0.0] * len(bundle.invariants)
+    jacobian_ok = True
+    for x in points:
+        max_s = max(max_s, abs(directional_derivative(field, bundle.S, x) - 1.0))
+        rows = [bundle.S.gradient(x)]
+        for k, f in enumerate(bundle.invariants):
+            max_i[k] = max(max_i[k], abs(directional_derivative(field, f, x)))
+            rows.append(f.gradient(x))
+        if rank(np.stack(rows)) < field.n:
+            jacobian_ok = False
+    return VerificationReport(sample_count, tol, max_s, tuple(max_i), jacobian_ok)
+
+
+def _wavy(m, k, amp, analytic):
+    """xi -> xi_k + amp sin(xi_k) on R^m, with its gradient or, without
+    ``analytic``, central differences."""
+    def grad(xi):
+        g = np.zeros(m)
+        g[k] = 1.0 + amp * np.cos(xi[k])
+        return g
+
+    return ScalarField(m, lambda xi: float(xi[k] + amp * np.sin(xi[k])),
+                       grad=grad if analytic else None)
+
+
+def _bundles(rng):
+    """Constant-field bundles at n = 2-5 with analytic, finite-difference
+    and mixed gradients, one with fewer invariants than a full Jacobian
+    needs, and the planar family."""
+    bundles = []
+    for m in (2, 3, 4, 5):
+        b = rng.uniform(0.5, 2.0, size=m) * rng.choice([-1.0, 1.0], size=m)
+        amps = rng.uniform(-0.5, 0.5, size=m)
+        for analytic in (True, False, None):
+            gs = [_wavy(m - 1, k, amps[k], k % 2 == 0 if analytic is None else analytic)
+                  for k in range(m - 1)]
+            bundles.append(constant_field_bundle(
+                b, F=_wavy(m - 1, 0, 0.3, analytic is not False), G=gs))
+        bundles.append(constant_field_bundle(b, G=gs[:-1]))
+    bundles.append(planar_affine_family(*rng.uniform(0.5, 2.0, size=3))[1])
+    return bundles
+
+
+class TestVerifyBundleGradients:
+    @pytest.mark.parametrize("seed", range(10))
+    def test_report_is_the_two_gradient_loop(self, seed):
+        rng = np.random.default_rng(70 + seed)
+        for bundle in _bundles(rng):
+            args = (int(rng.integers(1, 30)), 1e-8, float(rng.uniform(0.5, 3.0)), seed)
+            assert repr(verify_bundle(bundle, *args)) == repr(_two_gradient_report(bundle, *args))
+
+    def test_one_gradient_per_function_per_point(self, monkeypatch):
+        gradient, calls = ScalarField.gradient, {}
+
+        def counted(self, x):
+            calls[id(self)] = calls.get(id(self), 0) + 1
+            return gradient(self, x)
+
+        monkeypatch.setattr(ScalarField, "gradient", counted)
+        for bundle in _bundles(np.random.default_rng(80)):
+            calls.clear()
+            verify_bundle(bundle, sample_count=12, seed=3)
+            for f in (bundle.S,) + bundle.invariants:
+                assert calls.pop(id(f)) == 12
+            # What is left are the inner functions of the constant-field
+            # bundles, each called by the gradient of its outer function.
+            assert all(count == 12 for count in calls.values())
+
+    @pytest.mark.parametrize("count", [0, -1, 2.0, 2.5, True, False, "2", None])
+    def test_sample_count_must_be_an_integer_of_at_least_one(self, count):
+        _, bundle = planar_affine_family(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"sample_count must be an integer >= 1, not {count!r}")):
+            verify_bundle(bundle, sample_count=count)
+
+    def test_numpy_integer_sample_count_is_kept_as_an_int(self):
+        _, bundle = planar_affine_family(1.0, 1.0, 0.0)
+        report = verify_bundle(bundle, sample_count=np.int64(5))
+        assert type(report.sample_count) is int
+        assert report == verify_bundle(bundle, sample_count=5)
 
 
 class TestStraightenedFlow:
