@@ -14,7 +14,10 @@ then their images of the points.  ``flow_at`` over many times is
 ``flow_images`` with its one generator shared by every time.  The time-t
 map is one group element that acts on every point alike, so a FlowMap keeps
 exp(t G) for the last scalar time it was evaluated at, and a scalar
-``flow_at`` at that time again takes only the image step.  Validation
+``flow_at`` at that time again takes only the image step: E[:n, :n] x +
+E[:n, n] for the kept E = exp(t G), without the stack steps of
+``flow_images`` and bit for bit its row.  That E is a stack of one, for
+which ``mat_exp`` makes its decisions in Python scalars.  Validation
 checks 1, 2, 8 and 10 call ``flow_images`` on whole ensembles.  ``orbit`` on
 a uniform grid of K times takes ``flow_at`` at about sqrt(K) of them and
 carries those points on by about sqrt(K) step exponentials (the group law),
@@ -154,10 +157,11 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     for the scalar t[j].  Every field takes the augmented exponential.  Over
     an array it is ``flow_images`` with the field's one generator and x
     shared by every time, so the working memory does not grow with k.  At a
-    scalar t it is the image of x under the flow's exp(t G), a stack of one,
-    which the flow forms once and keeps until it is called at another scalar
-    time: several points at one time cost one exponential, and each result
-    is bit for bit that of a fresh flow.  An image at t = 0 is x exactly.
+    scalar t it is E[:n, :n] x + E[:n, n] for the flow's E = exp(t G), a
+    stack of one, which the flow forms once and keeps until it is called at
+    another scalar time: several points at one time cost one exponential,
+    and each result is bit for bit that of a fresh flow and the row that an
+    array of times gives.  An image at t = 0 is x exactly (a copy).
 
     Raises ValueError for an empty or 2-D array of times and for a
     non-finite t or x, and OverflowError when t G or an image is not
@@ -178,8 +182,15 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
         raise ValueError("point must be finite")
     if times.ndim:
         return flow_images(flow.field.matrix[None], times, p[None])
-    images = _images(flow._exp_at(float(times)), p[None])
-    return _checked(images, times.reshape(1), p[None])[0]
+    t = float(times)
+    e = flow._exp_at(t)[0]
+    if t == 0.0:
+        return p.copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        image = e[:n, :n] @ p + e[:n, n]
+    if not all(map(math.isfinite, image.tolist())):
+        raise OverflowError("image overflows the float range")
+    return image
 
 
 def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:

@@ -10,12 +10,20 @@ The matrix exponential is one kernel over stacks of square matrices:
 Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
 33(2)), with matrix products only.  A Pade approximant of the same accuracy
 needs a linear solve, which for the small matrices here costs as much as 30
-products.  A single matrix is a stack of one.
+products.  A single matrix is a stack of one.  It makes its decisions (the
+degree, the shift, rule 3 and the squarings) in Python scalars, where a
+longer stack keeps them in per-matrix arrays and groups its matrices by
+degree: for one matrix that bookkeeping cost more than the Taylor products.
+Both take the same numeric steps on arrays of the same shapes (numpy picks
+gemm, gemv or its own loop by shape), so a matrix's result is bit for bit
+its row of any stack.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -61,6 +69,18 @@ _DEGREE = np.minimum(np.arange(len(_THRESHOLDS) + 1), len(_TAYLOR) - 1)
 _K = np.arange(len(_DEGREE)) - _DEGREE
 _SCALE = np.ldexp(1.0, -_K)
 _BLOCK_SIZE = np.array([b for _, b, _ in _TAYLOR])[_DEGREE]
+# The same tables as lists, for the scalar decisions of a stack of one.
+_THRESHOLD_LIST, _DEGREE_LIST, _K_LIST, _SCALE_LIST, _BLOCK_SIZE_LIST = (
+    table.tolist() for table in (_THRESHOLDS, _DEGREE, _K, _SCALE, _BLOCK_SIZE)
+)
+
+
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """The read-only n x n identity."""
+    e = np.eye(n)
+    e.flags.writeable = False
+    return e
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -111,10 +131,17 @@ def _squarings(powers: np.ndarray, k: np.ndarray, theta: float) -> np.ndarray:
     that p (p - 1) <= m + 1 (Al-Mohy and Higham 2011, Theorem 4.2).  For a
     non-normal A, alpha is far below the 1-norm, the choice k.
     """
+    return np.clip(k + _log2_alpha(powers, theta), 0, k).astype(int)
+
+
+def _log2_alpha(powers: np.ndarray, theta: float) -> np.ndarray:
+    """ceil(log2(alpha / theta_m)) per matrix, alpha of a0 as _squarings
+    takes it; the squarings of A = 2^k a0 are k plus this, clipped to
+    [0, k]."""
     b = len(powers)
     # d_p of a0; those of A are 2^k times larger.
     d = np.abs(powers[:2]).sum(axis=-2).max(axis=-1) ** (1.0 / np.array([[b], [b - 1]]))
-    return np.clip(k + np.ceil(np.log2(d.max(axis=0) / theta)), 0, k).astype(int)
+    return np.ceil(np.log2(d.max(axis=0) / theta))
 
 
 def _exp_class(
@@ -129,7 +156,7 @@ def _exp_class(
     _TAYLOR: X = T_m(2^-s A).
     """
     if c < 0:
-        x = np.eye(a.shape[-1]) + a
+        x = _eye(a.shape[-1]) + a
         for j in range(2, len(powers) + 1):
             x += _times_pow2(powers[-j] / math.factorial(j), j * k[:, None, None])
         return x, 0 * k
@@ -141,19 +168,136 @@ def _exp_class(
             # The powers of 2^-s A = 2^(k-s) a0.
             up = np.outer(np.arange(b, 0, -1), k - s)
             powers = _times_pow2(powers, up[:, :, None, None])
+    return _taylor(m, powers, work), s
+
+
+def _taylor(m: int, powers: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """T_m(A) for the stack whose powers [A^b, ..., A] are given, by the
+    blocks of _BLOCKS[m] formed in ``work`` and Horner's rule in A^b, which
+    overwrites the powers below A^b."""
+    rows, (b, count, n) = _BLOCKS[m], powers.shape[:3]
     # One product per matrix, or a 1 x 1 matrix rounds apart from its stack;
     # the identity's coefficients go on the diagonals after it.
-    rows = _BLOCKS[m]
-    blocks = work[: len(rows), : len(a)]
-    flat = blocks.reshape(len(rows), len(a), -1)
-    stacked = powers.reshape(b, len(a), -1).swapaxes(0, 1)
+    blocks = work[: len(rows), :count]
+    flat = blocks.reshape(len(rows), count, -1)
+    stacked = powers.reshape(b, count, -1).swapaxes(0, 1)
     np.matmul(rows[:, :-1], stacked, out=flat.swapaxes(0, 1))
-    flat[:, :, :: a.shape[-1] + 1] += rows[:, -1:, None]
+    flat[:, :, :: n + 1] += rows[:, -1:, None]
     # Horner's rule in A^b, each product into a power's slot no longer used.
     x = blocks[-1]
     for block in blocks[-2::-1]:
         x = block + np.matmul(x, powers[0], out=powers[1])
-    return x, s
+    return x
+
+
+def _exact_rows(x: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
+    """x with rule 2 of mat_exp applied: each row and column that is exactly
+    zero in ``a`` made that of I.
+
+    Raises OverflowError if some exponential is not finite, naming the
+    largest 1-norm in ``norm`` of those matrices.
+    """
+    eye = _eye(a.shape[-1])
+    np.copyto(x, eye, where=~a.any(axis=-1)[:, :, None])
+    np.copyto(x, eye, where=~a.any(axis=-2)[:, None, :])
+    if not np.isfinite(x).all():
+        top = norm[~np.isfinite(x).all(axis=(-2, -1))].max()
+        raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")
+    return x
+
+
+def _exp_one(a: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
+    """exp of the (1, n, n) stack ``a`` of 1-norm ``top``: the numeric steps
+    of _exp_stack on the same arrays, each decision a Python scalar."""
+    n = a.shape[-1]
+    eye, mu, shifted = _eye(n), 0.0, a
+    if top > _THETA_TOP:
+        mu = float((a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)[0])
+        if mu < -_THETA_TOP:
+            shifted = a - mu * eye
+            top = float(np.abs(shifted).sum(axis=-2).max())
+        else:
+            mu = 0.0
+    i = bisect.bisect_left(_THRESHOLD_LIST, top)
+    c, k, b = _DEGREE_LIST[i], _K_LIST[i], _BLOCK_SIZE_LIST[i]
+    work = np.empty((_MAX_BLOCKS + b, 1, n, n))
+    powers = work[_MAX_BLOCKS:]
+    a0 = np.multiply(shifted, _SCALE_LIST[i], out=powers[-1])
+    np.matmul(a0, a0, out=powers[-2])
+    if not np.count_nonzero(powers[-2]):
+        x = eye + shifted
+        return x * np.exp(mu) if mu else x
+    for j in range(3, b + 1):
+        np.matmul(powers[1 - j], a0, out=powers[-j])
+    if np.count_nonzero(powers[0]):
+        m, _, theta = _TAYLOR[c]
+        s = k
+        if c == len(_TAYLOR) - 1 and k:
+            s = min(max(k + int(_log2_alpha(powers, theta)[0]), 0), k)
+            if s < k:
+                # The powers of 2^-s A = 2^(k-s) a0.
+                _times_pow2(powers, np.arange(b, 0, -1)[:, None, None, None] * (k - s))
+        x = _taylor(m, powers, work)
+    else:
+        x, s = _exp_class(-1, shifted, np.array([k]), powers, work)[0], 0
+    if mu:
+        x *= np.exp(np.ldexp(mu, -s))
+    for _ in range(s):
+        x = x @ x
+    return _exact_rows(x, a, norm)
+
+
+def _exp_stack(a: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
+    """exp of each matrix of the (k, n, n) stack ``a`` with 1-norms ``norm``,
+    the largest ``top``: each decision an array over the stack, and the
+    matrices of one class share one set of numpy calls."""
+    n = a.shape[-1]
+    eye = _eye(n)
+    # Only a 1-norm above theta_30 admits a shift or a squaring.
+    scaled = top > _THETA_TOP
+    if scaled:
+        mu = (a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)
+        mu[mu >= -_THETA_TOP] = 0.0
+    shifted = a
+    if shift := scaled and mu.any():
+        shifted = a - mu[:, None, None] * eye
+    i = _THRESHOLDS.searchsorted(
+        np.abs(shifted).sum(axis=-2).max(axis=-1) if shift else norm
+    )
+    degree, k, b = _DEGREE[i], _K[i], _BLOCK_SIZE[i]
+    # Powers of a0 = 2^-k A (exact), highest first, after room for the
+    # blocks.  One allocation holds most of a call's memory, so glibc's
+    # malloc keeps it mapped for the next call; in two, a call on 2^13
+    # entries at n = 20 faulted about 140 pages in anew.
+    work = np.empty((_MAX_BLOCKS + b.max(), len(a), n, n))
+    powers = work[_MAX_BLOCKS:]
+    a0 = np.multiply(shifted, _SCALE[i][:, None, None], out=powers[-1])
+    np.matmul(a0, a0, out=powers[-2])
+    if not powers[-2].any():
+        x = eye + shifted
+        return x * np.exp(mu)[:, None, None] if shift else x
+    for j in range(3, len(powers) + 1):
+        np.matmul(powers[1 - j], a0, out=powers[-j])
+    # Class -1 takes the Taylor sum (rule 3), any other class its degree.
+    nonzero = powers.reshape(len(powers), len(a), -1).any(axis=-1)
+    label = degree
+    if not nonzero.all():
+        label = np.where(nonzero[len(powers) - b, np.arange(len(a))], degree, -1)
+    classes = set(label.tolist())
+    x, s = np.empty_like(a), np.empty_like(k)
+    for c in classes:
+        rows = label == c if len(classes) > 1 else slice(None)
+        x[rows], s[rows] = _exp_class(c, shifted[rows], k[rows], powers[:, rows], work)
+    if shift:
+        x *= np.exp(np.ldexp(mu, -s))[:, None, None]
+    always = s.min() if scaled else 0
+    for j in range(s.max() if scaled else 0):
+        if j < always:
+            x = x @ x
+        else:
+            square = s > j
+            x[square] = x[square] @ x[square]
+    return _exact_rows(x, a, norm)
 
 
 def mat_exp(a) -> np.ndarray:
@@ -164,6 +308,8 @@ def mat_exp(a) -> np.ndarray:
     result for each matrix does not depend on the rest of its stack, bit for
     bit.  The matrices of one choice (a Taylor degree, or the finite sum of
     rule 3) share one set of numpy calls, so many cost little more than one.
+    A stack of one, a single matrix included, makes the same choices in
+    Python scalars and takes the same numeric steps, bit for bit.
 
     A matrix A takes the least degree m of _TAYLOR (4 to 30) whose theta_m
     is at least its 1-norm, else 30, and T_m is evaluated by the
@@ -185,10 +331,14 @@ def mat_exp(a) -> np.ndarray:
        exactly zero, A takes the finite Taylor sum unscaled instead, so
        exp(A) is bitwise I + A whenever A^2 = 0.
 
-    Raises ValueError for a non-square or non-finite argument and
-    OverflowError if an exponential has entries beyond the float range.
+    Raises TypeError for a complex argument, ValueError for a non-square or
+    non-finite one and OverflowError if an exponential has entries beyond
+    the float range.
     """
-    m = np.asarray(a, dtype=float)
+    m = np.asarray(a)
+    if m.dtype.kind == "c":
+        raise TypeError(f"mat_exp argument must be real, not of dtype {m.dtype}")
+    m = m.astype(float, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(
             f"mat_exp argument must be a square matrix or a stack of them, "
@@ -198,66 +348,15 @@ def mat_exp(a) -> np.ndarray:
         return m.copy()
     shape, n = m.shape, m.shape[-1]
     a = m.reshape(-1, n, n)
-    eye = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        magnitude = np.abs(a)
-        columns = magnitude.sum(axis=-2)
-        zero_rows, zero_columns = magnitude.sum(axis=-1) == 0, columns == 0
-        norm = columns.max(axis=-1)
+        norm = np.abs(a).sum(axis=-2).max(axis=-1)
         top = norm.max()
         if not math.isfinite(top):
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
             raise OverflowError("matrix 1-norm is beyond the float range")
-        # Only a 1-norm above theta_30 admits a shift or a squaring.
-        scaled = top > _THETA_TOP
-        if scaled:
-            mu = (a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)
-            mu[mu >= -_THETA_TOP] = 0.0
-        if shift := scaled and mu.any():
-            a = a - mu[:, None, None] * eye
-        i = _THRESHOLDS.searchsorted(
-            np.abs(a).sum(axis=-2).max(axis=-1) if shift else norm
-        )
-        degree, k, b = _DEGREE[i], _K[i], _BLOCK_SIZE[i]
-        # Powers of a0 = 2^-k A (exact), highest first, after room for the
-        # blocks.  One allocation holds most of a call's memory, so glibc's
-        # malloc keeps it mapped for the next call; in two, a call on 2^13
-        # entries at n = 20 faulted about 140 pages in anew.
-        work = np.empty((_MAX_BLOCKS + b.max(), len(a), n, n))
-        powers = work[_MAX_BLOCKS:]
-        a0 = np.multiply(a, _SCALE[i][:, None, None], out=powers[-1])
-        np.matmul(a0, a0, out=powers[-2])
-        if not powers[-2].any():
-            x = eye + a
-            return (x * np.exp(mu)[:, None, None] if shift else x).reshape(shape)
-        for j in range(3, len(powers) + 1):
-            np.matmul(powers[1 - j], a0, out=powers[-j])
-        # Class -1 takes the Taylor sum (rule 3), any other class its degree.
-        nonzero = powers.reshape(len(powers), len(a), -1).any(axis=-1)
-        label = degree
-        if not nonzero.all():
-            label = np.where(nonzero[len(powers) - b, np.arange(len(a))], degree, -1)
-        classes = set(label.tolist())
-        x, s = np.empty_like(a), np.empty_like(k)
-        for c in classes:
-            rows = label == c if len(classes) > 1 else slice(None)
-            x[rows], s[rows] = _exp_class(c, a[rows], k[rows], powers[:, rows], work)
-        if shift:
-            x *= np.exp(np.ldexp(mu, -s))[:, None, None]
-        always = s.min() if scaled else 0
-        for j in range(s.max() if scaled else 0):
-            if j < always:
-                x = x @ x
-            else:
-                square = s > j
-                x[square] = x[square] @ x[square]
-        np.copyto(x, eye, where=zero_rows[:, :, None])
-        np.copyto(x, eye, where=zero_columns[:, None, :])
-    if not np.isfinite(x).all():
-        top = norm[~np.isfinite(x).all(axis=(-2, -1))].max()
-        raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")
-    return x.reshape(shape)
+        path = _exp_one if len(a) == 1 else _exp_stack
+        return path(a, norm, float(top)).reshape(shape)
 
 
 def _rank_of(sigma: np.ndarray) -> int:

@@ -1,6 +1,7 @@
 """Unit tests for the linear algebra kernels."""
 
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -250,6 +251,34 @@ def _every_class():
     return general
 
 
+def _every_path(n):
+    """n x n matrices that take every path of mat_exp between them: each
+    Taylor degree (1-norms 1e-3 to 30, then 300); degree 30 with s = k (a
+    multiple of the all-ones J, whose powers have d_p equal to its 1-norm,
+    100) and with s < k (c N + 1e-3 I with N^2 = 0, c from 1e3 to 1e9); the
+    shift (mean eigenvalue below -theta_30), alone and with a shifted square
+    of zero; rule 3 at A^2 (squares that underflow to zero, N itself) and
+    at A^6 with k > 0 (1e3 times the ceil(n / 6)-th superdiagonal)."""
+    rng = np.random.default_rng(n)
+    general = rng.normal(size=(7, n, n))
+    norms = np.abs(general).sum(axis=-2).max(axis=-1)
+    general *= (np.append(np.logspace(-3.0, math.log10(30.0), 6), 300.0) / norms)[:, None, None]
+    square_zero = np.zeros((n, n))
+    square_zero[:2, :2] = [[1.0, 1.0], [-1.0, -1.0]] if n > 1 else 0.0
+    eye = np.eye(n)
+    paths = [
+        *general,
+        100.0 / n * np.ones((n, n)),
+        *(c * square_zero + 1e-3 * eye for c in (1e3, 1e6, 1e9)),
+        -50.0 * eye + 0.3 * general[3],
+        -10.0 * eye + square_zero,
+        1e-170 * general[4],
+        square_zero,
+        1e3 * np.eye(n, k=-(-n // 6)),
+    ]
+    return np.array(paths)
+
+
 def _assert_close_to_row_and_column(got, want, rtol):
     """|got - want| <= rtol * (the largest modulus of want in the entry's row
     and column), entry by entry: the error an entry can carry after products
@@ -275,7 +304,7 @@ def test_mat_exp_mixed_stack_keeps_the_exact_rules():
         e = np.eye(n)
         out = mat_exp(stack)
         for a, got in zip(stack, out):
-            assert np.array_equal(got, mat_exp(a))
+            assert got.tobytes() == mat_exp(a).tobytes()
         assert np.array_equal(out[0], e)
         assert np.array_equal(out[1], e + stack[1])
         for a, got in zip(stack[2:], out[2:]):
@@ -285,6 +314,29 @@ def test_mat_exp_mixed_stack_keeps_the_exact_rules():
                 assert_allclose(got, _mp_expm(a), rtol=1e-14, atol=1e-15)
             else:
                 _assert_close_to_row_and_column(got, _mp_expm(a), 1e-14)
+    # A stack of one takes its decisions in Python scalars, a longer stack
+    # in arrays; on every path each matrix still gets the same bits, and a
+    # matrix that fails makes its stack fail with its own error.
+    for n in (1, 2, 3, 6, 21):
+        stack = _every_path(n)
+        for a, got in zip(stack, mat_exp(stack)):
+            assert got.tobytes() == mat_exp(a).tobytes()
+        bad = [np.full((n, n), np.nan), 1e3 * np.eye(n)]
+        if n > 1:
+            bad.append(np.full((n, n), 1e308))
+        for a in bad:
+            with pytest.raises((ValueError, OverflowError)) as alone:
+                mat_exp(a)
+            with pytest.raises(alone.type, match=f"^{re.escape(str(alone.value))}$"):
+                mat_exp(np.concatenate([stack, [a]]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_mat_exp_rejects_complex_input():
+    # Cast to float, exp(i) would come back as e^0 = 1 with a ComplexWarning.
+    for a, dtype in (([[1j]], "complex128"), (np.zeros((2, 3, 3), np.complex64), "complex64")):
+        with pytest.raises(TypeError, match=dtype):
+            mat_exp(a)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
