@@ -16,8 +16,8 @@ map is one group element that acts on every point alike, so a FlowMap keeps
 exp(t G) for the last scalar time it was evaluated at, and a scalar
 ``flow_at`` at that time again takes only the image step: E[:n, :n] x +
 E[:n, n] for the kept E = exp(t G), without the stack steps of
-``flow_images`` and bit for bit its row.  That E is a stack of one, for
-which ``mat_exp`` makes its decisions in Python scalars.  Validation
+``flow_images`` and bit for bit its row.  That E is a stack of one, so
+every decision ``mat_exp`` makes for it is a Python scalar.  Validation
 checks 1, 2, 8 and 10 call ``flow_images`` on whole ensembles.  ``orbit`` on
 a uniform grid of K times takes ``flow_at`` at about sqrt(K) of them and
 carries those points on by about sqrt(K) step exponentials (the group law),

@@ -3,20 +3,18 @@
 Provides the matrix exponential, rank-revealing linear solves, the
 homogeneous (augmented) embedding of an affine map, and row norms.
 Everything operates on plain float ndarrays with value semantics: inputs are
-never mutated.  The tolerances are the module constants below; no caller
-tunes them.
+never mutated, and complex ones are refused rather than cast.  The
+tolerances are the module constants below; no caller tunes them.
 
 The matrix exponential is one kernel over stacks of square matrices:
 Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
 33(2)), with matrix products only.  A Pade approximant of the same accuracy
 needs a linear solve, which for the small matrices here costs as much as 30
-products.  A single matrix is a stack of one.  It makes its decisions (the
-degree, the shift, rule 3 and the squarings) in Python scalars, where a
-longer stack keeps them in per-matrix arrays and groups its matrices by
-degree: for one matrix that bookkeeping cost more than the Taylor products.
-Both take the same numeric steps on arrays of the same shapes (numpy picks
-gemm, gemv or its own loop by shape), so a matrix's result is bit for bit
-its row of any stack.
+products.  One driver makes each decision once per matrix, as a Python
+scalar where a stack's matrices agree (a single matrix always) and as an
+array where they differ; the matrices of one class share one set of numpy
+calls, the same steps on arrays of the same shapes per matrix (numpy picks
+gemm, gemv or its own loop by shape), so a result is its row of any stack.
 """
 
 from __future__ import annotations
@@ -33,7 +31,11 @@ DEFAULT_RANK_TOL = 1e-10
 # for the powers A^2, ..., A^b and m / b - 1 for Horner's rule in A^b, and
 # theta_m is the largest norm at which its backward error is at most the
 # unit roundoff 2^-53 (Al-Mohy and Higham 2011, Table 3.1).  Each m is the
-# highest degree that its number of products reaches.
+# highest degree that its number of products reaches.  A 1-norm up to
+# theta_30 takes the first row whose theta_m is at least the norm; a larger
+# one takes the last row after k halvings, the least k with 1-norm at most
+# 2^k theta_30, up to k = 1023, since 2^1023 theta_30 is beyond the float
+# range.  Powers are formed from 2^-k A.
 _TAYLOR = (
     (4, 2, 3.397168839976962e-4),
     (6, 3, 9.065656407595102e-3),
@@ -44,6 +46,9 @@ _TAYLOR = (
     (25, 5, 2.428582524442827e0),
     (30, 6, 3.539666348743689e0),
 )
+_TOP = len(_TAYLOR) - 1
+_THETAS = [theta for _, _, theta in _TAYLOR]
+_THETA_EXPONENT = math.frexp(_THETAS[-1])[1]
 
 
 def _block_rows(m: int, b: int) -> np.ndarray:
@@ -58,21 +63,9 @@ def _block_rows(m: int, b: int) -> np.ndarray:
 
 _BLOCKS = {m: _block_rows(m, b) for m, b, _ in _TAYLOR}
 _MAX_BLOCKS = max(len(rows) for rows in _BLOCKS.values())
-# A 1-norm above i of _THRESHOLDS (each theta_m, then theta_30 2^k for
-# k >= 1) takes row _DEGREE[i] of _TAYLOR, blocks of _BLOCK_SIZE[i], and
-# at most k = _K[i] squarings, with the scale _SCALE[i] = 2^-k.
-_THETA_TOP = _TAYLOR[-1][2]
-_THRESHOLDS = np.append(
-    [t for _, _, t in _TAYLOR], np.ldexp(_THETA_TOP, np.arange(1, 1023))
-)
-_DEGREE = np.minimum(np.arange(len(_THRESHOLDS) + 1), len(_TAYLOR) - 1)
-_K = np.arange(len(_DEGREE)) - _DEGREE
-_SCALE = np.ldexp(1.0, -_K)
-_BLOCK_SIZE = np.array([b for _, b, _ in _TAYLOR])[_DEGREE]
-# The same tables as lists, for the scalar decisions of a stack of one.
-_THRESHOLD_LIST, _DEGREE_LIST, _K_LIST, _SCALE_LIST, _BLOCK_SIZE_LIST = (
-    table.tolist() for table in (_THRESHOLDS, _DEGREE, _K, _SCALE, _BLOCK_SIZE)
-)
+_BLOCK_SIZES = np.array([b for _, b, _ in _TAYLOR])
+# The exponents 1/b and 1/(b - 1) of _squarings.
+_ROOTS = {b: np.array([[1.0 / b], [1.0 / (b - 1)]]) for b in _BLOCK_SIZES.tolist()}
 
 
 @lru_cache(maxsize=None)
@@ -83,9 +76,18 @@ def _eye(n: int) -> np.ndarray:
     return e
 
 
+def _real(a, name: str) -> np.ndarray:
+    """``a`` as an array, refused if complex: a float cast would drop the
+    imaginary part with only a ComplexWarning."""
+    m = np.asarray(a)
+    if m.dtype.kind == "c":
+        raise TypeError(f"{name} must be real, not of dtype {m.dtype}")
+    return m
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array (C order, fresh copy)."""
-    m = np.array(a, dtype=float, order="C")
+    m = np.array(_real(a, name), dtype=float, order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
     if not np.isfinite(m).all():
@@ -95,7 +97,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 def as_vector(b, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array (fresh copy)."""
-    v = np.array(b, dtype=float).reshape(-1)
+    v = np.array(_real(b, name), dtype=float).reshape(-1)
     if not np.isfinite(v).all():
         raise ValueError(f"{name} has non-finite entries")
     return v
@@ -124,51 +126,60 @@ def _times_pow2(x: np.ndarray, e: np.ndarray) -> np.ndarray:
     return np.ldexp(x, e, out=x)
 
 
-def _squarings(powers: np.ndarray, k: np.ndarray, theta: float) -> np.ndarray:
-    """Squarings s <= k per matrix for T_m of A = 2^k a0, given the powers
-    [a0^b, ..., a0] of its degree: the least s with 2^-s alpha <= theta_m,
-    where alpha = max(d_p, d_(p+1)), d_p = |A^p|_1^(1/p) and p = b - 1, so
-    that p (p - 1) <= m + 1 (Al-Mohy and Higham 2011, Theorem 4.2).  For a
-    non-normal A, alpha is far below the 1-norm, the choice k.
+def _threshold(i: int) -> float:
+    """The largest 1-norm of plan i: theta_m of row i for i <= 7, then
+    2^(i-7) theta_30 up to i = 1029; plan 1030 takes every larger norm."""
+    if i < len(_TAYLOR):
+        return _THETAS[i]
+    return math.ldexp(_THETAS[-1], i - _TOP) if i < 1030 else math.inf
+
+
+def _plan(norm: float) -> tuple[int, int]:
+    """(row, k) for a matrix of 1-norm ``norm``: plan i, the number of
+    thresholds below the norm (1030 for an infinite or NaN one), takes row
+    min(i, 7) of _TAYLOR and k = i - row halvings."""
+    if norm <= _THETAS[-1]:
+        return bisect.bisect_left(_THETAS, norm), 0
+    # 2^(e-1) <= norm < 2^e and theta_30 is in [2^(h-1), 2^h), so k is e - h
+    # or one more; frexp gives an infinite or NaN norm e = 0.
+    k = math.frexp(norm)[1] - _THETA_EXPONENT
+    return _TOP, k + (norm > _threshold(_TOP + k)) if k >= 0 else 1023
+
+
+def _plans(norm: np.ndarray):
+    """(row, k) of _plan for each 1-norm of ``norm``: two ints when all
+    agree, else two arrays, by a search of the thresholds between the least
+    and the largest plan."""
+    low, high = _plan(float(norm.min())), _plan(float(norm.max()))
+    if low == high:
+        return low
+    plan = np.searchsorted(list(map(_threshold, range(sum(low), sum(high)))), norm) + sum(low)
+    row = np.minimum(plan, _TOP)
+    return row, plan - row
+
+
+def _uniform(v: np.ndarray):
+    """v's one value as a Python scalar when all its entries agree, else v."""
+    first = v.item(0)
+    return first if len(v) == 1 or (v == first).all() else v
+
+
+def _squarings(powers: np.ndarray, k, theta: float):
+    """Squarings s <= k per matrix, an int when the matrices agree, for T_m
+    of A = 2^k a0, given the powers [a0^b, ..., a0] of its degree: the least
+    s with 2^-s alpha <= theta_m, where alpha = max(d_p, d_(p+1)),
+    d_p = |A^p|_1^(1/p) and p = b - 1, so that p (p - 1) <= m + 1 (Al-Mohy
+    and Higham 2011, Theorem 4.2).  For a non-normal A, alpha is far below
+    the 1-norm, the choice k.
     """
-    return np.clip(k + _log2_alpha(powers, theta), 0, k).astype(int)
-
-
-def _log2_alpha(powers: np.ndarray, theta: float) -> np.ndarray:
-    """ceil(log2(alpha / theta_m)) per matrix, alpha of a0 as _squarings
-    takes it; the squarings of A = 2^k a0 are k plus this, clipped to
-    [0, k]."""
     b = len(powers)
     # d_p of a0; those of A are 2^k times larger.
-    d = np.abs(powers[:2]).sum(axis=-2).max(axis=-1) ** (1.0 / np.array([[b], [b - 1]]))
-    return np.ceil(np.log2(d.max(axis=0) / theta))
-
-
-def _exp_class(
-    c: int, a: np.ndarray, k: np.ndarray, powers: np.ndarray, work: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(X, s) for a stack of class ``c``, each A = a = 2^k a0, given the
-    powers [..., a0^2, a0] that mat_exp formed and ``work``, room for the
-    blocks: exp(A) is X squared s times.  Class -1 is the Taylor sum
-    I + A + A^2 / 2! + ... with s = 0, exact when the powers it stops at are
-    zero, each term scaled back from a0 by 2^(jk) after its division by j!,
-    so that it is in range whenever its value is.  Class c >= 0 is row c of
-    _TAYLOR: X = T_m(2^-s A).
-    """
-    if c < 0:
-        x = _eye(a.shape[-1]) + a
-        for j in range(2, len(powers) + 1):
-            x += _times_pow2(powers[-j] / math.factorial(j), j * k[:, None, None])
-        return x, 0 * k
-    m, b, theta = _TAYLOR[c]
-    powers, s = powers[-b:], k
-    if c == len(_TAYLOR) - 1 and k.any():
-        s = _squarings(powers, k, theta)
-        if (s < k).any():
-            # The powers of 2^-s A = 2^(k-s) a0.
-            up = np.outer(np.arange(b, 0, -1), k - s)
-            powers = _times_pow2(powers, up[:, :, None, None])
-    return _taylor(m, powers, work), s
+    d = np.abs(powers[:2]).sum(axis=-2).max(axis=-1) ** _ROOTS[b]
+    log2 = _uniform(np.ceil(np.log2(d.max(axis=0) / theta)).astype(int))
+    # s = clip(k + log2, 0, k), in operators that take an int (one matrix,
+    # or matrices that agree) and an array alike.
+    s = k + log2 * (log2 < 0)
+    return s * (s > 0)
 
 
 def _taylor(m: int, powers: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -190,126 +201,112 @@ def _taylor(m: int, powers: np.ndarray, work: np.ndarray) -> np.ndarray:
     return x
 
 
-def _exact_rows(x: np.ndarray, a: np.ndarray, norm: np.ndarray) -> np.ndarray:
-    """x with rule 2 of mat_exp applied: each row and column that is exactly
-    zero in ``a`` made that of I.
-
-    Raises OverflowError if some exponential is not finite, naming the
-    largest 1-norm in ``norm`` of those matrices.
+def _exp_class(c: int, k, a: np.ndarray, powers: np.ndarray, work: np.ndarray):
+    """(X, s) for the stack ``a`` of class ``c``, each A = a = 2^k a0, given
+    the powers [..., a0^2, a0] and ``work``, room for the blocks: exp(A) is
+    X squared s times, s an int when the matrices agree.  Class -1 is the
+    Taylor sum I + A + A^2 / 2! + ... with s = 0, exact when the powers it
+    stops at are zero, each term scaled back from a0 by 2^(jk) after its
+    division by j!, so that it is in range whenever its value is.  Class
+    c >= 0 is row c of _TAYLOR: X = T_m(2^-s A), s = k, or for k > 0 (degree
+    30) the squarings of _squarings.
     """
-    eye = _eye(a.shape[-1])
-    np.copyto(x, eye, where=~a.any(axis=-1)[:, :, None])
-    np.copyto(x, eye, where=~a.any(axis=-2)[:, None, :])
+    if c < 0:
+        x = _eye(a.shape[-1]) + a
+        for j in range(2, len(powers) + 1):
+            x += _times_pow2(powers[-j] / math.factorial(j), np.reshape(j * k, (-1, 1, 1)))
+        return x, 0
+    m, b, theta = _TAYLOR[c]
+    powers, s = powers[-b:] if len(powers) > b else powers, k
+    # k and s are ints, or arrays where the matrices differ.
+    if k if isinstance(k, int) else k.any():
+        s = _squarings(powers, k, theta)
+        lower = k - s
+        if lower if isinstance(lower, int) else lower.any():
+            # The powers of 2^-s A = 2^(k-s) a0.
+            _times_pow2(powers, (np.arange(b, 0, -1)[:, None] * lower)[:, :, None, None])
+    return _taylor(m, powers, work), s
+
+
+def _exact_rows(x: np.ndarray, a: np.ndarray, columns: np.ndarray, norm: np.ndarray):
+    """x with rule 2 of mat_exp applied, ``columns`` the sums of moduli of
+    the columns of ``a``.  Raises OverflowError if some exponential is not
+    finite, naming the largest 1-norm in ``norm`` of those matrices."""
+    exact = ~a.any(axis=-1)[:, :, None] | (columns == 0)[:, None, :]
+    np.copyto(x, _eye(a.shape[-1]), where=exact)
     if not np.isfinite(x).all():
         top = norm[~np.isfinite(x).all(axis=(-2, -1))].max()
         raise OverflowError(f"exp of a matrix with 1-norm {top:.3e} overflows")
     return x
 
 
-def _exp_one(a: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
-    """exp of the (1, n, n) stack ``a`` of 1-norm ``top``: the numeric steps
-    of _exp_stack on the same arrays, each decision a Python scalar."""
+def _exp(a: np.ndarray, columns: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
+    """exp of each matrix of the (count, n, n) stack ``a``, given the sums of
+    moduli of its columns, its 1-norms and the largest of those, ``top``."""
     n = a.shape[-1]
-    eye, mu, shifted = _eye(n), 0.0, a
-    if top > _THETA_TOP:
-        mu = float((a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)[0])
-        if mu < -_THETA_TOP:
-            shifted = a - mu * eye
-            top = float(np.abs(shifted).sum(axis=-2).max())
-        else:
-            mu = 0.0
-    i = bisect.bisect_left(_THRESHOLD_LIST, top)
-    c, k, b = _DEGREE_LIST[i], _K_LIST[i], _BLOCK_SIZE_LIST[i]
-    work = np.empty((_MAX_BLOCKS + b, 1, n, n))
-    powers = work[_MAX_BLOCKS:]
-    a0 = np.multiply(shifted, _SCALE_LIST[i], out=powers[-1])
-    np.matmul(a0, a0, out=powers[-2])
-    if not np.count_nonzero(powers[-2]):
-        x = eye + shifted
-        return x * np.exp(mu) if mu else x
-    for j in range(3, b + 1):
-        np.matmul(powers[1 - j], a0, out=powers[-j])
-    if np.count_nonzero(powers[0]):
-        m, _, theta = _TAYLOR[c]
-        s = k
-        if c == len(_TAYLOR) - 1 and k:
-            s = min(max(k + int(_log2_alpha(powers, theta)[0]), 0), k)
-            if s < k:
-                # The powers of 2^-s A = 2^(k-s) a0.
-                _times_pow2(powers, np.arange(b, 0, -1)[:, None, None, None] * (k - s))
-        x = _taylor(m, powers, work)
-    else:
-        x, s = _exp_class(-1, shifted, np.array([k]), powers, work)[0], 0
-    if mu:
-        x *= np.exp(np.ldexp(mu, -s))
-    for _ in range(s):
-        x = x @ x
-    return _exact_rows(x, a, norm)
-
-
-def _exp_stack(a: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
-    """exp of each matrix of the (k, n, n) stack ``a`` with 1-norms ``norm``,
-    the largest ``top``: each decision an array over the stack, and the
-    matrices of one class share one set of numpy calls."""
-    n = a.shape[-1]
-    eye = _eye(n)
+    mu, shifted, plan_norm = None, a, norm
     # Only a 1-norm above theta_30 admits a shift or a squaring.
-    scaled = top > _THETA_TOP
-    if scaled:
+    if top > _THETAS[-1]:
         mu = (a.diagonal(axis1=-2, axis2=-1) / n).sum(axis=-1)
-        mu[mu >= -_THETA_TOP] = 0.0
-    shifted = a
-    if shift := scaled and mu.any():
-        shifted = a - mu[:, None, None] * eye
-    i = _THRESHOLDS.searchsorted(
-        np.abs(shifted).sum(axis=-2).max(axis=-1) if shift else norm
-    )
-    degree, k, b = _DEGREE[i], _K[i], _BLOCK_SIZE[i]
+        if min(mu.tolist()) < -_THETAS[-1]:
+            mu = np.where(mu < -_THETAS[-1], mu, 0.0)
+            shifted = a - mu[:, None, None] * _eye(n)
+            plan_norm = np.abs(shifted).sum(axis=-2).max(axis=-1)
+        else:
+            mu = None
+    row, k = _plan(plan_norm.item()) if len(a) == 1 else _plans(plan_norm)
+    one = isinstance(row, int)
     # Powers of a0 = 2^-k A (exact), highest first, after room for the
     # blocks.  One allocation holds most of a call's memory, so glibc's
     # malloc keeps it mapped for the next call; in two, a call on 2^13
     # entries at n = 20 faulted about 140 pages in anew.
-    work = np.empty((_MAX_BLOCKS + b.max(), len(a), n, n))
+    b = _TAYLOR[row if one else row.max()][1]
+    work = np.empty((_MAX_BLOCKS + b, len(a), n, n))
     powers = work[_MAX_BLOCKS:]
-    a0 = np.multiply(shifted, _SCALE[i][:, None, None], out=powers[-1])
+    scale = math.ldexp(1.0, -k) if one else np.ldexp(1.0, -k)[:, None, None]
+    a0 = np.multiply(shifted, scale, out=powers[-1])
     np.matmul(a0, a0, out=powers[-2])
-    if not powers[-2].any():
-        x = eye + shifted
-        return x * np.exp(mu)[:, None, None] if shift else x
-    for j in range(3, len(powers) + 1):
+    if not np.count_nonzero(powers[-2]):
+        x = _eye(n) + shifted
+        return x if mu is None else x * np.exp(mu)[:, None, None]
+    for j in range(3, b + 1):
         np.matmul(powers[1 - j], a0, out=powers[-j])
-    # Class -1 takes the Taylor sum (rule 3), any other class its degree.
-    nonzero = powers.reshape(len(powers), len(a), -1).any(axis=-1)
-    label = degree
-    if not nonzero.all():
-        label = np.where(nonzero[len(powers) - b, np.arange(len(a))], degree, -1)
-    classes = set(label.tolist())
-    x, s = np.empty_like(a), np.empty_like(k)
-    for c in classes:
-        rows = label == c if len(classes) > 1 else slice(None)
-        x[rows], s[rows] = _exp_class(c, shifted[rows], k[rows], powers[:, rows], work)
-    if shift:
+    # Class -1 takes the finite Taylor sum (rule 3), any other its row.
+    if len(a) == 1:
+        label = row if np.count_nonzero(powers[0]) else -1
+    elif (nonzero := powers.reshape(b, len(a), -1).any(axis=-1)).all():
+        label = row
+    else:
+        label = np.where(nonzero[b - _BLOCK_SIZES[row], np.arange(len(a))], row, -1)
+    if not isinstance(label, int) and len(classes := set(label.tolist())) == 1:
+        label = classes.pop()
+    if isinstance(label, int):
+        x, s = _exp_class(label, k, shifted, powers, work)
+    else:
+        x, s = np.empty_like(a), np.zeros(len(a), dtype=int)
+        for c in classes:
+            rows = label == c
+            k_rows = k if one else k[rows]
+            x[rows], s[rows] = _exp_class(c, k_rows, shifted[rows], powers[:, rows], work)
+    if mu is not None:
         x *= np.exp(np.ldexp(mu, -s))[:, None, None]
-    always = s.min() if scaled else 0
-    for j in range(s.max() if scaled else 0):
-        if j < always:
-            x = x @ x
-        else:
-            square = s > j
-            x[square] = x[square] @ x[square]
-    return _exact_rows(x, a, norm)
+    always, most = (s, s) if isinstance(s, int) else (s.min(), s.max())
+    for _ in range(always):
+        x = x @ x
+    for j in range(always, most):
+        square = s > j
+        x[square] = x[square] @ x[square]
+    return _exact_rows(x, a, columns, norm)
 
 
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential of a square matrix or of a stack of them.
 
     ``a`` has shape (..., n, n); the result has the same shape and holds the
-    exponential of each matrix.  Every choice below is made per matrix: the
-    result for each matrix does not depend on the rest of its stack, bit for
-    bit.  The matrices of one choice (a Taylor degree, or the finite sum of
-    rule 3) share one set of numpy calls, so many cost little more than one.
-    A stack of one, a single matrix included, makes the same choices in
-    Python scalars and takes the same numeric steps, bit for bit.
+    exponential of each matrix.  Every choice below is made per matrix, and
+    a result does not depend on the rest of its stack, bit for bit; a
+    single matrix makes them in Python scalars, and the matrices of one
+    Taylor degree, or of rule 3, share one set of numpy calls.
 
     A matrix A takes the least degree m of _TAYLOR (4 to 30) whose theta_m
     is at least its 1-norm, else 30, and T_m is evaluated by the
@@ -335,10 +332,7 @@ def mat_exp(a) -> np.ndarray:
     non-finite one and OverflowError if an exponential has entries beyond
     the float range.
     """
-    m = np.asarray(a)
-    if m.dtype.kind == "c":
-        raise TypeError(f"mat_exp argument must be real, not of dtype {m.dtype}")
-    m = m.astype(float, copy=False)
+    m = _real(a, "mat_exp argument").astype(float, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(
             f"mat_exp argument must be a square matrix or a stack of them, "
@@ -349,14 +343,14 @@ def mat_exp(a) -> np.ndarray:
     shape, n = m.shape, m.shape[-1]
     a = m.reshape(-1, n, n)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        norm = np.abs(a).sum(axis=-2).max(axis=-1)
+        columns = np.abs(a).sum(axis=-2)
+        norm = columns.max(axis=-1)
         top = norm.max()
         if not math.isfinite(top):
             if not np.isfinite(m).all():
                 raise ValueError("matrix has non-finite entries")
             raise OverflowError("matrix 1-norm is beyond the float range")
-        path = _exp_one if len(a) == 1 else _exp_stack
-        return path(a, norm, float(top)).reshape(shape)
+        return _exp(a, columns, norm, float(top)).reshape(shape)
 
 
 def _rank_of(sigma: np.ndarray) -> int:

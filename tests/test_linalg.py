@@ -11,6 +11,8 @@ from numpy.testing import assert_allclose
 from affine_fields.linalg import (
     _TAYLOR,
     _norms,
+    _plan,
+    _plans,
     _squarings,
     augment_affine,
     mat_exp,
@@ -164,6 +166,36 @@ def _theta(m: int) -> mpmath.mpf:
 def test_taylor_thetas_are_the_backward_error_bounds(m, b, theta):
     assert m % b == 0
     assert float(_theta(m)) == pytest.approx(theta, rel=1e-10)
+
+
+def test_plan_is_the_threshold_table():
+    # Plan i is the number of thresholds below a 1-norm, in theta_4, ...,
+    # theta_30, then 2^j theta_30 for j = 1, ..., 1022: row min(i, 7) of
+    # _TAYLOR with k = i - row.  That table is gone from the kernel, so it
+    # is built here and checked at every threshold, at both of its float
+    # neighbours, at the largest float, at infinity and over random norms.
+    thetas = [theta for _, _, theta in _TAYLOR]
+    table = np.append(thetas, np.ldexp(thetas[-1], np.arange(1, 1023)))
+    norms = np.concatenate([
+        table,
+        np.nextafter(table, 0.0),
+        np.nextafter(table, np.inf),
+        [0.0, np.finfo(float).tiny, np.finfo(float).max, np.inf],
+        10.0 ** np.random.default_rng(26).uniform(-6.0, 308.0, 200_000),
+    ])
+    index = table.searchsorted(norms)
+    row = np.minimum(index, len(thetas) - 1)
+    want = np.stack([row, index - row], axis=1)
+    assert [_plan(x) for x in norms.tolist()] == list(map(tuple, want.tolist()))
+    assert _plan(np.nan) == (len(thetas) - 1, 1023)
+    # A stack takes the same plans, as two ints when they agree: stacks of
+    # one, of two equal norms, and of 1 to 400 norms with many plans.
+    cuts = np.cumsum(np.random.default_rng(27).integers(1, 400, len(norms) // 100))
+    parts = np.split(np.arange(len(norms)), cuts[cuts < len(norms)])
+    parts += [[i] for i in range(0, len(norms), 997)] + [[i, i] for i in range(0, len(norms), 991)]
+    for part in parts:
+        got = np.stack([np.broadcast_to(p, len(part)) for p in _plans(norms[part])], axis=1)
+        assert np.array_equal(got, want[part])
 
 
 def test_mat_exp_square_zero_is_identity_plus_a_bitwise():
@@ -331,12 +363,50 @@ def test_mat_exp_mixed_stack_keeps_the_exact_rules():
                 mat_exp(np.concatenate([stack, [a]]))
 
 
+def test_mat_exp_overflowing_shift_raises_overflow_error():
+    # The shift by the mean eigenvalue can itself overflow: to -inf for
+    # -max I at n = 3 (NaN off the diagonal of A - mu I), and to +inf on the
+    # diagonal of diag(max, -max, -max).  Alone or in a stack, the matrix
+    # raises the OverflowError of any exponential beyond the float range
+    # (a stack of one used to raise "cannot convert float NaN to integer").
+    big = np.finfo(float).max
+    message = r"^exp of a matrix with 1-norm 1\.798e\+308 overflows$"
+    others = np.random.default_rng(9).normal(size=(3, 3, 3))
+    for a in (-big * np.eye(3), np.diag([big, -big, -big])):
+        for stack in (a, [a], np.concatenate([others, [a]])):
+            with pytest.raises(OverflowError, match=message):
+                mat_exp(stack)
+
+
 @pytest.mark.filterwarnings("error")
 def test_mat_exp_rejects_complex_input():
     # Cast to float, exp(i) would come back as e^0 = 1 with a ComplexWarning.
     for a, dtype in (([[1j]], "complex128"), (np.zeros((2, 3, 3), np.complex64), "complex64")):
         with pytest.raises(TypeError, match=dtype):
             mat_exp(a)
+
+
+@pytest.mark.filterwarnings("error")
+def test_augment_affine_rejects_complex_input():
+    # np.array([[1j]], dtype=float) is [[0.]] with a ComplexWarning.
+    with pytest.raises(TypeError, match="matrix part must be real, not of dtype complex128"):
+        augment_affine(np.array([[1j]]), [0.0])
+    with pytest.raises(TypeError, match="vector part must be real, not of dtype complex128"):
+        augment_affine([[0.0]], np.array([1j]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_rejects_complex_input():
+    with pytest.raises(TypeError, match="matrix must be real, not of dtype complex128"):
+        rank(np.eye(2) * 1j)
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_linear_rejects_complex_input():
+    with pytest.raises(TypeError, match="coefficient matrix must be real, not of dtype complex128"):
+        solve_linear(np.eye(2) * 1j, [1.0, 0.0])
+    with pytest.raises(TypeError, match="right-hand side must be real, not of dtype complex128"):
+        solve_linear(np.eye(2), np.array([1j, 0.0]))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
