@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import augment_affine, as_matrix, as_vector, rank
+from .linalg import _real, augment_affine, as_matrix, as_vector, rank
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -122,7 +122,7 @@ def zero_field(n: int) -> AffineField:
 
 def evaluate(field: AffineField, x) -> np.ndarray:
     """Component vector C x + B of the field at the point x."""
-    p = np.asarray(x, dtype=float).reshape(-1)
+    p = np.asarray(_real(x, "point"), dtype=float).reshape(-1)
     if p.size != field.n:
         raise ValueError(f"point has dim {p.size}, field lives on R^{field.n}")
     return field.C @ p + field.B

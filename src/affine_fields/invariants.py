@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import AffineField, evaluate
-from .linalg import as_integer, rank
+from .linalg import _norms, _rank_of, as_integer, rank
 
 # Step of the central differences here and in fundamental_field_numeric.
 FD_STEP = 1e-6
@@ -109,7 +109,7 @@ def constant_field_bundle(
     pivot = 0 if vec[0] != 0.0 else int(np.argmax(np.abs(vec)))
     if abs(vec[pivot]) == 0.0:
         raise DegenerateFieldError("constant field is zero; no canonical parameter")
-    others = [k for k in range(n) if k != pivot]
+    others = np.array([k for k in range(n) if k != pivot], dtype=np.intp)
     if F is None:
         F = _zero_scalar(n - 1)
     if G is None:
@@ -243,20 +243,31 @@ def sample_regular_points(
 ) -> np.ndarray:
     """Uniform samples from [-box, box]^n, skipping points where the field's
     norm is below IRREGULAR_NORM (verification is meaningless at irregular
-    points)."""
-    points = np.empty((count, field.n))
-    produced = 0
-    attempts = 0
-    while produced < count:
-        attempts += 1
-        if attempts > 1000 * count:
-            raise RuntimeError("could not sample away from irregular points")
-        x = rng.uniform(-box, box, size=field.n)
-        if np.linalg.norm(evaluate(field, x)) < IRREGULAR_NORM:
-            continue
-        points[produced] = x
-        produced += 1
-    return points
+    points).  The count x n uniforms are one block draw, the doubles of count
+    draws of n; a norm there below twice IRREGULAR_NORM resets the generator
+    and draws one point at a time, so the points and the generator's state
+    after are always those of one-at-a-time draws."""
+    return _regular_points(field, count, rng, box)[0]
+
+
+def _regular_points(field, count, rng, box):
+    """The points and the field's values, stacked C @ p + B as evaluate rounds it."""
+    state = rng.bit_generator.state
+    points = rng.uniform(-box, box, size=(count, field.n))
+    values = (field.C @ points[..., None])[..., 0] + field.B
+    if not (_norms(values) >= 2.0 * IRREGULAR_NORM).all():
+        rng.bit_generator.state = state
+        produced = attempts = 0
+        while produced < count:
+            attempts += 1
+            if attempts > 1000 * count:
+                raise RuntimeError("could not sample away from irregular points")
+            x = rng.uniform(-box, box, size=field.n)
+            v = evaluate(field, x)
+            if not np.linalg.norm(v) < IRREGULAR_NORM:
+                points[produced], values[produced] = x, v
+                produced += 1
+    return points, values
 
 
 def verify_bundle(
@@ -272,29 +283,31 @@ def verify_bundle(
     invariants report jacobian_ok = False).  ``sample_count`` is an int or
     numpy integer >= 1, not a bool.
 
-    Each point evaluates the field once and takes each function's gradient
-    once; that gradient gives both the defect |grad . X(x) - c|, as
-    directional_derivative would, and the function's Jacobian row."""
+    Each point takes each function's gradient once; that gradient gives both
+    the defect |grad . X(x) - c|, as directional_derivative would, and the
+    function's Jacobian row.  One stacked SVD ranks all the Jacobians; a
+    non-finite row is refused at its point, as ``rank`` refuses it."""
     sample_count = as_integer(sample_count, "sample_count", 1)
     rng = np.random.default_rng(seed)
     field = bundle.field
-    points = sample_regular_points(field, sample_count, rng, box=box)
+    points, values = _regular_points(field, sample_count, rng, box)
 
     functions = (bundle.S,) + bundle.invariants
     targets = (1.0,) + (0.0,) * len(bundle.invariants)
     worst = [0.0] * len(functions)
-    jacobian_ok = True
-    for x in points:
-        v = evaluate(field, x)
-        rows = [f.gradient(x) for f in functions]
-        for k, (row, c) in enumerate(zip(rows, targets)):
-            worst[k] = max(worst[k], abs(float(np.dot(row, v)) - c))
-        if rank(np.stack(rows)) < field.n:
-            jacobian_ok = False
+    jacobians = np.empty((sample_count, len(functions), field.n))
+    for x, v, rows in zip(points, values, jacobians):
+        grads = [f.gradient(x) for f in functions]
+        defects = [abs(float(np.dot(g, v)) - c) for g, c in zip(grads, targets)]
+        worst = list(map(max, worst, defects))
+        rows[:] = grads
+        if not sum(defects) < np.inf:  # a NaN or inf in a row makes its defect NaN or inf
+            rank(rows)
+    ranks = _rank_of(np.linalg.svd(jacobians, compute_uv=False))
     return VerificationReport(
         sample_count=sample_count,
         tol=tol,
         max_parameter_defect=worst[0],
         invariant_defects=tuple(worst[1:]),
-        jacobian_ok=jacobian_ok,
+        jacobian_ok=bool((ranks >= field.n).all()),
     )

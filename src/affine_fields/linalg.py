@@ -353,16 +353,18 @@ def mat_exp(a) -> np.ndarray:
         return _exp(a, columns, norm, float(top)).reshape(shape)
 
 
-def _rank_of(sigma: np.ndarray) -> int:
-    """Singular values above DEFAULT_RANK_TOL times the largest one."""
-    if sigma.size == 0 or sigma[0] == 0.0:
+def _rank_of(sigma: np.ndarray):
+    """Singular values above DEFAULT_RANK_TOL times the largest one: an int
+    for one descending row of them, an array for the rows of a (k, m) stack."""
+    if sigma.size == 0:
         return 0
-    return int(np.count_nonzero(sigma > DEFAULT_RANK_TOL * sigma[0]))
+    over = sigma.T > DEFAULT_RANK_TOL * sigma[..., 0]
+    return int(np.count_nonzero(over)) if over.ndim == 1 else over.sum(axis=0)
 
 
 def rank(a) -> int:
     """Numerical rank: singular values above DEFAULT_RANK_TOL times the
-    largest one."""
+    largest one, the rule verify_bundle applies to a stacked SVD."""
     return _rank_of(np.linalg.svd(as_matrix(a), compute_uv=False))
 
 

@@ -106,6 +106,12 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(constant_field([1.0]), [1.0, 2.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_complex_point_rejected(self):
+        # Cast to float, the point 1j would be 0.
+        with pytest.raises(TypeError, match="point must be real, not of dtype complex128"):
+            evaluate(constant_field([0.0]), np.array([1j]))
+
     def test_evaluate_many_matches_evaluate(self):
         rng = np.random.default_rng(0)
         f = random_affine_field(rng, 3)

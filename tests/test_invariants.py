@@ -16,7 +16,9 @@ from affine_fields import (
     straightened_frame_flow,
     verify_bundle,
 )
+from affine_fields.fields import AffineField, evaluate
 from affine_fields.invariants import (
+    IRREGULAR_NORM,
     DegenerateFieldError,
     InvariantBundle,
     ScalarField,
@@ -192,13 +194,31 @@ class TestVerifyBundle:
         assert payload["sample_count"] == 10
 
 
+def _one_at_a_time_points(field, count, rng, box):
+    """sample_regular_points drawing and evaluating one point at a time: the
+    oracle of its block draw."""
+    points = np.empty((count, field.n))
+    produced = 0
+    attempts = 0
+    while produced < count:
+        attempts += 1
+        if attempts > 1000 * count:
+            raise RuntimeError("could not sample away from irregular points")
+        x = rng.uniform(-box, box, size=field.n)
+        if np.linalg.norm(evaluate(field, x)) < IRREGULAR_NORM:
+            continue
+        points[produced] = x
+        produced += 1
+    return points, attempts - produced
+
+
 def _two_gradient_report(bundle, sample_count, tol, box, seed):
     """verify_bundle through directional_derivative, which takes each
-    function's gradient once more than its Jacobian row does: the oracle of
-    the one-gradient report."""
+    function's gradient once more than its Jacobian row does, and through
+    one-at-a-time draws and one rank per point: the oracle of the report."""
     rng = np.random.default_rng(seed)
     field = bundle.field
-    points = sample_regular_points(field, sample_count, rng, box=box)
+    points, _ = _one_at_a_time_points(field, sample_count, rng, box)
     max_s = 0.0
     max_i = [0.0] * len(bundle.invariants)
     jacobian_ok = True
@@ -268,6 +288,17 @@ class TestVerifyBundleGradients:
             # bundles, each called by the gradient of its outer function.
             assert all(count == 12 for count in calls.values())
 
+    def test_jacobian_singular_at_some_points_fails(self):
+        # I = max(v, 0)^2 has a zero gradient, and the Jacobian rank 1, where v <= 0.
+        bundle = constant_field_bundle([1.0, 0.0], G=ScalarField(
+            1, lambda xi: max(xi[0], 0.0) ** 2, grad=lambda xi: np.array([2.0 * max(xi[0], 0.0)])))
+        report = verify_bundle(bundle, sample_count=20, seed=0)
+        assert not report.jacobian_ok
+        assert repr(report) == repr(_two_gradient_report(bundle, 20, 1e-8, 2.0, 0))
+        ranks = [rank(np.stack([f.gradient(x) for f in (bundle.S,) + bundle.invariants]))
+                 for x in sample_regular_points(bundle.field, 20, np.random.default_rng(0))]
+        assert 1 in ranks and 2 in ranks
+
     @pytest.mark.parametrize("count", [0, -1, 2.0, 2.5, True, False, "2", None])
     def test_sample_count_must_be_an_integer_of_at_least_one(self, count):
         _, bundle = planar_affine_family(1.0, 1.0, 0.0)
@@ -280,6 +311,100 @@ class TestVerifyBundleGradients:
         report = verify_bundle(bundle, sample_count=np.int64(5))
         assert type(report.sample_count) is int
         assert report == verify_bundle(bundle, sample_count=5)
+
+
+class TestSampleRegularPoints:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_block_draw_without_irregular_points_is_the_one_at_a_time_loop(self, seed):
+        rng = np.random.default_rng(90 + seed)
+        for bundle in _bundles(rng):
+            args = (bundle.field, int(rng.integers(0, 30)), float(rng.uniform(0.5, 3.0)))
+            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            points = sample_regular_points(*args[:2], block, box=args[2])
+            expected, rejected = _one_at_a_time_points(*args[:2], loop, args[2])
+            assert rejected == 0
+            assert points.tobytes() == expected.tobytes()
+            assert block.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rejected_draws_fall_back_to_the_one_at_a_time_loop(self, seed):
+        # |1e-3 R x| < IRREGULAR_NORM inside the unit disc, a fifth of the box.
+        angle = 0.3 * seed
+        rotation = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
+        field = AffineField(1e-3 * np.array(rotation), [0.0, 0.0])
+        block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+        points = sample_regular_points(field, 40, block)
+        expected, rejected = _one_at_a_time_points(field, 40, loop, 2.0)
+        assert rejected > 0
+        assert points.tobytes() == expected.tobytes()
+        assert block.bit_generator.state == loop.bit_generator.state
+
+    def test_zero_field_still_raises(self):
+        field = AffineField(np.zeros((2, 2)), [0.0, 0.0])
+        block, loop = np.random.default_rng(5), np.random.default_rng(5)
+        message = "could not sample away from irregular points"
+        with pytest.raises(RuntimeError, match=message):
+            sample_regular_points(field, 3, block)
+        with pytest.raises(RuntimeError, match=message):
+            _one_at_a_time_points(field, 3, loop, 2.0)
+        assert block.bit_generator.state == loop.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_report_with_rejected_draws_is_the_two_gradient_loop(self, seed):
+        field = AffineField(1e-3 * np.eye(2), [0.0, 0.0])
+        bundle = InvariantBundle(field, _wavy(2, 0, 0.3, True), (_wavy(2, 1, -0.2, False),))
+        args = (30, 1e-8, 2.0, seed)
+        assert repr(verify_bundle(bundle, *args)) == repr(_two_gradient_report(bundle, *args))
+
+
+def _failing_third_gradient(failure):
+    """The planar bundle with an invariant whose gradient fails as
+    ``failure`` says at its third call, and the count of each function's
+    gradient calls."""
+    field, planar = planar_affine_family(1.0, 1.0, 0.0)
+    calls = {"S": 0, "I": 0}
+
+    def s_grad(p):
+        calls["S"] += 1
+        if failure == "nan and wrong length" and calls["S"] == 3:
+            return np.array([np.nan, 0.0])
+        return planar.S.gradient(p)
+
+    def i_grad(p):
+        calls["I"] += 1
+        if calls["I"] == 3:
+            if failure == "nan":
+                return np.array([np.nan, 1.0])
+            if failure == "raise":
+                raise KeyError("gradient failed")
+            return np.zeros(3)
+        return planar.invariants[0].gradient(p)
+
+    s = ScalarField(2, planar.S.fn, grad=s_grad)
+    i = ScalarField(2, planar.invariants[0].fn, grad=i_grad)
+    return InvariantBundle(field, s, (i,)), calls
+
+
+class TestVerifyBundleErrors:
+    # The type and text are those of the loop that took one rank per point:
+    # the rank's as_matrix refuses a NaN row, np.dot (message None here) a
+    # row of the wrong length, which at one point comes first.
+    @pytest.mark.parametrize("failure, error, message", [
+        ("nan", ValueError, "matrix has non-finite entries"),
+        ("wrong length", ValueError, None),
+        ("nan and wrong length", ValueError, None),
+        ("raise", KeyError, "'gradient failed'"),
+    ])
+    def test_raises_at_the_failing_point(self, failure, error, message):
+        if message is None:
+            with pytest.raises(ValueError) as dot:
+                np.dot(np.zeros(3), np.zeros(2))
+            message = str(dot.value)
+        bundle, calls = _failing_third_gradient(failure)
+        with pytest.raises(error) as caught:
+            verify_bundle(bundle, sample_count=6, seed=0)
+        assert str(caught.value) == message
+        assert calls == {"S": 3, "I": 3}
 
 
 class TestStraightenedFlow:
