@@ -49,7 +49,7 @@ from .charts import Chart
 from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import _norms, as_integer, as_vector, augment_affine, mat_exp
+from .linalg import _norms, _real, as_integer, as_vector, augment_affine, mat_exp
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -103,7 +103,8 @@ class GroupElement(MatrixValue):
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=float, order="C")
+        m = np.array(_real(self.matrix, "group element", finite="has non-finite entries"),
+                      order="C")
         if m.ndim != 2 or m.shape[0] < 2 or m.shape[1] != m.shape[0]:
             raise ValueError(f"group element must be (n+1) x (n+1), got {m.shape}")
         _check_elements(m)
@@ -130,11 +131,9 @@ class GroupElement(MatrixValue):
 
 
 def _check_elements(m: np.ndarray) -> np.ndarray:
-    """The (..., n+1, n+1) stack m, once it passes GroupElement's tests:
-    finite entries, each bottom row (0, ..., 0, 1) and each matrix part
-    invertible, with every column scaled to unit 2-norm (MIN_SCALED_DET)."""
-    if not np.isfinite(m).all():
-        raise ValueError("group element has non-finite entries")
+    """The finite (..., n+1, n+1) stack m, once it passes GroupElement's
+    tests: each bottom row (0, ..., 0, 1) and each matrix part invertible,
+    with every column scaled to unit 2-norm (MIN_SCALED_DET)."""
     n = m.shape[-1] - 1
     # count_nonzero is the cheapest exact zero test on small arrays.
     if np.count_nonzero(m[..., n, :] != _identity(n)[n]):
@@ -325,9 +324,8 @@ class GroupAction(MatrixValue):
             raise ValueError("chart and action dimensions differ")
         param = VARIANTS[self.variant].param
         if param == "s":
-            s = as_vector(self.s, "weight vector")
-            if s.size != self.n:
-                raise ValueError(f"weight vector s has dim {s.size}, expected {self.n}")
+            s = np.array(_real(self.s, "weight vector", self.n,
+                               finite="has non-finite entries"))
             s.flags.writeable = False
             object.__setattr__(self, "s", s)
         elif self.s is not None:
@@ -380,16 +378,6 @@ def chart_conjugated_action(base: GroupAction, chart: Chart) -> GroupAction:
     return replace(base, chart=chart)
 
 
-def _point(action: GroupAction, x) -> np.ndarray:
-    """x as float points, (n,) or (..., n), once they are finite."""
-    p = np.asarray(x, dtype=float)
-    if p.shape[-1] != action.n:
-        raise ValueError(f"point has dim {p.shape[-1]}, action lives on R^{action.n}")
-    if not np.isfinite(p).all():
-        raise ValueError("point must be finite")
-    return p
-
-
 def _act(action: GroupAction, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     """The variant's act of the element matrices m, (..., n+1, n+1), on the
     points x, (..., n), through the action's chart, with act's checks of
@@ -399,7 +387,8 @@ def _act(action: GroupAction, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     if chart is not None:
         x = chart.forward(chart.require(x))
     with np.errstate(over="ignore", invalid="ignore"):
-        image = VARIANTS[action.variant].act(action, m, _point(action, x))
+        image = VARIANTS[action.variant].act(
+            action, m, _real(x, "point", action.n, "action", stack=True))
     if not np.isfinite(image).all():
         raise OverflowError(f"image under {action.describe()} is not finite")
     return image if chart is None else chart.inverse(image)
@@ -413,7 +402,7 @@ def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
     Raises OverflowError when the image, before any chart, is not finite.
     """
     _member(action.group_kind, g, action.n)
-    return _act(action, g.matrix, np.reshape(x, -1))
+    return _act(action, g.matrix, np.ravel(x))
 
 
 @lru_cache(maxsize=16)
@@ -462,7 +451,7 @@ def fundamental_field_numeric(
     Raises OverflowError when an image is not finite.
     """
     _member(action.group_kind, tangent, action.n)
-    return _fundamental_rows(action, tangent.matrix[None], np.reshape(x, (1, -1)))[0]
+    return _fundamental_rows(action, tangent.matrix[None], np.ravel(x)[None])[0]
 
 
 def fundamental_field_analytic(
@@ -528,8 +517,7 @@ def one_parameter_subgroup(
     floats, and ValueError for a non-finite t.
     """
     _member(action.group_kind, tangent, action.n)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    t = _real(t, "t").item()
     with np.errstate(over="ignore"):
         scaled = t * tangent.matrix
     if not np.isfinite(scaled).all():
@@ -663,7 +651,8 @@ def check_action_axioms(
         scale = 1.0 + _norms(x)
         max_id = max(max_id, float(np.max(_norms(_act(action, _identity(n), x) - x) / scale)))
         with np.errstate(over="ignore", invalid="ignore"):
-            product = _member(kind, _check_elements(g1 @ g2), n)
+            product = _member(kind, _check_elements(
+                _real(g1 @ g2, "group element", finite="has non-finite entries")), n)
         direct = _act(action, product, x)
         chained = _act(action, g1, _act(action, g2, x))
         max_comp = max(max_comp, float(np.max(_norms(direct - chained) / scale)))

@@ -19,6 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from .linalg import _real
+
 
 class ChartDomainError(ValueError):
     """A point fell outside a chart's domain or its coordinate image."""
@@ -49,7 +51,7 @@ class Chart:
     def __post_init__(self):
         object.__setattr__(self, "n", len(self.coordinates))
         for attr in ("domain", "box"):
-            bounds = np.array([getattr(c, attr) for c in self.coordinates], dtype=float)
+            bounds = _real([getattr(c, attr) for c in self.coordinates], attr, finite=None)
             bounds = bounds.reshape(self.n, 2).T.copy()
             bounds.flags.writeable = False
             object.__setattr__(self, attr, bounds)
@@ -57,11 +59,11 @@ class Chart:
     def _apply(self, part: str, x) -> np.ndarray:
         """Each coordinate's ``part`` map on its column of x, one point of n
         coordinates or a (..., n) stack of them, a value at a time."""
-        p = np.asarray(x, dtype=float)
-        rows = p.reshape(-1, self.n) if p.ndim > 1 else p.reshape(1, self.n)
+        p = _real(x, "point", self.n, f"chart {self.name!r}", finite=None, stack=True,
+                  error=ChartDomainError)
         columns = [list(map(getattr(c, part), column))
-                   for c, column in zip(self.coordinates, rows.T.tolist())]
-        return np.array(columns).T.reshape(p.shape if p.ndim > 1 else self.n)
+                   for c, column in zip(self.coordinates, p.reshape(-1, self.n).T.tolist())]
+        return np.array(columns).T.reshape(p.shape)
 
     def forward(self, x) -> np.ndarray:
         return self._apply("forward", x)
@@ -73,19 +75,16 @@ class Chart:
         return np.diag(self._apply("derivative", x))
 
     def contains(self, x) -> bool:
-        p = np.asarray(x, dtype=float).reshape(-1)
+        p = _real(x, "point", self.n, f"chart {self.name!r}", finite=None,
+                  error=ChartDomainError)
         return bool(np.all(p > self.domain[0]) and np.all(p < self.domain[1]))
 
     def require(self, x) -> np.ndarray:
         """x as a float point, or a (..., n) stack of points, once every
-        point lies in the domain; else the first point outside it is named."""
-        p = np.asarray(x, dtype=float)
-        if p.ndim < 2:
-            p = p.reshape(-1)
-        if p.shape[-1] != self.n:
-            raise ChartDomainError(
-                f"point has dim {p.shape[-1]}, chart {self.name!r} lives on R^{self.n}"
-            )
+        point lies in the domain, which no NaN or infinite entry does; else
+        the first point outside it is named."""
+        p = _real(x, "point", self.n, f"chart {self.name!r}", finite=None, stack=True,
+                  error=ChartDomainError)
         inside = (p > self.domain[0]) & (p < self.domain[1])
         if not inside.all():
             rows = p.reshape(-1, self.n)

@@ -36,6 +36,7 @@ from .invariants import (
     planar_affine_family,
     verify_bundle,
 )
+from .linalg import _real, as_integer
 from .validate import run_all
 
 
@@ -202,7 +203,7 @@ def _scalar_field_from_json(data: dict, m: int) -> ScalarField:
 
         return ScalarField(m, lambda xi: float(f(xi[k])), grad=grad)
     if kind == "linear":
-        coeffs = np.asarray(data.get("coeffs", []), dtype=float)
+        coeffs = _real(data.get("coeffs", []), "coeffs", finite=None)
         if coeffs.size != m:
             raise InputError(f"linear function needs {m} coeffs")
         return ScalarField(
@@ -258,10 +259,8 @@ CHART_CONJUGATED = "chart-conjugated"
 
 def _cmd_check_action(args) -> int:
     params = _load_json(args.params) if args.params else {}
-    n, q = params.get("n", 2), params.get("q", 1)
-    for key, value, least in (("n", n, 1), ("q", q, 0)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < least:
-            raise InputError(f"parameter {key!r} must be an integer >= {least}, not {value!r}")
+    n, q = (as_integer(params.get(key, default), f"parameter {key!r}", least)
+            for key, default, least in (("n", 2, 1), ("q", 1, 0)))
     s = params.get("s", np.ones(n))
     name = args.action
     if name == CHART_CONJUGATED:

@@ -121,17 +121,15 @@ def zero_field(n: int) -> AffineField:
 
 
 def evaluate(field: AffineField, x) -> np.ndarray:
-    """Component vector C x + B of the field at the point x."""
-    p = np.asarray(_real(x, "point"), dtype=float).reshape(-1)
-    if p.size != field.n:
-        raise ValueError(f"point has dim {p.size}, field lives on R^{field.n}")
-    return field.C @ p + field.B
+    """Component vector C x + B of the field at the finite point x."""
+    return field.C @ _real(x, "point", field.n, "field") + field.B
 
 
 def evaluate_many(field: AffineField, points) -> np.ndarray:
-    """Row-wise evaluate: points of shape (k, n) map to (k, n) components."""
-    p = np.asarray(points, dtype=float)
-    if p.ndim != 2 or p.shape[1] != field.n:
+    """Row-wise evaluate: finite points of shape (k, n) map to (k, n)
+    components."""
+    p = _real(points, "point", field.n, "field", stack=True)
+    if p.ndim != 2:
         raise ValueError(f"points must have shape (k, {field.n})")
     return p @ field.C.T + field.B
 

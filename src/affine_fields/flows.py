@@ -18,10 +18,10 @@ exp(t G) for the last scalar time it was evaluated at, and a scalar
 E[:n, n] for the kept E = exp(t G), without the stack steps of
 ``flow_images`` and bit for bit its row.  That E is a stack of one, so
 every decision ``mat_exp`` makes for it is a Python scalar.  Validation
-checks 1, 2, 8 and 10 call ``flow_images`` on whole ensembles.  ``orbit`` on
-a uniform grid of K times takes ``flow_at`` at about sqrt(K) of them and
-carries those points on by about sqrt(K) step exponentials (the group law),
-within a rounding bound of ``flow_at``.
+checks 1, 2, 8, 9 and 10 call ``flow_images`` on whole ensembles.
+``orbit`` on a uniform grid of K times takes ``flow_at`` at about sqrt(K)
+of them and carries those points on by about sqrt(K) step exponentials
+(the group law), within a rounding bound of ``flow_at``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import AffineField, MatrixValue
 # solve_linear is unused here; instrumentation looks it up in this namespace.
-from .linalg import mat_exp, solve_linear  # noqa: F401
+from .linalg import _real, mat_exp, solve_linear  # noqa: F401
 
 TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
@@ -163,23 +163,17 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     and each result is bit for bit that of a fresh flow and the row that an
     array of times gives.  An image at t = 0 is x exactly (a copy).
 
-    Raises ValueError for an empty or 2-D array of times and for a
-    non-finite t or x, and OverflowError when t G or an image is not
-    representable in floats.
+    Raises TypeError for a complex t or x, ValueError for an empty or 2-D
+    array of times and for a non-finite t or x, and OverflowError when t G
+    or an image is not representable in floats.
     """
-    times = np.asarray(t, dtype=float)
+    times = _real(t, "t")
     if times.ndim > 1 or times.size == 0:
         raise ValueError(
             f"t must be a scalar or a non-empty 1-D array, not shape {times.shape}"
         )
-    if not np.isfinite(times).all():
-        raise ValueError("t must be finite")
-    p = np.asarray(x, dtype=float).reshape(-1)
     n = flow.field.n
-    if p.size != n:
-        raise ValueError(f"point has dim {p.size}, flow lives on R^{n}")
-    if not all(map(math.isfinite, p.tolist())):
-        raise ValueError("point must be finite")
+    p = _real(x, "point", n, "flow")
     if times.ndim:
         return flow_images(flow.field.matrix[None], times, p[None])
     t = float(times)
@@ -214,14 +208,11 @@ class Orbit(MatrixValue):
     points: np.ndarray
 
     def __post_init__(self):
-        start = np.array(self.start, dtype=float).reshape(-1)
-        times = np.array(self.times, dtype=float).reshape(-1)
-        points = np.array(self.points, dtype=float)
-        for arr in (start, times, points):
+        for name in ("start", "times", "points"):
+            arr = np.array(_real(getattr(self, name), name, finite=None))
+            arr = arr if name == "points" else arr.reshape(-1)
             arr.flags.writeable = False
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "points", points)
+            object.__setattr__(self, name, arr)
 
     def __reduce__(self):
         return Orbit, (self.start, self.times, self.points)
@@ -231,10 +222,11 @@ class Orbit(MatrixValue):
 
 
 def _grid_step(times) -> float:
-    """h when the k >= 4 finite times are t_0 + j h with h != 0, each to
-    within 4 eps max |t|, so a ``linspace`` grid passes; else 0.0."""
+    """h when the k >= 4 times, finite as ``orbit`` takes them, are
+    t_0 + j h with h != 0, each to within 4 eps max |t|, so a ``linspace``
+    grid passes; else 0.0."""
     k = len(times)
-    if k < 4 or not np.isfinite(times).all():
+    if k < 4:
         return 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         h = (times[-1] - times[0]) / (k - 1)
@@ -262,7 +254,7 @@ def _uniform_orbit(flow: FlowMap, times, x, h: float) -> np.ndarray:
     rows[:, 0] = lifted[:, :n] = anchors
     with np.errstate(over="ignore", invalid="ignore"):
         np.matmul(lifted, exps[:, :n].transpose(0, 2, 1), out=rows[:, 1:].transpose(1, 0, 2))
-    return _checked(rows.reshape(-1, n)[:k], times, np.asarray(x, dtype=float).reshape(1, n))
+    return _checked(rows.reshape(-1, n)[:k], times, x[None])
 
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:
@@ -282,7 +274,8 @@ def orbit(flow: FlowMap, x, t_grid) -> Orbit:
     grid and for a non-finite or misshapen start point, and OverflowError
     when t G or a point is not representable in floats.
     """
-    times = np.asarray(t_grid, dtype=float).reshape(-1)
+    times = _real(t_grid, "t").reshape(-1)
+    p = _real(x, "point", flow.field.n, "flow")
     h = _grid_step(times)
-    points = _uniform_orbit(flow, times, x, h) if h else flow_at(flow, times, x)
-    return Orbit(start=x, times=times, points=points)
+    points = _uniform_orbit(flow, times, p, h) if h else flow_at(flow, times, p)
+    return Orbit(start=p, times=times, points=points)

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import AffineField, evaluate
-from .linalg import _norms, _rank_of, as_integer, rank
+from .linalg import _norms, _rank_of, _real, as_integer, as_vector, rank
 
 # Step of the central differences here and in fundamental_field_numeric.
 FD_STEP = 1e-6
@@ -40,17 +40,13 @@ class ScalarField:
     grad: Callable[[np.ndarray], np.ndarray] | None = None
 
     def value(self, x) -> float:
-        p = np.asarray(x, dtype=float).reshape(-1)
-        if p.size != self.n:
-            raise ValueError(f"point has dim {p.size}, expected {self.n}")
-        return float(self.fn(p))
+        p = _real(x, "point", self.n, finite=None)
+        return _real(self.fn(p), "value", finite=None).item()
 
     def gradient(self, x) -> np.ndarray:
-        p = np.asarray(x, dtype=float).reshape(-1)
-        if p.size != self.n:
-            raise ValueError(f"point has dim {p.size}, expected {self.n}")
+        p = _real(x, "point", self.n, finite=None)
         if self.grad is not None:
-            return np.asarray(self.grad(p), dtype=float).reshape(-1)
+            return _real(self.grad(p), "gradient", finite=None).reshape(-1)
         out = np.empty(self.n)
         for i in range(self.n):
             h = FD_STEP * (1.0 + abs(p[i]))
@@ -102,7 +98,7 @@ def constant_field_bundle(
     supplied G composes with the xi's to give an invariant.  Coordinates
     whose b_k vanishes enter the xi's untouched.
     """
-    vec = np.asarray(b, dtype=float).reshape(-1)
+    vec = as_vector(b, "vector part")
     n = vec.size
     if n == 0:
         raise DegenerateFieldError("constant field is zero; no canonical parameter")
@@ -188,16 +184,11 @@ def bundle_coordinates(bundle: InvariantBundle, x) -> np.ndarray:
 
 
 def straightened_frame_flow(bundle: InvariantBundle, t: float, coords) -> np.ndarray:
-    """Flow in bundle coordinates: the parameter slot shifts by t, the
-    invariant slots stay put.  Assumes the bundle passed verification with
-    jacobian_ok, i.e. its functions form a local coordinate system."""
-    c = np.asarray(coords, dtype=float).reshape(-1)
-    if c.size != 1 + len(bundle.invariants):
-        raise ValueError(
-            f"coords has dim {c.size}, bundle supplies {1 + len(bundle.invariants)}"
-        )
-    out = c.copy()
-    out[0] += t
+    """Flow in bundle coordinates: the parameter slot shifts by the finite
+    t, the invariant slots stay put.  Assumes the bundle passed verification
+    with jacobian_ok, i.e. its functions form a local coordinate system."""
+    out = _real(coords, "coords", 1 + len(bundle.invariants), finite=None).copy()
+    out[0] += _real(t, "t")
     return out
 
 

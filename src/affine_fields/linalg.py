@@ -3,8 +3,10 @@
 Provides the matrix exponential, rank-revealing linear solves, the
 homogeneous (augmented) embedding of an affine map, and row norms.
 Everything operates on plain float ndarrays with value semantics: inputs are
-never mutated, and complex ones are refused rather than cast.  The
-tolerances are the module constants below; no caller tunes them.
+never mutated.  ``_real`` is the package's one input rule, which every
+public entry point applies to the arrays it is given: real, of the
+caller's dimension and, where the caller asks, finite.  The tolerances are
+the module constants below; no caller tunes them.
 
 The matrix exponential is one kernel over stacks of square matrices:
 Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
@@ -26,6 +28,8 @@ from functools import lru_cache
 import numpy as np
 
 DEFAULT_RANK_TOL = 1e-10
+
+_FLOAT = np.dtype(float)
 
 # (m, b, theta_m): T_m is evaluated in blocks of A^b, with b - 1 products
 # for the powers A^2, ..., A^b and m / b - 1 for Horner's rule in A^b, and
@@ -76,31 +80,50 @@ def _eye(n: int) -> np.ndarray:
     return e
 
 
-def _real(a, name: str) -> np.ndarray:
-    """``a`` as an array, refused if complex: a float cast would drop the
-    imaginary part with only a ComplexWarning."""
+def _real(a, name: str, n: int | None = None, owner: str | None = None,
+          finite: str | None = "must be finite", stack: bool = False,
+          error: type = ValueError) -> np.ndarray:
+    """``a`` as a float array, not copied when it is one: the package's one
+    rule for what a caller passes in.
+
+    A complex dtype raises TypeError naming it, before any cast, which
+    would drop the imaginary part with only a ComplexWarning.  Given ``n``,
+    ``a`` is one point of R^n, flattened, or with ``stack`` also an array of
+    points along its last axis; another dimension d raises ``error``
+    "{name} has dim d, {owner} lives on R^n", or "expected n" without an
+    owner.  Unless ``finite`` is None, a NaN or infinite entry raises
+    ValueError "{name} {finite}".  Below 64 entries math.isfinite over a
+    list is the faster test: numpy's isfinite and all have a fixed cost of
+    about a microsecond.
+    """
     m = np.asarray(a)
-    if m.dtype.kind == "c":
-        raise TypeError(f"{name} must be real, not of dtype {m.dtype}")
+    if m.dtype is not _FLOAT:
+        if m.dtype.kind == "c":
+            raise TypeError(f"{name} must be real, not of dtype {m.dtype}")
+        m = m.astype(float)
+    if n is not None:
+        if m.ndim != 1 and (m.ndim == 0 or not stack):
+            m = m.reshape(-1)
+        if m.shape[-1] != n:
+            where = f"{owner} lives on R^{n}" if owner else f"expected {n}"
+            raise error(f"{name} has dim {m.shape[-1]}, {where}")
+    if finite and not (all(map(math.isfinite, m.ravel().tolist())) if m.size < 64
+                       else np.isfinite(m).all()):
+        raise ValueError(f"{name} {finite}")
     return m
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Coerce to a finite 2-D float array (C order, fresh copy)."""
-    m = np.array(_real(a, name), dtype=float, order="C")
+    m = np.array(_real(a, name, finite="has non-finite entries"), order="C")
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got ndim={m.ndim}")
-    if not np.isfinite(m).all():
-        raise ValueError(f"{name} has non-finite entries")
     return m
 
 
 def as_vector(b, name: str = "vector") -> np.ndarray:
     """Coerce to a finite 1-D float array (fresh copy)."""
-    v = np.array(_real(b, name), dtype=float).reshape(-1)
-    if not np.isfinite(v).all():
-        raise ValueError(f"{name} has non-finite entries")
-    return v
+    return np.array(_real(b, name, finite="has non-finite entries")).reshape(-1)
 
 
 def as_integer(value, name: str, least: int) -> int:
@@ -332,7 +355,7 @@ def mat_exp(a) -> np.ndarray:
     non-finite one and OverflowError if an exponential has entries beyond
     the float range.
     """
-    m = _real(a, "mat_exp argument").astype(float, copy=False)
+    m = _real(a, "mat_exp argument", finite=None)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(
             f"mat_exp argument must be a square matrix or a stack of them, "
@@ -383,9 +406,7 @@ def solve_linear(c, rhs) -> tuple[np.ndarray | None, int]:
     """
     m = as_matrix(c, "coefficient matrix")
     n = _require_square(m, "coefficient matrix")
-    b = as_vector(rhs, "right-hand side")
-    if b.size != n:
-        raise ValueError(f"right-hand side has dim {b.size}, expected {n}")
+    b = _real(rhs, "right-hand side", n, finite="has non-finite entries")
 
     u, sigma, vt = np.linalg.svd(m)
     r = _rank_of(sigma)
@@ -407,9 +428,7 @@ def augment_affine(c, b) -> np.ndarray:
     """
     m = as_matrix(c, "matrix part")
     n = _require_square(m, "matrix part")
-    v = as_vector(b, "vector part")
-    if v.size != n:
-        raise ValueError(f"vector part has dim {v.size}, expected {n}")
+    v = _real(b, "vector part", n, finite="has non-finite entries")
     out = np.zeros((n + 1, n + 1))
     out[:n, :n] = m
     out[:n, n] = v

@@ -14,6 +14,8 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import _real
+
 DEFAULT_STEP = 1e-3
 
 
@@ -36,10 +38,9 @@ class OdeProblem:
     step: float = DEFAULT_STEP
 
     def __post_init__(self):
-        start = np.atleast_1d(np.array(self.start, dtype=float))
+        start = np.atleast_1d(np.array(_real(self.start, "start", finite=None)))
         object.__setattr__(self, "start", start)
-        if not np.isfinite(self.t_end):
-            raise ValueError("t_end must be finite")
+        _real(self.t_end, "t_end")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         if self.t_end != 0.0 and self.step > abs(self.t_end):

@@ -196,15 +196,6 @@ class TestAct:
         with pytest.raises(ValueError, match="integer >= 1"):
             ga.GroupAction(ga.STANDARD_LINEAR, n)
 
-    @pytest.mark.filterwarnings("error")
-    def test_complex_weights_rejected(self):
-        # Cast to float, the weights s = (1j, 1) would be (0, 1).
-        s = np.array([1j, 1.0])
-        with pytest.raises(TypeError, match="weight vector must be real, not of dtype complex128"):
-            ga.GroupAction(ga.EXP_TRANSLATION, 2, s=s)
-        with pytest.raises(TypeError, match="must be real, not of dtype complex128"):
-            ga.exp_translation_action(s)
-
     @pytest.mark.parametrize(
         "q", [-1, 2.0, 1.5, True, False, "2", math.inf, math.nan, None, np.float64(1.0)]
     )

@@ -1,6 +1,7 @@
 """Chart registry: round trips, Jacobians, Newton inversion."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -75,6 +76,20 @@ def test_require_names_the_first_point_outside():
         chart.require(points)
     with pytest.raises(ChartDomainError, match="point has dim 3"):
         chart.require(np.ones((4, 3)))
+
+
+@pytest.mark.parametrize("part", ["forward", "inverse", "jacobian", "contains", "require"])
+def test_point_of_another_dimension_is_refused(part):
+    # A (2, 3) stack on a 2-D chart was read as three rows of two and came
+    # back from forward and inverse as wrong numbers of the same shape; a
+    # point of three coordinates was tested entry by entry against a 1-D
+    # chart's domain by contains, which takes one point (here of dim 6).
+    for chart, x in ((diagonal_scaling_chart(2), np.arange(6.0).reshape(2, 3)),
+                     (lambert_chart(), [1.0, 2.0, 3.0])):
+        dim = np.size(x) if part == "contains" else np.shape(x)[-1]
+        message = f"point has dim {dim}, chart {chart.name!r} lives on R^{chart.n}"
+        with pytest.raises(ChartDomainError, match=f"^{re.escape(message)}$"):
+            getattr(chart, part)(x)
 
 
 def test_domain_membership():

@@ -378,37 +378,6 @@ def test_mat_exp_overflowing_shift_raises_overflow_error():
                 mat_exp(stack)
 
 
-@pytest.mark.filterwarnings("error")
-def test_mat_exp_rejects_complex_input():
-    # Cast to float, exp(i) would come back as e^0 = 1 with a ComplexWarning.
-    for a, dtype in (([[1j]], "complex128"), (np.zeros((2, 3, 3), np.complex64), "complex64")):
-        with pytest.raises(TypeError, match=dtype):
-            mat_exp(a)
-
-
-@pytest.mark.filterwarnings("error")
-def test_augment_affine_rejects_complex_input():
-    # np.array([[1j]], dtype=float) is [[0.]] with a ComplexWarning.
-    with pytest.raises(TypeError, match="matrix part must be real, not of dtype complex128"):
-        augment_affine(np.array([[1j]]), [0.0])
-    with pytest.raises(TypeError, match="vector part must be real, not of dtype complex128"):
-        augment_affine([[0.0]], np.array([1j]))
-
-
-@pytest.mark.filterwarnings("error")
-def test_rank_rejects_complex_input():
-    with pytest.raises(TypeError, match="matrix must be real, not of dtype complex128"):
-        rank(np.eye(2) * 1j)
-
-
-@pytest.mark.filterwarnings("error")
-def test_solve_linear_rejects_complex_input():
-    with pytest.raises(TypeError, match="coefficient matrix must be real, not of dtype complex128"):
-        solve_linear(np.eye(2) * 1j, [1.0, 0.0])
-    with pytest.raises(TypeError, match="right-hand side must be real, not of dtype complex128"):
-        solve_linear(np.eye(2), np.array([1j, 0.0]))
-
-
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_mat_exp_rejects_non_finite():
     with pytest.raises(ValueError, match="non-finite"):
