@@ -636,10 +636,10 @@ def check_action_axioms(
     failure raises, and in it the first failing check in this order: g1 and
     g2 as elements, the act of e, g1 g2 as an element, the acts of g1 g2,
     g2 and g1, each with the first failing sample where the message names a
-    point or value.
+    point or value.  ``seed`` is an int or numpy integer >= 0, not a bool.
     """
     samples = as_integer(samples, "samples", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
     kind, n = action.group_kind, action.n
     size = max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
     max_id = 0.0

@@ -272,14 +272,14 @@ def verify_bundle(
     bundle functions have a full-rank Jacobian (a genuine local coordinate
     system needs n independent functions, so bundles with fewer than n - 1
     invariants report jacobian_ok = False).  ``sample_count`` is an int or
-    numpy integer >= 1, not a bool.
+    numpy integer >= 1, and ``seed`` one >= 0, neither a bool.
 
     Each point takes each function's gradient once; that gradient gives both
     the defect |grad . X(x) - c|, as directional_derivative would, and the
     function's Jacobian row.  One stacked SVD ranks all the Jacobians; a
     non-finite row is refused at its point, as ``rank`` refuses it."""
     sample_count = as_integer(sample_count, "sample_count", 1)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_integer(seed, "seed", 0))
     field = bundle.field
     points, values = _regular_points(field, sample_count, rng, box)
 

@@ -5,6 +5,11 @@ forms against RK4 integration, matrix brackets against the matrix-unit
 relation of the generators, difference quotients against analytic fields)
 at a fixed tolerance.  The CLI ``validate`` command and the acceptance tests
 both run these.
+
+Checks 1, 2, 5, 9 and 10 draw all the doubles of a case in one
+``rng.random`` call and map each dimension's block to its bounds at once
+(``_uniform``): the ensembles of one ``rng.uniform`` call per value, bit for
+bit, with the generator left in the same state.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from .invariants import (
     planar_affine_family,
     straightened_frame_flow,
 )
-from .linalg import _norms, mat_exp, solve_linear
+from .linalg import _norms, as_integer, mat_exp, solve_linear
 from .oracle import OdeProblem, integrate, integrate_linear
 
 
@@ -55,24 +60,49 @@ def _bounded(name: str, *measures) -> CheckResult:
 
 
 def _generator(c, b) -> np.ndarray:
-    """[[C, B], [0, 0]] of the field x -> Cx + B, without the input checks
-    of ``augment_affine``: the callers' C and B are finite draws."""
-    n = len(b)
-    g = np.zeros((n + 1, n + 1))
-    g[:n, :n] = c
-    g[:n, n] = b
+    """[[C, B], [0, 0]] of the field x -> Cx + B (or stacks), without the input
+    checks of ``augment_affine``: the callers' C and B are finite draws."""
+    n = b.shape[-1]
+    g = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    g[..., :n, :n] = c
+    g[..., :n, n] = b
     return g
 
 
-def _random_generator(rng, n) -> np.ndarray:
-    """C and B with entries uniform in [-2, 2], C drawn first."""
-    return _generator(
-        rng.uniform(-2.0, 2.0, size=(n, n)), rng.uniform(-2.0, 2.0, size=n)
-    )
-
-
 def _rng(seed: int, salt: int) -> np.random.Generator:
-    return np.random.default_rng([seed, salt])
+    return np.random.default_rng([as_integer(seed, "seed", 0), salt])
+
+
+def _uniform(u, low: float, high: float) -> np.ndarray:
+    """``rng.random`` doubles u mapped as ``rng.uniform(low, high)`` maps them,
+    bit for bit: for the bounds used here (high - low) u is exact."""
+    return low + (high - low) * u
+
+
+def _draw_blocks(rng, count: int, dims: tuple, width) -> list[tuple]:
+    """``count`` cases, each ``rng.integers(*dims)`` for its n, then one
+    ``rng.random(width(n))``: (n, block of the cases' rows) in increasing n."""
+    drawn = {}
+    for _ in range(count):
+        n = int(rng.integers(*dims))
+        drawn.setdefault(n, []).append(rng.random(width(n)))
+    return [(n, np.array(drawn[n])) for n in sorted(drawn)]
+
+
+def _block_generators(u, n: int, low: float, high: float) -> np.ndarray:
+    """Generators of a block's rows: C row by row, then B, in [low, high)."""
+    v = _uniform(u[:, : n * n + n], low, high)
+    return _generator(v[:, : n * n].reshape(-1, n, n), v[:, n * n :])
+
+
+def _field_blocks(rng, count: int, dims: tuple, starts: int) -> list[tuple]:
+    """``_draw_blocks`` of fields and their starts, all in [-2, 2]:
+    (generators, starts (k, starts, n)) per dimension n."""
+    return [
+        (_block_generators(u, n, -2.0, 2.0),
+         _uniform(u[:, n * n + n :], -2.0, 2.0).reshape(-1, starts, n))
+        for n, u in _draw_blocks(rng, count, dims, lambda n: n * n + n + starts * n)
+    ]
 
 
 def _stacks(cases: dict) -> list[tuple]:
@@ -136,41 +166,38 @@ def _rk4_defects(blocks):
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     """500 random affine fields, closed-form flow at t=1 against RK4 with
-    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  The fields
-    and starts are drawn into per-dimension stacks; RK4 runs them as one
-    stacked homogeneous state by a batched power of its increment matrices,
-    and the closed forms and norms take one call per dimension."""
-    rng = _rng(seed, 1)
-    cases = {}
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        g = _random_generator(rng, n)
-        cases.setdefault(n, []).append((g, rng.uniform(-2.0, 2.0, size=(3, n))))
+    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Each field
+    and its starts take one ``rng.random`` call, into per-dimension stacks
+    (``_field_blocks``); RK4 runs them as one stacked homogeneous state by a
+    batched power of its increment matrices, and the closed forms and norms
+    take one call per dimension."""
     worst = max(
         np.max(defects / (1.0 + _norms(x)))
-        for x, defects in _rk4_defects(_stacks(cases))
+        for x, defects in _rk4_defects(_field_blocks(_rng(seed, 1), 500, (1, 7), 3))
     )
     return _bounded("closed-form-vs-rk4", ("worst relative defect", worst, 1e-6))
+
+
+def _group_law_draws(rng) -> list[tuple]:
+    """Check 2's ``_draw_blocks`` of fields (in [-2, 2]) with 3 cases each, s
+    and t in [-1, 1], x in [-2, 2]: (generators, s, t, x), a row per case."""
+    draws = []
+    for n, u in _draw_blocks(rng, 500, (1, 7), lambda n: n * n + 4 * n + 6):
+        cases = u[:, n * n + n :].reshape(-1, 2 + n)
+        s, t = _uniform(cases[:, :2], -1.0, 1.0).T
+        g = np.repeat(_block_generators(u, n, -2.0, 2.0), 3, axis=0)
+        draws.append((g, s, t, _uniform(cases[:, 2:], -2.0, 2.0)))
+    return draws
 
 
 def check_group_law(seed: int = 42) -> CheckResult:
     """Flow composition flow(s+t) = flow(s) o flow(t) on 500 random fields,
     3 cases each, s, t in [-1, 1]; bound 1e-8 * (1 + |x|).  The cases are
-    drawn into per-dimension stacks, and the direct, inner and outer flows
-    each take one ``flow_images`` call per dimension on one generator
-    stack."""
-    rng = _rng(seed, 2)
-    cases = {}  # n: ([generator per field], [(s, t) per case], [x per case])
-    for _ in range(500):
-        n = int(rng.integers(1, 7))
-        generators, times, starts = cases.setdefault(n, ([], [], []))
-        generators.append(_random_generator(rng, n))
-        for _ in range(3):
-            times.append(rng.uniform(-1.0, 1.0, size=2))
-            starts.append(rng.uniform(-2.0, 2.0, size=n))
+    drawn into per-dimension stacks (``_group_law_draws``), and the direct,
+    inner and outer flows each take one ``flow_images`` call per dimension
+    on one generator stack."""
     worst = 0.0
-    for generators, times, starts in cases.values():
-        g, (s, t), x = np.repeat(generators, 3, axis=0), np.array(times).T, np.array(starts)
+    for g, s, t, x in _group_law_draws(_rng(seed, 2)):
         composed = flow_images(g, s, flow_images(g, t, x))
         defects = _norms(flow_images(g, s + t, x) - composed) / (1.0 + _norms(x))
         worst = max(worst, np.max(defects))
@@ -281,28 +308,37 @@ def check_planar_family(seed: int = 42) -> CheckResult:
     )
 
 
-def check_fundamental_agreement(seed: int = 42) -> CheckResult:
-    """Difference-quotient fundamental fields against the closed forms for
-    all five catalog actions, 100 random (X, x) pairs each; bound
-    1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
-    det-weighted by (n, q)) form a stack: one ``actions._fundamental_rows``
-    call, and one row product for the closed forms X x, (X_vec . s) x or
-    (X_mat + q trace(X_mat) I) x."""
-    rng = _rng(seed, 5)
-    cases = {}  # (variant, n, "s" or "q" or None, its value): [(generator, x), ...]
+def _fundamental_draws(rng) -> dict:
+    """Check 5's stacks {(variant, n, "s" or "q" or None, its value):
+    (generators, x)}: a case draws n, s or q, then one ``rng.random`` for its
+    generator (in [-1, 1], outside the algebra zeroed) and x (in [-2, 2])."""
+    cases = {}
     for variant, record in ga.VARIANTS.items():
         for _ in range(100):
             n = int(rng.integers(1, 4))
             value = (tuple(rng.uniform(-1.5, 1.5, size=n)) if record.param == "s"
                      else int(rng.integers(0, 4)) if record.param == "q" else None)
-            g = _generator(rng.uniform(-1.0, 1.0, size=(n, n)), rng.uniform(-1.0, 1.0, size=n))
-            if record.kind in ga._SUBGROUPS:  # zero the block outside the algebra
-                g[ga._SUBGROUPS[record.kind][0]] = 0.0
             key = (variant, n, record.param, value)
-            cases.setdefault(key, []).append((g, rng.uniform(-2.0, 2.0, size=n)))
-    worst = 0.0
+            cases.setdefault(key, []).append(rng.random(n * n + 2 * n))
+    draws = {}
     for (variant, n, param, value), drawn in cases.items():
-        g, x = map(np.array, zip(*drawn))
+        u = np.array(drawn)
+        g, kind = _block_generators(u, n, -1.0, 1.0), ga.VARIANTS[variant].kind
+        if kind in ga._SUBGROUPS:  # zero the block outside the algebra
+            g[ga._SUBGROUPS[kind][0]] = 0.0
+        draws[variant, n, param, value] = (g, _uniform(u[:, n * n + n :], -2.0, 2.0))
+    return draws
+
+
+def check_fundamental_agreement(seed: int = 42) -> CheckResult:
+    """Difference-quotient fundamental fields against the closed forms for
+    all five catalog actions, 100 random (X, x) pairs each; bound
+    1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
+    det-weighted by (n, q)) form a stack (``_fundamental_draws``): one
+    ``actions._fundamental_rows`` call, and one row product for the closed
+    forms X x, (X_vec . s) x or (X_mat + q trace(X_mat) I) x."""
+    worst = 0.0
+    for (variant, n, param, value), (g, x) in _fundamental_draws(_rng(seed, 5)).items():
         action = ga.GroupAction(variant, n, **({param: value} if param else {}))
         c, b = g[:, :n, :n], g[:, :n, n]
         if param == "s":
@@ -425,17 +461,12 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
 
 def check_rk4_order(seed: int = 42) -> CheckResult:
     """Halving the RK4 step against the closed-form flow must show fourth
-    order: measured exponent >= 3.7 on 20 random affine fields, drawn into
-    per-dimension stacks.  The references take one ``flow_images`` call per
+    order: measured exponent >= 3.7 on 20 random affine fields, each field
+    and its start one ``rng.random`` call, into per-dimension stacks
+    (``_field_blocks``).  The references take one ``flow_images`` call per
     dimension, and each step length one four-stage ``integrate`` of all 20
     fields as one stacked homogeneous state."""
-    rng = _rng(seed, 9)
-    cases = {}
-    for _ in range(20):
-        n = int(rng.integers(2, 5))
-        g = _random_generator(rng, n)
-        cases.setdefault(n, []).append((g, rng.uniform(-2.0, 2.0, size=(1, n))))
-    blocks = _stacks(cases)
+    blocks = _field_blocks(_rng(seed, 9), 20, (2, 5), 1)
     references = [flow_images(g, np.ones(len(g)), x[:, 0]) for g, x in blocks]
     g_t, state = _homogeneous_stack(blocks)
     errors = []
@@ -455,12 +486,44 @@ def check_rk4_order(seed: int = 42) -> CheckResult:
     )
 
 
-def _singular_matrix(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random rank n-1 matrix plus a unit vector spanning its null space."""
-    a = rng.uniform(-2.0, 2.0, size=(n, n))
+def _singular_matrix(a) -> tuple[np.ndarray, np.ndarray]:
+    """The rank n-1 matrix of ``a`` with its least singular value zeroed,
+    plus a unit vector spanning its null space."""
     u, sigma, vt = np.linalg.svd(a)
     sigma[-1] = 0.0
     return (u * sigma) @ vt, vt[-1]
+
+
+def _degenerate_draws(rng) -> tuple[list, list]:
+    """Check 10's stacks of (generator, t, x, U, U + null vector), 3 cases for
+    each of 50 fields whose B = -C anchor has an entry of at least 0.1 (C and
+    anchor one ``rng.random`` call, the cases one more), then the blocks of
+    ``_draw_blocks`` of 50 fields with no fixed point and their starts."""
+    cases = {}
+    fields = 0
+    while fields < 50:
+        n = int(rng.integers(2, 5))
+        v = _uniform(rng.random(n * n + n), -2.0, 2.0)
+        c, null_vec = _singular_matrix(v[: n * n].reshape(n, n))
+        b = -(c @ v[n * n :])
+        if np.max(np.abs(b)) < 0.1:
+            continue
+        fields += 1
+        g = _generator(c, b)
+        u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
+        u = rng.random((3, n + 1))
+        for t, x in zip(_uniform(u[:, 0], -1.0, 1.0), _uniform(u[:, 1:], -2.0, 2.0)):
+            cases.setdefault(n, []).append((g, t, x, u0, u0 + null_vec))
+    blocks = []
+    for n, u in _draw_blocks(rng, 50, (2, 5), lambda n: n * n + 2 * n + 1):
+        a = _uniform(u[:, : n * n], -2.0, 2.0).reshape(-1, n, n)
+        c = np.array([_singular_matrix(m)[0] for m in a])
+        # b has a component along the left null vector, so C U + B = 0 has
+        # no solution.
+        left_null = np.array([np.linalg.svd(m)[0][:, -1] for m in c])
+        b = _uniform(u[:, n * n : -n - 1], -1.0, 1.0) + left_null * _uniform(u[:, -n - 1 : -n], 0.5, 1.5)
+        blocks.append((_generator(c, b), _uniform(u[:, -n:], -2.0, 2.0)[:, None]))
+    return _stacks(cases), blocks
 
 
 def check_degenerate_flows(seed: int = 42) -> CheckResult:
@@ -469,45 +532,20 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
     by a null vector (1e-10); when none exists, it must match RK4 (1e-6),
     run on those 50 fields as one stacked homogeneous state by a batched
     power of the RK4 increment matrices.  Both ensembles are drawn into
-    per-dimension stacks; their flows take one ``flow_images`` call per
-    dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
+    per-dimension stacks, each field's doubles in one or two ``rng.random``
+    calls (``_degenerate_draws``); their flows take one ``flow_images`` call
+    per dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
     norms one call per dimension and term."""
-    rng = _rng(seed, 10)
-    cases = {}  # n: [(generator, t, x, U, U + null vector)], 3 for each of 50 fields
-    fields = 0
-    while fields < 50:
-        n = int(rng.integers(2, 5))
-        c, null_vec = _singular_matrix(rng, n)
-        anchor = rng.uniform(-2.0, 2.0, size=n)
-        b = -(c @ anchor)
-        if np.max(np.abs(b)) < 0.1:
-            continue
-        fields += 1
-        g = _generator(c, b)
-        u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
-        for _ in range(3):
-            t = rng.uniform(-1.0, 1.0)
-            x = rng.uniform(-2.0, 2.0, size=n)
-            cases.setdefault(n, []).append((g, t, x, u0, u0 + null_vec))
+    cases, blocks = _degenerate_draws(_rng(seed, 10))
     worst_pair = 0.0
-    for g, t, x, *fixed in _stacks(cases):
+    for g, t, x, *fixed in cases:
         n = x.shape[1]
         images = flow_images(g, t, x)
         e = mat_exp(t[:, None, None] * g[:, :n, :n])
         for u in fixed:
             paper = (e @ (x - u)[..., None])[..., 0] + u
             worst_pair = max(worst_pair, np.max(_norms(images - paper)))
-
-    cases = {}
-    for _ in range(50):
-        n = int(rng.integers(2, 5))
-        c, _ = _singular_matrix(rng, n)
-        left_null = np.linalg.svd(c)[0][:, -1]
-        # b has a component along the left null vector, so C U + B = 0 has
-        # no solution.
-        b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
-        cases.setdefault(n, []).append((_generator(c, b), rng.uniform(-2.0, 2.0, size=(1, n))))
-    worst_oracle = max(np.max(defects) for _, defects in _rk4_defects(_stacks(cases)))
+    worst_oracle = max(np.max(defects) for _, defects in _rk4_defects(blocks))
 
     return _bounded(
         "degenerate-flow-consistency",

@@ -645,6 +645,20 @@ class TestErrorHandling:
         assert code == 2
         assert "cannot parse point" in err
 
+    @pytest.mark.parametrize("command", ["validate", "verify-invariants", "check-action"])
+    def test_negative_seed_is_named(self, capsys, tmp_path, command):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 2, "C": [[0, 0], [0, 0]], "B": [2, 4]}))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(json.dumps({"family": "constant", "G": {"kind": "slot", "index": 1}}))
+        argv = {
+            "validate": [],
+            "verify-invariants": ["--field", str(field), "--bundle", str(bundle)],
+            "check-action": ["--action", "standard-linear"],
+        }[command]
+        code, out, err = run_cli(capsys, command, *argv, "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be an integer >= 0, not -1\n")
+
 
 # The whole stdout of ``validate --seed 7``: every check's worst defect and
 # bound, then the summary line.

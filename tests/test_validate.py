@@ -1,6 +1,7 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
 checks 1, 2, 8, 9 and 10, and the per-action stacks of check 5, against one
-case at a time."""
+case at a time; and the block draws of checks 1, 2, 5, 9 and 10, one
+generator call per case, against one ``rng.uniform`` call per value."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from affine_fields.invariants import constant_field_bundle
 from affine_fields.linalg import mat_exp, solve_linear
 from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
 from affine_fields.validate import (
+    _degenerate_draws,
+    _field_blocks,
+    _fundamental_draws,
+    _group_law_draws,
     _random_reshaping,
     _singular_matrix,
     _stacked_rk4_ends,
@@ -149,7 +154,7 @@ def _degenerate_detail_case_by_case(seed):
     fields = 0
     while fields < 50:
         n = int(rng.integers(2, 5))
-        c, null_vec = _singular_matrix(rng, n)
+        c, null_vec = _singular_matrix(rng.uniform(-2.0, 2.0, size=(n, n)))
         anchor = rng.uniform(-2.0, 2.0, size=n)
         b = -(c @ anchor)
         if np.max(np.abs(b)) < 0.1:
@@ -168,7 +173,7 @@ def _degenerate_detail_case_by_case(seed):
     fields, starts = [], []
     for _ in range(50):
         n = int(rng.integers(2, 5))
-        c, _ = _singular_matrix(rng, n)
+        c, _ = _singular_matrix(rng.uniform(-2.0, 2.0, size=(n, n)))
         left_null = np.linalg.svd(c)[0][:, -1]
         b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
         fields.append(AffineField(c, b))
@@ -257,3 +262,112 @@ CASE_BY_CASE = [
 )
 def test_stacked_check_is_the_case_by_case_check(check, reference, seed):
     assert check(seed).detail == reference(seed)
+
+
+def _by_dimension(cases):
+    """{n: [(value, ...), ...]} as one tuple of stacked values per n, in
+    increasing n."""
+    return [tuple(map(np.array, zip(*cases[n]))) for n in sorted(cases)]
+
+
+def _fields_per_call(rng, count, dims, starts):
+    """Checks 1 and 9 with one ``rng.uniform`` call per value: C, B, then
+    the starts."""
+    cases = {}
+    for _ in range(count):
+        n = int(rng.integers(*dims))
+        g = random_affine_field(rng, n).matrix
+        cases.setdefault(n, []).append((g, rng.uniform(-2.0, 2.0, size=(starts, n))))
+    return _by_dimension(cases)
+
+
+def _group_law_per_call(rng):
+    """Check 2 with one ``rng.uniform`` call per value: C, B, then (s, t)
+    and x per case."""
+    cases = {}
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        g = random_affine_field(rng, n).matrix
+        for _ in range(3):
+            s, t = rng.uniform(-1.0, 1.0, size=2)
+            cases.setdefault(n, []).append((g, s, t, rng.uniform(-2.0, 2.0, size=n)))
+    return _by_dimension(cases)
+
+
+def _fundamental_per_call(rng):
+    """Check 5 with one ``rng.uniform`` call per value after n and s or q:
+    the generator's matrix and vector parts, then x."""
+    cases = {}
+    for variant, record in ga.VARIANTS.items():
+        for _ in range(100):
+            n = int(rng.integers(1, 4))
+            value = (tuple(rng.uniform(-1.5, 1.5, size=n)) if record.param == "s"
+                     else int(rng.integers(0, 4)) if record.param == "q" else None)
+            g = _random_tangent(rng, record.kind, n).matrix
+            key = (variant, n, record.param, value)
+            cases.setdefault(key, []).append((g, rng.uniform(-2.0, 2.0, size=n)))
+    return {key: tuple(map(np.array, zip(*drawn))) for key, drawn in cases.items()}
+
+
+def _degenerate_per_call(rng):
+    """Check 10 with one ``rng.uniform`` call per value, each field's matrix
+    before its SVD, with the same rejections."""
+    cases = {}
+    fields = 0
+    while fields < 50:
+        n = int(rng.integers(2, 5))
+        c, null_vec = _singular_matrix(rng.uniform(-2.0, 2.0, size=(n, n)))
+        b = -(c @ rng.uniform(-2.0, 2.0, size=n))
+        if np.max(np.abs(b)) < 0.1:
+            continue
+        fields += 1
+        u0, _ = solve_linear(c, -b)
+        for _ in range(3):
+            t = rng.uniform(-1.0, 1.0)
+            x = rng.uniform(-2.0, 2.0, size=n)
+            cases.setdefault(n, []).append((AffineField(c, b).matrix, t, x, u0, u0 + null_vec))
+    blocks = {}
+    for _ in range(50):
+        n = int(rng.integers(2, 5))
+        c, _ = _singular_matrix(rng.uniform(-2.0, 2.0, size=(n, n)))
+        left_null = np.linalg.svd(c)[0][:, -1]
+        b = rng.uniform(-1.0, 1.0, size=n) + left_null * rng.uniform(0.5, 1.5)
+        blocks.setdefault(n, []).append((AffineField(c, b).matrix, rng.uniform(-2.0, 2.0, size=(1, n))))
+    return _by_dimension(cases), _by_dimension(blocks)
+
+
+def _assert_same_bits(got, want):
+    """Equal nesting, and arrays equal in dtype, shape, value and sign bit."""
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_bits(a, b)
+        return
+    got, want = np.asarray(got), np.asarray(want)
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+BLOCK_DRAWS = {
+    "check-1": (1, lambda rng: _field_blocks(rng, 500, (1, 7), 3),
+                lambda rng: _fields_per_call(rng, 500, (1, 7), 3)),
+    "check-2": (2, _group_law_draws, _group_law_per_call),
+    "check-5": (5, _fundamental_draws, _fundamental_per_call),
+    "check-9": (9, lambda rng: _field_blocks(rng, 20, (2, 5), 1),
+                lambda rng: _fields_per_call(rng, 20, (2, 5), 1)),
+    "check-10": (10, _degenerate_draws, _degenerate_per_call),
+}
+
+
+@pytest.mark.parametrize("seed", [*range(10), 42, 2006])
+@pytest.mark.parametrize("check", BLOCK_DRAWS)
+def test_block_draws_are_the_per_call_draws(check, seed):
+    salt, draws, per_call = BLOCK_DRAWS[check]
+    block, loop = np.random.default_rng([seed, salt]), np.random.default_rng([seed, salt])
+    got, want = draws(block), per_call(loop)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        got, want = list(got.values()), list(want.values())
+    _assert_same_bits(got, want)
+    assert block.bit_generator.state == loop.bit_generator.state
