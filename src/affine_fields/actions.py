@@ -561,11 +561,11 @@ def _random_samples(action: GroupAction, rng: np.random.Generator, k: int) -> tu
     matrices of g1 and g2, bit for bit as k rounds of the point (+-2, or the
     chart's box as Chart.sample draws it), then _random_matrix twice.
 
-    One rng.uniform call draws the block, each row laid out in that order
-    with per-position bounds; Generator.uniform forms low + (high - low) u
-    on its scalar and array paths alike, so the doubles are the same.  When
-    some matrix part would have been redrawn, the generator goes back to
-    the block's start and the block is drawn one sample at a time.
+    One rng.random call draws the block, each row laid out in that order,
+    and maps it as low + (high - low) u with per-position bounds, the
+    doubles Generator.uniform forms from the same u.  When some matrix part
+    would have been redrawn, the generator goes back to the block's start
+    and the block is drawn one sample at a time.
     """
     n, kind, chart = action.n, action.group_kind, action.chart
     # Flat positions in an element matrix, in _random_matrix's order: the
@@ -577,7 +577,7 @@ def _random_samples(action: GroupAction, rng: np.random.Generator, k: int) -> tu
     low, high = (np.full(n, -2.0), np.full(n, 2.0)) if chart is None else chart.box
     low, high = np.concatenate([low, -scale]), np.concatenate([high, scale])
     state = rng.bit_generator.state
-    u = rng.uniform(low, high, size=(k, low.size))
+    u = low + (high - low) * rng.random((k, low.size))
     x, g = u[:, :n], np.tile(_identity(n), (2, k, 1, 1))
     g.reshape(2, k, -1)[..., drawn] += u[:, n:].reshape(k, 2, -1).swapaxes(0, 1)
     if (kind != TRANSLATION_GROUP

@@ -50,8 +50,20 @@ def fmt_float(value: float) -> str:
     return r[:-2] if r.endswith(".0") else r
 
 
-def _fmt_vector(vec) -> str:
-    return " ".join(fmt_float(v) for v in np.asarray(vec).ravel())
+FORMAT_BLOCK_ROWS = 1024  # rows per %-format in _fmt_blocks
+
+
+def _fmt_blocks(parts: list, sep: str):
+    """Rows of the 2-D float arrays ``parts`` side by side as fmt_float text,
+    values joined by ``sep`` and rows by newlines, a block of rows at a time.
+    Each block is stacked and takes one %r format; repr ends a number in ".0"
+    only when it is integral and below 1e16, the case fmt_float cuts."""
+    line = sep.join(["%r"] * sum(part.shape[1] for part in parts)) + "\n"
+    for lo in range(0, len(parts[0]), FORMAT_BLOCK_ROWS):
+        block = np.hstack([part[lo:lo + FORMAT_BLOCK_ROWS] for part in parts])
+        text = line * len(block) % tuple(block.ravel().tolist())
+        text = text.replace(".0" + sep, sep).replace(".0\n", "\n")
+        yield text if lo + FORMAT_BLOCK_ROWS < len(parts[0]) else text[:-1]
 
 
 def _load_json(path: str) -> dict:
@@ -93,7 +105,7 @@ def _cmd_flow(args) -> int:
     if args.format == "json":
         _print_json({"t": args.t, "point": point.tolist(), "image": image.tolist()})
     else:
-        print(_fmt_vector(image))
+        print("".join(_fmt_blocks([image.reshape(1, -1)], " ")))
     return 0
 
 
@@ -106,9 +118,9 @@ def _cmd_orbit(args) -> int:
     with np.errstate(invalid="ignore", over="ignore"):
         grid = np.linspace(args.t0, args.t1, args.steps + 1)
     path = orbit(make_flow(field), point, grid)
-    rows = np.column_stack([path.times, path.points]).tolist()
     header = "t," + ",".join(f"u{i}" for i in range(1, field.n + 1))
-    print("\n".join([header] + [",".join(map(fmt_float, row)) for row in rows]))
+    blocks = _fmt_blocks([path.times[:, None], path.points], ",")
+    print("".join([header + "\n", *blocks]))
     return 0
 
 

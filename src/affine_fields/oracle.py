@@ -52,7 +52,13 @@ def _rk4_increment(rhs, y, h):
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
-    return (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    total = k1 + 2.0 * (k2 + k3) + k4
+    if np.all(np.isfinite(total)):
+        return (h / 6.0) * total
+    # The sum of the stages can overflow a step before the state does: then
+    # each stage takes its weight first.
+    w = h / 6.0
+    return w * k1 + (2.0 * w) * k2 + (2.0 * w) * k3 + w * k4
 
 
 def _steps(problem: OdeProblem) -> tuple[float, int, float]:
@@ -86,7 +92,9 @@ def _march(problem: OdeProblem, advance) -> np.ndarray:
 
 def integrate(problem: OdeProblem) -> np.ndarray:
     """Classical RK4 with fixed step; the last step is shortened to land
-    exactly on t_end.  Global error is O(step^4)."""
+    exactly on t_end.  Global error is O(step^4).  A stage value that is not
+    finite makes its step's state not finite, so a blow-up can be reported
+    a step or two before ``integrate_linear``, which forms no stage value."""
     return _march(problem, lambda y, h: y + _rk4_increment(problem.rhs, y, h))
 
 

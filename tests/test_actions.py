@@ -533,6 +533,68 @@ class TestStackedAct:
             assert block.bit_generator.state == loop.bit_generator.state
         assert fell_back == {False, True}
 
+    @staticmethod
+    def _uniform_samples(action, rng, k):
+        """_random_samples with its block drawn by one rng.uniform call with
+        per-position bounds, then the same fall-back to one sample at a time:
+        the draw that the rng.random mapping replaces."""
+        n, kind = action.n, action.group_kind
+        drawn = [i * (n + 1) + n for i in range(n)] if kind != ga.GENERAL_LINEAR else []
+        if kind != ga.TRANSLATION_GROUP:
+            drawn += [i * (n + 1) + j for i in range(n) for j in range(n)]
+        scale = np.full(2 * len(drawn), ga._sample_scale(action))
+        low, high = ((np.full(n, -2.0), np.full(n, 2.0)) if action.chart is None
+                     else action.chart.box)
+        low, high = np.concatenate([low, -scale]), np.concatenate([high, scale])
+        state = rng.bit_generator.state
+        u = rng.uniform(low, high, size=(k, low.size))
+        x, g = u[:, :n], np.tile(np.eye(n + 1), (2, k, 1, 1))
+        g.reshape(2, k, -1)[..., drawn] += u[:, n:].reshape(k, 2, -1).swapaxes(0, 1)
+        if kind != ga.TRANSLATION_GROUP and np.any(
+                abs(np.linalg.det(g[..., :n, :n])) <= ga.MIN_SAMPLE_DET):
+            rng.bit_generator.state = state
+            for i in range(k):
+                x[i] = (rng.uniform(-2.0, 2.0, size=n) if action.chart is None
+                        else action.chart.sample(rng))
+                g[:, i] = ga._random_matrix(action, rng), ga._random_matrix(action, rng)
+        return x, g
+
+    def _assert_draws_as_uniform(self, action, seed, k):
+        mapped, uniform = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, g = ga._random_samples(action, mapped, k)
+        want_x, want_g = self._uniform_samples(action, uniform, k)
+        assert x.tobytes() == want_x.tobytes(), action.describe()
+        assert g.tobytes() == want_g.tobytes(), action.describe()
+        assert mapped.bit_generator.state == uniform.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    def test_block_is_the_uniform_call_bit_for_bit(self, n):
+        # Every catalog action and the chart-conjugated ones, whose boxes
+        # give the point positions bounds other than +-2.
+        rng = np.random.default_rng(80 + n)
+        for action in _every_action(rng, n):
+            for _ in range(5):
+                seed = int(rng.integers(0, 2**31))
+                for k in (1, 40, max(1, ga.ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)):
+                    self._assert_draws_as_uniform(action, seed, k)
+
+    def test_fallen_back_block_is_the_uniform_call_bit_for_bit(self, monkeypatch):
+        # Under a rejection threshold of 0.5 a block of 40 samples at n = 3
+        # has some matrix part to redraw, so it is drawn one sample at a time.
+        monkeypatch.setattr(ga, "MIN_SAMPLE_DET", 0.5)
+        draw, per_sample = ga._random_matrix, [0]
+
+        def counted(action, rng):
+            per_sample[0] += 1
+            return draw(action, rng)
+
+        monkeypatch.setattr(ga, "_random_matrix", counted)
+        for action in (ga.standard_affine_action(3), ga.standard_linear_action(3)):
+            before = per_sample[0]
+            ga._random_samples(action, np.random.default_rng(5), 40)
+            assert per_sample[0] > before
+            self._assert_draws_as_uniform(action, 5, 40)
+
     @pytest.mark.parametrize("samples", [0, -1, 2.0, 2.5, True, False, "2", None,
                                          np.float64(3.0)])
     def test_samples_must_be_an_integer_of_at_least_one(self, samples):

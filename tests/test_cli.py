@@ -8,9 +8,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affine_fields import AffineField
-from affine_fields.cli import _scalar_field_from_json, fmt_float, main
+from affine_fields.cli import (
+    FORMAT_BLOCK_ROWS,
+    _fmt_blocks,
+    _scalar_field_from_json,
+    fmt_float,
+    main,
+)
 from affine_fields.flows import make_flow, orbit
 
 PLANAR_FIELD = {"n": 2, "C": [[0.0, 0.0], [2.0, 0.0]], "B": [1.0, 0.0]}
@@ -38,6 +46,41 @@ class TestFloatFormat:
         assert fmt_float(0.1) == "0.1"
         assert float(fmt_float(1.0 / 3.0)) == 1.0 / 3.0
         assert fmt_float(1e22) == "1e+22"
+
+
+# Values whose text is a corner of fmt_float's rule: -0.0, integral values
+# below and at 1e16 (where repr stops writing ".0"), the least subnormal, an
+# exponent form, and the non-finite ones.
+CORNER_FLOATS = [-0.0, 0.0, 1.0, -3.0, 1e15, 1e16, -1e16, 9007199254740993.0, 5e-324,
+                 1e22, 1e-300, 0.1, math.nan, math.inf, -math.inf]
+
+
+def _per_value_lines(table, sep):
+    return [sep.join(map(fmt_float, row)) for row in table.tolist()]
+
+
+class TestFormatRows:
+    # The block formatter against fmt_float value by value, on tables that
+    # end inside, at and just past a block, with values tiled from one pool.
+    # Lines are compared as lists: a diff of two long strings takes minutes.
+    @pytest.mark.parametrize("rows", [1, FORMAT_BLOCK_ROWS - 1, FORMAT_BLOCK_ROWS,
+                                      FORMAT_BLOCK_ROWS + 1, 2 * FORMAT_BLOCK_ROWS + 1])
+    @settings(derandomize=True, deadline=None, max_examples=20, database=None)
+    @given(
+        pool=st.lists(st.one_of(st.sampled_from(CORNER_FLOATS), st.floats(),
+                                st.integers(-2**60, 2**60).map(float)),
+                      min_size=1, max_size=40),
+        width=st.integers(1, 7),
+        sep=st.sampled_from([",", " "]),
+    )
+    def test_text_is_fmt_float_value_by_value(self, rows, pool, width, sep):
+        table = np.resize(np.array(pool), (rows, width))
+        assert "".join(_fmt_blocks([table], sep)).split("\n") == _per_value_lines(table, sep)
+
+    def test_every_corner_value(self):
+        table = np.array(CORNER_FLOATS).reshape(-1, 1)
+        assert "".join(_fmt_blocks([table], ",")).split("\n") == _per_value_lines(table, ",")
+        assert "".join(_fmt_blocks([table.T], " ")) == _per_value_lines(table.T, " ")[0]
 
 
 class TestFlowCommand:
@@ -164,6 +207,30 @@ class TestOrbitCommand:
         assert out == "\n".join(lines) + "\n"
         assert "\n0,-0," in out
         assert "\n4," in out
+
+    def test_long_csv_matches_per_value_formatting(self, capsys, tmp_path):
+        # 10^4 intervals at n = 6 span ten blocks of rows.  The last two
+        # coordinates stay at the start, -0.0 and 3.0, and the times from
+        # -5000 to 5000 are integral, so every row has values without ".0".
+        rng = np.random.default_rng(6)
+        c = np.zeros((6, 6))
+        c[:4, :4] = rng.uniform(-0.01, 0.01, (4, 4))
+        c[:4, :4] -= c[:4, :4].T
+        field = AffineField(c, np.append(rng.uniform(-1.0, 1.0, 4), [0.0, 0.0]))
+        path = tmp_path / "field.json"
+        path.write_text(json.dumps(field.to_dict()))
+        code, out, err = run_cli(capsys, "orbit", "--field", str(path),
+                                 "--point", "0.5,-1,0.25,2,-0.0,3",
+                                 "--t0", "-5000", "--t1", "5000", "--steps", "10000")
+        assert (code, err) == (0, "")
+        lib = orbit(make_flow(field), [0.5, -1.0, 0.25, 2.0, -0.0, 3.0],
+                    np.linspace(-5000.0, 5000.0, 10_001))
+        lines = out.split("\n")
+        assert lines[0] == "t,u1,u2,u3,u4,u5,u6" and lines[-1] == ""
+        assert len(lines) == 10_003
+        for line, t, row in zip(lines[1:], lib.times, lib.points):
+            assert line == ",".join(map(fmt_float, [t, *row]))
+        assert lines[5001].startswith("0,") and lines[5001].endswith(",-0,3")
 
     @pytest.mark.parametrize("spelling", [("--point", "-1,2"), ("--point=-1,2",)])
     def test_negative_first_coordinate(self, capsys, planar_field_file, spelling):

@@ -179,6 +179,36 @@ def test_linear_blow_up_fails_at_the_time_integrate_does(rate):
     assert 0.0 < linear.value.time == stage.value.time < 3000.0
 
 
+@pytest.mark.parametrize("rate, step, sum_overflows", [(50.0, 0.05, True), (1e4, 1e-3, False)])
+def test_blow_up_ends_at_the_first_non_finite_stage(rate, step, sum_overflows):
+    # At rate * step = 2.5 or 10 the stages exceed the next state.  A step
+    # whose stages are finite goes on even when their sum k1 + 2(k2 + k3) + k4
+    # is not (at rate 50 one step does); the march ends at the first step
+    # with a stage the rhs cannot give, and integrate_linear, which forms no
+    # stage of the state, one step later, when the state itself overflows.
+    rhs = _linear_rhs(np.array([[rate]]))
+    problem = OdeProblem(rhs, [1.0], 1000 * step, step)
+    with pytest.raises(DivergenceError) as stage:
+        integrate(problem)
+    with pytest.raises(DivergenceError) as linear:
+        integrate_linear(problem)
+    y, sums = problem.start, []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, 1000):
+            k1 = rhs(y)
+            k2 = rhs(y + 0.5 * step * k1)
+            k3 = rhs(y + 0.5 * step * k2)
+            k4 = rhs(y + step * k3)
+            if not np.all(np.isfinite([k1, k2, k3, k4])):
+                break
+            sums.append(np.all(np.isfinite(k1 + 2.0 * (k2 + k3) + k4)))
+            y = y + _rk4_increment(rhs, y, step)
+            assert np.all(np.isfinite(y))
+    assert (not all(sums)) == sum_overflows
+    assert stage.value.time == k * step
+    assert linear.value.time == (k + 1) * step
+
+
 def _march_by_increment(rhs, start, h, steps, tail):
     """y <- y + y D, step by step: the march the squared power replaces."""
     eye = np.eye(start.shape[-1])
