@@ -8,7 +8,7 @@ planar affine family, and numerically verifies user-supplied candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,11 +33,19 @@ class ScalarField:
 
     When ``grad`` is omitted, gradients fall back to central finite
     differences with per-coordinate step FD_STEP * (1 + |x_i|).
+
+    The fn and grad of the package's own functions (constant_field_bundle's
+    and planar_affine_family's) also take a (k, n) stack of points, bit for
+    bit row by row, and verify_bundle and validation call them so.  An F or
+    G of constant_field_bundle is then called once per row (or perturbed
+    row) and its results stacked after the calls, so it must return a fresh
+    value on each call.
     """
 
     n: int
     fn: Callable[[np.ndarray], float]
     grad: Callable[[np.ndarray], np.ndarray] | None = None
+    _stack: bool = dataclass_field(default=False, init=False, repr=False, compare=False)
 
     def value(self, x) -> float:
         p = _real(x, "point", self.n, finite=None)
@@ -56,6 +64,65 @@ class ScalarField:
             down[i] -= h
             out[i] = (self.fn(up) - self.fn(down)) / (2.0 * h)
         return out
+
+
+def _stacked(n: int, fn, grad) -> ScalarField:
+    """A ScalarField whose fn and grad also take a (k, n) stack of points."""
+    f = ScalarField(n, fn, grad)
+    object.__setattr__(f, "_stack", True)
+    return f
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of (..., m) stacks, as 1 x m by m x 1
+    products, which round as np.dot does (a matrix-vector product does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _differences(fn, points: np.ndarray) -> np.ndarray:
+    """ScalarField.gradient's central differences at each row of ``points``:
+    the same steps, perturbed points and quotients, fn called in the same
+    order."""
+    k, n = points.shape
+    h = FD_STEP * (1.0 + np.abs(points))
+    moved = np.repeat(points[:, None, None, :], 2 * n, axis=1).reshape(k, n, 2, n)
+    i = np.arange(n)
+    moved[:, i, 0, i] += h
+    moved[:, i, 1, i] -= h
+    f = np.asarray([fn(x) for x in moved.reshape(-1, n)]).reshape(k, n, 2)
+    return (f[..., 0] - f[..., 1]) / (2.0 * h)
+
+
+def _values(f: ScalarField, points: np.ndarray) -> np.ndarray:
+    """f at each row of the (k, n) stack ``points`` (at a 1-D point,
+    ``f.value`` itself), bit for bit ``f.value`` row by row: one fn call for
+    the package's functions, else one per row, coerced once.  An exception
+    or a result of the wrong size redoes the ``f.value`` calls, which raise
+    the first failing row's error."""
+    if points.ndim == 1:
+        return f.value(points)
+    try:
+        out = f.fn(points) if f._stack else _real([f.fn(x) for x in points], "value", finite=None)
+        return out.reshape(len(points))
+    except Exception:
+        return np.array([f.value(x) for x in points])
+
+
+def _gradients(f: ScalarField, points: np.ndarray) -> np.ndarray:
+    """``_values`` for ``f.gradient``; without grad, the central differences
+    of the whole stack."""
+    if points.ndim == 1:
+        return f.gradient(points)
+    try:
+        if f._stack:
+            out = f.grad(points)
+        elif f.grad is not None:
+            out = [f.grad(x) for x in points]
+        else:
+            out = _differences(f.fn, points)
+        return _real(out, "gradient", finite=None).reshape(len(points), f.n)
+    except Exception:
+        return np.array([f.gradient(x) for x in points])
 
 
 def directional_derivative(field: AffineField, f: ScalarField, x) -> float:
@@ -83,7 +150,7 @@ class InvariantBundle:
 
 
 def _zero_scalar(n: int) -> ScalarField:
-    return ScalarField(n, lambda xi: 0.0, grad=lambda xi: np.zeros(n))
+    return _stacked(n, lambda p: np.zeros(p.shape[:-1]), lambda p: np.zeros(p.shape))
 
 
 def constant_field_bundle(
@@ -121,31 +188,21 @@ def constant_field_bundle(
     ratios = vec[others] / bp
 
     def xi(p: np.ndarray) -> np.ndarray:
-        return p[others] - p[pivot] * ratios
+        return p[..., others] - p[..., pivot, None] * ratios
 
     def lift_grad(inner_grad: np.ndarray, pivot_term: float) -> np.ndarray:
-        g = np.zeros(n)
-        g[others] = inner_grad
-        g[pivot] = pivot_term - float(np.dot(inner_grad, ratios))
+        g = np.zeros(inner_grad.shape[:-1] + (n,))
+        g[..., others] = inner_grad
+        g[..., pivot] = pivot_term - _dots(inner_grad, ratios)
         return g
 
-    def s_fn(p: np.ndarray) -> float:
-        return p[pivot] / bp + F.value(xi(p))
-
-    def s_grad(p: np.ndarray) -> np.ndarray:
-        return lift_grad(F.gradient(xi(p)), 1.0 / bp)
-
     def make_invariant(g: ScalarField) -> ScalarField:
-        def i_fn(p: np.ndarray) -> float:
-            return g.value(xi(p))
-
-        def i_grad(p: np.ndarray) -> np.ndarray:
-            return lift_grad(g.gradient(xi(p)), 0.0)
-
-        return ScalarField(n, i_fn, grad=i_grad)
+        return _stacked(n, lambda p: _values(g, xi(p)),
+                        lambda p: lift_grad(_gradients(g, xi(p)), 0.0))
 
     field = AffineField(np.zeros((n, n)), vec)
-    s = ScalarField(n, s_fn, grad=s_grad)
+    s = _stacked(n, lambda p: p[..., pivot] / bp + _values(F, xi(p)),
+                 lambda p: lift_grad(_gradients(F, xi(p)), 1.0 / bp))
     return InvariantBundle(field, s, tuple(make_invariant(g) for g in gs))
 
 
@@ -163,15 +220,12 @@ def planar_affine_family(alpha: float, beta: float, gamma: float):
         np.array([[0.0, 0.0], [2.0 * beta, 0.0]]),
         np.array([alpha, gamma]),
     )
-    s = ScalarField(
+    # np.float_power rounds as ** on a numpy float; ** on an array may not.
+    s = _stacked(2, lambda p: p[..., 0] / alpha, lambda p: np.full(p.shape, [1.0 / alpha, 0.0]))
+    inv = _stacked(
         2,
-        lambda p: p[0] / alpha,
-        grad=lambda p: np.array([1.0 / alpha, 0.0]),
-    )
-    inv = ScalarField(
-        2,
-        lambda p: alpha * p[1] - beta * p[0] ** 2 - gamma * p[0],
-        grad=lambda p: np.array([-2.0 * beta * p[0] - gamma, alpha]),
+        lambda p: alpha * p[..., 1] - beta * np.float_power(p[..., 0], 2) - gamma * p[..., 0],
+        lambda p: np.stack([-2.0 * beta * p[..., 0] - gamma, np.full(p.shape[:-1], alpha)], -1),
     )
     return field, InvariantBundle(field, s, (inv,))
 
@@ -274,26 +328,38 @@ def verify_bundle(
     invariants report jacobian_ok = False).  ``sample_count`` is an int or
     numpy integer >= 1, and ``seed`` one >= 0, neither a bool.
 
-    Each point takes each function's gradient once; that gradient gives both
-    the defect |grad . X(x) - c|, as directional_derivative would, and the
-    function's Jacobian row.  One stacked SVD ranks all the Jacobians; a
-    non-finite row is refused at its point, as ``rank`` refuses it."""
+    The package's own functions (see ScalarField) take their gradients at
+    all the points in one call, any other one per point, in the per-point
+    order and with its errors.  A gradient gives both the defect
+    |grad . X(x) - c|, its dot product rounded as np.dot's, and a Jacobian
+    row.  One stacked SVD ranks all the Jacobians; a non-finite row is
+    refused at its point, as ``rank`` refuses it."""
     sample_count = as_integer(sample_count, "sample_count", 1)
     rng = np.random.default_rng(as_integer(seed, "seed", 0))
     field = bundle.field
     points, values = _regular_points(field, sample_count, rng, box)
 
     functions = (bundle.S,) + bundle.invariants
-    targets = (1.0,) + (0.0,) * len(bundle.invariants)
-    worst = [0.0] * len(functions)
+    targets = np.array((1.0,) + (0.0,) * len(bundle.invariants))
     jacobians = np.empty((sample_count, len(functions), field.n))
-    for x, v, rows in zip(points, values, jacobians):
-        grads = [f.gradient(x) for f in functions]
-        defects = [abs(float(np.dot(g, v)) - c) for g, c in zip(grads, targets)]
-        worst = list(map(max, worst, defects))
-        rows[:] = grads
-        if not sum(defects) < np.inf:  # a NaN or inf in a row makes its defect NaN or inf
-            rank(rows)
+    for j, f in enumerate(functions):
+        if f._stack:
+            jacobians[:, j] = _gradients(f, points)
+    plain = [j for j, f in enumerate(functions) if not f._stack]
+    if plain:
+        for x, v, rows in zip(points, values, jacobians):
+            grads = [functions[j].gradient(x) for j in plain]
+            for g in grads:
+                np.dot(g, v)  # refuses a wrong length, as the defect's dot product
+            rows[plain] = grads
+            if not np.isfinite(rows).all():
+                rank(rows)
+    finite = np.isfinite(jacobians).all(axis=(1, 2))
+    if not finite.all():
+        rank(jacobians[np.argmin(finite)])
+    defects = np.abs(_dots(jacobians, values[:, None]) - targets)
+    # fmax skips a NaN defect, as Python's max over the points would.
+    worst = np.fmax.reduce(defects, axis=0, initial=0.0).tolist()
     ranks = _rank_of(np.linalg.svd(jacobians, compute_uv=False))
     return VerificationReport(
         sample_count=sample_count,

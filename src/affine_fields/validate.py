@@ -7,9 +7,10 @@ at a fixed tolerance.  The CLI ``validate`` command and the acceptance tests
 both run these.
 
 Checks 1, 2, 5, 9 and 10 draw all the doubles of a case in one
-``rng.random`` call and map each dimension's block to its bounds at once
-(``_uniform``): the ensembles of one ``rng.uniform`` call per value, bit for
-bit, with the generator left in the same state.
+``rng.random`` call, and check 8 in two and one ``rng.integers`` for the
+signs, and map each dimension's block to its bounds at once (``_uniform``):
+the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
+generator left in the same state.
 """
 
 from __future__ import annotations
@@ -26,13 +27,17 @@ from .fields import (
     GeneratorIndex,
     all_generators,
     bracket,
-    evaluate,
+    evaluate,  # noqa: F401  (unused; instrumentation looks it up here)
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
     generator_unit,
 )
 from .flows import flow_at, flow_images, make_flow
 from .invariants import (
     ScalarField,
+    _dots,
+    _gradients,
+    _stacked,
+    _values,
     constant_field_bundle,
     planar_affine_family,
     straightened_frame_flow,
@@ -264,8 +269,8 @@ def check_structure_constants() -> CheckResult:
 
 def check_planar_family(seed: int = 42) -> CheckResult:
     """End-to-end run of the worked planar family with (alpha, beta, gamma)
-    = (1, 1, 0): flow value, defining equations, Jacobian determinant, and
-    the straightened flow."""
+    = (1, 1, 0): flow value, defining equations and Jacobian determinant at
+    100 points, as one stack, and the straightened flow."""
     rng = _rng(seed, 4)
     field, bundle = planar_affine_family(1.0, 1.0, 0.0)
     flow = make_flow(field)
@@ -275,16 +280,12 @@ def check_planar_family(seed: int = 42) -> CheckResult:
     if np.max(np.abs(image - np.array([2.0, 4.0]))) > 1e-9:
         problems.append(f"flow(2, origin) = {image.tolist()} not (2, 4)")
 
-    worst_s = 0.0
-    worst_i = 0.0
-    worst_jac = 0.0
-    for _ in range(100):
-        x = rng.uniform(-2.0, 2.0, size=2)
-        v = evaluate(field, x)
-        jac = np.stack([bundle.S.gradient(x), bundle.invariants[0].gradient(x)])
-        worst_s = max(worst_s, abs(float(np.dot(jac[0], v)) - 1.0))
-        worst_i = max(worst_i, abs(float(np.dot(jac[1], v))))
-        worst_jac = max(worst_jac, abs(np.linalg.det(jac) - 1.0))
+    x = rng.uniform(-2.0, 2.0, size=(100, 2))
+    v = (field.C @ x[..., None])[..., 0] + field.B
+    jac = np.stack([_gradients(f, x) for f in (bundle.S,) + bundle.invariants], axis=1)
+    worst_s = np.max(np.abs(_dots(jac[:, 0], v) - 1.0))
+    worst_i = np.max(np.abs(_dots(jac[:, 1], v)))
+    worst_jac = np.max(np.abs(np.linalg.det(jac) - 1.0))
     if worst_s > 1e-9:
         problems.append(f"max |X(S)-1| = {worst_s:.3e}")
     if worst_i > 1e-9:
@@ -411,51 +412,64 @@ def check_chart_conjugation() -> CheckResult:
     )
 
 
-def _random_reshaping(rng, m: int) -> ScalarField:
-    """Nontrivial C^1 function of m slots with an analytic gradient."""
-    amp_sin = rng.uniform(-1.0, 1.0, size=m)
-    amp_sq = rng.uniform(-0.5, 0.5, size=m)
-    amp_lin = rng.uniform(-1.0, 1.0, size=m)
+def _random_reshaping(amps) -> ScalarField:
+    """Nontrivial C^1 function of m slots with an analytic gradient, from its
+    3m amplitudes: of sin(xi), then xi^2, then xi.  Its fn and grad also
+    take stacks, each term's sum rounded as np.dot's."""
+    amp_sin, amp_sq, amp_lin = amps.reshape(3, -1)
 
     def fn(xi):
-        return float(
-            np.dot(amp_sin, np.sin(xi))
-            + np.dot(amp_sq, xi**2)
-            + np.dot(amp_lin, xi)
-        )
+        return _dots(np.sin(xi), amp_sin) + _dots(xi**2, amp_sq) + _dots(xi, amp_lin)
 
     def grad(xi):
         return amp_sin * np.cos(xi) + 2.0 * amp_sq * xi + amp_lin
 
-    return ScalarField(m, fn, grad=grad)
+    return _stacked(len(amp_sin), fn, grad)
+
+
+def _invariant_draws(rng) -> list[tuple]:
+    """Check 8's stacks (b, amplitudes, starts), a row per case, per
+    dimension n in increasing n.  A case draws n, then b's magnitudes in
+    [0.3, 2) and its signs, then one ``rng.random`` for F's and G's 3(n - 1)
+    amplitudes each (sin and linear terms in [-1, 1), square terms in
+    [-0.5, 0.5)) and the start in [-2, 2)."""
+    cases = {}
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        cases.setdefault(n, []).append(
+            (rng.random(n), rng.integers(0, 2, size=n), rng.random(7 * n - 6)))
+    draws = []
+    for magnitudes, signs, u in _stacks(cases):
+        m = signs.shape[1] - 1
+        bound = np.tile(np.repeat([1.0, 0.5, 1.0], m), 2)
+        draws.append((_uniform(magnitudes, 0.3, 2.0) * (2.0 * signs - 1.0),
+                      _uniform(u[:, : 6 * m], -bound, bound), _uniform(u[:, 6 * m :], -2.0, 2.0)))
+    return draws
 
 
 def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
     """100 random constant-field bundles with nontrivial reshapings: along
     the flow, invariants stay fixed and the canonical parameter advances by
-    exactly t, to 1e-7, for t in {-1, -0.5, 0.5, 1}.  The bundles and starts
-    are drawn into per-dimension lists, and the images at all four times
-    take one ``flow_images`` call per dimension."""
-    rng = _rng(seed, 8)
+    exactly t, to 1e-7, for t in {-1, -0.5, 0.5, 1}.  The cases are drawn
+    into per-dimension stacks (``_invariant_draws``), and the images at all
+    four times take one ``flow_images`` call per dimension.  S and the
+    invariant of a bundle each take one stack-form call (``_values``) on the
+    (5, n) stack of the start and its images, bit for bit their per-point
+    values."""
     times = np.array([-1.0, -0.5, 0.5, 1.0])
-    cases = {}
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        b = rng.uniform(0.3, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
-        bundle = constant_field_bundle(
-            b, F=_random_reshaping(rng, n - 1), G=_random_reshaping(rng, n - 1)
-        )
-        cases.setdefault(n, []).append((bundle, rng.uniform(-2.0, 2.0, size=n)))
     worst, k = 0.0, len(times)
-    for n, drawn in cases.items():
-        bundles, starts = zip(*drawn)
-        g = np.repeat([bundle.field.matrix for bundle in bundles], k, axis=0)
-        images = flow_images(g, np.tile(times, len(starts)), np.repeat(starts, k, axis=0))
-        for bundle, x, moved in zip(bundles, starts, images.reshape(-1, k, n)):
-            s0, i0 = bundle.S.value(x), bundle.invariants[0].value(x)
-            for t, image in zip(times, moved):
-                worst = max(worst, abs(bundle.S.value(image) - s0 - t),
-                            abs(bundle.invariants[0].value(image) - i0))
+    for b, amps, starts in _invariant_draws(_rng(seed, 8)):
+        n = b.shape[1]
+        g = np.repeat(_generator(0.0, b), k, axis=0)
+        images = flow_images(g, np.tile(times, len(b)), np.repeat(starts, k, axis=0))
+        stacks = np.concatenate([starts[:, None], images.reshape(-1, k, n)], axis=1)
+        defects = np.empty((len(b), 2, k))
+        for row, a, stack, out in zip(b, amps, stacks, defects):
+            bundle = constant_field_bundle(row, F=_random_reshaping(a[: 3 * n - 3]),
+                                           G=_random_reshaping(a[3 * n - 3 :]))
+            s, i = _values(bundle.S, stack), _values(bundle.invariants[0], stack)
+            out[0], out[1] = s[1:] - s[0] - times, i[1:] - i[0]
+        worst = max(worst, np.abs(defects).max())
     return _bounded("invariant-flow-constancy", ("worst defect", worst, 1e-7))
 
 

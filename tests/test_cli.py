@@ -468,21 +468,38 @@ class TestVerifyInvariantsCommand:
         assert code == 2
         assert "needs a constant field" in err
 
-    def test_mismatched_planar_parameters(self, capsys, planar_field_file, tmp_path):
+    @pytest.mark.parametrize("field_data, alpha", [
+        (PLANAR_FIELD, 3.0),
+        # Within numpy's default rtol of the family's field, not equal to it.
+        ({"n": 2, "C": [[0, 0], [2.000002, 0]], "B": [1.000001, 0]}, 1.0),
+    ], ids=["other-alpha", "near-field"])
+    def test_family_is_verified_against_the_files_field(self, capsys, tmp_path, field_data, alpha):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps(field_data))
         bundle = tmp_path / "bundle.json"
         bundle.write_text(
-            json.dumps({"family": "planar", "alpha": 3.0, "beta": 1.0, "gamma": 0.0})
+            json.dumps({"family": "planar", "alpha": alpha, "beta": 1.0, "gamma": 0.0})
+        )
+        code, out, _ = run_cli(
+            capsys, "verify-invariants", "--field", str(field), "--bundle", str(bundle)
+        )
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["passed"] is False
+        assert payload["max_parameter_defect"] > 1e-8
+
+    def test_planar_family_needs_a_planar_field(self, capsys, tmp_path):
+        field = tmp_path / "field.json"
+        field.write_text(json.dumps({"n": 3, "C": [[0] * 3] * 3, "B": [1, 0, 0]}))
+        bundle = tmp_path / "bundle.json"
+        bundle.write_text(
+            json.dumps({"family": "planar", "alpha": 1.0, "beta": 1.0, "gamma": 0.0})
         )
         code, _, err = run_cli(
-            capsys,
-            "verify-invariants",
-            "--field",
-            planar_field_file,
-            "--bundle",
-            str(bundle),
+            capsys, "verify-invariants", "--field", str(field), "--bundle", str(bundle)
         )
         assert code == 2
-        assert "does not match" in err
+        assert "bundle functions must live on the field's space" in err
 
 
 class TestCheckActionCommand:

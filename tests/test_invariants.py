@@ -16,6 +16,7 @@ from affine_fields import (
     straightened_frame_flow,
     verify_bundle,
 )
+from affine_fields import invariants
 from affine_fields.fields import AffineField, evaluate
 from affine_fields.invariants import (
     IRREGULAR_NORM,
@@ -23,11 +24,15 @@ from affine_fields.invariants import (
     InvariantBundle,
     ScalarField,
     VerificationReport,
+    _gradients,
+    _values,
+    _zero_scalar,
     bundle_coordinates,
     constant_field_bundle,
     sample_regular_points,
 )
 from affine_fields.linalg import rank
+from affine_fields.validate import _random_reshaping
 
 
 def slot(k, m):
@@ -271,22 +276,56 @@ class TestVerifyBundleGradients:
             args = (int(rng.integers(1, 30)), 1e-8, float(rng.uniform(0.5, 3.0)), seed)
             assert repr(verify_bundle(bundle, *args)) == repr(_two_gradient_report(bundle, *args))
 
-    def test_one_gradient_per_function_per_point(self, monkeypatch):
-        gradient, calls = ScalarField.gradient, {}
+    def test_one_stacked_gradient_call_per_function(self, monkeypatch):
+        gradients, calls = invariants._gradients, {}
 
-        def counted(self, x):
-            calls[id(self)] = calls.get(id(self), 0) + 1
-            return gradient(self, x)
+        def counted(f, points):
+            calls[id(f)] = calls.get(id(f), 0) + 1
+            return gradients(f, points)
 
-        monkeypatch.setattr(ScalarField, "gradient", counted)
+        monkeypatch.setattr(invariants, "_gradients", counted)
+        monkeypatch.setattr(ScalarField, "gradient", None)  # no per-point gradient
         for bundle in _bundles(np.random.default_rng(80)):
             calls.clear()
             verify_bundle(bundle, sample_count=12, seed=3)
             for f in (bundle.S,) + bundle.invariants:
-                assert calls.pop(id(f)) == 12
+                assert calls.pop(id(f)) == 1
             # What is left are the inner functions of the constant-field
-            # bundles, each called by the gradient of its outer function.
-            assert all(count == 12 for count in calls.values())
+            # bundles, each taken by the stack form of its outer function.
+            assert all(count == 1 for count in calls.values())
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_inner_functions_are_called_once_per_point(self, analytic):
+        calls = {}
+
+        def counted(name, fn):
+            def call(xi):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(xi)
+            return call if fn else None
+
+        F, G = _wavy(2, 0, 0.3, analytic), _wavy(2, 1, -0.2, analytic)
+        bundle = constant_field_bundle([1.0, -0.5, 2.0], F=ScalarField(
+            2, counted("F", F.fn), counted("F grad", F.grad)), G=[ScalarField(
+                2, counted("G", G.fn), counted("G grad", G.grad)), _wavy(2, 0, 0.1, True)])
+        verify_bundle(bundle, sample_count=12, seed=3)
+        # An analytic gradient once per point, or fn at the 2 m perturbed points.
+        if analytic:
+            assert calls == {"F grad": 12, "G grad": 12}
+        else:
+            assert calls == {"F": 4 * 12, "G": 4 * 12}
+
+    def test_overflowing_dot_products_are_the_loops(self):
+        # grad S = (1e308, 1e308) against X = (2, -2): the products overflow,
+        # with numpy's RuntimeWarning from either loop.
+        F = ScalarField(1, lambda xi: 1e308 * xi[0], grad=lambda xi: np.array([1e308]))
+        bundle = constant_field_bundle([2.0, -2.0], F=F, G=slot(0, 1))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            report = verify_bundle(bundle, sample_count=10, seed=0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = _two_gradient_report(bundle, 10, 1e-8, 2.0, 0)
+        assert not np.isfinite(report.max_parameter_defect)
+        assert repr(report) == repr(expected)
 
     def test_jacobian_singular_at_some_points_fails(self):
         # I = max(v, 0)^2 has a zero gradient, and the Jacobian rank 1, where v <= 0.
@@ -385,6 +424,56 @@ def _failing_third_gradient(failure):
     return InvariantBundle(field, s, (i,)), calls
 
 
+def _constant_bundle(rng, analytic=None, least=1):
+    """A constant-field bundle at n = least-5, the pivot at 0 or at the
+    largest |b_i|: without F and G, or with F and n - 1 invariants from _wavy
+    functions whose gradients are analytic or central differences."""
+    n = int(rng.integers(least, 6))
+    b = rng.uniform(0.5, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+    if n > 1 and rng.random() < 0.5:
+        b[0] = 0.0
+    if analytic is None:
+        return constant_field_bundle(b)
+    amps = rng.uniform(-0.5, 0.5, size=n)
+    return constant_field_bundle(b, F=_wavy(n - 1, 0, 0.3, analytic) if n > 1 else None,
+                                 G=[_wavy(n - 1, k, amps[k], analytic) for k in range(n - 1)])
+
+
+# A row per stack form of the package: a function of random parameters.
+STACK_FORMS = {
+    "constant S without F": lambda rng: _constant_bundle(rng).S,
+    "constant S, analytic F": lambda rng: _constant_bundle(rng, True).S,
+    "constant S, differences of F": lambda rng: _constant_bundle(rng, False).S,
+    "constant invariant, analytic G": lambda rng: _constant_bundle(rng, True, 2).invariants[-1],
+    "constant invariant, differences of G": lambda rng: _constant_bundle(
+        rng, False, 2).invariants[-1],
+    "planar S": lambda rng: planar_affine_family(*rng.uniform(-2.0, 2.0, size=3))[1].S,
+    "planar I": lambda rng: planar_affine_family(
+        *rng.uniform(-2.0, 2.0, size=3))[1].invariants[0],
+    "zero": lambda rng: _zero_scalar(int(rng.integers(0, 5))),
+    "validate reshaping": lambda rng: _random_reshaping(
+        rng.uniform(-1.0, 1.0, size=3 * int(rng.integers(1, 5)))),
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("form", STACK_FORMS)
+def test_stack_form_is_the_per_point_call_bit_for_bit(form, seed, monkeypatch):
+    rng = np.random.default_rng([seed, 110])
+    for _ in range(20):
+        f = STACK_FORMS[form](rng)
+        k = int(rng.integers(1, 12))
+        points = rng.uniform(-3.0, 3.0, size=(k, f.n)) * 10.0 ** rng.integers(-3, 3, size=(k, f.n))
+        points[rng.random(points.shape) < 0.1] = -0.0
+        values = np.array([f.value(x) for x in points])
+        grads = np.array([f.gradient(x) for x in points]).reshape(k, f.n)
+        with monkeypatch.context() as patched:  # no fallback to per-point calls
+            patched.setattr(ScalarField, "value", None)
+            patched.setattr(ScalarField, "gradient", None)
+            assert _values(f, points).tobytes() == values.tobytes()
+            assert _gradients(f, points).tobytes() == grads.tobytes()
+
+
 class TestVerifyBundleErrors:
     # The type and text are those of the loop that took one rank per point:
     # the rank's as_matrix refuses a NaN row, np.dot (message None here) a
@@ -405,6 +494,52 @@ class TestVerifyBundleErrors:
             verify_bundle(bundle, sample_count=6, seed=0)
         assert str(caught.value) == message
         assert calls == {"S": 3, "I": 3}
+
+
+def test_planar_invariant_squares_as_a_numpy_float_does():
+    # alpha v - beta u^2 - gamma u with u, v numpy floats, the per-point
+    # formula: u ** 2 on a float rounds as pow(u, 2), on an array as u * u,
+    # which differ in about one value in a thousand here.
+    alpha, beta, gamma = 1.5, 0.7, -0.3
+    inv = planar_affine_family(alpha, beta, gamma)[1].invariants[0]
+    points = np.random.default_rng(3).uniform(-1e3, 1e3, size=(10_000, 2))
+    formula = np.array([alpha * v - beta * u ** 2 - gamma * u for u, v in points])
+    assert _values(inv, points).tobytes() == formula.tobytes()
+    assert np.array([inv.value(x) for x in points]).tobytes() == formula.tobytes()
+
+
+def _outcome(call):
+    """What call returns, or the type and text of what it raises."""
+    try:
+        return call()
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("failure", ["raise", "nan", "wrong length"])
+def test_failing_function_inside_a_stack_form_fails_as_per_point(failure):
+    # G fails, as failure says, where its first slot is above 0.5.
+    def fn(xi):
+        if failure == "raise" and xi[0] > 0.5:
+            raise KeyError("value failed")
+        return float(xi[0])
+
+    def grad(xi):
+        if xi[0] <= 0.5:
+            return np.array([1.0, 0.0])
+        if failure == "raise":
+            raise KeyError("gradient failed")
+        return np.array([np.nan, 1.0]) if failure == "nan" else np.zeros(3)
+
+    bundle = constant_field_bundle([1.0, 0.5, -2.0], G=[slot(1, 2), ScalarField(2, fn, grad=grad)])
+    report = _outcome(lambda: verify_bundle(bundle, 20, seed=1))
+    assert isinstance(report, tuple)
+    assert report == _outcome(lambda: _two_gradient_report(bundle, 20, 1e-8, 2.0, 1))
+    points = sample_regular_points(bundle.field, 20, np.random.default_rng(1))
+    i = bundle.invariants[1]
+    for stacked, per_point in ((_values, i.value), (_gradients, i.gradient)):
+        got = _outcome(lambda: stacked(i, points).tobytes())
+        assert got == _outcome(lambda: np.array([per_point(x) for x in points]).tobytes())
 
 
 class TestStraightenedFlow:

@@ -1,7 +1,8 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
-checks 1, 2, 8, 9 and 10, and the per-action stacks of check 5, against one
-case at a time; and the block draws of checks 1, 2, 5, 9 and 10, one
-generator call per case, against one ``rng.uniform`` call per value."""
+checks 1, 2, 8, 9 and 10, the point stack of check 4 and the per-action
+stacks of check 5, against one case at a time; and the block draws of
+checks 1, 2, 5, 8, 9 and 10, a few generator calls per case, against one
+``rng.uniform`` call per value."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ import pytest
 from affine_fields import AffineField, evaluate
 from affine_fields import actions as ga
 from affine_fields.flows import flow_at, make_flow
-from affine_fields.invariants import constant_field_bundle
+from affine_fields.invariants import (
+    ScalarField,
+    constant_field_bundle,
+    planar_affine_family,
+    straightened_frame_flow,
+)
 from affine_fields.linalg import mat_exp, solve_linear
 from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
 from affine_fields.validate import (
@@ -17,7 +23,7 @@ from affine_fields.validate import (
     _field_blocks,
     _fundamental_draws,
     _group_law_draws,
-    _random_reshaping,
+    _invariant_draws,
     _singular_matrix,
     _stacked_rk4_ends,
     check_degenerate_flows,
@@ -25,6 +31,7 @@ from affine_fields.validate import (
     check_fundamental_agreement,
     check_group_law,
     check_invariant_flow_constancy,
+    check_planar_family,
     check_rk4_order,
 )
 
@@ -188,9 +195,23 @@ def _degenerate_detail_case_by_case(seed):
     )
 
 
+def _amplitudes_per_call(rng, m):
+    """A reshaping's amplitudes, one ``rng.uniform`` call per term: sin,
+    square, linear."""
+    return np.concatenate([rng.uniform(-1.0, 1.0, size=m), rng.uniform(-0.5, 0.5, size=m),
+                           rng.uniform(-1.0, 1.0, size=m)])
+
+
+def _reshaping_per_call(rng, m):
+    """Check 8's reshaping as a plain ScalarField, with no stack form."""
+    amp_sin, amp_sq, amp_lin = np.split(_amplitudes_per_call(rng, m), 3)
+    return ScalarField(m, lambda xi: float(
+        np.dot(amp_sin, np.sin(xi)) + np.dot(amp_sq, xi**2) + np.dot(amp_lin, xi)))
+
+
 def _invariant_detail_case_by_case(seed):
-    """Check 8 with one flow and one ``flow_at`` call per bundle, in the
-    same draw order."""
+    """Check 8 with one flow and one ``flow_at`` call per bundle and one
+    ``value`` call per function and point, in the same draw order."""
     rng = np.random.default_rng([seed, 8])
     times = np.array([-1.0, -0.5, 0.5, 1.0])
     worst = 0.0
@@ -198,7 +219,7 @@ def _invariant_detail_case_by_case(seed):
         n = int(rng.integers(2, 5))
         b = rng.uniform(0.3, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
         bundle = constant_field_bundle(
-            b, F=_random_reshaping(rng, n - 1), G=_random_reshaping(rng, n - 1)
+            b, F=_reshaping_per_call(rng, n - 1), G=_reshaping_per_call(rng, n - 1)
         )
         flow = make_flow(bundle.field)
         x = rng.uniform(-2.0, 2.0, size=n)
@@ -210,6 +231,26 @@ def _invariant_detail_case_by_case(seed):
                 abs(bundle.invariants[0].value(moved) - i0),
             )
     return f"worst defect {worst:.3e} (bound 1e-07)"
+
+
+def _planar_detail_case_by_case(seed):
+    """Check 4 with one ``evaluate``, two ``gradient`` calls, two ``np.dot``
+    and one ``np.linalg.det`` per point, in the same draw order."""
+    rng = np.random.default_rng([seed, 4])
+    field, bundle = planar_affine_family(1.0, 1.0, 0.0)
+    assert np.array_equal(flow_at(make_flow(field), 2.0, np.zeros(2)), [2.0, 4.0])
+    worst_s = worst_i = worst_jac = 0.0
+    for _ in range(100):
+        x = rng.uniform(-2.0, 2.0, size=2)
+        v = evaluate(field, x)
+        jac = np.stack([bundle.S.gradient(x), bundle.invariants[0].gradient(x)])
+        worst_s = max(worst_s, abs(float(np.dot(jac[0], v)) - 1.0))
+        worst_i = max(worst_i, abs(float(np.dot(jac[1], v))))
+        worst_jac = max(worst_jac, abs(np.linalg.det(jac) - 1.0))
+    for _ in range(10):
+        b, c, t = rng.uniform(-2.0, 2.0, size=3)
+        assert list(straightened_frame_flow(bundle, t, [b, c])) == [b + t, c]
+    return f"defects: S {worst_s:.2e}, I {worst_i:.2e}, det {worst_jac:.2e} (bound 1e-09)"
 
 
 def _random_tangent(rng, kind, n):
@@ -250,6 +291,7 @@ def _fundamental_detail_case_by_case(seed):
 CASE_BY_CASE = [
     (check_flow_vs_oracle, _oracle_detail_case_by_case),
     (check_group_law, _group_law_detail_case_by_case),
+    (check_planar_family, _planar_detail_case_by_case),
     (check_fundamental_agreement, _fundamental_detail_case_by_case),
     (check_invariant_flow_constancy, _invariant_detail_case_by_case),
     (check_degenerate_flows, _degenerate_detail_case_by_case),
@@ -336,6 +378,18 @@ def _degenerate_per_call(rng):
     return _by_dimension(cases), _by_dimension(blocks)
 
 
+def _invariant_per_call(rng):
+    """Check 8 with one ``rng.uniform`` or ``rng.choice`` call per value: b's
+    magnitudes and signs, F's and G's amplitudes, then the start."""
+    cases = {}
+    for _ in range(100):
+        n = int(rng.integers(2, 5))
+        b = rng.uniform(0.3, 2.0, size=n) * rng.choice([-1.0, 1.0], size=n)
+        amps = np.concatenate([_amplitudes_per_call(rng, n - 1) for _ in "FG"])
+        cases.setdefault(n, []).append((b, amps, rng.uniform(-2.0, 2.0, size=n)))
+    return _by_dimension(cases)
+
+
 def _assert_same_bits(got, want):
     """Equal nesting, and arrays equal in dtype, shape, value and sign bit."""
     if isinstance(want, (list, tuple)):
@@ -354,6 +408,7 @@ BLOCK_DRAWS = {
                 lambda rng: _fields_per_call(rng, 500, (1, 7), 3)),
     "check-2": (2, _group_law_draws, _group_law_per_call),
     "check-5": (5, _fundamental_draws, _fundamental_per_call),
+    "check-8": (8, _invariant_draws, _invariant_per_call),
     "check-9": (9, lambda rng: _field_blocks(rng, 20, (2, 5), 1),
                 lambda rng: _fields_per_call(rng, 20, (2, 5), 1)),
     "check-10": (10, _degenerate_draws, _degenerate_per_call),
