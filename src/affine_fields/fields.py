@@ -143,7 +143,12 @@ def bracket(x: AffineField, y: AffineField) -> AffineField:
     """
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return _of_generator(y.matrix @ x.matrix - x.matrix @ y.matrix)
+    return _of_generator(_commutator(x.matrix, y.matrix))
+
+
+def _commutator(gx, gy) -> np.ndarray:
+    """G_Y G_X - G_X G_Y of two generators, or row by row of two stacks."""
+    return gy @ gx - gx @ gy
 
 
 @dataclass(frozen=True)

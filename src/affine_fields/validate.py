@@ -10,7 +10,9 @@ Checks 1, 2, 5, 9 and 10 draw all the doubles of a case in one
 ``rng.random`` call, and check 8 in two and one ``rng.integers`` for the
 signs, and map each dimension's block to its bounds at once (``_uniform``):
 the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
-generator left in the same state.
+generator left in the same state.  Check 3 takes the brackets of all
+generator pairs of a dimension in one commutator call on stacks, and the
+SVDs of check 10's no-fixed-point block one call each.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from .charts import lambert_chart, lambert_w
 from .fields import (
     AffineField,
     GeneratorIndex,
+    _commutator,
+    _of_generator,
     all_generators,
-    bracket,
     evaluate,  # noqa: F401  (unused; instrumentation looks it up here)
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
     generator_unit,
@@ -209,61 +212,52 @@ def check_group_law(seed: int = 42) -> CheckResult:
     return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
 
-def expected_generator_bracket(
-    g1: GeneratorIndex, g2: GeneratorIndex, n: int
-) -> AffineField:
-    """Bracket of two generators from their matrix units (a, b) and (c, d)
-    (generator_unit): [e_ab, e_cd] = delta(d, a) e_cb - delta(b, c) e_ad,
-    which is G_Y G_X - G_X G_Y for matrix units.  This route never multiplies
+def _unit_brackets(ab, cd, n: int) -> np.ndarray:
+    """Generators of the brackets [e_ab, e_cd] of the matrix units (a, b) and
+    (c, d) (generator_unit), row by row of two (k, 2) stacks of units:
+    [e_ab, e_cd] = delta(d, a) e_cb - delta(b, c) e_ad, which is
+    G_Y G_X - G_X G_Y for matrix units.  This route never multiplies
     matrices, so it is an independent oracle for the bracket implementation.
     """
-    a, b = generator_unit(g1, n)
-    c, d = generator_unit(g2, n)
-    m = np.zeros((n + 1, n + 1))
-    if d == a:
-        m[c, b] += 1.0
-    if b == c:
-        m[a, d] -= 1.0
-    return AffineField(m[:-1, :-1], m[:-1, -1])
+    (a, b), (c, d) = np.transpose(ab), np.transpose(cd)
+    rows = np.arange(len(a))
+    m = np.zeros((len(a), n + 1, n + 1))
+    m[rows, c, b] += d == a
+    m[rows, a, d] -= b == c
+    return m
 
 
-def generator_bracket_table(n: int):
-    """Brackets of all unordered generator pairs (repetition included).
-
-    Entries are (label1, label2, bracket field) over the n constant and n^2
-    linear generators, so dimension 4 yields the full 210-pair table.
-    """
-    return [
-        (g1, g2, bracket(f1, f2))
-        for (g1, f1), (g2, f2) in combinations_with_replacement(all_generators(n), 2)
-    ]
+def expected_generator_bracket(g1: GeneratorIndex, g2: GeneratorIndex, n: int) -> AffineField:
+    """Bracket of two generators by ``_unit_brackets``, as a field."""
+    return _of_generator(_unit_brackets([generator_unit(g1, n)], [generator_unit(g2, n)], n)[0])
 
 
 def check_structure_constants() -> CheckResult:
     """All generator bracket pairs for n <= 4 match the matrix-unit relation
-    exactly, with entries in {0, +-1}."""
+    exactly, with entries in {0, +-1}.  The unordered pairs of one n
+    (repetition included, in ``combinations_with_replacement`` order) take
+    one ``_commutator`` call on stacks and one ``_unit_brackets`` call, and
+    both tests are whole-stack reductions.  A failure names the first
+    failing pair in table order, a non-unit entry before a mismatch."""
     checked = 0
     for n in range(1, 5):
-        table = generator_bracket_table(n)
-        for g1, g2, got in table:
-            want = expected_generator_bracket(g1, g2, n)
-            if not np.all((got.matrix == 0.0) | (np.abs(got.matrix) == 1.0)):
-                return CheckResult(
-                    "bracket-structure-constants",
-                    False,
-                    f"non-unit entry in [{g1}, {g2}] for n={n}",
-                )
-            if not np.array_equal(got.matrix, want.matrix):
-                return CheckResult(
-                    "bracket-structure-constants",
-                    False,
-                    f"[{g1}, {g2}] mismatch for n={n}",
-                )
-        checked += len(table)
+        labels, fields = zip(*all_generators(n))
+        i, j = np.array(list(combinations_with_replacement(range(len(labels)), 2))).T
+        g = np.array([f.matrix for f in fields])
+        units = np.array([generator_unit(label, n) for label in labels])
+        got = _commutator(g[i], g[j])
+        non_unit = ~np.all((got == 0.0) | (np.abs(got) == 1.0), axis=(1, 2))
+        failing = non_unit | ~np.all(got == _unit_brackets(units[i], units[j], n), axis=(1, 2))
+        if failing.any():
+            k = int(np.argmax(failing))
+            pair = f"[{labels[i[k]]}, {labels[j[k]]}]"
+            detail = f"non-unit entry in {pair}" if non_unit[k] else f"{pair} mismatch"
+            return CheckResult("bracket-structure-constants", False, f"{detail} for n={n}")
+        checked += len(got)
     return CheckResult(
         "bracket-structure-constants",
         True,
-        f"{checked} unordered pairs exact (n=4 table: {len(table)} pairs)",
+        f"{checked} unordered pairs exact (n=4 table: {len(got)} pairs)",
     )
 
 
@@ -502,10 +496,11 @@ def check_rk4_order(seed: int = 42) -> CheckResult:
 
 def _singular_matrix(a) -> tuple[np.ndarray, np.ndarray]:
     """The rank n-1 matrix of ``a`` with its least singular value zeroed,
-    plus a unit vector spanning its null space."""
+    plus a unit vector spanning its null space; of a stack, row by row, bit
+    for bit each matrix alone."""
     u, sigma, vt = np.linalg.svd(a)
-    sigma[-1] = 0.0
-    return (u * sigma) @ vt, vt[-1]
+    sigma[..., -1] = 0.0
+    return (u * sigma[..., None, :]) @ vt, vt[..., -1, :]
 
 
 def _degenerate_draws(rng) -> tuple[list, list]:
@@ -530,11 +525,10 @@ def _degenerate_draws(rng) -> tuple[list, list]:
             cases.setdefault(n, []).append((g, t, x, u0, u0 + null_vec))
     blocks = []
     for n, u in _draw_blocks(rng, 50, (2, 5), lambda n: n * n + 2 * n + 1):
-        a = _uniform(u[:, : n * n], -2.0, 2.0).reshape(-1, n, n)
-        c = np.array([_singular_matrix(m)[0] for m in a])
+        c, _ = _singular_matrix(_uniform(u[:, : n * n], -2.0, 2.0).reshape(-1, n, n))
         # b has a component along the left null vector, so C U + B = 0 has
         # no solution.
-        left_null = np.array([np.linalg.svd(m)[0][:, -1] for m in c])
+        left_null = np.linalg.svd(c)[0][..., -1]
         b = _uniform(u[:, n * n : -n - 1], -1.0, 1.0) + left_null * _uniform(u[:, -n - 1 : -n], 0.5, 1.5)
         blocks.append((_generator(c, b), _uniform(u[:, -n:], -2.0, 2.0)[:, None]))
     return _stacks(cases), blocks

@@ -1,14 +1,18 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
-checks 1, 2, 8, 9 and 10, the point stack of check 4 and the per-action
-stacks of check 5, against one case at a time; and the block draws of
-checks 1, 2, 5, 8, 9 and 10, a few generator calls per case, against one
-``rng.uniform`` call per value."""
+checks 1, 2, 8, 9 and 10, the point stack of check 4, the per-action
+stacks of check 5 and the pair stacks of check 3, against one case at a
+time; the block draws of checks 1, 2, 5, 8, 9 and 10, a few generator calls
+per case, against one ``rng.uniform`` call per value; and check 3's failure
+reports under a wrong commutator."""
+
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from affine_fields import AffineField, evaluate
+from affine_fields import AffineField, all_generators, bracket, evaluate, validate
 from affine_fields import actions as ga
+from affine_fields.fields import _commutator
 from affine_fields.flows import flow_at, make_flow
 from affine_fields.invariants import (
     ScalarField,
@@ -33,6 +37,7 @@ from affine_fields.validate import (
     check_invariant_flow_constancy,
     check_planar_family,
     check_rk4_order,
+    check_structure_constants,
 )
 
 from conftest import random_affine_field
@@ -426,3 +431,62 @@ def test_block_draws_are_the_per_call_draws(check, seed):
         got, want = list(got.values()), list(want.values())
     _assert_same_bits(got, want)
     assert block.bit_generator.state == loop.bit_generator.state
+
+
+def test_singular_matrices_of_a_stack_are_each_matrix_alone():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 4):
+        a = rng.uniform(-2.0, 2.0, size=(40, n, n))
+        stacked = _singular_matrix(a)
+        for k, m in enumerate(a):
+            alone = _singular_matrix(m)
+            assert [s[k].tobytes() for s in stacked] == [s.tobytes() for s in alone]
+
+
+def test_check_3_commutators_are_the_bracket_pair_by_pair(monkeypatch):
+    stacks = []
+
+    def spy(gx, gy):
+        stacks.append(_commutator(gx, gy))
+        return stacks[-1]
+
+    monkeypatch.setattr(validate, "_commutator", spy)
+    assert check_structure_constants().passed
+    assert len(stacks) == 4
+    for n, got in zip(range(1, 5), stacks):
+        pairs = list(combinations_with_replacement(all_generators(n), 2))
+        assert len(got) == len(pairs)
+        for ((_, f1), (_, f2)), m in zip(pairs, got):
+            assert m.tobytes() == bracket(f1, f2).matrix.tobytes()
+
+
+def _doctored(m, flip=(), set_entry=None):
+    """A copy of a commutator stack with the rows ``flip`` negated and
+    ``set_entry`` = (row, i, j, value) written."""
+    m = m.copy()
+    m[list(flip)] *= -1.0
+    if set_entry is not None:
+        row, i, j, value = set_entry
+        m[row, i, j] = value
+    return m
+
+
+# At n = 1 the table is (E_1, E_1), (E_1, E_1^1), (E_1^1, E_1^1); only the
+# middle bracket, E_1, is nonzero.
+@pytest.mark.parametrize("change,detail", [
+    (lambda m: -m, "[E_1, E_1^1] mismatch for n=1"),
+    # Doubled, the pair both has a non-unit entry and mismatches: the
+    # non-unit entry is reported.
+    (lambda m: 2.0 * m, "non-unit entry in [E_1, E_1^1] for n=1"),
+    # The first failing pair in table order is reported, ...
+    (lambda m: _doctored(m, flip=[1], set_entry=(2, 0, 0, 2.0)),
+     "[E_1, E_1^1] mismatch for n=1"),
+    (lambda m: _doctored(m, flip=[1], set_entry=(0, 0, 0, 0.5)),
+     "non-unit entry in [E_1, E_1] for n=1"),
+    # ... and a dimension only after every smaller one has passed.
+    (lambda m: -m if len(m) == 21 else m, "[E_1, E_1^1] mismatch for n=2"),
+])
+def test_wrong_commutator_fails_check_3(monkeypatch, change, detail):
+    monkeypatch.setattr(validate, "_commutator", lambda gx, gy: change(_commutator(gx, gy)))
+    result = check_structure_constants()
+    assert (result.passed, result.detail) == (False, detail)
