@@ -49,7 +49,8 @@ from .charts import Chart
 from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import _norms, _real, as_integer, as_vector, augment_affine, mat_exp
+from .linalg import (_affine, _dots, _eye, _norms, _real, as_integer, as_vector, augment_affine,
+                     mat_exp)
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -85,14 +86,6 @@ _SUBGROUPS = {
     GENERAL_LINEAR: ((..., slice(-1), -1),
                      "are linear fields (X_vec = 0)", "have translation part 0"),
 }
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    """The read-only identity of GA(n)."""
-    e = np.eye(n + 1)
-    e.flags.writeable = False
-    return e
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,7 +129,7 @@ def _check_elements(m: np.ndarray) -> np.ndarray:
     with every column scaled to unit 2-norm (MIN_SCALED_DET)."""
     n = m.shape[-1] - 1
     # count_nonzero is the cheapest exact zero test on small arrays.
-    if np.count_nonzero(m[..., n, :] != _identity(n)[n]):
+    if np.count_nonzero(m[..., n, :] != _eye(n + 1)[n]):
         raise ValueError("group element's bottom row must be (0, ..., 0, 1)")
     a = m[..., :n, :n]
     norms = np.hypot.reduce(a, axis=-2)
@@ -186,7 +179,7 @@ def _member(kind: str, value, n: int):
         raise ValueError(f"{what} dimension {matrix.shape[-1] - 1} differs from action's {n}")
     if kind in _SUBGROUPS:
         block, of_generators, of_elements = _SUBGROUPS[kind]
-        origin = _identity(n) if element else 0.0
+        origin = _eye(n + 1) if element else 0.0
         if np.count_nonzero((matrix - origin)[block]):
             raise ValueError(f"{kind} {what}s {of_elements if element else of_generators}")
     return value
@@ -203,18 +196,11 @@ def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
 
 
 # The acts of VARIANTS take a (..., n+1, n+1) stack of homogeneous matrices
-# and (..., n) points.  Each is written to round as a lone element's would:
-# the matrix product as a stack of matrix-vector products, the weight s . t
-# as a stack of 1 x n by n x 1 products (np.dot's order), and the power of
-# the determinant by np.float_power (Python's float ** int; numpy's ** on an
-# array may differ in the last bit).
-def _standard_act(action, m, p) -> np.ndarray:
-    return (m[..., :-1, :-1] @ p[..., None])[..., 0] + m[..., :-1, -1]
-
-
+# and (..., n) points, and round as a lone element's would: a x + t by
+# _affine, s . t by _dots, a x as a stack of matrix-vector products, and
+# (det a)^q by np.float_power (numpy's ** on an array may differ from it).
 def _exp_translation_act(action, m, p) -> np.ndarray:
-    rate = (m[..., None, :-1, -1] @ action.s[:, None])[..., 0, 0]
-    return p * np.exp(rate)[..., None]
+    return p * np.exp(_dots(m[..., :-1, -1], action.s))[..., None]
 
 
 def _det_weighted_act(action, m, p) -> np.ndarray:
@@ -275,7 +261,7 @@ class VariantRecord:
 def _standard_record(kind: str) -> VariantRecord:
     return VariantRecord(
         kind,
-        _standard_act,
+        lambda action, m, p: _affine(m, p),
         field=lambda action, X: X,
         tangent=lambda action, field: _member(action.group_kind, field, action.n),
     )
@@ -411,7 +397,7 @@ def _perturbed_identities(n: int, support: bytes) -> tuple:
     the (n+1) x (n+1) boolean mask ``support``, and the read-only
     (2, P, 1, n+1, n+1) identities plus, then minus, FD_STEP at each."""
     rows, cols = np.nonzero(np.frombuffer(support, dtype=bool).reshape(n + 1, n + 1))
-    m = np.tile(_identity(n), (2, len(rows), 1, 1, 1))
+    m = np.tile(_eye(n + 1), (2, len(rows), 1, 1, 1))
     m[:, np.arange(len(rows)), 0, rows, cols] += [[FD_STEP], [-FD_STEP]]
     for a in (rows, cols, m):
         a.flags.writeable = False
@@ -561,11 +547,10 @@ def _random_samples(action: GroupAction, rng: np.random.Generator, k: int) -> tu
     matrices of g1 and g2, bit for bit as k rounds of the point (+-2, or the
     chart's box as Chart.sample draws it), then _random_matrix twice.
 
-    One rng.random call draws the block, each row laid out in that order,
-    and maps it as low + (high - low) u with per-position bounds, the
-    doubles Generator.uniform forms from the same u.  When some matrix part
-    would have been redrawn, the generator goes back to the block's start
-    and the block is drawn one sample at a time.
+    One rng.uniform call with per-position bounds draws the block, each row
+    laid out in that order, the doubles of the per-sample calls.  When some
+    matrix part would have been redrawn, the generator goes back to the
+    block's start and the block is drawn one sample at a time.
     """
     n, kind, chart = action.n, action.group_kind, action.chart
     # Flat positions in an element matrix, in _random_matrix's order: the
@@ -577,8 +562,8 @@ def _random_samples(action: GroupAction, rng: np.random.Generator, k: int) -> tu
     low, high = (np.full(n, -2.0), np.full(n, 2.0)) if chart is None else chart.box
     low, high = np.concatenate([low, -scale]), np.concatenate([high, scale])
     state = rng.bit_generator.state
-    u = low + (high - low) * rng.random((k, low.size))
-    x, g = u[:, :n], np.tile(_identity(n), (2, k, 1, 1))
+    u = rng.uniform(low, high, size=(k, low.size))
+    x, g = u[:, :n], np.tile(_eye(n + 1), (2, k, 1, 1))
     g.reshape(2, k, -1)[..., drawn] += u[:, n:].reshape(k, 2, -1).swapaxes(0, 1)
     if (kind != TRANSLATION_GROUP
             and np.count_nonzero(abs(np.linalg.det(g[..., :n, :n])) <= MIN_SAMPLE_DET)):
@@ -649,7 +634,7 @@ def check_action_axioms(
         x, g = _random_samples(action, rng, k)
         g1, g2 = _member(kind, _check_elements(g), n)
         scale = 1.0 + _norms(x)
-        max_id = max(max_id, float(np.max(_norms(_act(action, _identity(n), x) - x) / scale)))
+        max_id = max(max_id, float(np.max(_norms(_act(action, _eye(n + 1), x) - x) / scale)))
         with np.errstate(over="ignore", invalid="ignore"):
             product = _member(kind, _check_elements(
                 _real(g1 @ g2, "group element", finite="has non-finite entries")), n)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _real, augment_affine, as_matrix, as_vector, rank
+from .linalg import _image, _real, augment_affine, as_matrix, as_vector, rank
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -121,17 +121,19 @@ def zero_field(n: int) -> AffineField:
 
 
 def evaluate(field: AffineField, x) -> np.ndarray:
-    """Component vector C x + B of the field at the finite point x."""
-    return field.C @ _real(x, "point", field.n, "field") + field.B
+    """Component vector C x + B of the field at the finite point x.
+
+    Raises OverflowError when a component is not finite."""
+    return _image(field.matrix, _real(x, "point", field.n, "field"), "field value")
 
 
 def evaluate_many(field: AffineField, points) -> np.ndarray:
     """Row-wise evaluate: finite points of shape (k, n) map to (k, n)
-    components."""
+    components, each row bit for bit evaluate at that point."""
     p = _real(points, "point", field.n, "field", stack=True)
     if p.ndim != 2:
         raise ValueError(f"points must have shape (k, {field.n})")
-    return p @ field.C.T + field.B
+    return _image(field.matrix, p, "field value")
 
 
 def bracket(x: AffineField, y: AffineField) -> AffineField:

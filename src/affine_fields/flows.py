@@ -10,18 +10,18 @@ paper's form exp(tC)(x - U) + U still holds for every such U; validation
 check 10 tests that identity against this path.  ``flow_images`` is the
 evaluation path: row j is the j-th point under the flow of the j-th
 generator at the j-th time, in two steps, the exponentials exp(t_j G_j) and
-then their images of the points.  ``flow_at`` over many times is
-``flow_images`` with its one generator shared by every time.  The time-t
-map is one group element that acts on every point alike, so a FlowMap keeps
-exp(t G) for the last scalar time it was evaluated at, and a scalar
-``flow_at`` at that time again takes only the image step: E[:n, :n] x +
-E[:n, n] for the kept E = exp(t G), without the stack steps of
-``flow_images`` and bit for bit its row.  That E is a stack of one, so
-every decision ``mat_exp`` makes for it is a Python scalar.  Validation
-checks 1, 2, 8, 9 and 10 call ``flow_images`` on whole ensembles.
-``orbit`` on a uniform grid of K times takes ``flow_at`` at about sqrt(K)
-of them and carries those points on by about sqrt(K) step exponentials
-(the group law), within a rounding bound of ``flow_at``.
+then their images E[:n, :n] x + E[:n, n] of the points, by
+``linalg._affine`` as fields and actions take theirs.  ``flow_at`` over
+many times is ``flow_images`` with its one generator shared by every time.
+The time-t map acts on every point alike, so a FlowMap keeps exp(t G) for
+the last scalar time it was evaluated at, and a scalar ``flow_at`` at that
+time again takes only ``_affine`` of the kept E = exp(t G), a stack of one
+(every decision ``mat_exp`` makes for it is a Python scalar), bit for bit
+the row of ``flow_images``.  Validation checks 1, 2, 8, 9 and 10 call
+``flow_images`` on whole ensembles.  ``orbit`` on a uniform grid of K
+times takes ``flow_at`` at about sqrt(K) of them and carries those points
+on by about sqrt(K) step exponentials (the group law), within a rounding
+bound of ``flow_at``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import AffineField, MatrixValue
 # solve_linear is unused here; instrumentation looks it up in this namespace.
-from .linalg import _real, mat_exp, solve_linear  # noqa: F401
+from .linalg import _affine, _image, _real, mat_exp, solve_linear  # noqa: F401
 
 TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
@@ -101,14 +101,6 @@ def _exponentials(generators, times) -> np.ndarray:
     return mat_exp(scaled)
 
 
-def _images(exps, points) -> np.ndarray:
-    """Rows (E_j (x_j, 1))[:n] for the stack E of exponentials; a ``points``
-    axis of length 1 is shared.  Overflow is left for ``_checked``."""
-    n = points.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        return (exps[:, :n, :n] @ points[..., None])[..., 0] + exps[:, :n, n]
-
-
 def _checked(images, times, points) -> np.ndarray:
     """The images, with each row at t_j = 0 made x_j exactly.
 
@@ -145,7 +137,9 @@ def flow_images(generators, times, points) -> np.ndarray:
         rows = slice(lo, lo + size)
         g = generators if len(generators) == 1 else generators[rows]
         x = points if len(points) == 1 else points[rows]
-        images[rows] = _images(_exponentials(g, times[rows]), x)
+        exps = _exponentials(g, times[rows])
+        with np.errstate(over="ignore", invalid="ignore"):
+            images[rows] = _affine(exps, x)
     return _checked(images, times, points)
 
 
@@ -180,11 +174,7 @@ def flow_at(flow: FlowMap, t, x) -> np.ndarray:
     e = flow._exp_at(t)[0]
     if t == 0.0:
         return p.copy()
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = e[:n, :n] @ p + e[:n, n]
-    if not all(map(math.isfinite, image.tolist())):
-        raise OverflowError("image overflows the float range")
-    return image
+    return _image(e, p, "image")
 
 
 def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import AffineField, evaluate
-from .linalg import _norms, _rank_of, _real, as_integer, as_vector, rank
+from .linalg import _affine, _dots, _norms, _rank_of, _real, as_integer, as_vector, rank
 
 # Step of the central differences here and in fundamental_field_numeric.
 FD_STEP = 1e-6
@@ -55,15 +55,7 @@ class ScalarField:
         p = _real(x, "point", self.n, finite=None)
         if self.grad is not None:
             return _real(self.grad(p), "gradient", finite=None).reshape(-1)
-        out = np.empty(self.n)
-        for i in range(self.n):
-            h = FD_STEP * (1.0 + abs(p[i]))
-            up = p.copy()
-            down = p.copy()
-            up[i] += h
-            down[i] -= h
-            out[i] = (self.fn(up) - self.fn(down)) / (2.0 * h)
-        return out
+        return _differences(self.fn, p[None])[0]
 
 
 def _stacked(n: int, fn, grad) -> ScalarField:
@@ -73,23 +65,17 @@ def _stacked(n: int, fn, grad) -> ScalarField:
     return f
 
 
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-by-row dot products of (..., m) stacks, as 1 x m by m x 1
-    products, which round as np.dot does (a matrix-vector product does not)."""
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
 def _differences(fn, points: np.ndarray) -> np.ndarray:
-    """ScalarField.gradient's central differences at each row of ``points``:
-    the same steps, perturbed points and quotients, fn called in the same
-    order."""
+    """Central differences (fn(x + h_i e_i) - fn(x - h_i e_i)) / 2 h_i, h_i =
+    FD_STEP (1 + |x_i|), at each row x of the (k, n) ``points``, fn called
+    at x + h_1 e_1, x - h_1 e_1, x + h_2 e_2, ..., row after row."""
     k, n = points.shape
     h = FD_STEP * (1.0 + np.abs(points))
-    moved = np.repeat(points[:, None, None, :], 2 * n, axis=1).reshape(k, n, 2, n)
-    i = np.arange(n)
-    moved[:, i, 0, i] += h
-    moved[:, i, 1, i] -= h
-    f = np.asarray([fn(x) for x in moved.reshape(-1, n)]).reshape(k, n, 2)
+    # Each point 2n times, x + h_i e_i at flat offset i (2n + 1) of its rows.
+    moved = np.repeat(points, 2 * n, axis=0)
+    moved.reshape(k, 2 * n * n)[:, :: 2 * n + 1] += h
+    moved.reshape(k, 2 * n * n)[:, n :: 2 * n + 1] -= h
+    f = np.asarray([fn(x) for x in moved]).reshape(k, n, 2)
     return (f[..., 0] - f[..., 1]) / (2.0 * h)
 
 
@@ -288,19 +274,21 @@ def sample_regular_points(
 ) -> np.ndarray:
     """Uniform samples from [-box, box]^n, skipping points where the field's
     norm is below IRREGULAR_NORM (verification is meaningless at irregular
-    points).  The count x n uniforms are one block draw, the doubles of count
-    draws of n; a norm there below twice IRREGULAR_NORM resets the generator
-    and draws one point at a time, so the points and the generator's state
-    after are always those of one-at-a-time draws."""
+    points).  The count x n uniforms are one rng.uniform call, the doubles of
+    count draws of n; a norm there below IRREGULAR_NORM, the test each point
+    of the loop takes, resets the generator and draws one point at a time,
+    so the points and the generator's state after are always those of
+    one-at-a-time draws."""
     return _regular_points(field, count, rng, box)[0]
 
 
 def _regular_points(field, count, rng, box):
-    """The points and the field's values, stacked C @ p + B as evaluate rounds it."""
+    """The points and the field's values there, by ``_affine`` as evaluate
+    takes them, each point tested alike in the block and in the loop."""
     state = rng.bit_generator.state
     points = rng.uniform(-box, box, size=(count, field.n))
-    values = (field.C @ points[..., None])[..., 0] + field.B
-    if not (_norms(values) >= 2.0 * IRREGULAR_NORM).all():
+    values = _affine(field.matrix, points)
+    if (_norms(values) < IRREGULAR_NORM).any():
         rng.bit_generator.state = state
         produced = attempts = 0
         while produced < count:
@@ -308,8 +296,8 @@ def _regular_points(field, count, rng, box):
             if attempts > 1000 * count:
                 raise RuntimeError("could not sample away from irregular points")
             x = rng.uniform(-box, box, size=field.n)
-            v = evaluate(field, x)
-            if not np.linalg.norm(v) < IRREGULAR_NORM:
+            v = _affine(field.matrix, x)
+            if not _norms(v) < IRREGULAR_NORM:
                 points[produced], values[produced] = x, v
                 produced += 1
     return points, values

@@ -1,7 +1,8 @@
 """Dense real linear algebra kernels.
 
-Provides the matrix exponential, rank-revealing linear solves, the
-homogeneous (augmented) embedding of an affine map, and row norms.
+Provides the matrix exponential, rank-revealing linear solves, and the one
+copy of each primitive of the homogeneous form [[C, B], [0, 0]]: its build,
+its image x -> C x + B, and row dots and norms, a stack's row bit for bit.
 Everything operates on plain float ndarrays with value semantics: inputs are
 never mutated.  ``_real`` is the package's one input rule, which every
 public entry point applies to the arrays it is given: real, of the
@@ -92,9 +93,7 @@ def _real(a, name: str, n: int | None = None, owner: str | None = None,
     points along its last axis; another dimension d raises ``error``
     "{name} has dim d, {owner} lives on R^n", or "expected n" without an
     owner.  Unless ``finite`` is None, a NaN or infinite entry raises
-    ValueError "{name} {finite}".  Below 64 entries math.isfinite over a
-    list is the faster test: numpy's isfinite and all have a fixed cost of
-    about a microsecond.
+    ValueError "{name} {finite}" (``_finite``).
     """
     m = np.asarray(a)
     if m.dtype is not _FLOAT:
@@ -107,10 +106,15 @@ def _real(a, name: str, n: int | None = None, owner: str | None = None,
         if m.shape[-1] != n:
             where = f"{owner} lives on R^{n}" if owner else f"expected {n}"
             raise error(f"{name} has dim {m.shape[-1]}, {where}")
-    if finite and not (all(map(math.isfinite, m.ravel().tolist())) if m.size < 64
-                       else np.isfinite(m).all()):
+    if finite and not _finite(m):
         raise ValueError(f"{name} {finite}")
     return m
+
+
+def _finite(m: np.ndarray):
+    """Whether every entry is finite; below 64 entries math.isfinite over a
+    list is faster than numpy's isfinite and all, about a microsecond."""
+    return all(map(math.isfinite, m.ravel().tolist())) if m.size < 64 else np.isfinite(m).all()
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -135,10 +139,9 @@ def as_integer(value, name: str, least: int) -> int:
 
 
 def _require_square(m: np.ndarray, name: str) -> int:
-    rows, cols = m.shape
-    if rows != cols:
+    if m.ndim != 2 or len(m) != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    return rows
+    return len(m)
 
 
 def _times_pow2(x: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -426,16 +429,43 @@ def augment_affine(c, b) -> np.ndarray:
     the upper-left block and the inhomogeneous response in the last column;
     fields, tangents and group elements are stored in this form.
     """
-    m = as_matrix(c, "matrix part")
+    m = _real(c, "matrix part", finite="has non-finite entries")
     n = _require_square(m, "matrix part")
-    v = _real(b, "vector part", n, finite="has non-finite entries")
-    out = np.zeros((n + 1, n + 1))
-    out[:n, :n] = m
-    out[:n, n] = v
-    return out
+    return _generator(m, _real(b, "vector part", n, finite="has non-finite entries"))
+
+
+def _generator(c, b) -> np.ndarray:
+    """[[C, B], [0, 0]] of x -> Cx + B, or of each row of stacks of C and B,
+    without the input checks of ``augment_affine``."""
+    n = b.shape[-1]
+    g = np.zeros(b.shape[:-1] + (n + 1, n + 1))
+    g[..., :n, :n] = c
+    g[..., :n, n] = b
+    return g
+
+
+def _affine(m: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """A x + b for the homogeneous matrix m = [[A, b], [., .]] and the point
+    p = x, or row by row of stacks of them, broadcast against each other:
+    each row a matrix-vector product, which rounds as A @ x of that row."""
+    return (m[..., :-1, :-1] @ p[..., None])[..., 0] + m[..., :-1, -1]
+
+
+def _image(m: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
+    """``_affine(m, p)``, else OverflowError "{what} overflows the float range"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _affine(m, p)
+    if not _finite(v):
+        raise OverflowError(f"{what} overflows the float range")
+    return v
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-by-row dot products of (..., m) stacks, as 1 x m by m x 1
+    products, which round as np.dot does (a matrix-vector product does not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _norms(d: np.ndarray) -> np.ndarray:
-    """2-norms of the rows of the (k, n) array d, each rounded as
-    np.linalg.norm rounds one row."""
-    return np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
+    """2-norms of the rows of d, each np.linalg.norm of its row, bit for bit."""
+    return np.sqrt(_dots(d, d))

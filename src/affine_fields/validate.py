@@ -10,9 +10,10 @@ Checks 1, 2, 5, 9 and 10 draw all the doubles of a case in one
 ``rng.random`` call, and check 8 in two and one ``rng.integers`` for the
 signs, and map each dimension's block to its bounds at once (``_uniform``):
 the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
-generator left in the same state.  Check 3 takes the brackets of all
-generator pairs of a dimension in one commutator call on stacks, and the
-SVDs of check 10's no-fixed-point block one call each.
+generator left in the same state.  The stacks' generators, images, dots and
+norms are linalg's, each row bit for bit the lone case's.  Check 3 takes
+the brackets of all generator pairs of a dimension in one commutator call
+on stacks, and the SVDs of check 10's no-fixed-point block one call each.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from .fields import (
 from .flows import flow_at, flow_images, make_flow
 from .invariants import (
     ScalarField,
-    _dots,
     _gradients,
     _stacked,
     _values,
@@ -45,7 +45,7 @@ from .invariants import (
     planar_affine_family,
     straightened_frame_flow,
 )
-from .linalg import _norms, as_integer, mat_exp, solve_linear
+from .linalg import _affine, _dots, _generator, _norms, as_integer, mat_exp, solve_linear
 from .oracle import OdeProblem, integrate, integrate_linear
 
 
@@ -65,16 +65,6 @@ def _bounded(name: str, *measures) -> CheckResult:
         ", ".join(f"{label} {worst:.3e} (bound {bound:.0e})"
                   for label, worst, bound in measures),
     )
-
-
-def _generator(c, b) -> np.ndarray:
-    """[[C, B], [0, 0]] of the field x -> Cx + B (or stacks), without the input
-    checks of ``augment_affine``: the callers' C and B are finite draws."""
-    n = b.shape[-1]
-    g = np.zeros(b.shape[:-1] + (n + 1, n + 1))
-    g[..., :n, :n] = c
-    g[..., :n, n] = b
-    return g
 
 
 def _rng(seed: int, salt: int) -> np.random.Generator:
@@ -275,7 +265,7 @@ def check_planar_family(seed: int = 42) -> CheckResult:
         problems.append(f"flow(2, origin) = {image.tolist()} not (2, 4)")
 
     x = rng.uniform(-2.0, 2.0, size=(100, 2))
-    v = (field.C @ x[..., None])[..., 0] + field.B
+    v = _affine(field.matrix, x)
     jac = np.stack([_gradients(f, x) for f in (bundle.S,) + bundle.invariants], axis=1)
     worst_s = np.max(np.abs(_dots(jac[:, 0], v) - 1.0))
     worst_i = np.max(np.abs(_dots(jac[:, 1], v)))
@@ -330,17 +320,17 @@ def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     all five catalog actions, 100 random (X, x) pairs each; bound
     1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
     det-weighted by (n, q)) form a stack (``_fundamental_draws``): one
-    ``actions._fundamental_rows`` call, and one row product for the closed
-    forms X x, (X_vec . s) x or (X_mat + q trace(X_mat) I) x."""
+    ``actions._fundamental_rows`` call, and one ``_affine`` call for the
+    closed forms X x, (X_vec . s) x or (X_mat + q trace(X_mat) I) x."""
     worst = 0.0
     for (variant, n, param, value), (g, x) in _fundamental_draws(_rng(seed, 5)).items():
         action = ga.GroupAction(variant, n, **({param: value} if param else {}))
         c, b = g[:, :n, :n], g[:, :n, n]
         if param == "s":
-            c, b = (b @ action.s)[:, None, None] * np.eye(n), np.zeros(n)
+            c, b = (b @ action.s)[:, None, None] * np.eye(n), np.zeros(b.shape)
         elif param == "q":
             c = c + (value * np.trace(c, axis1=1, axis2=2))[:, None, None] * np.eye(n)
-        defects = ga._fundamental_rows(action, g, x) - ((c @ x[..., None])[..., 0] + b)
+        defects = ga._fundamental_rows(action, g, x) - _affine(_generator(c, b), x)
         worst = max(worst, np.max(_norms(defects) / (1.0 + _norms(x))))
     return _bounded(
         "fundamental-field-agreement", ("worst relative defect", worst, 1e-5)
@@ -551,7 +541,7 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
         images = flow_images(g, t, x)
         e = mat_exp(t[:, None, None] * g[:, :n, :n])
         for u in fixed:
-            paper = (e @ (x - u)[..., None])[..., 0] + u
+            paper = _affine(_generator(e, u), x - u)
             worst_pair = max(worst_pair, np.max(_norms(images - paper)))
     worst_oracle = max(np.max(defects) for _, defects in _rk4_defects(blocks))
 

@@ -87,13 +87,18 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(constant_field([1.0]), [1.0, 2.0])
 
-    def test_evaluate_many_matches_evaluate(self):
-        rng = np.random.default_rng(0)
-        f = random_affine_field(rng, 3)
-        pts = rng.uniform(-2.0, 2.0, size=(5, 3))
-        out = evaluate_many(f, pts)
-        for k in range(5):
-            assert_allclose(out[k], evaluate(f, pts[k]))
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_evaluate_many_matches_evaluate(self, n):
+        # Each row is evaluate at that point bit for bit; a product of the
+        # stack with C transposed differed in the last bits in most stacks.
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            f = AffineField(rng.uniform(-2.0, 2.0, size=(n, n)) * 10.0 ** rng.integers(-3, 4),
+                            rng.uniform(-2.0, 2.0, size=n))
+            pts = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 40)), n))
+            out = evaluate_many(f, pts)
+            for k, x in enumerate(pts):
+                assert out[k].tobytes() == evaluate(f, x).tobytes()
 
 
 class TestBracket:

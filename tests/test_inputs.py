@@ -3,7 +3,8 @@
 dtype, before a float cast could drop its imaginary part with only a
 ComplexWarning; a non-finite value is refused with a ValueError where the
 entry point refuses it and taken where it does not; lists and real arrays
-give the same result."""
+give the same result.  A finite input whose image is beyond the float range
+raises OverflowError, with no warning first."""
 
 import math
 import re
@@ -196,3 +197,31 @@ def _key(result):
 def test_lists_and_real_arrays_give_the_same_result(call, value, name, non_finite):
     as_list = np.asarray(value).tolist()
     assert _key(call(as_list)) == _key(call(np.asarray(value)))
+
+
+# Entries of 1e308: C x overflows to inf at (10, 1) and to inf - inf = NaN
+# at (10, -10).
+HUGE = AffineField([[1e308, 1e308], [0.0, 1.0]], [1e308, 0.0])
+
+# id: (a call on finite input whose image is not finite, the pattern of its
+# OverflowError).
+OVERFLOWING = {
+    "evaluate-inf": (lambda: evaluate(HUGE, [10.0, 1.0]),
+                     _exact("field value overflows the float range")),
+    "evaluate-nan": (lambda: evaluate(HUGE, [10.0, -10.0]),
+                     _exact("field value overflows the float range")),
+    "evaluate_many": (lambda: evaluate_many(HUGE, [[0.0, 0.0], [10.0, -10.0]]),
+                      _exact("field value overflows the float range")),
+    "flow_at": (lambda: flow_at(make_flow(constant_field([1e308, 0.0])), 1.0, [1e308, 0.0]),
+                _exact("image overflows the float range")),
+    "act": (lambda: ga.act(AFFINE, ga.affine_element([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0]),
+                           [10.0, 1.0]),
+            _exact("image under standard-affine is not finite")),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, message", OVERFLOWING.values(), ids=OVERFLOWING.keys())
+def test_image_beyond_the_float_range_raises_overflow_error(call, message):
+    with pytest.raises(OverflowError, match=message):
+        call()

@@ -19,11 +19,13 @@ from affine_fields import (
 from affine_fields import invariants
 from affine_fields.fields import AffineField, evaluate
 from affine_fields.invariants import (
+    FD_STEP,
     IRREGULAR_NORM,
     DegenerateFieldError,
     InvariantBundle,
     ScalarField,
     VerificationReport,
+    _differences,
     _gradients,
     _values,
     _zero_scalar,
@@ -64,6 +66,43 @@ class TestScalarField:
         f = ScalarField(2, lambda x: 0.0)
         with pytest.raises(ValueError):
             f.value([1.0])
+
+    @pytest.mark.parametrize("n", range(0, 6))
+    def test_differences_are_the_per_coordinate_loop(self, n):
+        # The stacked differences, and the gradient without grad that calls
+        # them on one row, call fn at the loop's points in its order and
+        # give its quotients bit for bit; a zero coordinate keeps its sign.
+        rng = np.random.default_rng([n, 12])
+        weights = rng.uniform(-2.0, 2.0, size=(3, n))
+        for _ in range(10):
+            points = rng.uniform(-3.0, 3.0, size=(4, n)) * 10.0 ** rng.integers(-3, 3, size=(4, n))
+            points[rng.random(points.shape) < 0.2] = -0.0
+            for fn in (lambda x: float(np.dot(weights[0], np.sin(x)) + np.prod(x)),
+                       lambda x: float(np.dot(weights[1], np.copysign(1.0, x) * x**2)),
+                       lambda x: float(np.exp(np.dot(weights[2], x) / 10.0))):
+                calls, loop_calls = [], []
+                stacked = _differences(lambda x: calls.append(x.copy()) or fn(x), points)
+                want = [_differences_loop(lambda x: loop_calls.append(x.copy()) or fn(x), x)
+                        for x in points]
+                assert stacked.tobytes() == np.reshape(want, (4, n)).tobytes()
+                assert np.array(calls).tobytes() == np.array(loop_calls).tobytes()
+                bare = ScalarField(n, fn)
+                for x, w in zip(points, want):
+                    assert bare.gradient(x).tobytes() == w.tobytes()
+
+
+def _differences_loop(fn, x):
+    """Central differences one coordinate at a time, each with its own
+    copies of x: the oracle of the stacked differences."""
+    out = np.empty(len(x))
+    for i in range(len(x)):
+        h = FD_STEP * (1.0 + abs(x[i]))
+        up = x.copy()
+        down = x.copy()
+        up[i] += h
+        down[i] -= h
+        out[i] = (fn(up) - fn(down)) / (2.0 * h)
+    return out
 
 
 class TestDirectionalDerivative:
@@ -353,41 +392,6 @@ class TestVerifyBundleGradients:
 
 
 class TestSampleRegularPoints:
-    @pytest.mark.parametrize("seed", range(5))
-    def test_block_draw_without_irregular_points_is_the_one_at_a_time_loop(self, seed):
-        rng = np.random.default_rng(90 + seed)
-        for bundle in _bundles(rng):
-            args = (bundle.field, int(rng.integers(0, 30)), float(rng.uniform(0.5, 3.0)))
-            block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-            points = sample_regular_points(*args[:2], block, box=args[2])
-            expected, rejected = _one_at_a_time_points(*args[:2], loop, args[2])
-            assert rejected == 0
-            assert points.tobytes() == expected.tobytes()
-            assert block.bit_generator.state == loop.bit_generator.state
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_rejected_draws_fall_back_to_the_one_at_a_time_loop(self, seed):
-        # |1e-3 R x| < IRREGULAR_NORM inside the unit disc, a fifth of the box.
-        angle = 0.3 * seed
-        rotation = [[np.cos(angle), -np.sin(angle)], [np.sin(angle), np.cos(angle)]]
-        field = AffineField(1e-3 * np.array(rotation), [0.0, 0.0])
-        block, loop = np.random.default_rng(seed), np.random.default_rng(seed)
-        points = sample_regular_points(field, 40, block)
-        expected, rejected = _one_at_a_time_points(field, 40, loop, 2.0)
-        assert rejected > 0
-        assert points.tobytes() == expected.tobytes()
-        assert block.bit_generator.state == loop.bit_generator.state
-
-    def test_zero_field_still_raises(self):
-        field = AffineField(np.zeros((2, 2)), [0.0, 0.0])
-        block, loop = np.random.default_rng(5), np.random.default_rng(5)
-        message = "could not sample away from irregular points"
-        with pytest.raises(RuntimeError, match=message):
-            sample_regular_points(field, 3, block)
-        with pytest.raises(RuntimeError, match=message):
-            _one_at_a_time_points(field, 3, loop, 2.0)
-        assert block.bit_generator.state == loop.bit_generator.state
-
     @pytest.mark.parametrize("seed", range(5))
     def test_report_with_rejected_draws_is_the_two_gradient_loop(self, seed):
         field = AffineField(1e-3 * np.eye(2), [0.0, 0.0])

@@ -10,6 +10,9 @@ from numpy.testing import assert_allclose
 
 from affine_fields.linalg import (
     _TAYLOR,
+    _affine,
+    _dots,
+    _generator,
     _norms,
     _plan,
     _plans,
@@ -487,6 +490,49 @@ def test_row_norms_are_each_rows_norm_bit_for_bit(n):
     d = d.reshape(-1, n)
     want = np.array([np.linalg.norm(row) for row in d])
     assert np.array_equal(_norms(d), want)
+
+
+def _scaled_rows(rng, n, count, shape=()):
+    """count rows of shape + (n,), each with its own scale 10^-5 to 10^5."""
+    scales = 10.0 ** rng.uniform(-5.0, 5.0, size=(count,) + (1,) * (len(shape) + 1))
+    return rng.uniform(-1.0, 1.0, size=(count,) + shape + (n,)) * scales
+
+
+@pytest.mark.parametrize("n", range(1, 22))
+def test_affine_image_is_each_rows_matrix_vector_product(n):
+    # The homogeneous image of a stack, and of one matrix shared by a stack
+    # of points, is A @ x + b of each row alone, bit for bit.
+    rng = np.random.default_rng([n, 7])
+    m = np.zeros((60, n + 1, n + 1))
+    m[:, :n] = _scaled_rows(rng, n + 1, 60, (n,))
+    x = _scaled_rows(rng, n, 60)
+    stacked, shared = _affine(m, x), _affine(m[0], x)
+    for i in range(60):
+        a, b = m[i, :n, :n], m[i, :n, n]
+        assert stacked[i].tobytes() == (a @ x[i] + b).tobytes()
+        assert shared[i].tobytes() == (m[0, :n, :n] @ x[i] + m[0, :n, n]).tobytes()
+    assert _affine(m[0], x[0]).tobytes() == stacked[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 21, 80])
+def test_row_dots_are_each_rows_np_dot(n):
+    rng = np.random.default_rng([n, 8])
+    a, b = _scaled_rows(rng, n, 200), _scaled_rows(rng, n, 200)
+    want = np.array([np.dot(u, v) for u, v in zip(a, b)])
+    assert _dots(a, b).tobytes() == want.tobytes()
+    assert _dots(a, b[0]).tobytes() == np.array([np.dot(u, b[0]) for u in a]).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_generator_stack_is_each_rows_augment_affine(n):
+    rng = np.random.default_rng([n, 9])
+    c, b = rng.uniform(-2.0, 2.0, size=(3, 5, n, n)), rng.uniform(-2.0, 2.0, size=(3, 5, n))
+    g = _generator(c, b)
+    assert g.shape == (3, 5, n + 1, n + 1)
+    for i in np.ndindex(3, 5):
+        want = np.block([[c[i], b[i][:, None]], [np.zeros((1, n + 1))]])
+        assert g[i].tobytes() == want.tobytes()
+        assert augment_affine(c[i], b[i]).tobytes() == want.tobytes()
 
 
 def test_inputs_are_not_mutated():
