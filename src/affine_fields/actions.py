@@ -46,11 +46,11 @@ from typing import Callable
 import numpy as np
 
 from .charts import Chart
-from .fields import AffineField, MatrixValue, constant_field, evaluate, linear_field
+from .fields import AffineField, MatrixValue, _of_generator, evaluate
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import (_affine, _dots, _eye, _norms, _real, as_integer, as_vector, augment_affine,
-                     mat_exp)
+from .linalg import (_affine, _dots, _eye, _generator, _norms, _real, as_integer, as_vector,
+                     augment_affine, mat_exp)
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -168,21 +168,18 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(np.linalg.inv(g.matrix))
 
 
-def _member(kind: str, value, n: int):
-    """The generator X, element g or stack of element matrices ``value``,
-    once it acts on R^n and lies in the Lie algebra, or the group, of the
-    ``kind`` group (_SUBGROUPS)."""
-    element = not isinstance(value, AffineField)
+def _member(kind: str, m: np.ndarray, n: int, element: bool = False) -> np.ndarray:
+    """The generator matrix m, or with ``element`` the element matrix m, or a
+    (..., n+1, n+1) stack of either, once it acts on R^n and lies in the Lie
+    algebra, or the group, of the ``kind`` group (_SUBGROUPS)."""
     what = "element" if element else "generator"
-    matrix = getattr(value, "matrix", value)
-    if matrix.shape[-1] != n + 1:
-        raise ValueError(f"{what} dimension {matrix.shape[-1] - 1} differs from action's {n}")
+    if m.shape[-1] != n + 1:
+        raise ValueError(f"{what} dimension {m.shape[-1] - 1} differs from action's {n}")
     if kind in _SUBGROUPS:
         block, of_generators, of_elements = _SUBGROUPS[kind]
-        origin = _eye(n + 1) if element else 0.0
-        if np.count_nonzero((matrix - origin)[block]):
+        if np.count_nonzero((m - _eye(n + 1) if element else m)[block]):
             raise ValueError(f"{kind} {what}s {of_elements if element else of_generators}")
-    return value
+    return m
 
 
 def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
@@ -192,7 +189,8 @@ def TangentAtIdentity(kind: str, X_mat, X_vec) -> AffineField:
     if kind not in _KINDS:
         raise ValueError(f"unknown group kind {kind!r}")
     X = AffineField(X_mat, X_vec)
-    return _member(kind, X, X.n)
+    _member(kind, X.matrix, X.n)
+    return X
 
 
 # The acts of VARIANTS take a (..., n+1, n+1) stack of homogeneous matrices
@@ -209,35 +207,43 @@ def _det_weighted_act(action, m, p) -> np.ndarray:
     return (a @ p[..., None])[..., 0] * weight[..., None]
 
 
-def _exp_translation_field(action, X) -> AffineField:
-    return linear_field(float(np.dot(X.B, action.s)) * np.eye(action.n))
+# The field and tangent maps of VARIANTS round each row of a stack as that
+# generator alone: X_vec . s by _dots, each trace as np.trace of one matrix.
+def _linear(c: np.ndarray) -> np.ndarray:
+    """Generators [[C, 0], [0, 0]] of a (..., n, n) stack of matrix parts."""
+    return _generator(c, np.zeros(c.shape[:-1]))
 
 
-def _exp_translation_tangent(action, field) -> AffineField:
-    # The field must be an isotropic scaling c I, to 1e-10 of its largest entry;
+def _trace_shifted(g, w, n: int) -> np.ndarray:
+    c = g[..., :-1, :-1]  # C + w trace(C) I
+    return _linear(c + (w * np.trace(c, axis1=-2, axis2=-1))[..., None, None] * _eye(n))
+
+
+def _exp_translation_field(action, g) -> np.ndarray:
+    return _linear(_dots(g[..., :-1, -1], action.s)[..., None, None] * _eye(action.n))
+
+
+def _exp_translation_tangent(action, g) -> np.ndarray:
+    # Each field must be an isotropic scaling c I, to 1e-10 of its largest entry;
     # any X_vec with X_vec . s = c works, and the returned one is c s / (s . s).
     n = action.n
-    c = _member(GENERAL_LINEAR, field, n).C
-    rate = float(np.trace(c)) / n
-    if np.max(np.abs(c - rate * np.eye(n))) > 1e-10 * np.max(np.abs(c)):
+    c = _member(GENERAL_LINEAR, g, n)[..., :-1, :-1]
+    rate = np.trace(c, axis1=-2, axis2=-1) / n
+    spread = np.abs(c - rate[..., None, None] * _eye(n)).max(axis=(-2, -1))
+    if (spread > 1e-10 * np.abs(c).max(axis=(-2, -1))).any():
         raise ValueError("exp-translation fundamental fields are isotropic scalings")
-    if rate == 0.0:
-        return constant_field(np.zeros(n))
     ss = float(np.dot(action.s, action.s))
-    if ss == 0.0:
+    if ss == 0.0 and rate.any():
         raise ValueError("weight vector is zero; only the zero field is reachable")
-    return constant_field((rate / ss) * action.s)
+    b = (rate / (ss or 1.0))[..., None] * action.s  # with s = 0 every rate is 0
+    return _generator(0.0, np.where(rate[..., None] == 0.0, 0.0, b))
 
 
-def _det_weighted_field(action, X) -> AffineField:
-    return linear_field(X.C + action.q * np.trace(X.C) * np.eye(action.n))
-
-
-def _det_weighted_tangent(action, field) -> AffineField:
-    # Removes the trace feedback: X_mat = C - q / (1 + q n) trace(C) I.
+def _det_weighted_tangent(action, g) -> np.ndarray:
+    # Removes the trace feedback: X_mat = C - q / (1 + q n) trace(C) I, as
+    # C + (-(q / (1 + q n)) trace(C)) I, which rounds alike.
     n, q = action.n, action.q
-    c = _member(GENERAL_LINEAR, field, n).C
-    return linear_field(c - (q / (1.0 + q * n)) * np.trace(c) * np.eye(n))
+    return _trace_shifted(_member(GENERAL_LINEAR, g, n), -(q / (1.0 + q * n)), n)
 
 
 @dataclass(frozen=True)
@@ -248,13 +254,16 @@ class VariantRecord:
     The act takes the homogeneous matrices [[a, t], [0, 1]] of elements as a
     (..., n+1, n+1) stack and points of R^n as (..., n), broadcast against
     each other, and returns the (..., n) images without checking either.
-    For the three standard actions both maps are the identity: the
-    fundamental field of X is the field X."""
+    The field and tangent maps take a (..., n+1, n+1) stack of generators
+    and return the generators [[C, B], [0, 0]] of their images; only the
+    tangent map checks its stack, as tangent_for_field does.  For the three
+    standard actions both return their stack itself: the fundamental field
+    of X is the field X."""
 
     kind: str
     act: Callable[["GroupAction", np.ndarray, np.ndarray], np.ndarray]
-    field: Callable[["GroupAction", AffineField], AffineField]
-    tangent: Callable[["GroupAction", AffineField], AffineField]
+    field: Callable[["GroupAction", np.ndarray], np.ndarray]
+    tangent: Callable[["GroupAction", np.ndarray], np.ndarray]
     param: str | None = None
 
 
@@ -262,8 +271,8 @@ def _standard_record(kind: str) -> VariantRecord:
     return VariantRecord(
         kind,
         lambda action, m, p: _affine(m, p),
-        field=lambda action, X: X,
-        tangent=lambda action, field: _member(action.group_kind, field, action.n),
+        field=lambda action, g: g,
+        tangent=lambda action, g: _member(action.group_kind, g, action.n),
     )
 
 
@@ -281,7 +290,7 @@ VARIANTS = {
     DET_WEIGHTED: VariantRecord(
         GENERAL_LINEAR,
         act=_det_weighted_act,
-        field=_det_weighted_field,
+        field=lambda action, g: _trace_shifted(g, action.q, action.n),
         tangent=_det_weighted_tangent,
         param="q",
     ),
@@ -387,7 +396,7 @@ def act(action: GroupAction, g: GroupElement, x) -> np.ndarray:
 
     Raises OverflowError when the image, before any chart, is not finite.
     """
-    _member(action.group_kind, g, action.n)
+    _member(action.group_kind, g.matrix, action.n, element=True)
     return _act(action, g.matrix, np.ravel(x))
 
 
@@ -436,7 +445,7 @@ def fundamental_field_numeric(
     chart, once, as act does.  It is _fundamental_rows on a stack of one.
     Raises OverflowError when an image is not finite.
     """
-    _member(action.group_kind, tangent, action.n)
+    _member(action.group_kind, tangent.matrix, action.n)
     return _fundamental_rows(action, tangent.matrix[None], np.ravel(x)[None])[0]
 
 
@@ -452,10 +461,11 @@ def fundamental_field_analytic(
     det-weighted C = X_mat + q trace(X_mat) I.  An action with a chart
     has no ambient closed form; see fundamental_field_chart.
     """
-    _member(action.group_kind, tangent, action.n)
+    m = _member(action.group_kind, tangent.matrix, action.n)
     if action.chart is not None:
         raise ValueError(f"no ambient closed form for {action.describe()}")
-    return VARIANTS[action.variant].field(action, tangent)
+    field = VARIANTS[action.variant].field(action, m)
+    return tangent if field is m else _of_generator(field)
 
 
 def fundamental_field_chart(
@@ -490,7 +500,8 @@ def tangent_for_field(action: GroupAction, field: AffineField) -> AffineField:
     """
     if action.chart is not None:
         raise ValueError(f"no tangent recovery for {action.describe()}")
-    return VARIANTS[action.variant].tangent(action, field)
+    m = VARIANTS[action.variant].tangent(action, field.matrix)
+    return field if m is field.matrix else _of_generator(m)
 
 
 def one_parameter_subgroup(
@@ -502,7 +513,7 @@ def one_parameter_subgroup(
     Raises OverflowError when t X or exp(t X) is not representable in
     floats, and ValueError for a non-finite t.
     """
-    _member(action.group_kind, tangent, action.n)
+    _member(action.group_kind, tangent.matrix, action.n)
     t = _real(t, "t").item()
     with np.errstate(over="ignore"):
         scaled = t * tangent.matrix
@@ -632,12 +643,12 @@ def check_action_axioms(
     for lo in range(0, samples, size):
         k = min(size, samples - lo)
         x, g = _random_samples(action, rng, k)
-        g1, g2 = _member(kind, _check_elements(g), n)
+        g1, g2 = _member(kind, _check_elements(g), n, element=True)
         scale = 1.0 + _norms(x)
         max_id = max(max_id, float(np.max(_norms(_act(action, _eye(n + 1), x) - x) / scale)))
         with np.errstate(over="ignore", invalid="ignore"):
             product = _member(kind, _check_elements(
-                _real(g1 @ g2, "group element", finite="has non-finite entries")), n)
+                _real(g1 @ g2, "group element", finite="has non-finite entries")), n, element=True)
         direct = _act(action, product, x)
         chained = _act(action, g1, _act(action, g2, x))
         max_comp = max(max_comp, float(np.max(_norms(direct - chained) / scale)))

@@ -139,6 +139,28 @@ def _zero_scalar(n: int) -> ScalarField:
     return _stacked(n, lambda p: np.zeros(p.shape[:-1]), lambda p: np.zeros(p.shape))
 
 
+def _constant_coordinates(b: np.ndarray) -> tuple:
+    """(order, ratios, coordinates) of each row of the (..., n) stack b of
+    constant fields: order is the pivot p (the first coordinate, or the
+    largest |b_k| when b_0 vanishes) then the others in increasing order,
+    ratios their b_k / b_p, and coordinates maps points (..., n), of any
+    shape for one b and else of b's ndim, broadcast against it, to
+    (x_p / b_p, xi), xi_k = x_k - x_p b_k / b_p over the others.  A zero
+    row raises DegenerateFieldError."""
+    pivot = np.where(b[..., 0] != 0.0, 0, np.argmax(np.abs(b), axis=-1))
+    order = np.argsort(np.arange(b.shape[-1]) != pivot[..., None], -1, kind="stable")
+    bp, rest = np.split(np.take_along_axis(b, order, -1), [1], -1)
+    if not bp.all():
+        raise DegenerateFieldError("constant field is zero; no canonical parameter")
+    ratios = rest / bp
+
+    def coordinates(p: np.ndarray) -> tuple:
+        x = p[..., order] if order.ndim == 1 else np.take_along_axis(p, order, -1)
+        return x[..., 0] / bp[..., 0], x[..., 1:] - x[..., :1] * ratios
+
+    return order, ratios, coordinates
+
+
 def constant_field_bundle(
     b, F: ScalarField | None = None, G: ScalarField | Sequence[ScalarField] | None = None
 ) -> InvariantBundle:
@@ -149,16 +171,13 @@ def constant_field_bundle(
     for k != p are invariants and x_p / b_p is a canonical parameter.  Any
     C^1 reshaping F of the xi's may be added to the parameter, and each
     supplied G composes with the xi's to give an invariant.  Coordinates
-    whose b_k vanishes enter the xi's untouched.
+    whose b_k vanishes enter the xi's untouched (_constant_coordinates).
     """
     vec = as_vector(b, "vector part")
     n = vec.size
     if n == 0:
         raise DegenerateFieldError("constant field is zero; no canonical parameter")
-    pivot = 0 if vec[0] != 0.0 else int(np.argmax(np.abs(vec)))
-    if abs(vec[pivot]) == 0.0:
-        raise DegenerateFieldError("constant field is zero; no canonical parameter")
-    others = np.array([k for k in range(n) if k != pivot], dtype=np.intp)
+    order, ratios, coordinates = _constant_coordinates(vec)
     if F is None:
         F = _zero_scalar(n - 1)
     if G is None:
@@ -170,25 +189,23 @@ def constant_field_bundle(
     if F.n != n - 1 or any(g.n != n - 1 for g in gs):
         raise ValueError(f"F and G must live on R^{n - 1}")
 
-    bp = vec[pivot]
-    ratios = vec[others] / bp
-
-    def xi(p: np.ndarray) -> np.ndarray:
-        return p[..., others] - p[..., pivot, None] * ratios
-
     def lift_grad(inner_grad: np.ndarray, pivot_term: float) -> np.ndarray:
         g = np.zeros(inner_grad.shape[:-1] + (n,))
-        g[..., others] = inner_grad
-        g[..., pivot] = pivot_term - _dots(inner_grad, ratios)
+        g[..., order[1:]] = inner_grad
+        g[..., order[0]] = pivot_term - _dots(inner_grad, ratios)
         return g
 
     def make_invariant(g: ScalarField) -> ScalarField:
-        return _stacked(n, lambda p: _values(g, xi(p)),
-                        lambda p: lift_grad(_gradients(g, xi(p)), 0.0))
+        return _stacked(n, lambda p: _values(g, coordinates(p)[1]),
+                        lambda p: lift_grad(_gradients(g, coordinates(p)[1]), 0.0))
+
+    def parameter(p: np.ndarray) -> np.ndarray:
+        s, xi = coordinates(p)
+        return s + _values(F, xi)
 
     field = AffineField(np.zeros((n, n)), vec)
-    s = _stacked(n, lambda p: p[..., pivot] / bp + _values(F, xi(p)),
-                 lambda p: lift_grad(_gradients(F, xi(p)), 1.0 / bp))
+    s = _stacked(n, parameter, lambda p: lift_grad(_gradients(F, coordinates(p)[1]),
+                                                   1.0 / vec[order[0]]))
     return InvariantBundle(field, s, tuple(make_invariant(g) for g in gs))
 
 
@@ -234,7 +251,8 @@ def straightened_frame_flow(bundle: InvariantBundle, t: float, coords) -> np.nda
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Defect maxima from sampling a bundle against its defining equations."""
+    """Defect maxima from sampling a bundle against its defining equations:
+    |X(S) - 1|, and per invariant the cosine of its gradient and the field."""
 
     sample_count: int
     tol: float
@@ -318,10 +336,12 @@ def verify_bundle(
 
     The package's own functions (see ScalarField) take their gradients at
     all the points in one call, any other one per point, in the per-point
-    order and with its errors.  A gradient gives both the defect
-    |grad . X(x) - c|, its dot product rounded as np.dot's, and a Jacobian
-    row.  One stacked SVD ranks all the Jacobians; a non-finite row is
-    refused at its point, as ``rank`` refuses it."""
+    order and with its errors.  A gradient gives a Jacobian row and a defect
+    that no scaling of the function or the field changes: |grad S . X(x) -
+    1|, and the cosine |grad I . X(x)| / (|grad I| |X(x)|), 0 where grad I
+    = 0, dots rounded as np.dot's and |grad I| by np.hypot, which neither
+    overflows nor underflows.  One stacked SVD ranks all the Jacobians; a
+    non-finite row is refused at its point, as ``rank`` refuses it."""
     sample_count = as_integer(sample_count, "sample_count", 1)
     rng = np.random.default_rng(as_integer(seed, "seed", 0))
     field = bundle.field
@@ -346,6 +366,8 @@ def verify_bundle(
     if not finite.all():
         rank(jacobians[np.argmin(finite)])
     defects = np.abs(_dots(jacobians, values[:, None]) - targets)
+    scale = np.hypot.reduce(jacobians[:, 1:], axis=-1) * _norms(values)[:, None]
+    np.divide(defects[:, 1:], scale, out=defects[:, 1:], where=scale > 0.0)
     # fmax skips a NaN defect, as Python's max over the points would.
     worst = np.fmax.reduce(defects, axis=0, initial=0.0).tolist()
     ranks = _rank_of(np.linalg.svd(jacobians, compute_uv=False))

@@ -6,14 +6,16 @@ relation of the generators, difference quotients against analytic fields)
 at a fixed tolerance.  The CLI ``validate`` command and the acceptance tests
 both run these.
 
-Checks 1, 2, 5, 9 and 10 draw all the doubles of a case in one
+Checks 1, 2, 5, 6, 9 and 10 draw all the doubles of a case in one
 ``rng.random`` call, and check 8 in two and one ``rng.integers`` for the
 signs, and map each dimension's block to its bounds at once (``_uniform``):
 the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
 generator left in the same state.  The stacks' generators, images, dots and
 norms are linalg's, each row bit for bit the lone case's.  Check 3 takes
 the brackets of all generator pairs of a dimension in one commutator call
-on stacks, and the SVDs of check 10's no-fixed-point block one call each.
+on stacks, check 6 each action's maps one call per stack, check 8 the
+constant-field coordinates of a dimension's cases in one call, and the SVDs
+of check 10's no-fixed-point block one call each.
 """
 
 from __future__ import annotations
@@ -37,11 +39,8 @@ from .fields import (
 )
 from .flows import flow_at, flow_images, make_flow
 from .invariants import (
-    ScalarField,
+    _constant_coordinates,
     _gradients,
-    _stacked,
-    _values,
-    constant_field_bundle,
     planar_affine_family,
     straightened_frame_flow,
 )
@@ -337,33 +336,38 @@ def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     )
 
 
+def _round_trip_draws(rng) -> dict:
+    """Check 6's stacks {(variant, n, q): fields' generators}: ``_draw_blocks``
+    of 50 fields in [-2, 2], each as its linear part, its constant part and
+    itself (standard-linear, -translation and -affine), then for n in 1..4
+    and q in 0..3 five linear fields (det-weighted), one ``rng.random`` call
+    per (n, q)."""
+    draws = {}
+    for n, u in _draw_blocks(rng, 50, (1, 5), lambda n: n * n + n):
+        g = _block_generators(u, n, -2.0, 2.0)
+        draws[ga.STANDARD_LINEAR, n, None] = _generator(g[:, :n, :n], np.zeros((len(g), n)))
+        draws[ga.STANDARD_TRANSLATION, n, None] = _generator(0.0, g[:, :n, n])
+        draws[ga.STANDARD_AFFINE, n, None] = g
+    for n in range(1, 5):
+        for q in range(4):
+            c = _uniform(rng.random((5, n * n)), -2.0, 2.0).reshape(5, n, n)
+            draws[ga.DET_WEIGHTED, n, q] = _generator(c, np.zeros((5, n)))
+    return draws
+
+
 def check_field_tangent_roundtrip(seed: int = 42) -> CheckResult:
     """Field -> tangent -> fundamental field is the identity for the linear,
     constant, and affine bijections, and the det-weighted trace-removal
-    inverse round-trips for q in 0..3, n in 1..4; bound 1e-12."""
-    rng = _rng(seed, 6)
-    cases = []
-    for _ in range(50):
-        n = int(rng.integers(1, 5))
-        c = rng.uniform(-2.0, 2.0, size=(n, n))
-        b = rng.uniform(-2.0, 2.0, size=n)
-        cases += [
-            (ga.standard_linear_action(n), AffineField(c, np.zeros(n))),
-            (ga.standard_translation_action(n), AffineField(np.zeros((n, n)), b)),
-            (ga.standard_affine_action(n), AffineField(c, b)),
-        ]
-    for n in range(1, 5):
-        for q in range(4):
-            action = ga.det_weighted_action(n, q)
-            cases += [
-                (action, AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)))
-                for _ in range(5)
-            ]
+    inverse round-trips for q in 0..3, n in 1..4; bound 1e-12.  The fields
+    are drawn into per-action stacks (``_round_trip_draws``), and each stack
+    takes the variant's tangent map, the membership test of
+    ``fundamental_field_analytic`` and the field map once, on the whole
+    stack of generators."""
     worst = 0.0
-    for action, field in cases:
-        tangent = ga.tangent_for_field(action, field)
-        back = ga.fundamental_field_analytic(action, tangent)
-        worst = max(worst, float(np.max(np.abs(back.matrix - field.matrix))))
+    for (variant, n, q), g in _round_trip_draws(_rng(seed, 6)).items():
+        action, record = ga.GroupAction(variant, n, q=q), ga.VARIANTS[variant]
+        tangent = ga._member(record.kind, record.tangent(action, g), n)
+        worst = max(worst, np.max(np.abs(record.field(action, tangent) - g)))
     return _bounded(
         "field-tangent-round-trip", ("worst round-trip defect", worst, 1e-12)
     )
@@ -396,19 +400,12 @@ def check_chart_conjugation() -> CheckResult:
     )
 
 
-def _random_reshaping(amps) -> ScalarField:
-    """Nontrivial C^1 function of m slots with an analytic gradient, from its
-    3m amplitudes: of sin(xi), then xi^2, then xi.  Its fn and grad also
-    take stacks, each term's sum rounded as np.dot's."""
-    amp_sin, amp_sq, amp_lin = amps.reshape(3, -1)
-
-    def fn(xi):
-        return _dots(np.sin(xi), amp_sin) + _dots(xi**2, amp_sq) + _dots(xi, amp_lin)
-
-    def grad(xi):
-        return amp_sin * np.cos(xi) + 2.0 * amp_sq * xi + amp_lin
-
-    return _stacked(len(amp_sin), fn, grad)
+def _random_reshaping(amps, xi) -> np.ndarray:
+    """Nontrivial C^1 functions of m slots, a row of the (k, 3m) amplitudes
+    each, of sin(xi), then xi^2, then xi: their values at the (k, j, m)
+    stack xi, each term's sum rounded as np.dot's."""
+    amp_sin, amp_sq, amp_lin = np.split(amps[:, None], 3, axis=-1)
+    return _dots(np.sin(xi), amp_sin) + _dots(xi**2, amp_sq) + _dots(xi, amp_lin)
 
 
 def _invariant_draws(rng) -> list[tuple]:
@@ -436,10 +433,11 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
     the flow, invariants stay fixed and the canonical parameter advances by
     exactly t, to 1e-7, for t in {-1, -0.5, 0.5, 1}.  The cases are drawn
     into per-dimension stacks (``_invariant_draws``), and the images at all
-    four times take one ``flow_images`` call per dimension.  S and the
-    invariant of a bundle each take one stack-form call (``_values``) on the
-    (5, n) stack of the start and its images, bit for bit their per-point
-    values."""
+    four times take one ``flow_images`` call per dimension.  The bundle's S
+    = x_p / b_p + F(xi) and invariant G(xi) are taken on the (cases, 5, n)
+    stack of the starts and their images, by one
+    ``invariants._constant_coordinates`` call and one ``_random_reshaping``
+    call for F and for G, bit for bit constant_field_bundle's values."""
     times = np.array([-1.0, -0.5, 0.5, 1.0])
     worst, k = 0.0, len(times)
     for b, amps, starts in _invariant_draws(_rng(seed, 8)):
@@ -447,13 +445,11 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
         g = np.repeat(_generator(0.0, b), k, axis=0)
         images = flow_images(g, np.tile(times, len(b)), np.repeat(starts, k, axis=0))
         stacks = np.concatenate([starts[:, None], images.reshape(-1, k, n)], axis=1)
-        defects = np.empty((len(b), 2, k))
-        for row, a, stack, out in zip(b, amps, stacks, defects):
-            bundle = constant_field_bundle(row, F=_random_reshaping(a[: 3 * n - 3]),
-                                           G=_random_reshaping(a[3 * n - 3 :]))
-            s, i = _values(bundle.S, stack), _values(bundle.invariants[0], stack)
-            out[0], out[1] = s[1:] - s[0] - times, i[1:] - i[0]
-        worst = max(worst, np.abs(defects).max())
+        _, _, coordinates = _constant_coordinates(b[:, None])
+        s, xi = coordinates(stacks)
+        s = s + _random_reshaping(amps[:, : 3 * n - 3], xi)
+        i = _random_reshaping(amps[:, 3 * n - 3 :], xi)
+        worst = max(worst, np.abs([s[:, 1:] - s[:, :1] - times, i[:, 1:] - i[:, :1]]).max())
     return _bounded("invariant-flow-constancy", ("worst defect", worst, 1e-7))
 
 

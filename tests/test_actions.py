@@ -829,6 +829,66 @@ class TestTangentRecovery:
                 ga.tangent_for_field(action, tiny)
 
 
+def _field(m):
+    """The AffineField of the generator m."""
+    return AffineField(m[:-1, :-1], m[:-1, -1])
+
+
+def _variant_actions(rng, variant, n):
+    """Actions of ``variant`` on R^n: det-weighted for q = 0..3,
+    exp-translation for a random weight and the zero one."""
+    param = ga.VARIANTS[variant].param
+    values = {"s": [rng.uniform(-1.5, 1.5, n), np.zeros(n)], "q": range(4)}.get(param, [None])
+    return [ga.GroupAction(variant, n, **({param: v} if param else {})) for v in values]
+
+
+class TestStackedVariantMaps:
+    """The field and tangent maps of VARIANTS on a stack of generators
+    against fundamental_field_analytic and tangent_for_field on each row
+    alone, by bytes."""
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)
+    def test_each_row_is_the_public_function_of_that_row(self, variant, n):
+        rng = np.random.default_rng([n, len(variant), 34])
+        record = ga.VARIANTS[variant]
+        for action in _variant_actions(rng, variant, n):
+            g = np.stack([_random_tangent(rng, record.kind, n).matrix for _ in range(12)])
+            g[3] = 0.0  # the zero generator, a zero rate for exp-translation
+            g[5, :n, :n] *= 1e-300
+            top = g[:, :n]  # signed zeros in any entry above the zero bottom row
+            top[rng.random(top.shape) < 0.05] *= -0.0
+            fields = record.field(action, g)
+            assert fields.shape == g.shape
+            for row, got in zip(g, fields):
+                want = ga.fundamental_field_analytic(action, _field(row)).matrix
+                assert got.tobytes() == want.tobytes()
+            # The images are fields the tangent map takes: isotropic
+            # scalings for exp-translation.
+            tangents = record.tangent(action, fields)
+            for field, got in zip(fields, tangents):
+                assert got.tobytes() == ga.tangent_for_field(action, _field(field)).matrix.tobytes()
+
+    @pytest.mark.parametrize("variant, s, bad", [
+        (ga.EXP_TRANSLATION, [1.0, -2.0, 0.5], np.diag([1.0, 1.0, 1.5])),
+        (ga.EXP_TRANSLATION, [0.0, 0.0, 0.0], 0.5 * np.eye(3)),
+        (ga.EXP_TRANSLATION, [1.0, -2.0, 0.5], AffineField(np.eye(3), [0.0, 1e-13, 0.0]).matrix),
+        (ga.DET_WEIGHTED, None, AffineField(np.eye(3), [0.0, 0.0, 1.0]).matrix),
+        (ga.STANDARD_LINEAR, None, AffineField(np.eye(3), [1.0, 0.0, 0.0]).matrix),
+        (ga.STANDARD_TRANSLATION, None, AffineField(np.eye(3), [1.0, 0.0, 0.0]).matrix),
+    ])
+    def test_a_failing_row_raises_as_that_row_alone(self, variant, s, bad):
+        # A stack of zero fields, which every variant takes, and one that is not.
+        param = {ga.EXP_TRANSLATION: {"s": s}, ga.DET_WEIGHTED: {"q": 2}}.get(variant, {})
+        action = ga.GroupAction(variant, 3, **param)
+        stack = np.zeros((6, 4, 4))
+        stack[4, : bad.shape[0], : bad.shape[1]] = bad
+        with pytest.raises(ValueError) as alone:
+            ga.tangent_for_field(action, _field(stack[4]))
+        with pytest.raises(ValueError, match=re.escape(str(alone.value))):
+            ga.VARIANTS[variant].tangent(action, stack)
+
+
 class TestOrbitTangency:
     """t -> act(exp(t X), x) is the flow of the fundamental field of X."""
 

@@ -19,6 +19,7 @@ from affine_fields.validate import (
     _fundamental_draws,
     _group_law_draws,
     _invariant_draws,
+    _round_trip_draws,
     _singular_matrix,
 )
 from affine_fields.linalg import solve_linear
@@ -88,6 +89,28 @@ def _fundamental_per_call(rng):
             key = (variant, n, record.param, value)
             cases.setdefault(key, []).append((g, rng.uniform(-2.0, 2.0, size=n)))
     return {key: tuple(map(np.array, zip(*drawn))) for key, drawn in cases.items()}
+
+
+def _round_trip_per_call(rng):
+    """Check 6 with one ``rng.uniform`` call per value: C and B of each of
+    the 50 fields, taken as its linear part, its constant part and itself,
+    then the matrices of the det-weighted fields one by one."""
+    cases = {}
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        c = rng.uniform(-2.0, 2.0, size=(n, n))
+        b = rng.uniform(-2.0, 2.0, size=n)
+        for variant, field in ((ga.STANDARD_LINEAR, AffineField(c, np.zeros(n))),
+                               (ga.STANDARD_TRANSLATION, AffineField(np.zeros((n, n)), b)),
+                               (ga.STANDARD_AFFINE, AffineField(c, b))):
+            cases.setdefault((variant, n, None), []).append(field.matrix)
+    draws = {key: np.array(cases[key]) for key in sorted(cases, key=lambda key: key[1])}
+    for n in range(1, 5):
+        for q in range(4):
+            draws[ga.DET_WEIGHTED, n, q] = np.array([
+                AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)).matrix
+                for _ in range(5)])
+    return draws
 
 
 def _degenerate_per_call(rng):
@@ -242,6 +265,7 @@ DRAWS = {
                          SEEDS, None),
     "validate-check-2": (_validate_row(2, _group_law_draws, _group_law_per_call), SEEDS, None),
     "validate-check-5": (_validate_row(5, _fundamental_draws, _fundamental_per_call), SEEDS, None),
+    "validate-check-6": (_validate_row(6, _round_trip_draws, _round_trip_per_call), SEEDS, None),
     "validate-check-8": (_validate_row(8, _invariant_draws, _invariant_per_call), SEEDS, None),
     "validate-check-9": (_validate_row(9, lambda rng: _field_blocks(rng, 20, (2, 5), 1),
                                        lambda rng: _fields_per_call(rng, 20, (2, 5), 1)),

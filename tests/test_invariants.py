@@ -34,7 +34,6 @@ from affine_fields.invariants import (
     sample_regular_points,
 )
 from affine_fields.linalg import rank
-from affine_fields.validate import _random_reshaping
 
 
 def slot(k, m):
@@ -194,6 +193,36 @@ class TestConstantFieldBundle:
         with pytest.raises(DegenerateFieldError):
             constant_field_bundle([0.0, 0.0])
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_stacked_coordinates_are_each_bundles_bit_for_bit(self, n):
+        # Rows with b_0 = 0 (the pivot at the largest |b_k|, first on ties)
+        # and with other components 0, which validation never draws.
+        rng = np.random.default_rng([n, 34])
+        b = rng.choice([0.0, 0.5, -0.5, 1.25, -2.0], size=(60, n))
+        b[~b.any(axis=1), -1] = 0.75
+        points = rng.uniform(-3.0, 3.0, size=(60, 5, n))
+        points[rng.random(points.shape) < 0.1] = -0.0
+        order, ratios, coordinates = invariants._constant_coordinates(b[:, None])
+        s, xi = coordinates(points)
+        assert s.shape == (60, 5) and xi.shape == (60, 5, n - 1)
+        for row, p, s_row, xi_row in zip(b, points, s, xi):
+            # The formula per row, and the bundle's functions point by point:
+            # F = -0.0 leaves x_p / b_p as it is, the slots return xi.
+            pivot = 0 if row[0] != 0.0 else int(np.argmax(np.abs(row)))
+            others = [k for k in range(n) if k != pivot]
+            formula = p[:, others] - p[:, pivot, None] * (row[others] / row[pivot])
+            assert xi_row.tobytes() == formula.tobytes()
+            assert s_row.tobytes() == (p[:, pivot] / row[pivot]).tobytes()
+            bundle = constant_field_bundle(row, F=ScalarField(n - 1, lambda x: -0.0),
+                                           G=[slot(k, n - 1) for k in range(n - 1)])
+            assert s_row.tobytes() == np.array([bundle.S.value(x) for x in p]).tobytes()
+            values = [[f.value(x) for f in bundle.invariants] for x in p]
+            assert xi_row.tobytes() == np.reshape(values, (5, n - 1)).tobytes()
+
+    def test_zero_row_of_a_stack_is_rejected(self):
+        with pytest.raises(DegenerateFieldError, match="constant field is zero"):
+            invariants._constant_coordinates(np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 3.0]]))
+
     def test_one_dimensional_field(self):
         bundle = constant_field_bundle([2.0])
         assert bundle.invariants == ()
@@ -230,6 +259,48 @@ class TestVerifyBundle:
         assert report.max_parameter_defect == pytest.approx(1.0)
         assert not report.passed
 
+    @staticmethod
+    def _with_wrong_invariant(eps):
+        """b = (1, 2, -0.5) with the true invariant xi_0 and eps (x_0 + x_2),
+        which X moves at the rate eps / 2: the cosine with the field is
+        0.5 / (sqrt 2 |b|) at every point."""
+        bundle = constant_field_bundle([1.0, 2.0, -0.5], G=slot(0, 2))
+        wrong = ScalarField(3, lambda x: eps * (x[0] + x[2]),
+                            grad=lambda x: eps * np.array([1.0, 0.0, 1.0]))
+        return InvariantBundle(bundle.field, bundle.S, bundle.invariants + (wrong,))
+
+    @pytest.mark.parametrize("eps", [1.0, 1e-6, 1e-9])
+    def test_small_wrong_invariant_fails(self, eps):
+        report = verify_bundle(self._with_wrong_invariant(eps), 25, 1e-8)
+        assert report.invariant_defects[0] == 0.0
+        assert report.invariant_defects[1] == pytest.approx(0.5 / np.sqrt(2.0 * 5.25), rel=1e-12)
+        assert report.jacobian_ok and not report.passed
+
+    @pytest.mark.parametrize("eps", [1e-200, 1e200])
+    def test_wrong_invariant_with_a_tiny_or_huge_gradient_fails(self, eps):
+        # The gradient's norm neither underflows to 0 nor overflows to inf.
+        report = verify_bundle(self._with_wrong_invariant(eps), 25, 1e-8)
+        assert report.invariant_defects[1] == pytest.approx(0.5 / np.sqrt(2.0 * 5.25), rel=1e-12)
+        assert not report.passed
+
+    @pytest.mark.parametrize("lam, mu", [(2.0**-4, 2.0**10), (2.0**4, 2.0**-10), (0.5, 1.0)])
+    def test_report_is_the_same_for_scaled_field_and_functions(self, lam, mu):
+        # (lam X, S / lam, mu I) with powers of two: every product, norm and
+        # quotient of the defects scales exactly.
+        bundle = constant_field_bundle([1.0, 2.0, -0.5], F=_wavy(2, 0, 0.3, True),
+                                       G=_wavy(2, 1, -0.2, True))
+        base = InvariantBundle(bundle.field, bundle.S, bundle.invariants
+                               + self._with_wrong_invariant(1.0).invariants[1:])
+
+        def times(f, c):
+            return ScalarField(3, lambda x: c * f.value(x), grad=lambda x: c * f.gradient(x))
+
+        scaled = InvariantBundle(constant_field(lam * bundle.field.B), times(base.S, 1.0 / lam),
+                                 tuple(times(f, mu) for f in base.invariants))
+        for tol in (1e-8, 0.2):
+            assert verify_bundle(scaled, 40, tol, seed=5) == verify_bundle(base, 40, tol, seed=5)
+        assert verify_bundle(base, 40, 0.2, seed=5).passed
+
     def test_report_is_json_serializable(self):
         _, bundle = planar_affine_family(1.0, 1.0, 0.0)
         report = verify_bundle(bundle, sample_count=10, tol=1e-8, seed=0)
@@ -258,8 +329,10 @@ def _one_at_a_time_points(field, count, rng, box):
 
 def _two_gradient_report(bundle, sample_count, tol, box, seed):
     """verify_bundle through directional_derivative, which takes each
-    function's gradient once more than its Jacobian row does, and through
-    one-at-a-time draws and one rank per point: the oracle of the report."""
+    function's gradient once more than its Jacobian row does, an invariant's
+    defect divided by the norms of its gradient (np.hypot) and of the field
+    (the cosine), and through one-at-a-time draws and one rank per point:
+    the oracle of the report."""
     rng = np.random.default_rng(seed)
     field = bundle.field
     points, _ = _one_at_a_time_points(field, sample_count, rng, box)
@@ -270,8 +343,10 @@ def _two_gradient_report(bundle, sample_count, tol, box, seed):
         max_s = max(max_s, abs(directional_derivative(field, bundle.S, x) - 1.0))
         rows = [bundle.S.gradient(x)]
         for k, f in enumerate(bundle.invariants):
-            max_i[k] = max(max_i[k], abs(directional_derivative(field, f, x)))
             rows.append(f.gradient(x))
+            dot = abs(directional_derivative(field, f, x))
+            scale = np.hypot.reduce(rows[-1]) * np.linalg.norm(evaluate(field, x))
+            max_i[k] = max(max_i[k], float(dot / scale) if scale > 0.0 else dot)
         if rank(np.stack(rows)) < field.n:
             jacobian_ok = False
     return VerificationReport(sample_count, tol, max_s, tuple(max_i), jacobian_ok)
@@ -455,8 +530,6 @@ STACK_FORMS = {
     "planar I": lambda rng: planar_affine_family(
         *rng.uniform(-2.0, 2.0, size=3))[1].invariants[0],
     "zero": lambda rng: _zero_scalar(int(rng.integers(0, 5))),
-    "validate reshaping": lambda rng: _random_reshaping(
-        rng.uniform(-1.0, 1.0, size=3 * int(rng.integers(1, 5)))),
 }
 
 

@@ -1,9 +1,9 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
 checks 1, 2, 8, 9 and 10, the point stack of check 4, the per-action
-stacks of check 5 and the pair stacks of check 3, against one case at a
-time, and check 3's failure reports under a wrong commutator.  The block
-draws of checks 1, 2, 5, 8, 9 and 10 are rows of the draw table in
-test_draws.py."""
+stacks of checks 5 and 6 and the pair stacks of check 3, against one case
+at a time, and check 3's failure reports under a wrong commutator.  The
+block draws of checks 1, 2, 5, 6, 8, 9 and 10 are rows of the draw table
+in test_draws.py."""
 
 from itertools import combinations_with_replacement
 
@@ -25,7 +25,9 @@ from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integra
 from affine_fields.validate import (
     _singular_matrix,
     _stacked_rk4_ends,
+    _random_reshaping,
     check_degenerate_flows,
+    check_field_tangent_roundtrip,
     check_flow_vs_oracle,
     check_fundamental_agreement,
     check_group_law,
@@ -233,6 +235,18 @@ def _invariant_detail_case_by_case(seed):
     return f"worst defect {worst:.3e} (bound 1e-07)"
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_reshapings_of_a_stack_are_each_cases_per_point_values(m):
+    rng = np.random.default_rng([m, 8])
+    amps = rng.uniform(-1.0, 1.0, size=(30, 3 * m))
+    xi = rng.uniform(-3.0, 3.0, size=(30, 5, m))
+    for a, points, got in zip(amps, xi, _random_reshaping(amps, xi)):
+        amp_sin, amp_sq, amp_lin = np.split(a, 3)
+        want = [float(np.dot(amp_sin, np.sin(p)) + np.dot(amp_sq, p**2) + np.dot(amp_lin, p))
+                for p in points]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 def _planar_detail_case_by_case(seed):
     """Check 4 with one ``evaluate``, two ``gradient`` calls, two ``np.dot``
     and one ``np.linalg.det`` per point, in the same draw order."""
@@ -288,11 +302,39 @@ def _fundamental_detail_case_by_case(seed):
     return f"worst relative defect {worst:.3e} (bound 1e-05)"
 
 
+def _field_tangent_detail_case_by_case(seed):
+    """Check 6 with one action and one field per case, and one
+    ``tangent_for_field`` and one ``fundamental_field_analytic`` call per
+    case, in the same draw order."""
+    rng = np.random.default_rng([seed, 6])
+    cases = []
+    for _ in range(50):
+        n = int(rng.integers(1, 5))
+        c = rng.uniform(-2.0, 2.0, size=(n, n))
+        b = rng.uniform(-2.0, 2.0, size=n)
+        cases += [
+            (ga.standard_linear_action(n), AffineField(c, np.zeros(n))),
+            (ga.standard_translation_action(n), AffineField(np.zeros((n, n)), b)),
+            (ga.standard_affine_action(n), AffineField(c, b)),
+        ]
+    for n in range(1, 5):
+        for q in range(4):
+            action = ga.det_weighted_action(n, q)
+            cases += [(action, AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)))
+                      for _ in range(5)]
+    worst = 0.0
+    for action, field in cases:
+        back = ga.fundamental_field_analytic(action, ga.tangent_for_field(action, field))
+        worst = max(worst, float(np.max(np.abs(back.matrix - field.matrix))))
+    return f"worst round-trip defect {worst:.3e} (bound 1e-12)"
+
+
 CASE_BY_CASE = [
     (check_flow_vs_oracle, _oracle_detail_case_by_case),
     (check_group_law, _group_law_detail_case_by_case),
     (check_planar_family, _planar_detail_case_by_case),
     (check_fundamental_agreement, _fundamental_detail_case_by_case),
+    (check_field_tangent_roundtrip, _field_tangent_detail_case_by_case),
     (check_invariant_flow_constancy, _invariant_detail_case_by_case),
     (check_degenerate_flows, _degenerate_detail_case_by_case),
 ]
