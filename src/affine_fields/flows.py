@@ -17,8 +17,10 @@ The time-t map acts on every point alike, so a FlowMap keeps exp(t G) for
 the last scalar time it was evaluated at, and a scalar ``flow_at`` at that
 time again takes only ``_affine`` of the kept E = exp(t G), a stack of one
 (every decision ``mat_exp`` makes for it is a Python scalar), bit for bit
-the row of ``flow_images``.  Validation checks 1, 2, 8, 9 and 10 call
-``flow_images`` on whole ensembles.  ``orbit`` on a uniform grid of K
+the row of ``flow_images``.  Validation checks 8, 9 and 10 call
+``flow_images`` on whole ensembles; checks 1 and 2 take the exponentials
+of theirs as ``_exponentials`` stacks, each formed once, and their images
+by ``_affine``, the same rows bit for bit.  ``orbit`` on a uniform grid of K
 times takes ``flow_at`` at about sqrt(K) of them and carries those points
 on by about sqrt(K) step exponentials (the group law), within a rounding
 bound of ``flow_at``.
@@ -39,7 +41,7 @@ TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
 
 # Largest number of matrix entries in the stack of one mat_exp call in
-# flow_images.  At 2^13 floats (64 KiB per temporary of the kernel) a long
+# _exponentials.  At 2^13 floats (64 KiB per temporary of the kernel) a long
 # orbit's working memory stays near 2 MB beyond its points, and the fixed
 # cost of a call is spread over 18 times at n = 20 and 910 at n = 2.
 ORBIT_BLOCK_ENTRIES = 2**13
@@ -92,13 +94,23 @@ def make_flow(field: AffineField) -> FlowMap:
 def _exponentials(generators, times) -> np.ndarray:
     """The stack exp(t_j G_j); a generator stack of length 1 is shared.
 
+    The rows go to ``mat_exp`` in blocks of at most ORBIT_BLOCK_ENTRIES
+    matrix entries, one call per block, so the kernel's working memory stays
+    bounded however long the stack is.  Since ``mat_exp`` decides per
+    matrix, each row is bit for bit that of a stack of one.
+
     Raises OverflowError when some t G is not representable in floats.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        scaled = times[:, None, None] * generators
-    if not np.isfinite(scaled).all():
-        raise OverflowError("t G overflows the float range")
-    return mat_exp(scaled)
+    size = max(1, ORBIT_BLOCK_ENTRIES // generators.shape[-1] ** 2)
+    blocks = []
+    for lo in range(0, len(times), size):
+        g = generators if len(generators) == 1 else generators[lo:lo + size]
+        with np.errstate(over="ignore", invalid="ignore"):
+            scaled = times[lo:lo + size, None, None] * g
+        if not np.isfinite(scaled).all():
+            raise OverflowError("t G overflows the float range")
+        blocks.append(mat_exp(scaled))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _checked(images, times, points) -> np.ndarray:
@@ -121,9 +133,10 @@ def flow_images(generators, times, points) -> np.ndarray:
     is shared by all k rows.  Row j of the (k, n) result is the first n
     entries of exp(t_j G_j) (x_j, 1), and a row with t_j = 0 is x_j exactly.
     The rows are taken in blocks of at most ORBIT_BLOCK_ENTRIES matrix
-    entries, one ``mat_exp`` call per block.  Since ``mat_exp`` decides per
-    matrix, each row is bit for bit what a stack of one gives, whatever the
-    other rows.  A generator with C = 0 gives x + t B (rule 3 of
+    entries, a block's exponentials by one ``_exponentials`` call (one
+    ``mat_exp`` call) and its images at once, so no more than a block of
+    exponentials is held.  Since ``mat_exp`` decides per matrix, each row
+    is bit for bit what a stack of one gives, whatever the other rows.  A generator with C = 0 gives x + t B (rule 3 of
     ``mat_exp``), up to the sign of a zero coordinate.  The inputs are taken
     as finite and of matching shapes; ``flow_at`` checks its own.
 
@@ -235,11 +248,7 @@ def _uniform_orbit(flow: FlowMap, times, x, h: float) -> np.ndarray:
     k, n = len(times), flow.field.n
     m = math.isqrt(k - 1) + 1
     anchors = flow_at(flow, times[::m], x)
-    steps, size = np.arange(1, m) * h, max(1, ORBIT_BLOCK_ENTRIES // (n + 1) ** 2)
-    exps = np.concatenate([
-        _exponentials(flow.field.matrix[None], steps[lo:lo + size])
-        for lo in range(0, m - 1, size)
-    ])
+    exps = _exponentials(flow.field.matrix[None], np.arange(1, m) * h)
     rows, lifted = np.empty((len(anchors), m, n)), np.ones((len(anchors), n + 1))
     rows[:, 0] = lifted[:, :n] = anchors
     with np.errstate(over="ignore", invalid="ignore"):

@@ -462,7 +462,9 @@ def _image(m: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-by-row dot products of (..., m) stacks, as 1 x m by m x 1
-    products, which round as np.dot does (a matrix-vector product does not)."""
+    products, which round as np.dot does (a matrix-vector product does not),
+    save the sign of one zero: a one-entry row whose product is -0.0 gives
+    +0.0, where np.dot gives -0.0, because matmul's sum starts from +0.0."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 

@@ -11,7 +11,12 @@ Checks 1, 2, 5, 6, 9 and 10 draw all the doubles of a case in one
 signs, and map each dimension's block to its bounds at once (``_uniform``):
 the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
 generator left in the same state.  The stacks' generators, images, dots and
-norms are linalg's, each row bit for bit the lone case's.  Check 3 takes
+norms are linalg's, each row bit for bit the lone case's.  Each
+exponential is formed once, in as few kernel calls as the blocks of
+``flows._exponentials`` allow: check 1 takes one exp(G) per field for its
+three starts, and check 2 the exp(tG), exp(sG) and exp((s+t)G) of a
+dimension as one stack.  Check 5 takes one difference-quotient call per
+action stack, exp-translation's cases with a weight per row.  Check 3 takes
 the brackets of all generator pairs of a dimension in one commutator call
 on stacks, check 6 each action's maps one call per stack, check 8 the
 constant-field coordinates of a dimension's cases in one call, and the SVDs
@@ -37,7 +42,7 @@ from .fields import (
     evaluate_many,  # noqa: F401  (unused; instrumentation looks it up here)
     generator_unit,
 )
-from .flows import flow_at, flow_images, make_flow
+from .flows import _exponentials, flow_at, flow_images, make_flow
 from .invariants import (
     _constant_coordinates,
     _gradients,
@@ -152,13 +157,14 @@ def _stacked_rk4_ends(blocks) -> list:
 
 def _rk4_defects(blocks):
     """(starts, defects) per block: the starts as (k s, n) rows, and the
-    norms of closed form at t=1 minus RK4 end from each, the closed forms by
-    one ``flow_images`` call per block."""
+    norms of closed form at t=1 minus RK4 end from each.  The closed forms
+    take one exp(G) per field, by one ``_exponentials`` call per block,
+    applied to each of the field's starts: the rows of ``flow_images`` at
+    t=1, bit for bit."""
     for (g, x), ends in zip(blocks, _stacked_rk4_ends(blocks)):
-        k, s, n = x.shape
-        x = x.reshape(-1, n)
-        images = flow_images(np.repeat(g, s, axis=0), np.ones(k * s), x)
-        yield x, _norms(images - ends[..., :n].reshape(-1, n))
+        n = x.shape[-1]
+        images = _affine(_exponentials(g, np.ones(len(g)))[:, None], x)
+        yield x.reshape(-1, n), _norms(images - ends[..., :n]).reshape(-1)
 
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
@@ -166,8 +172,10 @@ def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Each field
     and its starts take one ``rng.random`` call, into per-dimension stacks
     (``_field_blocks``); RK4 runs them as one stacked homogeneous state by a
-    batched power of its increment matrices, and the closed forms and norms
-    take one call per dimension."""
+    batched power of its increment matrices.  The closed forms take each
+    field's exp(G) once, by one ``_exponentials`` call per dimension (500
+    exponentials a round, not one per start), and the images and norms one
+    call per dimension (``_rk4_defects``)."""
     worst = max(
         np.max(defects / (1.0 + _norms(x)))
         for x, defects in _rk4_defects(_field_blocks(_rng(seed, 1), 500, (1, 7), 3))
@@ -190,13 +198,16 @@ def _group_law_draws(rng) -> list[tuple]:
 def check_group_law(seed: int = 42) -> CheckResult:
     """Flow composition flow(s+t) = flow(s) o flow(t) on 500 random fields,
     3 cases each, s, t in [-1, 1]; bound 1e-8 * (1 + |x|).  The cases are
-    drawn into per-dimension stacks (``_group_law_draws``), and the direct,
-    inner and outer flows each take one ``flow_images`` call per dimension
-    on one generator stack."""
+    drawn into per-dimension stacks (``_group_law_draws``).  The exp(tG),
+    exp(sG) and exp((s+t)G) of a dimension form one ``_exponentials``
+    stack, in blocks of at most ORBIT_BLOCK_ENTRIES entries, and the inner,
+    outer and direct images are taken from it, each row bit for bit that of
+    ``flow_images``."""
     worst = 0.0
     for g, s, t, x in _group_law_draws(_rng(seed, 2)):
-        composed = flow_images(g, s, flow_images(g, t, x))
-        defects = _norms(flow_images(g, s + t, x) - composed) / (1.0 + _norms(x))
+        exps = _exponentials(np.tile(g, (3, 1, 1)), np.concatenate([t, s, s + t]))
+        e_t, e_s, e_st = np.split(exps, 3)
+        defects = _norms(_affine(e_st, x) - _affine(e_s, _affine(e_t, x))) / (1.0 + _norms(x))
         worst = max(worst, np.max(defects))
     return _bounded("flow-group-law", ("worst relative defect", worst, 1e-8))
 
@@ -314,22 +325,52 @@ def _fundamental_draws(rng) -> dict:
     return draws
 
 
+@dataclass(frozen=True)
+class _WeightRows:
+    """Check 5's exp-translation actions of one n, each built and its weight
+    checked by GroupAction, as one action with their (k, n) weights ``s``, a
+    row per case: the variant's act and field map read only these attributes
+    and broadcast the weights row by row, so each row is its own action's."""
+
+    s: np.ndarray
+    n: int
+    variant: str = ga.EXP_TRANSLATION
+    chart: None = None
+
+    def describe(self) -> str:
+        return f"{self.variant} with a weight per row"
+
+
+def _fundamental_stacks(draws: dict) -> list[tuple]:
+    """(action, generators, x) of each stack of check 5: an action's
+    ``_fundamental_draws`` stack, save that exp-translation's cases, each
+    with its own weight, form one ``_WeightRows`` stack per n."""
+    stacks, weighted = [], {}
+    for (variant, n, param, value), (g, x) in draws.items():
+        action = ga.GroupAction(variant, n, **({param: value} if param else {}))
+        if param == "s":
+            weighted.setdefault(n, []).append((np.tile(action.s, (len(g), 1)), g, x))
+        else:
+            stacks.append((action, g, x))
+    for n, cases in weighted.items():
+        s, g, x = map(np.concatenate, zip(*cases))
+        stacks.append((_WeightRows(s, n), g, x))
+    return stacks
+
+
 def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     """Difference-quotient fundamental fields against the closed forms for
     all five catalog actions, 100 random (X, x) pairs each; bound
     1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
-    det-weighted by (n, q)) form a stack (``_fundamental_draws``): one
-    ``actions._fundamental_rows`` call, and one ``_affine`` call for the
-    closed forms X x, (X_vec . s) x or (X_mat + q trace(X_mat) I) x."""
+    det-weighted by (n, q), exp-translation by n with a weight per row) form
+    a stack (``_fundamental_stacks``): one ``actions._fundamental_rows``
+    call, one call of the variant's field map for the closed forms X,
+    (X_vec . s) I or X_mat + q trace(X_mat) I, and one ``_affine`` call for
+    their values; 24 stacks a round."""
     worst = 0.0
-    for (variant, n, param, value), (g, x) in _fundamental_draws(_rng(seed, 5)).items():
-        action = ga.GroupAction(variant, n, **({param: value} if param else {}))
-        c, b = g[:, :n, :n], g[:, :n, n]
-        if param == "s":
-            c, b = (b @ action.s)[:, None, None] * np.eye(n), np.zeros(b.shape)
-        elif param == "q":
-            c = c + (value * np.trace(c, axis1=1, axis2=2))[:, None, None] * np.eye(n)
-        defects = ga._fundamental_rows(action, g, x) - _affine(_generator(c, b), x)
+    for action, g, x in _fundamental_stacks(_fundamental_draws(_rng(seed, 5))):
+        closed = ga.VARIANTS[action.variant].field(action, g)
+        defects = ga._fundamental_rows(action, g, x) - _affine(closed, x)
         worst = max(worst, np.max(_norms(defects) / (1.0 + _norms(x))))
     return _bounded(
         "fundamental-field-agreement", ("worst relative defect", worst, 1e-5)

@@ -21,16 +21,19 @@ from affine_fields import (
     linear_field,
     zero_field,
 )
-from affine_fields import flows
+from affine_fields import flows, linalg
 from affine_fields.flows import (
     AUGMENTED_EXPONENTIAL,
+    ORBIT_BLOCK_ENTRIES,
     TRANSLATION,
     FlowMap,
+    _exponentials,
     flow_at,
     group_law_defect,
     make_flow,
     orbit,
 )
+from affine_fields.linalg import mat_exp
 from affine_fields.oracle import OdeProblem, integrate
 from conftest import random_affine_field
 
@@ -633,6 +636,64 @@ class TestOrbit:
         grid[1] = bad
         with pytest.raises(ValueError, match="finite"):
             orbit(make_flow(PLANAR), [0.0, 0.0], grid)
+
+
+class TestExponentials:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        """The entry counts of the stacks that reach the kernel, linalg._exp."""
+        entries, kernel = [], linalg._exp
+
+        def spy(a, *args):
+            entries.append(a.size)
+            return kernel(a, *args)
+
+        monkeypatch.setattr(linalg, "_exp", spy)
+        return entries
+
+    @pytest.mark.parametrize("n", [2, 6, 20])
+    @pytest.mark.parametrize("shared", [False, True], ids=["per-row", "shared"])
+    def test_stack_longer_than_a_block_is_each_rows_mat_exp(self, n, shared, kernel_calls):
+        rng = np.random.default_rng([n, 12])
+        size = ORBIT_BLOCK_ENTRIES // (n + 1) ** 2
+        k = 2 * size + 5
+        g = np.array([random_affine_field(rng, n).matrix for _ in range(1 if shared else k)])
+        times = rng.uniform(-1.0, 1.0, size=k)
+        exps = _exponentials(g, times)
+        assert len(kernel_calls) == 3
+        assert max(kernel_calls) <= ORBIT_BLOCK_ENTRIES
+        for j, t in enumerate(times):
+            assert exps[j].tobytes() == mat_exp(t * g[0 if shared else j]).tobytes(), j
+
+    @pytest.mark.parametrize("n, k", [(2, 10_001), (9, 10_001), (20, 10_001), (20, 401)])
+    def test_uniform_orbit_is_the_group_law_of_each_steps_mat_exp(self, n, k, kernel_calls):
+        # At k = 10,001 there are 100 steps: one block at n = 2, two at n = 9
+        # and six at n = 20.
+        rng = np.random.default_rng([n, k])
+        flow = make_flow(random_affine_field(rng, n))
+        x = rng.uniform(-2.0, 2.0, size=n)
+        grid = np.linspace(-2.0, 3.0, k)
+        points = orbit(flow, x, grid).points
+        assert max(kernel_calls) <= ORBIT_BLOCK_ENTRIES
+        assert points.tobytes() == _uniform_orbit_step_by_step(flow, x, grid).tobytes()
+
+
+def _uniform_orbit_step_by_step(flow, x, grid) -> np.ndarray:
+    """``orbit`` on the uniform grid by the group law as flows._uniform_orbit
+    applies it, each step exponential exp(r h G) from its own ``mat_exp``
+    call: the anchor points w_q by ``flow_at`` at t_(q m), then row q m + r
+    the first n entries of exp(r h G) (w_q, 1), and the start at t = 0."""
+    k, n = len(grid), flow.field.n
+    m = math.isqrt(k - 1) + 1
+    anchors = flow_at(flow, grid[::m], x)
+    steps = np.arange(1, m) * flows._grid_step(grid)
+    exps = np.array([mat_exp(t * flow.field.matrix) for t in steps])
+    rows, lifted = np.empty((len(anchors), m, n)), np.ones((len(anchors), n + 1))
+    rows[:, 0] = lifted[:, :n] = anchors
+    np.matmul(lifted, exps[:, :n].transpose(0, 2, 1), out=rows[:, 1:].transpose(1, 0, 2))
+    points = rows.reshape(-1, n)[:k]
+    points[grid == 0.0] = x
+    return points
 
 
 def _uniform_grid_reference(g, x, grid) -> np.ndarray:

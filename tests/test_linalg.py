@@ -519,8 +519,15 @@ def test_row_dots_are_each_rows_np_dot(n):
     rng = np.random.default_rng([n, 8])
     a, b = _scaled_rows(rng, n, 200), _scaled_rows(rng, n, 200)
     want = np.array([np.dot(u, v) for u, v in zip(a, b)])
+    assert want.all()  # no zero sum, whose sign np.dot may take otherwise
     assert _dots(a, b).tobytes() == want.tobytes()
     assert _dots(a, b[0]).tobytes() == np.array([np.dot(u, b[0]) for u in a]).tobytes()
+
+
+def test_row_dot_of_one_negative_zero_product_is_positive_zero():
+    a, b = np.array([[0.7]]), np.array([[-0.0]])
+    assert np.signbit(np.dot(a[0], b[0]))
+    assert _dots(a, b).tobytes() == np.array([0.0]).tobytes()
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -1,7 +1,8 @@
 """The per-dimension stacks and the stacked RK4 passes behind validation
 checks 1, 2, 8, 9 and 10, the point stack of check 4, the per-action
 stacks of checks 5 and 6 and the pair stacks of check 3, against one case
-at a time, and check 3's failure reports under a wrong commutator.  The
+at a time, the kernel calls of checks 1 and 2 and the stacks of check 5,
+and check 3's failure reports under a wrong commutator.  The
 block draws of checks 1, 2, 5, 6, 8, 9 and 10 are rows of the draw table
 in test_draws.py."""
 
@@ -10,7 +11,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import pytest
 
-from affine_fields import AffineField, all_generators, bracket, evaluate, validate
+from affine_fields import AffineField, all_generators, bracket, evaluate, linalg, validate
 from affine_fields import actions as ga
 from affine_fields.fields import _commutator
 from affine_fields.flows import flow_at, make_flow
@@ -20,7 +21,7 @@ from affine_fields.invariants import (
     planar_affine_family,
     straightened_frame_flow,
 )
-from affine_fields.linalg import mat_exp, solve_linear
+from affine_fields.linalg import _generator, mat_exp, solve_linear
 from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
 from affine_fields.validate import (
     _singular_matrix,
@@ -346,6 +347,46 @@ CASE_BY_CASE = [
 )
 def test_stacked_check_is_the_case_by_case_check(check, reference, seed):
     assert check(seed).detail == reference(seed)
+
+
+@pytest.mark.parametrize("check, calls, matrices", [
+    (check_flow_vs_oracle, 6, 500),  # exp(G) once per field, one call per n
+    (check_group_law, 15, 4_500),  # blocks of at most ORBIT_BLOCK_ENTRIES entries
+])
+def test_each_exponential_is_formed_once(monkeypatch, check, calls, matrices):
+    stacks, kernel = [], linalg._exp
+
+    def spy(a, *args):
+        stacks.append(len(a))
+        return kernel(a, *args)
+
+    monkeypatch.setattr(linalg, "_exp", spy)
+    assert check(2006).passed
+    assert (len(stacks), sum(stacks)) == (calls, matrices)
+
+
+def test_check_5_takes_one_stack_per_action_and_n(monkeypatch):
+    # 3 standard variants and exp-translation by n, det-weighted by (n, q).
+    stacks, rows = [], ga._fundamental_rows
+    monkeypatch.setattr(ga, "_fundamental_rows",
+                        lambda a, g, x: stacks.append(len(g)) or rows(a, g, x))
+    assert check_fundamental_agreement(2006).passed
+    assert (len(stacks), sum(stacks)) == (24, 500)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_weight_rows_are_each_exp_translation_action_bit_for_bit(n):
+    rng = np.random.default_rng([n, 13])
+    s, b = rng.uniform(-1.5, 1.5, size=(2, 40, n))
+    b[::7, 0] = 0.0  # an entry zero in some rows only
+    x = rng.uniform(-2.0, 2.0, size=(40, n))
+    action, g = validate._WeightRows(s, n), _generator(0.0, b)
+    numeric = ga._fundamental_rows(action, g, x)
+    closed = ga.VARIANTS[ga.EXP_TRANSLATION].field(action, g)
+    for j in range(40):
+        alone, tangent = ga.exp_translation_action(s[j]), AffineField(np.zeros((n, n)), b[j])
+        assert numeric[j].tobytes() == ga.fundamental_field_numeric(alone, tangent, x[j]).tobytes()
+        assert closed[j].tobytes() == ga.fundamental_field_analytic(alone, tangent).matrix.tobytes()
 
 
 def test_singular_matrices_of_a_stack_are_each_matrix_alone():
