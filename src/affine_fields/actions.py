@@ -49,8 +49,8 @@ from .charts import Chart
 from .fields import AffineField, MatrixValue, _of_generator, evaluate
 from .flows import ORBIT_BLOCK_ENTRIES
 from .invariants import FD_STEP
-from .linalg import (_affine, _dots, _eye, _generator, _norms, _real, as_integer, as_vector,
-                     augment_affine, mat_exp)
+from .linalg import (_affine, _dots, _eye, _generator, _in_range, _norms, _real, as_integer,
+                     as_vector, augment_affine, mat_exp)
 
 TRANSLATION_GROUP = "translation"
 GENERAL_LINEAR = "general-linear"
@@ -232,10 +232,10 @@ def _exp_translation_tangent(action, g) -> np.ndarray:
     spread = np.abs(c - rate[..., None, None] * _eye(n)).max(axis=(-2, -1))
     if (spread > 1e-10 * np.abs(c).max(axis=(-2, -1))).any():
         raise ValueError("exp-translation fundamental fields are isotropic scalings")
-    ss = float(np.dot(action.s, action.s))
-    if ss == 0.0 and rate.any():
+    ss = _dots(action.s, action.s)  # a row per generator when s has one
+    if (ss == 0.0).any() and np.where(ss == 0.0, rate, 0.0).any():
         raise ValueError("weight vector is zero; only the zero field is reachable")
-    b = (rate / (ss or 1.0))[..., None] * action.s  # with s = 0 every rate is 0
+    b = (rate / np.where(ss == 0.0, 1.0, ss))[..., None] * action.s  # with s = 0 every rate is 0
     return _generator(0.0, np.where(rate[..., None] == 0.0, 0.0, b))
 
 
@@ -421,12 +421,13 @@ def _fundamental_rows(action: GroupAction, g: np.ndarray, x: np.ndarray) -> np.n
     row-major order, its entries times the difference quotients.  An entry
     zero in a row adds +-0.0, which leaves the sum as it is, so every row is
     bit for bit its generator's alone.  Raises OverflowError when an image
-    is not finite, that of an entry padded into a row included."""
+    is not finite, that of an entry padded into a row included, or a row is."""
     rows, cols, m = _perturbed_identities(action.n, g.any(axis=0).tobytes())
     images = _act(action, m, x)
-    terms = np.zeros((len(rows) + 1,) + x.shape)  # terms[0]: the +0.0 each sum starts from
-    terms[1:] = g[:, rows, cols].T[..., None] * (images[0] - images[1]) / (2.0 * FD_STEP)
-    return np.add.accumulate(terms)[-1]
+    zero = np.zeros((1,) + x.shape)  # the +0.0 each sum starts from
+    return _in_range(lambda: np.add.accumulate(np.concatenate(
+        [zero, g[:, rows, cols].T[..., None] * (images[0] - images[1]) / (2.0 * FD_STEP)]))[-1],
+        f"fundamental field under {action.describe()}")
 
 
 def fundamental_field_numeric(
@@ -443,7 +444,7 @@ def fundamental_field_numeric(
     2 nnz perturbed matrices is acted on in one call, without the checks of
     GroupElement's constructor; the point is checked, and taken through the
     chart, once, as act does.  It is _fundamental_rows on a stack of one.
-    Raises OverflowError when an image is not finite.
+    Raises OverflowError when an image or the field is not finite.
     """
     _member(action.group_kind, tangent.matrix, action.n)
     return _fundamental_rows(action, tangent.matrix[None], np.ravel(x)[None])[0]

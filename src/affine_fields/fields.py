@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _image, _real, augment_affine, as_matrix, as_vector, rank
+from .linalg import _image, _in_range, _real, augment_affine, as_matrix, as_vector, rank
 
 CONSTANT = "constant"
 LINEAR = "linear"
@@ -145,7 +145,7 @@ def bracket(x: AffineField, y: AffineField) -> AffineField:
     """
     if x.n != y.n:
         raise ValueError(f"dimension mismatch: {x.n} vs {y.n}")
-    return _of_generator(_commutator(x.matrix, y.matrix))
+    return _of_generator(_in_range(lambda: _commutator(x.matrix, y.matrix), "bracket"))
 
 
 def _commutator(gx, gy) -> np.ndarray:
@@ -214,4 +214,5 @@ def linear_change(field: AffineField, a) -> AffineField:
         raise ValueError("change matrix is singular")
     lift = np.eye(field.n + 1)
     lift[:-1, :-1] = m
-    return _of_generator(lift @ field.matrix @ np.linalg.inv(lift))
+    return _of_generator(
+        _in_range(lambda: lift @ field.matrix @ np.linalg.inv(lift), "linear change"))

@@ -415,9 +415,10 @@ def solve_linear(c, rhs) -> tuple[np.ndarray | None, int]:
     r = _rank_of(sigma)
     # With r = 0 the sum over singular triplets is empty: the solution is 0.
     solution = vt[:r].T @ ((u[:, :r].T @ b) / sigma[:r])
-    residual = np.linalg.norm(m @ solution - b)
-    scale = sigma[0] * np.linalg.norm(solution) if r else 0.0
-    if residual <= DEFAULT_RANK_TOL * (scale + np.linalg.norm(b)):
+    # 2-norms by hypot, which does not overflow short of a norm that does.
+    residual, size, rhs_size = (np.hypot.reduce(v, initial=0.0)
+                                for v in (m @ solution - b, solution, b))
+    if residual <= DEFAULT_RANK_TOL * ((sigma[0] * size if r else 0.0) + rhs_size):
         return solution, r
     return None, r
 
@@ -451,13 +452,19 @@ def _affine(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (m[..., :-1, :-1] @ p[..., None])[..., 0] + m[..., :-1, -1]
 
 
-def _image(m: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
-    """``_affine(m, p)``, else OverflowError "{what} overflows the float range"."""
+def _in_range(compute, what: str) -> np.ndarray:
+    """compute(), with no warning, else OverflowError "{what} overflows the
+    float range" when an entry of its result is not finite."""
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _affine(m, p)
+        v = compute()
     if not _finite(v):
         raise OverflowError(f"{what} overflows the float range")
     return v
+
+
+def _image(m: np.ndarray, p: np.ndarray, what: str) -> np.ndarray:
+    """``_affine(m, p)`` under ``_in_range``."""
+    return _in_range(lambda: _affine(m, p), what)
 
 
 def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -6,21 +6,20 @@ relation of the generators, difference quotients against analytic fields)
 at a fixed tolerance.  The CLI ``validate`` command and the acceptance tests
 both run these.
 
-Checks 1, 2, 5, 6, 9 and 10 draw all the doubles of a case in one
-``rng.random`` call, and check 8 in two and one ``rng.integers`` for the
-signs, and map each dimension's block to its bounds at once (``_uniform``):
-the ensembles of one ``rng.uniform`` call per value, bit for bit, with the
-generator left in the same state.  The stacks' generators, images, dots and
-norms are linalg's, each row bit for bit the lone case's.  Each
+Every randomized ensemble but check 4's points is drawn by one helper,
+``_draw_blocks``: a case draws its dimension, then its doubles, most in one
+``rng.random`` call mapped to their bounds a block at a time (``_uniform``),
+and the cases of one dimension form a stack, a row per case.  So the
+ensembles are those of one ``rng.uniform`` call per value, bit for bit, with
+the generator left in the same state.  The stacks' generators, images, dots
+and norms are linalg's, each row bit for bit the lone case's.  Each
 exponential is formed once, in as few kernel calls as the blocks of
-``flows._exponentials`` allow: check 1 takes one exp(G) per field for its
-three starts, and check 2 the exp(tG), exp(sG) and exp((s+t)G) of a
-dimension as one stack.  Check 5 takes one difference-quotient call per
-action stack, exp-translation's cases with a weight per row.  Check 3 takes
-the brackets of all generator pairs of a dimension in one commutator call
-on stacks, check 6 each action's maps one call per stack, check 8 the
-constant-field coordinates of a dimension's cases in one call, and the SVDs
-of check 10's no-fixed-point block one call each.
+``flows._exponentials`` allow, and the RK4 oracle integrates a dimension's
+fields as one homogeneous state (``_rk4_ends``).  Checks 5 and 6 take the
+cases of an action and n as one stack, a weight or power per row
+(``_ParamRows``), check 3 the brackets of all generator pairs of a
+dimension in one commutator call, and check 8 the constant-field
+coordinates of a dimension's cases in one call.
 """
 
 from __future__ import annotations
@@ -81,14 +80,19 @@ def _uniform(u, low: float, high: float) -> np.ndarray:
     return low + (high - low) * u
 
 
-def _draw_blocks(rng, count: int, dims: tuple, width) -> list[tuple]:
-    """``count`` cases, each ``rng.integers(*dims)`` for its n, then one
-    ``rng.random(width(n))``: (n, block of the cases' rows) in increasing n."""
+def _draw_blocks(rng, count: int, dims: tuple, draw) -> list[tuple]:
+    """``count`` cases, each ``rng.integers(*dims)`` for its n, then
+    ``draw(n)``: the case's tuple of arrays, or None to draw the case, its n
+    included, again.  Returns (n, *stacks) per dimension in increasing n,
+    each stack one slot of the cases in draw order, a row per case."""
     drawn = {}
-    for _ in range(count):
+    while count:
         n = int(rng.integers(*dims))
-        drawn.setdefault(n, []).append(rng.random(width(n)))
-    return [(n, np.array(drawn[n])) for n in sorted(drawn)]
+        case = draw(n)
+        if case is not None:
+            drawn.setdefault(n, []).append(case)
+            count -= 1
+    return [(n, *map(np.array, zip(*drawn[n]))) for n in sorted(drawn)]
 
 
 def _block_generators(u, n: int, low: float, high: float) -> np.ndarray:
@@ -98,84 +102,46 @@ def _block_generators(u, n: int, low: float, high: float) -> np.ndarray:
 
 
 def _field_blocks(rng, count: int, dims: tuple, starts: int) -> list[tuple]:
-    """``_draw_blocks`` of fields and their starts, all in [-2, 2]:
-    (generators, starts (k, starts, n)) per dimension n."""
+    """``_draw_blocks`` of fields and their starts, all in [-2, 2], each
+    case one ``rng.random`` call: (generators, starts (k, starts, n)) per
+    dimension n."""
     return [
         (_block_generators(u, n, -2.0, 2.0),
          _uniform(u[:, n * n + n :], -2.0, 2.0).reshape(-1, starts, n))
-        for n, u in _draw_blocks(rng, count, dims, lambda n: n * n + n + starts * n)
+        for n, u in _draw_blocks(rng, count, dims,
+                                 lambda n: (rng.random(n * n + n + starts * n),))
     ]
 
 
-def _stacks(cases: dict) -> list[tuple]:
-    """Cases drawn as {n: [(value, ...), ...]}, one tuple of stacks per
-    dimension n, in increasing n: each value column stacked in draw order.
-    With ``flow_images``, ``mat_exp`` or ``_norms`` on them, each row is bit
-    for bit that of the case alone, because all three decide per row."""
-    return [tuple(map(np.array, zip(*cases[n]))) for n in sorted(cases)]
-
-
-def _homogeneous_stack(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(Gᵀ, state) for stacked integration of per-dimension blocks
-    (generators (k, n+1, n+1), starts (k, s, n)), all with s starts:
-    the per-field Gᵀ = [[Cᵀ, 0], [B, 0]] and the homogeneous
-    (fields, s, n_max + 1) state (x, 1), block after block, so that
-    z ↦ z @ Gᵀ is every field at once.  Padded coordinates have zero rows
-    and columns in Gᵀ and its last column is zero, so under RK4 they stay
-    exactly 0 and the homogeneous coordinate exactly 1."""
-    n_max = max(x.shape[-1] for _, x in blocks)
-    k = sum(len(g) for g, _ in blocks)
-    g_t = np.zeros((k, n_max + 1, n_max + 1))
-    state = np.zeros((k, blocks[0][1].shape[1], n_max + 1))
-    state[..., n_max] = 1.0
-    lo = 0
-    for g, x in blocks:
-        rows, n = slice(lo, lo + len(g)), x.shape[-1]
-        g_t[rows, :n, :n] = g[:, :n, :n].transpose(0, 2, 1)
-        g_t[rows, n_max, :n] = g[:, :n, n]
-        state[rows, :, :n] = x
-        lo += len(g)
-    return g_t, state
-
-
-def _by_block(ends, blocks) -> list:
-    """Stacked ends cut back into the blocks of ``_homogeneous_stack``, each
-    (k, s, n_max), its own coordinates first."""
-    return np.split(ends[..., :-1], np.cumsum([len(g) for g, _ in blocks])[:-1])
-
-
-def _stacked_rk4_ends(blocks) -> list:
-    """RK4 ends at t=1, step 1e-3, of each field of the blocks from its
-    starts, by one ``integrate_linear`` of the ``_homogeneous_stack``: one
-    batched power of the RK4 increment matrices for the 1,000 steps, in
-    about 20 products.  Returns one (k, s, n_max) array per block; a block
-    of dimension n ends at ``[..., :n]``."""
-    g_t, state = _homogeneous_stack(blocks)
-    ends = integrate_linear(OdeProblem(lambda z: z @ g_t, state, 1.0, 1e-3))
-    return _by_block(ends, blocks)
+def _rk4_ends(g, x, integrate, step: float) -> np.ndarray:
+    """RK4 ends at t=1 of the fields of the generator stack g, (k, n+1, n+1),
+    from their starts x, (k, s, n), by ``integrate`` with ``step`` on the
+    homogeneous state (x, 1) under z ↦ z @ Gᵀ, every field at once.  The last
+    column of Gᵀ is zero, so the homogeneous coordinate stays exactly 1."""
+    g_t = g.transpose(0, 2, 1)
+    state = np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
+    return integrate(OdeProblem(lambda z: z @ g_t, state, 1.0, step))[..., :-1]
 
 
 def _rk4_defects(blocks):
     """(starts, defects) per block: the starts as (k s, n) rows, and the
-    norms of closed form at t=1 minus RK4 end from each.  The closed forms
-    take one exp(G) per field, by one ``_exponentials`` call per block,
+    norms of closed form at t=1 minus RK4 end (step 1e-3, by a batched power
+    of the increment matrices of ``integrate_linear``) from each.  The closed
+    forms take one exp(G) per field, by one ``_exponentials`` call per block,
     applied to each of the field's starts: the rows of ``flow_images`` at
     t=1, bit for bit."""
-    for (g, x), ends in zip(blocks, _stacked_rk4_ends(blocks)):
-        n = x.shape[-1]
+    for g, x in blocks:
         images = _affine(_exponentials(g, np.ones(len(g)))[:, None], x)
-        yield x.reshape(-1, n), _norms(images - ends[..., :n]).reshape(-1)
+        defects = _norms(images - _rk4_ends(g, x, integrate_linear, 1e-3))
+        yield x.reshape(-1, x.shape[-1]), defects.reshape(-1)
 
 
 def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
     """500 random affine fields, closed-form flow at t=1 against RK4 with
-    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  Each field
-    and its starts take one ``rng.random`` call, into per-dimension stacks
-    (``_field_blocks``); RK4 runs them as one stacked homogeneous state by a
-    batched power of its increment matrices.  The closed forms take each
-    field's exp(G) once, by one ``_exponentials`` call per dimension (500
-    exponentials a round, not one per start), and the images and norms one
-    call per dimension (``_rk4_defects``)."""
+    step 1e-3 from 3 random starts each; bound 1e-6 * (1 + |x|).  The fields
+    and starts are drawn into per-dimension stacks (``_field_blocks``), and
+    each stack takes one RK4 pass and one exponential per field
+    (``_rk4_defects``)."""
     worst = max(
         np.max(defects / (1.0 + _norms(x)))
         for x, defects in _rk4_defects(_field_blocks(_rng(seed, 1), 500, (1, 7), 3))
@@ -185,9 +151,10 @@ def check_flow_vs_oracle(seed: int = 42) -> CheckResult:
 
 def _group_law_draws(rng) -> list[tuple]:
     """Check 2's ``_draw_blocks`` of fields (in [-2, 2]) with 3 cases each, s
-    and t in [-1, 1], x in [-2, 2]: (generators, s, t, x), a row per case."""
+    and t in [-1, 1], x in [-2, 2], a field one ``rng.random`` call:
+    (generators, s, t, x), a row per case."""
     draws = []
-    for n, u in _draw_blocks(rng, 500, (1, 7), lambda n: n * n + 4 * n + 6):
+    for n, u in _draw_blocks(rng, 500, (1, 7), lambda n: (rng.random(n * n + 4 * n + 6),)):
         cases = u[:, n * n + n :].reshape(-1, 2 + n)
         s, t = _uniform(cases[:, :2], -1.0, 1.0).T
         g = np.repeat(_block_generators(u, n, -2.0, 2.0), 3, axis=0)
@@ -303,72 +270,57 @@ def check_planar_family(seed: int = 42) -> CheckResult:
     )
 
 
-def _fundamental_draws(rng) -> dict:
-    """Check 5's stacks {(variant, n, "s" or "q" or None, its value):
-    (generators, x)}: a case draws n, s or q, then one ``rng.random`` for its
-    generator (in [-1, 1], outside the algebra zeroed) and x (in [-2, 2])."""
-    cases = {}
-    for variant, record in ga.VARIANTS.items():
-        for _ in range(100):
-            n = int(rng.integers(1, 4))
-            value = (tuple(rng.uniform(-1.5, 1.5, size=n)) if record.param == "s"
-                     else int(rng.integers(0, 4)) if record.param == "q" else None)
-            key = (variant, n, record.param, value)
-            cases.setdefault(key, []).append(rng.random(n * n + 2 * n))
-    draws = {}
-    for (variant, n, param, value), drawn in cases.items():
-        u = np.array(drawn)
-        g, kind = _block_generators(u, n, -1.0, 1.0), ga.VARIANTS[variant].kind
-        if kind in ga._SUBGROUPS:  # zero the block outside the algebra
-            g[ga._SUBGROUPS[kind][0]] = 0.0
-        draws[variant, n, param, value] = (g, _uniform(u[:, n * n + n :], -2.0, 2.0))
-    return draws
+@dataclass(frozen=True, eq=False)
+class _ParamRows:
+    """The catalog action ``variant`` on R^n for a stack of cases, a weight
+    per row of the (k, n) ``s`` or a power per entry of the (k,) ``q``: the
+    variant's act, field and tangent maps read only these attributes and
+    broadcast them row by row, so each row is its case's own action's."""
 
-
-@dataclass(frozen=True)
-class _WeightRows:
-    """Check 5's exp-translation actions of one n, each built and its weight
-    checked by GroupAction, as one action with their (k, n) weights ``s``, a
-    row per case: the variant's act and field map read only these attributes
-    and broadcast the weights row by row, so each row is its own action's."""
-
-    s: np.ndarray
+    variant: str
     n: int
-    variant: str = ga.EXP_TRANSLATION
-    chart: None = None
+    s: np.ndarray | None = None
+    q: np.ndarray | None = None
+    chart = None
+
+    @property
+    def group_kind(self) -> str:
+        return ga.VARIANTS[self.variant].kind
 
     def describe(self) -> str:
-        return f"{self.variant} with a weight per row"
+        return f"{self.variant} with a parameter per row"
 
 
-def _fundamental_stacks(draws: dict) -> list[tuple]:
-    """(action, generators, x) of each stack of check 5: an action's
-    ``_fundamental_draws`` stack, save that exp-translation's cases, each
-    with its own weight, form one ``_WeightRows`` stack per n."""
-    stacks, weighted = [], {}
-    for (variant, n, param, value), (g, x) in draws.items():
-        action = ga.GroupAction(variant, n, **({param: value} if param else {}))
-        if param == "s":
-            weighted.setdefault(n, []).append((np.tile(action.s, (len(g), 1)), g, x))
-        else:
-            stacks.append((action, g, x))
-    for n, cases in weighted.items():
-        s, g, x = map(np.concatenate, zip(*cases))
-        stacks.append((_WeightRows(s, n), g, x))
-    return stacks
+def _fundamental_draws(rng) -> list[tuple]:
+    """Check 5's stacks (action, generators, x), per variant ``_draw_blocks``
+    of 100 cases: a case draws n, then its weight s (in [-1.5, 1.5]) or power
+    q (in 0..3) when the variant takes one, then one ``rng.random`` for its
+    generator (in [-1, 1], outside the algebra zeroed) and x (in [-2, 2]).
+    The action is a ``_ParamRows`` with the parameters a row per case."""
+    draws = []
+    for variant, record in ga.VARIANTS.items():
+        param = {"s": lambda n: (rng.uniform(-1.5, 1.5, size=n),),
+                 "q": lambda n: (int(rng.integers(0, 4)),)}.get(record.param, lambda n: ())
+        for n, *values, u in _draw_blocks(rng, 100, (1, 4),
+                                          lambda n: (*param(n), rng.random(n * n + 2 * n))):
+            g = _block_generators(u, n, -1.0, 1.0)
+            if record.kind in ga._SUBGROUPS:  # zero the block outside the algebra
+                g[ga._SUBGROUPS[record.kind][0]] = 0.0
+            action = _ParamRows(variant, n, **({record.param: values[0]} if values else {}))
+            draws.append((action, g, _uniform(u[:, n * n + n :], -2.0, 2.0)))
+    return draws
 
 
 def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     """Difference-quotient fundamental fields against the closed forms for
     all five catalog actions, 100 random (X, x) pairs each; bound
-    1e-5 * (1 + |x|).  The cases of one action (a standard one by n,
-    det-weighted by (n, q), exp-translation by n with a weight per row) form
-    a stack (``_fundamental_stacks``): one ``actions._fundamental_rows``
-    call, one call of the variant's field map for the closed forms X,
-    (X_vec . s) I or X_mat + q trace(X_mat) I, and one ``_affine`` call for
-    their values; 24 stacks a round."""
+    1e-5 * (1 + |x|).  The cases of one action and n form a stack, a weight
+    or power per row (``_fundamental_draws``, ``_ParamRows``): one
+    ``actions._fundamental_rows`` call, one call of the variant's field map
+    for the closed forms X, (X_vec . s) I or X_mat + q trace(X_mat) I, and
+    one ``_affine`` call for their values; 15 stacks a round."""
     worst = 0.0
-    for action, g, x in _fundamental_stacks(_fundamental_draws(_rng(seed, 5))):
+    for action, g, x in _fundamental_draws(_rng(seed, 5)):
         closed = ga.VARIANTS[action.variant].field(action, g)
         defects = ga._fundamental_rows(action, g, x) - _affine(closed, x)
         worst = max(worst, np.max(_norms(defects) / (1.0 + _norms(x))))
@@ -377,22 +329,23 @@ def check_fundamental_agreement(seed: int = 42) -> CheckResult:
     )
 
 
-def _round_trip_draws(rng) -> dict:
-    """Check 6's stacks {(variant, n, q): fields' generators}: ``_draw_blocks``
-    of 50 fields in [-2, 2], each as its linear part, its constant part and
-    itself (standard-linear, -translation and -affine), then for n in 1..4
-    and q in 0..3 five linear fields (det-weighted), one ``rng.random`` call
-    per (n, q)."""
-    draws = {}
-    for n, u in _draw_blocks(rng, 50, (1, 5), lambda n: n * n + n):
+def _round_trip_draws(rng) -> list[tuple]:
+    """Check 6's stacks (action, generators): ``_draw_blocks`` of 50 fields
+    in [-2, 2], each as its linear part, its constant part and itself
+    (standard-linear, -translation and -affine), then for n in 1..4 five
+    linear fields (det-weighted) for each q in 0..3, in one ``rng.random``
+    call, as one ``_ParamRows`` stack with a power per row."""
+    draws = []
+    for n, u in _draw_blocks(rng, 50, (1, 5), lambda n: (rng.random(n * n + n),)):
         g = _block_generators(u, n, -2.0, 2.0)
-        draws[ga.STANDARD_LINEAR, n, None] = _generator(g[:, :n, :n], np.zeros((len(g), n)))
-        draws[ga.STANDARD_TRANSLATION, n, None] = _generator(0.0, g[:, :n, n])
-        draws[ga.STANDARD_AFFINE, n, None] = g
+        linear = _generator(g[:, :n, :n], np.zeros((len(g), n)))
+        draws += [(_ParamRows(ga.STANDARD_LINEAR, n), linear),
+                  (_ParamRows(ga.STANDARD_TRANSLATION, n), _generator(0.0, g[:, :n, n])),
+                  (_ParamRows(ga.STANDARD_AFFINE, n), g)]
     for n in range(1, 5):
-        for q in range(4):
-            c = _uniform(rng.random((5, n * n)), -2.0, 2.0).reshape(5, n, n)
-            draws[ga.DET_WEIGHTED, n, q] = _generator(c, np.zeros((5, n)))
+        c = _uniform(rng.random((20, n * n)), -2.0, 2.0).reshape(20, n, n)
+        draws.append((_ParamRows(ga.DET_WEIGHTED, n, q=np.repeat(np.arange(4), 5)),
+                      _generator(c, np.zeros((20, n)))))
     return draws
 
 
@@ -405,9 +358,9 @@ def check_field_tangent_roundtrip(seed: int = 42) -> CheckResult:
     ``fundamental_field_analytic`` and the field map once, on the whole
     stack of generators."""
     worst = 0.0
-    for (variant, n, q), g in _round_trip_draws(_rng(seed, 6)).items():
-        action, record = ga.GroupAction(variant, n, q=q), ga.VARIANTS[variant]
-        tangent = ga._member(record.kind, record.tangent(action, g), n)
+    for action, g in _round_trip_draws(_rng(seed, 6)):
+        record = ga.VARIANTS[action.variant]
+        tangent = ga._member(record.kind, record.tangent(action, g), action.n)
         worst = max(worst, np.max(np.abs(record.field(action, tangent) - g)))
     return _bounded(
         "field-tangent-round-trip", ("worst round-trip defect", worst, 1e-12)
@@ -451,21 +404,18 @@ def _random_reshaping(amps, xi) -> np.ndarray:
 
 def _invariant_draws(rng) -> list[tuple]:
     """Check 8's stacks (b, amplitudes, starts), a row per case, per
-    dimension n in increasing n.  A case draws n, then b's magnitudes in
-    [0.3, 2) and its signs, then one ``rng.random`` for F's and G's 3(n - 1)
-    amplitudes each (sin and linear terms in [-1, 1), square terms in
-    [-0.5, 0.5)) and the start in [-2, 2)."""
-    cases = {}
-    for _ in range(100):
-        n = int(rng.integers(2, 5))
-        cases.setdefault(n, []).append(
-            (rng.random(n), rng.integers(0, 2, size=n), rng.random(7 * n - 6)))
+    dimension n in increasing n (``_draw_blocks``).  A case draws n, then
+    b's magnitudes in [0.3, 2) and its signs, then one ``rng.random`` for
+    F's and G's 3(n - 1) amplitudes each (sin and linear terms in [-1, 1),
+    square terms in [-0.5, 0.5)) and the start in [-2, 2)."""
     draws = []
-    for magnitudes, signs, u in _stacks(cases):
-        m = signs.shape[1] - 1
-        bound = np.tile(np.repeat([1.0, 0.5, 1.0], m), 2)
+    for n, magnitudes, signs, u in _draw_blocks(
+            rng, 100, (2, 5),
+            lambda n: (rng.random(n), rng.integers(0, 2, size=n), rng.random(7 * n - 6))):
+        bound = np.tile(np.repeat([1.0, 0.5, 1.0], n - 1), 2)
         draws.append((_uniform(magnitudes, 0.3, 2.0) * (2.0 * signs - 1.0),
-                      _uniform(u[:, : 6 * m], -bound, bound), _uniform(u[:, 6 * m :], -2.0, 2.0)))
+                      _uniform(u[:, : 6 * n - 6], -bound, bound),
+                      _uniform(u[:, 6 * n - 6 :], -2.0, 2.0)))
     return draws
 
 
@@ -495,23 +445,21 @@ def check_invariant_flow_constancy(seed: int = 42) -> CheckResult:
 
 
 def check_rk4_order(seed: int = 42) -> CheckResult:
-    """Halving the RK4 step against the closed-form flow must show fourth
-    order: measured exponent >= 3.7 on 20 random affine fields, each field
-    and its start one ``rng.random`` call, into per-dimension stacks
-    (``_field_blocks``).  The references take one ``flow_images`` call per
-    dimension, and each step length one four-stage ``integrate`` of all 20
-    fields as one stacked homogeneous state."""
+    """Halving the RK4 step from 0.05 to 0.025 against the closed-form flow
+    must show fourth order: measured exponent >= 3.7 on 20 random affine
+    fields, each field and its start one ``rng.random`` call, into
+    per-dimension stacks (``_field_blocks``).  With |C|_1 up to about 7, a
+    step of 0.1 puts h |lambda| near 0.5, outside RK4's asymptotic range.
+    The references take one ``flow_images`` call per dimension, and each
+    step length one four-stage ``integrate`` of a dimension's fields
+    (``_rk4_ends``)."""
     blocks = _field_blocks(_rng(seed, 9), 20, (2, 5), 1)
     references = [flow_images(g, np.ones(len(g)), x[:, 0]) for g, x in blocks]
-    g_t, state = _homogeneous_stack(blocks)
-    errors = []
-    for step in (0.1, 0.05):
-        ends = integrate(OdeProblem(lambda z: z @ g_t, state, 1.0, step))
-        errors.append(np.concatenate([
-            _norms(end[:, 0, : x.shape[-1]] - reference)
-            for end, (_, x), reference in zip(_by_block(ends, blocks), blocks, references)
-        ]))
-    coarse, fine = errors
+    coarse, fine = (
+        np.concatenate([_norms(_rk4_ends(g, x, integrate, step)[:, 0] - reference)
+                        for (g, x), reference in zip(blocks, references)])
+        for step in (0.05, 0.025)
+    )
     ratios = coarse[fine != 0.0] / fine[fine != 0.0]
     worst_exponent = float(np.min(np.log2(ratios), initial=np.inf))
     return CheckResult(
@@ -531,45 +479,44 @@ def _singular_matrix(a) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _degenerate_draws(rng) -> tuple[list, list]:
-    """Check 10's stacks of (generator, t, x, U, U + null vector), 3 cases for
-    each of 50 fields whose B = -C anchor has an entry of at least 0.1 (C and
-    anchor one ``rng.random`` call, the cases one more), then the blocks of
-    ``_draw_blocks`` of 50 fields with no fixed point and their starts."""
-    cases = {}
-    fields = 0
-    while fields < 50:
-        n = int(rng.integers(2, 5))
+    """Check 10's two ensembles, each ``_draw_blocks`` of 50 fields.  First
+    the stacks (generator, t, x, U, U + null vector), 3 cases for each field
+    whose B = -C anchor has an entry of at least 0.1, a field with a smaller
+    one drawn again (C and anchor one ``rng.random`` call, the cases one
+    more); then the blocks (generators, starts (k, 1, n)) of fields with no
+    fixed point, each with its start one ``rng.random`` call."""
+    def fixed_point_field(n):
         v = _uniform(rng.random(n * n + n), -2.0, 2.0)
         c, null_vec = _singular_matrix(v[: n * n].reshape(n, n))
         b = -(c @ v[n * n :])
         if np.max(np.abs(b)) < 0.1:
-            continue
-        fields += 1
-        g = _generator(c, b)
+            return None
         u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
-        u = rng.random((3, n + 1))
-        for t, x in zip(_uniform(u[:, 0], -1.0, 1.0), _uniform(u[:, 1:], -2.0, 2.0)):
-            cases.setdefault(n, []).append((g, t, x, u0, u0 + null_vec))
+        return _generator(c, b), u0, u0 + null_vec, rng.random((3, n + 1))
+
+    cases = []
+    for n, g, *fixed, u in _draw_blocks(rng, 50, (2, 5), fixed_point_field):
+        u = u.reshape(-1, n + 1)
+        cases.append((np.repeat(g, 3, axis=0), _uniform(u[:, 0], -1.0, 1.0),
+                      _uniform(u[:, 1:], -2.0, 2.0), *np.repeat(fixed, 3, axis=1)))
     blocks = []
-    for n, u in _draw_blocks(rng, 50, (2, 5), lambda n: n * n + 2 * n + 1):
+    for n, u in _draw_blocks(rng, 50, (2, 5), lambda n: (rng.random(n * n + 2 * n + 1),)):
         c, _ = _singular_matrix(_uniform(u[:, : n * n], -2.0, 2.0).reshape(-1, n, n))
         # b has a component along the left null vector, so C U + B = 0 has
         # no solution.
         left_null = np.linalg.svd(c)[0][..., -1]
         b = _uniform(u[:, n * n : -n - 1], -1.0, 1.0) + left_null * _uniform(u[:, -n - 1 : -n], 0.5, 1.5)
         blocks.append((_generator(c, b), _uniform(u[:, -n:], -2.0, 2.0)[:, None]))
-    return _stacks(cases), blocks
+    return cases, blocks
 
 
 def check_degenerate_flows(seed: int = 42) -> CheckResult:
     """Singular-matrix fields: when a fixed point exists but is not unique,
     the flow must equal exp(tC)(x - U) + U for two fixed points U that differ
-    by a null vector (1e-10); when none exists, it must match RK4 (1e-6),
-    run on those 50 fields as one stacked homogeneous state by a batched
-    power of the RK4 increment matrices.  Both ensembles are drawn into
-    per-dimension stacks, each field's doubles in one or two ``rng.random``
-    calls (``_degenerate_draws``); their flows take one ``flow_images`` call
-    per dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
+    by a null vector (1e-10); when none exists, it must match RK4 (1e-6,
+    ``_rk4_defects``).  Both ensembles are drawn into per-dimension stacks
+    (``_degenerate_draws``); their flows take one ``flow_images`` call per
+    dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
     norms one call per dimension and term."""
     cases, blocks = _degenerate_draws(_rng(seed, 10))
     worst_pair = 0.0

@@ -759,7 +759,7 @@ VALIDATE_SEED_7 = [
     "ok   chart-conjugation: worst field defect 9.319e-11 (bound 1e-06), "
     "worst Newton residual 4.885e-15 (bound 1e-12)",
     "ok   invariant-flow-constancy: worst defect 5.329e-15 (bound 1e-07)",
-    "ok   rk4-convergence-order: smallest measured exponent 3.824 (bound 3.7)",
+    "ok   rk4-convergence-order: smallest measured exponent 3.912 (bound 3.7)",
     "ok   degenerate-flow-consistency: "
     "worst fixed-point-choice defect 1.823e-14 (bound 1e-10), "
     "worst oracle defect 1.066e-10 (bound 1e-06)",

@@ -7,6 +7,8 @@ the same state, whether the block is kept or rejected and drawn again from
 its start.  Rows of callers that can reject a block also pin whether it was
 drawn again: one generator call for a kept block, more for a redrawn one."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from affine_fields import actions as ga
 from affine_fields.fields import AffineField, constant_field, evaluate
 from affine_fields.invariants import IRREGULAR_NORM, _regular_points, planar_affine_family
 from affine_fields.validate import (
+    _ParamRows,
     _degenerate_draws,
     _field_blocks,
     _fundamental_draws,
@@ -78,23 +81,28 @@ def _group_law_per_call(rng):
 
 def _fundamental_per_call(rng):
     """Check 5 with one ``rng.uniform`` call per value after n and s or q:
-    the generator's matrix and vector parts, then x."""
-    cases = {}
+    the generator's matrix and vector parts, then x; the cases of a variant
+    regrouped by n, s or q a row per case."""
+    draws = []
     for variant, record in ga.VARIANTS.items():
+        cases = {}
         for _ in range(100):
             n = int(rng.integers(1, 4))
-            value = (tuple(rng.uniform(-1.5, 1.5, size=n)) if record.param == "s"
+            value = (rng.uniform(-1.5, 1.5, size=n) if record.param == "s"
                      else int(rng.integers(0, 4)) if record.param == "q" else None)
             g = _random_tangent(rng, record.kind, n).matrix
-            key = (variant, n, record.param, value)
-            cases.setdefault(key, []).append((g, rng.uniform(-2.0, 2.0, size=n)))
-    return {key: tuple(map(np.array, zip(*drawn))) for key, drawn in cases.items()}
+            cases.setdefault(n, []).append((value, g, rng.uniform(-2.0, 2.0, size=n)))
+        for n, (values, g, x) in zip(sorted(cases), _by_dimension(cases)):
+            params = {record.param: values} if record.param else {}
+            draws.append((_ParamRows(variant, n, **params), g, x))
+    return draws
 
 
 def _round_trip_per_call(rng):
     """Check 6 with one ``rng.uniform`` call per value: C and B of each of
     the 50 fields, taken as its linear part, its constant part and itself,
-    then the matrices of the det-weighted fields one by one."""
+    then the matrices of the det-weighted fields one by one, regrouped by
+    n with q a row per case."""
     cases = {}
     for _ in range(50):
         n = int(rng.integers(1, 5))
@@ -103,13 +111,13 @@ def _round_trip_per_call(rng):
         for variant, field in ((ga.STANDARD_LINEAR, AffineField(c, np.zeros(n))),
                                (ga.STANDARD_TRANSLATION, AffineField(np.zeros((n, n)), b)),
                                (ga.STANDARD_AFFINE, AffineField(c, b))):
-            cases.setdefault((variant, n, None), []).append(field.matrix)
-    draws = {key: np.array(cases[key]) for key in sorted(cases, key=lambda key: key[1])}
+            cases.setdefault((variant, n), []).append(field.matrix)
+    draws = [(_ParamRows(*key), np.array(cases[key]))
+             for key in sorted(cases, key=lambda key: key[1])]
     for n in range(1, 5):
-        for q in range(4):
-            draws[ga.DET_WEIGHTED, n, q] = np.array([
-                AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)).matrix
-                for _ in range(5)])
+        q, g = zip(*[(q, AffineField(rng.uniform(-2.0, 2.0, size=(n, n)), np.zeros(n)).matrix)
+                     for q in range(4) for _ in range(5)])
+        draws.append((_ParamRows(ga.DET_WEIGHTED, n, q=np.array(q)), np.array(g)))
     return draws
 
 
@@ -288,11 +296,15 @@ CASES = [pytest.param(row, seed, id=f"{row}-{seed}") for row in DRAWS for seed i
 
 
 def _bits(value):
-    """What a draw is compared by: nested lists, tuples and dicts of arrays
-    as the dtype, shape and bytes of each array; an error as its type and
-    message."""
+    """What a draw is compared by: nested lists, tuples, dicts and
+    dataclasses of arrays as the dtype, shape and bytes of each array; an
+    error as its type and message."""
+    if value is None:
+        return None
     if isinstance(value, Exception):
         return type(value).__name__, str(value)
+    if dataclasses.is_dataclass(value):
+        return [(f.name, _bits(getattr(value, f.name))) for f in dataclasses.fields(value)]
     if isinstance(value, dict):
         return [(key, _bits(v)) for key, v in value.items()]
     if isinstance(value, (list, tuple)):

@@ -16,6 +16,7 @@ from affine_fields import actions as ga
 from affine_fields.charts import exponential_chart
 from affine_fields.fields import (
     AffineField,
+    bracket,
     constant_field,
     evaluate,
     evaluate_many,
@@ -202,6 +203,9 @@ def test_lists_and_real_arrays_give_the_same_result(call, value, name, non_finit
 # Entries of 1e308: C x overflows to inf at (10, 1) and to inf - inf = NaN
 # at (10, -10).
 HUGE = AffineField([[1e308, 1e308], [0.0, 1.0]], [1e308, 0.0])
+# Entries of 1e300 and of 1e200, whose products overflow.
+E300 = AffineField(np.full((3, 3), 1e300), np.full(3, 1e300))
+E200 = AffineField(np.full((2, 2), 1e200), np.full(2, 1e200))
 
 # id: (a call on finite input whose image is not finite, the pattern of its
 # OverflowError).
@@ -217,6 +221,12 @@ OVERFLOWING = {
     "act": (lambda: ga.act(AFFINE, ga.affine_element([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0]),
                            [10.0, 1.0]),
             _exact("image under standard-affine is not finite")),
+    "bracket": (lambda: bracket(E300, E300), _exact("bracket overflows the float range")),
+    "linear_change": (lambda: linear_change(E200, 1e200 * np.eye(2)),
+                      _exact("linear change overflows the float range")),
+    "fundamental_field_numeric": (
+        lambda: ga.fundamental_field_numeric(ga.standard_affine_action(3), E300, np.full(3, 1e300)),
+        _exact("fundamental field under standard-affine overflows the float range")),
 }
 
 
@@ -225,3 +235,10 @@ OVERFLOWING = {
 def test_image_beyond_the_float_range_raises_overflow_error(call, message):
     with pytest.raises(OverflowError, match=message):
         call()
+
+
+@pytest.mark.filterwarnings("error")
+def test_solve_linear_at_the_end_of_the_float_range_returns_its_solution():
+    # The residual norms take squares of about 1e600, but not the solution.
+    solution, r = solve_linear(1e300 * np.eye(3), np.full(3, 1e300))
+    assert (solution.tolist(), r) == ([1.0, 1.0, 1.0], 3)

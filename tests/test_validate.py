@@ -1,17 +1,18 @@
-"""The per-dimension stacks and the stacked RK4 passes behind validation
-checks 1, 2, 8, 9 and 10, the point stack of check 4, the per-action
-stacks of checks 5 and 6 and the pair stacks of check 3, against one case
-at a time, the kernel calls of checks 1 and 2 and the stacks of check 5,
-and check 3's failure reports under a wrong commutator.  The
-block draws of checks 1, 2, 5, 6, 8, 9 and 10 are rows of the draw table
-in test_draws.py."""
+"""The per-dimension stacks and the per-dimension RK4 passes behind
+validation checks 1, 2, 8, 9 and 10, the point stack of check 4, the
+per-action stacks of checks 5 and 6 (a parameter per row) and the pair
+stacks of check 3, against one case at a time, the kernel calls of checks 1
+and 2 and the stacks of check 5, check 9 against a third-order stepper, and
+check 3's failure reports under a wrong commutator.  The block draws of
+checks 1, 2, 5, 6, 8, 9 and 10 are rows of the draw table in
+test_draws.py."""
 
 from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
 
-from affine_fields import AffineField, all_generators, bracket, evaluate, linalg, validate
+from affine_fields import AffineField, all_generators, bracket, evaluate, linalg, oracle, validate
 from affine_fields import actions as ga
 from affine_fields.fields import _commutator
 from affine_fields.flows import flow_at, make_flow
@@ -24,8 +25,9 @@ from affine_fields.invariants import (
 from affine_fields.linalg import _generator, mat_exp, solve_linear
 from affine_fields.oracle import DivergenceError, OdeProblem, integrate, integrate_linear
 from affine_fields.validate import (
+    _ParamRows,
+    _rk4_ends,
     _singular_matrix,
-    _stacked_rk4_ends,
     _random_reshaping,
     check_degenerate_flows,
     check_field_tangent_roundtrip,
@@ -41,43 +43,34 @@ from affine_fields.validate import (
 from conftest import random_affine_field
 
 
-def _ensemble():
-    rng = np.random.default_rng(6)
-    fields = [random_affine_field(rng, n) for n in range(1, 7)]
-    starts = [rng.uniform(-2.0, 2.0, size=(2, f.n)) for f in fields]
-    return fields, starts
+def _block(n, k=3):
+    """k random fields on R^n, each with two starts: (fields, generator
+    stack, (k, 2, n) starts)."""
+    rng = np.random.default_rng([6, n])
+    fields = [random_affine_field(rng, n) for _ in range(k)]
+    starts = rng.uniform(-2.0, 2.0, size=(k, 2, n))
+    return fields, np.array([field.matrix for field in fields]), starts
 
 
-def _blocks(fields, starts):
-    """Each field with its starts as a block of one."""
-    return [(field.matrix[None], xs[None]) for field, xs in zip(fields, starts)]
-
-
-def test_stack_matches_one_integration_per_field_and_start():
-    fields, starts = _ensemble()
-    ends = _stacked_rk4_ends(_blocks(fields, starts))
-    assert [block.shape for block in ends] == [(1, 2, 6)] * 6
-    for field, xs, (stacked,) in zip(fields, starts, ends):
-        for x, end in zip(xs, stacked[:, : field.n]):
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("integrator, step", [(integrate_linear, 1e-3), (integrate, 0.05)])
+def test_block_matches_one_integration_per_field_and_start(n, integrator, step):
+    fields, g, starts = _block(n)
+    ends = _rk4_ends(g, starts, integrator, step)
+    assert ends.shape == (3, 2, n)
+    for field, xs, stacked in zip(fields, starts, ends):
+        for x, end in zip(xs, stacked):
             want = integrate(
-                OdeProblem(lambda z: evaluate(field, z), x, 1.0, 1e-3)
+                OdeProblem(lambda z: evaluate(field, z), x, 1.0, step)
             )
             assert np.linalg.norm(end - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_padded_coordinates_stay_exactly_zero():
-    fields, starts = _ensemble()
-    ends = _stacked_rk4_ends(_blocks(fields, starts))
-    for field, (stacked,) in zip(fields, ends):
-        assert np.array_equal(stacked[:, field.n :], np.zeros((2, 6 - field.n)))
-
-
-def test_one_diverging_field_fails_the_stack():
-    fields, starts = _ensemble()
-    fields.insert(2, AffineField([[1e4]], [0.0]))
-    starts.insert(2, np.ones((2, 1)))
+def test_one_diverging_field_fails_the_block():
+    fields, g, starts = _block(1)
+    g[1, 0, 0] = 1e4
     with pytest.raises(DivergenceError):
-        _stacked_rk4_ends(_blocks(fields, starts))
+        _rk4_ends(g, starts, integrate_linear, 1e-3)
 
 
 def _rk4_order_detail_field_by_field(seed):
@@ -91,7 +84,7 @@ def _rk4_order_detail_field_by_field(seed):
         x = rng.uniform(-2.0, 2.0, size=n)
         reference = flow_at(make_flow(field), 1.0, x)
         errors = []
-        for step in (0.1, 0.05):
+        for step in (0.05, 0.025):
             end = integrate(OdeProblem(lambda z: evaluate(field, z), x, 1.0, step))
             errors.append(np.linalg.norm(end - reference))
         if errors[1] == 0.0:
@@ -104,6 +97,29 @@ def _rk4_order_detail_field_by_field(seed):
 @pytest.mark.parametrize("seed", [42, 2006, 7])
 def test_stacked_rk4_order_is_the_field_by_field_check(seed):
     assert check_rk4_order(seed).detail == _rk4_order_detail_field_by_field(seed)
+
+
+def test_rk4_order_passes_where_a_step_of_0_1_is_outside_the_asymptotic_range():
+    # Seed 2247 draws a field with an eigenvalue of 5.06: from h = 0.1 to
+    # 0.05 its exponent measured 3.698.
+    result = check_rk4_order(2247)
+    assert result.passed, result.detail
+
+
+def _third_order_increment(rhs, y, h):
+    """Kutta's third-order stepper in place of RK4's increment."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y - h * k1 + 2.0 * h * k2)
+    return (h / 6.0) * (k1 + 4.0 * k2 + k3)
+
+
+@pytest.mark.parametrize("seed", [42, 2006, 7])
+def test_rk4_order_fails_a_third_order_stepper(monkeypatch, seed):
+    monkeypatch.setattr(oracle, "_rk4_increment", _third_order_increment)
+    result = check_rk4_order(seed)
+    exponent = float(result.detail.split()[3])
+    assert not result.passed and 2.5 < exponent < 3.5, result.detail
 
 
 def _rk4_ends_in_draw_order(fields, starts):
@@ -366,27 +382,49 @@ def test_each_exponential_is_formed_once(monkeypatch, check, calls, matrices):
 
 
 def test_check_5_takes_one_stack_per_action_and_n(monkeypatch):
-    # 3 standard variants and exp-translation by n, det-weighted by (n, q).
+    # The five variants by n, a weight or power per row.
     stacks, rows = [], ga._fundamental_rows
     monkeypatch.setattr(ga, "_fundamental_rows",
                         lambda a, g, x: stacks.append(len(g)) or rows(a, g, x))
     assert check_fundamental_agreement(2006).passed
-    assert (len(stacks), sum(stacks)) == (24, 500)
+    assert (len(stacks), sum(stacks)) == (15, 500)
+
+
+def _weight_rows(rng, n):
+    """exp-translation with a weight per row, each alone, and 40 generators
+    in its algebra, an entry zero in some rows only."""
+    s, b = rng.uniform(-1.5, 1.5, size=(2, 40, n))
+    b[::7, 0] = 0.0
+    alone = [ga.exp_translation_action(row) for row in s]
+    return _ParamRows(ga.EXP_TRANSLATION, n, s=s), alone, _generator(0.0, b)
+
+
+def _power_rows(rng, n):
+    """det-weighted with a power in 0..3 per row, each alone, and 40 linear
+    generators, an entry zero in some rows only."""
+    q = rng.integers(0, 4, size=40)
+    c = rng.uniform(-1.0, 1.0, size=(40, n, n))
+    c[::7, 0, 0] = 0.0
+    alone = [ga.det_weighted_action(n, int(power)) for power in q]
+    return _ParamRows(ga.DET_WEIGHTED, n, q=q), alone, _generator(c, np.zeros((40, n)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_weight_rows_are_each_exp_translation_action_bit_for_bit(n):
+@pytest.mark.parametrize("rows", [_weight_rows, _power_rows])
+def test_parameter_rows_are_each_action_alone_bit_for_bit(rows, n):
     rng = np.random.default_rng([n, 13])
-    s, b = rng.uniform(-1.5, 1.5, size=(2, 40, n))
-    b[::7, 0] = 0.0  # an entry zero in some rows only
+    action, alone, g = rows(rng, n)
     x = rng.uniform(-2.0, 2.0, size=(40, n))
-    action, g = validate._WeightRows(s, n), _generator(0.0, b)
+    record = ga.VARIANTS[action.variant]
     numeric = ga._fundamental_rows(action, g, x)
-    closed = ga.VARIANTS[ga.EXP_TRANSLATION].field(action, g)
-    for j in range(40):
-        alone, tangent = ga.exp_translation_action(s[j]), AffineField(np.zeros((n, n)), b[j])
-        assert numeric[j].tobytes() == ga.fundamental_field_numeric(alone, tangent, x[j]).tobytes()
-        assert closed[j].tobytes() == ga.fundamental_field_analytic(alone, tangent).matrix.tobytes()
+    closed = record.field(action, g)
+    tangents = record.tangent(action, closed)
+    for j, one in enumerate(alone):
+        tangent = AffineField(g[j, :n, :n], g[j, :n, n])
+        field = ga.fundamental_field_analytic(one, tangent)
+        assert numeric[j].tobytes() == ga.fundamental_field_numeric(one, tangent, x[j]).tobytes()
+        assert closed[j].tobytes() == field.matrix.tobytes()
+        assert tangents[j].tobytes() == ga.tangent_for_field(one, field).matrix.tobytes()
 
 
 def test_singular_matrices_of_a_stack_are_each_matrix_alone():
