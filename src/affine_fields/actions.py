@@ -118,10 +118,6 @@ class GroupElement(MatrixValue):
         """Translation part, a read-only view."""
         return self.matrix[:-1, -1]
 
-    def __reduce__(self):
-        # Rebuilt by the constructor, so an unpickled matrix is frozen too.
-        return GroupElement, (self.matrix,)
-
 
 def _check_elements(m: np.ndarray) -> np.ndarray:
     """The finite (..., n+1, n+1) stack m, once it passes GroupElement's
@@ -160,12 +156,15 @@ def identity_element(n: int) -> GroupElement:
 
 def multiply(g: GroupElement, h: GroupElement) -> GroupElement:
     """Group product g h (for the affine group: (a1 a2, a1 t2 + t1)); the
-    product of matrices raises ValueError when the dimensions differ."""
-    return GroupElement(g.matrix @ h.matrix)
+    product of matrices raises ValueError when the dimensions differ, and
+    OverflowError when an entry is beyond the float range."""
+    return GroupElement(_in_range(lambda: g.matrix @ h.matrix, "group product"))
 
 
 def inverse(g: GroupElement) -> GroupElement:
-    return GroupElement(np.linalg.inv(g.matrix))
+    """Group inverse of g; OverflowError when an entry is beyond the float
+    range."""
+    return GroupElement(_in_range(lambda: np.linalg.inv(g.matrix), "group inverse"))
 
 
 def _member(kind: str, m: np.ndarray, n: int, element: bool = False) -> np.ndarray:
@@ -381,11 +380,9 @@ def _act(action: GroupAction, m: np.ndarray, x: np.ndarray) -> np.ndarray:
     chart = action.chart
     if chart is not None:
         x = chart.forward(chart.require(x))
-    with np.errstate(over="ignore", invalid="ignore"):
-        image = VARIANTS[action.variant].act(
-            action, m, _real(x, "point", action.n, "action", stack=True))
-    if not np.isfinite(image).all():
-        raise OverflowError(f"image under {action.describe()} is not finite")
+    p = _real(x, "point", action.n, "action", stack=True)
+    image = _in_range(lambda: VARIANTS[action.variant].act(action, m, p),
+                      f"image under {action.describe()}")
     return image if chart is None else chart.inverse(image)
 
 
@@ -516,11 +513,7 @@ def one_parameter_subgroup(
     """
     _member(action.group_kind, tangent.matrix, action.n)
     t = _real(t, "t").item()
-    with np.errstate(over="ignore"):
-        scaled = t * tangent.matrix
-    if not np.isfinite(scaled).all():
-        raise OverflowError(f"time-{t!r} generator overflows")
-    return GroupElement(mat_exp(scaled))
+    return GroupElement(mat_exp(_in_range(lambda: t * tangent.matrix, f"time-{t!r} generator")))
 
 
 def _sample_scale(action: GroupAction) -> float:
@@ -629,7 +622,8 @@ def check_action_axioms(
     redraw, is the block drawn again from its start by _random_matrix.  In
     a block each act is one call on the stack: e, then g1 g2, then g2, then
     g1.  A failure raises what act, multiply or GroupElement would raise on
-    the failing sample.  When several samples fail, the first block with a
+    the failing sample: an image or a product g1 g2 beyond the float range
+    raises OverflowError.  When several samples fail, the first block with a
     failure raises, and in it the first failing check in this order: g1 and
     g2 as elements, the act of e, g1 g2 as an element, the acts of g1 g2,
     g2 and g1, each with the first failing sample where the message names a
@@ -647,9 +641,8 @@ def check_action_axioms(
         g1, g2 = _member(kind, _check_elements(g), n, element=True)
         scale = 1.0 + _norms(x)
         max_id = max(max_id, float(np.max(_norms(_act(action, _eye(n + 1), x) - x) / scale)))
-        with np.errstate(over="ignore", invalid="ignore"):
-            product = _member(kind, _check_elements(
-                _real(g1 @ g2, "group element", finite="has non-finite entries")), n, element=True)
+        product = _member(kind, _check_elements(_in_range(lambda: g1 @ g2, "group product")),
+                          n, element=True)
         direct = _act(action, product, x)
         chained = _act(action, g1, _act(action, g2, x))
         max_comp = max(max_comp, float(np.max(_norms(direct - chained) / scale)))

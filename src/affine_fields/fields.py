@@ -25,10 +25,14 @@ class MatrixValue:
     package: equal when of the same type with equal ``_parts``, arrays of
     the same shape and entries, and hashed alike (-0.0 hashes as 0.0, as it
     compares).  A subclass is a dataclass with eq=False, so that these
-    methods hold."""
+    methods hold, whose constructor takes its ``_parts``: pickles and copies
+    are rebuilt by it, so their arrays are frozen too."""
 
     def _parts(self) -> tuple:
         return (self.matrix,)
+
+    def __reduce__(self):
+        return type(self), self._parts()
 
     def _key(self) -> tuple:
         # a + 0.0 turns -0.0 into 0.0, so equal entries have equal bytes.

@@ -35,7 +35,7 @@ import numpy as np
 
 from .fields import AffineField, MatrixValue
 # solve_linear is unused here; instrumentation looks it up in this namespace.
-from .linalg import _affine, _image, _real, mat_exp, solve_linear  # noqa: F401
+from .linalg import _image, _in_range, _real, mat_exp, solve_linear  # noqa: F401
 
 TRANSLATION = "translation"
 AUGMENTED_EXPONENTIAL = "augmented-exponential"
@@ -64,9 +64,6 @@ class FlowMap(MatrixValue):
         form = AUGMENTED_EXPONENTIAL if self.field.C.any() else TRANSLATION
         object.__setattr__(self, "form", form)
         object.__setattr__(self, "_memo", None)
-
-    def __reduce__(self):
-        return FlowMap, (self.field,)
 
     def _parts(self) -> tuple:
         return (self.field,)
@@ -105,24 +102,8 @@ def _exponentials(generators, times) -> np.ndarray:
     blocks = []
     for lo in range(0, len(times), size):
         g = generators if len(generators) == 1 else generators[lo:lo + size]
-        with np.errstate(over="ignore", invalid="ignore"):
-            scaled = times[lo:lo + size, None, None] * g
-        if not np.isfinite(scaled).all():
-            raise OverflowError("t G overflows the float range")
-        blocks.append(mat_exp(scaled))
+        blocks.append(mat_exp(_in_range(lambda: times[lo:lo + size, None, None] * g, "t G")))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-
-
-def _checked(images, times, points) -> np.ndarray:
-    """The images, with each row at t_j = 0 made x_j exactly.
-
-    Raises OverflowError when some image is not representable in floats.
-    """
-    if not np.isfinite(images).all():
-        raise OverflowError("image overflows the float range")
-    # The time-zero map is the identity exactly, not just up to rounding.
-    np.copyto(images, points, where=(times == 0.0)[:, None])
-    return images
 
 
 def flow_images(generators, times, points) -> np.ndarray:
@@ -141,7 +122,7 @@ def flow_images(generators, times, points) -> np.ndarray:
     as finite and of matching shapes; ``flow_at`` checks its own.
 
     Raises OverflowError when some t G or image is not representable in
-    floats.
+    floats, at the first block that has one.
     """
     k, n = len(times), points.shape[1]
     images = np.empty((k, n))
@@ -150,10 +131,10 @@ def flow_images(generators, times, points) -> np.ndarray:
         rows = slice(lo, lo + size)
         g = generators if len(generators) == 1 else generators[rows]
         x = points if len(points) == 1 else points[rows]
-        exps = _exponentials(g, times[rows])
-        with np.errstate(over="ignore", invalid="ignore"):
-            images[rows] = _affine(exps, x)
-    return _checked(images, times, points)
+        images[rows] = _image(_exponentials(g, times[rows]), x, "image")
+    # The time-zero map is the identity exactly, not just up to rounding.
+    np.copyto(images, points, where=(times == 0.0)[:, None])
+    return images
 
 
 def flow_at(flow: FlowMap, t, x) -> np.ndarray:
@@ -198,7 +179,8 @@ def group_law_defect(flow: FlowMap, s: float, t: float, x) -> float:
     """
     direct = flow_at(flow, s + t, x)
     composed = flow_at(flow, s, flow_at(flow, t, x))
-    return float(np.linalg.norm(direct - composed))
+    # By hypot, so squares beyond the float range do not overflow the norm.
+    return float(np.hypot.reduce(direct - composed, initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +198,6 @@ class Orbit(MatrixValue):
             arr = arr if name == "points" else arr.reshape(-1)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-
-    def __reduce__(self):
-        return Orbit, (self.start, self.times, self.points)
 
     def _parts(self) -> tuple:
         return self.start, self.times, self.points
@@ -251,9 +230,14 @@ def _uniform_orbit(flow: FlowMap, times, x, h: float) -> np.ndarray:
     exps = _exponentials(flow.field.matrix[None], np.arange(1, m) * h)
     rows, lifted = np.empty((len(anchors), m, n)), np.ones((len(anchors), n + 1))
     rows[:, 0] = lifted[:, :n] = anchors
-    with np.errstate(over="ignore", invalid="ignore"):
+
+    def carried():  # only the k rows kept: the padding past t_(k-1) may overflow
         np.matmul(lifted, exps[:, :n].transpose(0, 2, 1), out=rows[:, 1:].transpose(1, 0, 2))
-    return _checked(rows.reshape(-1, n)[:k], times, x[None])
+        return rows.reshape(-1, n)[:k]
+
+    points = _in_range(carried, "image")
+    np.copyto(points, x, where=(times == 0.0)[:, None])
+    return points
 
 
 def orbit(flow: FlowMap, x, t_grid) -> Orbit:

@@ -1,5 +1,6 @@
 """Group elements, actions, fundamental fields, chart conjugation."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -311,7 +312,7 @@ class TestAct:
     def test_non_finite_image_raises_overflow(self, action, g, x):
         # The image is checked before the chart's inverse, which would
         # otherwise be handed inf.
-        with pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="overflows the float range"):
             ga.act(action, g, x)
 
 
@@ -445,7 +446,7 @@ class TestStackedAct:
         poison[0] = x if role == "identity" else ga.VARIANTS[ga.STANDARD_AFFINE].act(
             action, g2, x)
         assert ga.check_action_axioms(action, 13, seed=7).passed
-        message = "^image under overflow-once is not finite$"
+        message = "^image under overflow-once overflows the float range$"
         with pytest.raises(OverflowError, match=message):
             ga.check_action_axioms(action, 40, seed=7)
         # The public act raises the same on that sample's point.
@@ -457,16 +458,17 @@ class TestStackedAct:
     SHEARED = np.array([[1.0, 1.0, 0.0], [0.0, 1e-7, 0.0], [0.0, 0.0, 1.0]])
 
     @classmethod
-    def _shear_sample(cls, monkeypatch, j):
+    def _shear_sample(cls, monkeypatch, j, matrix=None):
         """Makes the block draw of check_action_axioms give sample j the
-        sheared g1 and g2; samples are counted from the returned counter,
-        which the caller sets back to [0] before a new check."""
+        sheared g1 and g2, or ``matrix`` as both; samples are counted from
+        the returned counter, which the caller sets back to [0] before a
+        new check."""
         draw, drawn = ga._random_samples, [0]
 
         def shear(action, rng, k):
             x, g = draw(action, rng, k)
             if 0 <= j - drawn[0] < k:
-                g[:, j - drawn[0]] = cls.SHEARED
+                g[:, j - drawn[0]] = cls.SHEARED if matrix is None else matrix
             drawn[0] += k
             return x, g
 
@@ -484,6 +486,16 @@ class TestStackedAct:
         drawn[0] = 0
         assert ga.check_action_axioms(action, 9, seed=3).passed
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_product_raises_as_multiply_does(self, monkeypatch):
+        g = ga.linear_element([[1e200, 0.0], [0.0, 1.0]])
+        message = "^group product overflows the float range$"
+        with pytest.raises(OverflowError, match=message):
+            ga.multiply(g, g)
+        self._shear_sample(monkeypatch, 4, g.matrix)
+        with pytest.raises(OverflowError, match=message):
+            ga.check_action_axioms(ga.standard_linear_action(2), 10, seed=3)
+
     def test_several_failures_raise_in_role_order(self, monkeypatch):
         # Sample 2 has a singular product, sample 5 overflows under e: the
         # act of e comes before the product's test, so its error is raised.
@@ -491,7 +503,7 @@ class TestStackedAct:
         action = self._overflow_at(monkeypatch, ga.STANDARD_LINEAR, poison)
         poison[0] = self._sample(action, 11, 5)[0]
         drawn = self._shear_sample(monkeypatch, 2)
-        with pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="overflows the float range"):
             ga.check_action_axioms(action, 10, seed=11)
         # Without the overflow, sample 2's product is what raises.
         poison[0] = np.full(2, np.nan)
@@ -582,7 +594,7 @@ class TestFundamentalNumeric:
     def test_overflowing_difference_raises(self):
         # exp(s . t) overflows at t = +FD_STEP e_1 once s_1 FD_STEP > 710.
         action = ga.exp_translation_action([1e12, 0.0])
-        with pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="overflows the float range"):
             ga.fundamental_field_numeric(action, constant_field([1.0, 0.0]), [1.0, 1.0])
 
     def test_translation_gives_constant_components(self):
@@ -675,9 +687,9 @@ class TestFundamentalRows:
         g = np.zeros((3, 3, 3))
         g[:, 0, 0] = 1.0
         x = np.array([[1.0, 2.0], [np.finfo(float).max, 1.0], [-1.0, 0.5]])
-        with pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="overflows the float range"):
             self._alone(action, g[1], x[1])
-        with pytest.raises(OverflowError, match="not finite"):
+        with pytest.raises(OverflowError, match="overflows the float range"):
             ga._fundamental_rows(action, g, x)
 
 
@@ -1037,23 +1049,38 @@ class TestChartConjugation:
             ga.tangent_for_field(action, linear_field(np.eye(2)))
 
 
+COPIES = {"pickle": lambda value: pickle.loads(pickle.dumps(value)),
+          "copy": copy.copy, "deepcopy": copy.deepcopy}
+
+
+def _arrays(value):
+    """The ndarray fields of a value, and of the values among its fields."""
+    for field in dataclasses.fields(value):
+        part = getattr(value, field.name)
+        if isinstance(part, np.ndarray):
+            yield part
+        elif dataclasses.is_dataclass(part):
+            yield from _arrays(part)
+
+
+@pytest.mark.parametrize("how", COPIES)
 @pytest.mark.parametrize(
     "value",
     [
-        AffineField([[1.0, 2.0], [0.0, -1.0]], [2.0, 0.5]),
-        ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]),
-        orbit(make_flow(AffineField([[0.5]], [1.0])), [1.0], [0.0, 0.5, 1.0]),
+        pytest.param(AffineField([[1.0, 2.0], [0.0, -1.0]], [2.0, 0.5]), id="AffineField"),
+        pytest.param(ga.affine_element([[1.0, 2.0], [0.0, 1.0]], [3.0, 4.0]), id="GroupElement"),
+        pytest.param(make_flow(AffineField([[0.5]], [1.0])), id="FlowMap"),
+        pytest.param(orbit(make_flow(AffineField([[0.5]], [1.0])), [1.0], [0.0, 0.5, 1.0]),
+                     id="Orbit"),
+        pytest.param(ga.exp_translation_action([1.0, 2.0]), id="GroupAction-weighted"),
+        pytest.param(ga.det_weighted_action(2, 3), id="GroupAction-powered"),
+        pytest.param(ga.standard_affine_action(2), id="GroupAction-plain"),
     ],
-    ids=lambda value: type(value).__name__,
 )
-def test_pickle_keeps_arrays_frozen(value):
-    again = pickle.loads(pickle.dumps(value))
-    assert type(again) is type(value)
-    for name in ("matrix", "start", "times", "points"):
-        if hasattr(value, name):
-            arr = getattr(again, name)
-            assert not arr.flags.writeable, name
-            assert np.array_equal(arr, getattr(value, name)), name
+def test_copies_and_pickles_are_equal_and_frozen(value, how):
+    again = COPIES[how](value)
+    assert type(again) is type(value) and again == value
+    assert not any(arr.flags.writeable for arr in _arrays(again))
 
 
 def _matrix_values(entry):

@@ -326,6 +326,16 @@ class TestGroupLaw:
             terms = np.abs(expm(s * g)) @ (np.abs(expm(t * g)) @ lifted)
             assert group_law_defect(flow, s, t, x) <= 1e-14 * np.linalg.norm(terms)
 
+    @pytest.mark.filterwarnings("error")
+    def test_defect_whose_square_overflows_is_finite(self):
+        # The defect is about 3e184: its square is beyond the float range, it is not.
+        field = linear_field([[1.0, 0.3], [0.2, 0.7]])
+        x = np.array([1e200, 3e199])
+        defect = group_law_defect(make_flow(field), 0.5, 0.5, x)
+        e = np.abs(expm(0.5 * field.matrix))
+        terms = e @ (e @ np.append(x, 1.0))
+        assert 0.0 < defect <= 1e-14 * np.hypot.reduce(terms)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
         "field, s, t, x, error",
@@ -604,6 +614,19 @@ class TestOrbit:
         assert flows._grid_step(grid) != 0.0
         with pytest.raises(OverflowError):
             orbit(make_flow(field), x, grid)
+
+    @pytest.mark.filterwarnings("error")
+    def test_uniform_grid_tests_only_the_points_it_keeps(self):
+        # M = 11: the anchor at t = 0.99 is carried ten steps, past the grid
+        # to t = 1.09, where e^763 overflows; those rows are cut off unseen.
+        flow, times = make_flow(linear_field([[700.0]])), np.linspace(0.0, 1.0, 101)
+        anchors = flow_at(flow, times[::11], [1.0])[:, 0]
+        steps = [1.0] + [mat_exp(r * 0.01 * flow.field.matrix)[0, 0] for r in range(1, 11)]
+        # With B = 0 each carried point is its anchor times its step, rounded once.
+        want = np.array([anchors[j // 11] * steps[j % 11] for j in range(101)])
+        points = orbit(flow, [1.0], times).points[:, 0]
+        assert points.tobytes() == want.tobytes()
+        assert points[-1] == 1.014232054734992e304
 
     @pytest.mark.parametrize(
         "grid", [[0.5], [0.5, 1.0], [0.0, 0.5, 1.0], [0.7] * 5, [0.0, 0.5, 1.0, 1.5 + 1e-9]]

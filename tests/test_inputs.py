@@ -206,6 +206,12 @@ HUGE = AffineField([[1e308, 1e308], [0.0, 1.0]], [1e308, 0.0])
 # Entries of 1e300 and of 1e200, whose products overflow.
 E300 = AffineField(np.full((3, 3), 1e300), np.full(3, 1e300))
 E200 = AffineField(np.full((2, 2), 1e200), np.full(2, 1e200))
+# An element whose square, 1e400, is beyond the float range; and a valid
+# element (its columns scaled to unit norm give I) whose inverse is 1e310.
+G200 = ga.affine_element([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0])
+TINY = ga.affine_element([[1e-310, 0.0], [0.0, 1.0]], [0.0, 0.0])
+# x + t B from (1e308, 0) leaves the float range after t = 0.797.
+DRIFT = make_flow(constant_field([1e308, 0.0]))
 
 # id: (a call on finite input whose image is not finite, the pattern of its
 # OverflowError).
@@ -216,11 +222,23 @@ OVERFLOWING = {
                      _exact("field value overflows the float range")),
     "evaluate_many": (lambda: evaluate_many(HUGE, [[0.0, 0.0], [10.0, -10.0]]),
                       _exact("field value overflows the float range")),
-    "flow_at": (lambda: flow_at(make_flow(constant_field([1e308, 0.0])), 1.0, [1e308, 0.0]),
+    "flow_at": (lambda: flow_at(DRIFT, 1.0, [1e308, 0.0]),
                 _exact("image overflows the float range")),
+    "flow_at-times": (lambda: flow_at(DRIFT, [0.5, 1.0], [1e308, 0.0]),
+                      _exact("image overflows the float range")),
+    # Anchors at t = 0, 4/11 and 8/11 are finite; the rows carried to t = 9/11 on are not.
+    "orbit-uniform": (lambda: orbit(DRIFT, [1e308, 0.0], np.linspace(0.0, 1.0, 12)),
+                      _exact("image overflows the float range")),
+    "orbit-uneven": (lambda: orbit(DRIFT, [1e308, 0.0], [0.0, 0.25, 1.0]),
+                     _exact("image overflows the float range")),
     "act": (lambda: ga.act(AFFINE, ga.affine_element([[1e308, 0.0], [0.0, 1.0]], [0.0, 0.0]),
                            [10.0, 1.0]),
-            _exact("image under standard-affine is not finite")),
+            _exact("image under standard-affine overflows the float range")),
+    "multiply": (lambda: ga.multiply(G200, G200), _exact("group product overflows the float range")),
+    "inverse": (lambda: ga.inverse(TINY), _exact("group inverse overflows the float range")),
+    "one_parameter_subgroup": (
+        lambda: ga.one_parameter_subgroup(ga.standard_linear_action(1), linear_field([[2.0]]), 1e308),
+        _exact("time-1e+308 generator overflows the float range")),
     "bracket": (lambda: bracket(E300, E300), _exact("bracket overflows the float range")),
     "linear_change": (lambda: linear_change(E200, 1e200 * np.eye(2)),
                       _exact("linear change overflows the float range")),
