@@ -382,7 +382,7 @@ def _act(action: GroupAction, m: np.ndarray, x: np.ndarray) -> np.ndarray:
         x = chart.forward(chart.require(x))
     p = _real(x, "point", action.n, "action", stack=True)
     image = _in_range(lambda: VARIANTS[action.variant].act(action, m, p),
-                      f"image under {action.describe()}")
+                      lambda: f"image under {action.describe()}")
     return image if chart is None else chart.inverse(image)
 
 
@@ -424,7 +424,7 @@ def _fundamental_rows(action: GroupAction, g: np.ndarray, x: np.ndarray) -> np.n
     zero = np.zeros((1,) + x.shape)  # the +0.0 each sum starts from
     return _in_range(lambda: np.add.accumulate(np.concatenate(
         [zero, g[:, rows, cols].T[..., None] * (images[0] - images[1]) / (2.0 * FD_STEP)]))[-1],
-        f"fundamental field under {action.describe()}")
+        lambda: f"fundamental field under {action.describe()}")
 
 
 def fundamental_field_numeric(
@@ -513,7 +513,8 @@ def one_parameter_subgroup(
     """
     _member(action.group_kind, tangent.matrix, action.n)
     t = _real(t, "t").item()
-    return GroupElement(mat_exp(_in_range(lambda: t * tangent.matrix, f"time-{t!r} generator")))
+    return GroupElement(mat_exp(_in_range(lambda: t * tangent.matrix,
+                                          lambda: f"time-{t!r} generator")))
 
 
 def _sample_scale(action: GroupAction) -> float:

@@ -15,9 +15,11 @@ Taylor scaling and squaring (Al-Mohy and Higham 2011, SIAM J. Sci. Comput.
 needs a linear solve, which for the small matrices here costs as much as 30
 products.  One driver makes each decision once per matrix, as a Python
 scalar where a stack's matrices agree (a single matrix always) and as an
-array where they differ; the matrices of one class share one set of numpy
-calls, the same steps on arrays of the same shapes per matrix (numpy picks
-gemm, gemv or its own loop by shape), so a result is its row of any stack.
+array where they differ.  A stack of differing degrees is sorted once by
+plan: the matrices of one class are then a run of views that share one set
+of numpy calls, the same steps on arrays of the same shapes per matrix
+(numpy picks gemm, gemv or its own loop by shape), so a result is its row
+of any stack.
 """
 
 from __future__ import annotations
@@ -229,13 +231,13 @@ def _taylor(m: int, powers: np.ndarray, work: np.ndarray) -> np.ndarray:
 
 def _exp_class(c: int, k, a: np.ndarray, powers: np.ndarray, work: np.ndarray):
     """(X, s) for the stack ``a`` of class ``c``, each A = a = 2^k a0, given
-    the powers [..., a0^2, a0] and ``work``, room for the blocks: exp(A) is
-    X squared s times, s an int when the matrices agree.  Class -1 is the
-    Taylor sum I + A + A^2 / 2! + ... with s = 0, exact when the powers it
-    stops at are zero, each term scaled back from a0 by 2^(jk) after its
-    division by j!, so that it is in range whenever its value is.  Class
-    c >= 0 is row c of _TAYLOR: X = T_m(2^-s A), s = k, or for k > 0 (degree
-    30) the squarings of _squarings.
+    the powers [a0^b, ..., a0] of its row and ``work``, room for the blocks:
+    exp(A) is X squared s times, s an int when the matrices agree.  Class -1
+    is the Taylor sum I + A + A^2 / 2! + ... with s = 0, exact when the
+    powers it stops at are zero, each term scaled back from a0 by 2^(jk)
+    after its division by j!, so that it is in range whenever its value is;
+    only it reads ``a``.  Class c >= 0 is row c of _TAYLOR: X = T_m(2^-s A),
+    s = k, or for k > 0 (degree 30) the squarings of _squarings.
     """
     if c < 0:
         x = _eye(a.shape[-1]) + a
@@ -243,7 +245,7 @@ def _exp_class(c: int, k, a: np.ndarray, powers: np.ndarray, work: np.ndarray):
             x += _times_pow2(powers[-j] / math.factorial(j), np.reshape(j * k, (-1, 1, 1)))
         return x, 0
     m, b, theta = _TAYLOR[c]
-    powers, s = powers[-b:] if len(powers) > b else powers, k
+    s = k
     # k and s are ints, or arrays where the matrices differ.
     if k if isinstance(k, int) else k.any():
         s = _squarings(powers, k, theta)
@@ -266,6 +268,35 @@ def _exact_rows(x: np.ndarray, a: np.ndarray, columns: np.ndarray, norm: np.ndar
     return x
 
 
+def _exp_runs(row, k, order, shifted, powers, work):
+    """(X, s) of _exp for a stack, given ``order``, its sort by plan or None
+    where its rows agree, its row, k and powers in that order, and its
+    matrices in their own.  A run's rule 3 members, tested on its own A^b,
+    move in order to its end; each part then takes one _exp_class call on
+    views, whose results go back to their places."""
+    cuts = [] if order is None else (np.flatnonzero(np.diff(row)) + 1).tolist()
+    x, s = np.empty_like(shifted), np.zeros(len(shifted), dtype=int)
+    for lo, hi in zip([0, *cuts], [*cuts, len(shifted)]):
+        c = row if order is None else row.item(lo)
+        b = _TAYLOR[c][1]
+        nonzero = powers[-b, lo:hi].reshape(hi - lo, -1).any(axis=-1)
+        mid = lo + int(np.count_nonzero(nonzero))
+        if order is None and mid == hi:
+            return _exp_class(c, k, shifted, powers, work)
+        if mid < hi:
+            if order is None:
+                order, k = np.arange(hi), np.broadcast_to(k, hi).copy()
+            within = lo + np.argsort(~nonzero, kind="stable")
+            for v in (order, k, powers[-b:].swapaxes(0, 1)):
+                v[lo:hi] = v[within]
+        for label, i, j in ((c, lo, mid), (-1, mid, hi)):
+            if i < j:
+                rows = order[i:j]
+                x[rows], s[rows] = _exp_class(label, k[i:j], shifted[rows] if label < 0 else None,
+                                              powers[-b:, i:j], work[:, i:j])
+    return x, s
+
+
 def _exp(a: np.ndarray, columns: np.ndarray, norm: np.ndarray, top: float) -> np.ndarray:
     """exp of each matrix of the (count, n, n) stack ``a``, given the sums of
     moduli of its columns, its 1-norms and the largest of those, ``top``."""
@@ -281,39 +312,36 @@ def _exp(a: np.ndarray, columns: np.ndarray, norm: np.ndarray, top: float) -> np
         else:
             mu = None
     row, k = _plan(plan_norm.item()) if len(a) == 1 else _plans(plan_norm)
-    one = isinstance(row, int)
+    order = None
+    if not isinstance(row, int) and not isinstance(row := _uniform(row), int):
+        # Rows differ: one stable sort by plan, highest first, makes each
+        # row a run and each power above A^2 a prefix.
+        order = np.argsort(-(row + k), kind="stable")
+        row, k = row[order], k[order]
     # Powers of a0 = 2^-k A (exact), highest first, after room for the
     # blocks.  One allocation holds most of a call's memory, so glibc's
     # malloc keeps it mapped for the next call; in two, a call on 2^13
     # entries at n = 20 faulted about 140 pages in anew.
-    b = _TAYLOR[row if one else row.max()][1]
+    b = _TAYLOR[row if order is None else row[0]][1]
     work = np.empty((_MAX_BLOCKS + b, len(a), n, n))
     powers = work[_MAX_BLOCKS:]
-    scale = math.ldexp(1.0, -k) if one else np.ldexp(1.0, -k)[:, None, None]
-    a0 = np.multiply(shifted, scale, out=powers[-1])
+    scale = math.ldexp(1.0, -k) if isinstance(k, int) else np.ldexp(1.0, -k)[:, None, None]
+    a0 = np.multiply(shifted if order is None else shifted[order], scale, out=powers[-1])
     np.matmul(a0, a0, out=powers[-2])
     if not np.count_nonzero(powers[-2]):
         x = _eye(n) + shifted
         return x if mu is None else x * np.exp(mu)[:, None, None]
     for j in range(3, b + 1):
-        np.matmul(powers[1 - j], a0, out=powers[-j])
+        if order is None:
+            np.matmul(powers[1 - j], a0, out=powers[-j])
+        else:  # the prefix whose block size needs A^j
+            end = np.count_nonzero(_BLOCK_SIZES[row] >= j)
+            np.matmul(powers[1 - j, :end], a0[:end], out=powers[-j, :end])
     # Class -1 takes the finite Taylor sum (rule 3), any other its row.
     if len(a) == 1:
-        label = row if np.count_nonzero(powers[0]) else -1
-    elif (nonzero := powers.reshape(b, len(a), -1).any(axis=-1)).all():
-        label = row
+        x, s = _exp_class(row if np.count_nonzero(powers[0]) else -1, k, shifted, powers, work)
     else:
-        label = np.where(nonzero[b - _BLOCK_SIZES[row], np.arange(len(a))], row, -1)
-    if not isinstance(label, int) and len(classes := set(label.tolist())) == 1:
-        label = classes.pop()
-    if isinstance(label, int):
-        x, s = _exp_class(label, k, shifted, powers, work)
-    else:
-        x, s = np.empty_like(a), np.zeros(len(a), dtype=int)
-        for c in classes:
-            rows = label == c
-            k_rows = k if one else k[rows]
-            x[rows], s[rows] = _exp_class(c, k_rows, shifted[rows], powers[:, rows], work)
+        x, s = _exp_runs(row, k, order, shifted, powers, work)
     if mu is not None:
         x *= np.exp(np.ldexp(mu, -s))[:, None, None]
     always, most = (s, s) if isinstance(s, int) else (s.min(), s.max())
@@ -331,8 +359,9 @@ def mat_exp(a) -> np.ndarray:
     ``a`` has shape (..., n, n); the result has the same shape and holds the
     exponential of each matrix.  Every choice below is made per matrix, and
     a result does not depend on the rest of its stack, bit for bit; a
-    single matrix makes them in Python scalars, and the matrices of one
-    Taylor degree, or of rule 3, share one set of numpy calls.
+    single matrix makes them in Python scalars.  A stack of differing
+    degrees is sorted once by plan: the matrices of one Taylor degree, or of
+    rule 3 at one, are a run that shares one set of numpy calls.
 
     A matrix A takes the least degree m of _TAYLOR (4 to 30) whose theta_m
     is at least its 1-norm, else 30, and T_m is evaluated by the
@@ -411,16 +440,29 @@ def solve_linear(c, rhs) -> tuple[np.ndarray | None, int]:
     n = _require_square(m, "coefficient matrix")
     b = _real(rhs, "right-hand side", n, finite="has non-finite entries")
 
+    solution, consistent, r = _solve(m, b)
+    return (solution if consistent else None), r
+
+
+def _solve(m: np.ndarray, b: np.ndarray):
+    """solve_linear's steps, without its input checks: (solution, consistent,
+    rank) for c = m and rhs = b, or as arrays for each row of (k, n, n) and
+    (k, n) stacks of them, row by row bit for bit, one set of calls a rank."""
     u, sigma, vt = np.linalg.svd(m)
     r = _rank_of(sigma)
-    # With r = 0 the sum over singular triplets is empty: the solution is 0.
-    solution = vt[:r].T @ ((u[:, :r].T @ b) / sigma[:r])
-    # 2-norms by hypot, which does not overflow short of a norm that does.
-    residual, size, rhs_size = (np.hypot.reduce(v, initial=0.0)
-                                for v in (m @ solution - b, solution, b))
-    if residual <= DEFAULT_RANK_TOL * ((sigma[0] * size if r else 0.0) + rhs_size):
-        return solution, r
-    return None, r
+    x, consistent = np.empty_like(b), np.empty(b.shape[:-1], dtype=bool)
+    for rank in [r] if isinstance(r, int) else set(r.tolist()):
+        rows = ... if isinstance(r, int) else r == rank
+        mr, br, ur, sr, vr = (v[rows] for v in (m, b, u, sigma, vt))
+        # With rank 0 the sum over singular triplets is empty: x is 0.
+        xr = (vr[..., :rank, :].swapaxes(-1, -2)
+              @ ((ur[..., :rank].swapaxes(-1, -2) @ br[..., None]) / sr[..., :rank, None]))[..., 0]
+        # 2-norms by hypot, which does not overflow short of a norm that does.
+        residual, size, rhs_size = (np.hypot.reduce(v, axis=-1, initial=0.0)
+                                    for v in ((mr @ xr[..., None])[..., 0] - br, xr, br))
+        x[rows], consistent[rows] = xr, residual <= DEFAULT_RANK_TOL * (
+            (sr[..., 0] * size if rank else 0.0) + rhs_size)
+    return x, consistent, r
 
 
 def augment_affine(c, b) -> np.ndarray:
@@ -452,13 +494,14 @@ def _affine(m: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (m[..., :-1, :-1] @ p[..., None])[..., 0] + m[..., :-1, -1]
 
 
-def _in_range(compute, what: str) -> np.ndarray:
+def _in_range(compute, what) -> np.ndarray:
     """compute(), with no warning, else OverflowError "{what} overflows the
-    float range" when an entry of its result is not finite."""
+    float range" when an entry of its result is not finite; ``what`` is a
+    string or a callable that forms it, called only then."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = compute()
     if not _finite(v):
-        raise OverflowError(f"{what} overflows the float range")
+        raise OverflowError(f"{what() if callable(what) else what} overflows the float range")
     return v
 
 

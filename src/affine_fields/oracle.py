@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import _real
+from .linalg import _finite, _real
 
 DEFAULT_STEP = 1e-3
 
@@ -53,7 +53,7 @@ def _rk4_increment(rhs, y, h):
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
     total = k1 + 2.0 * (k2 + k3) + k4
-    if np.all(np.isfinite(total)):
+    if _finite(np.asarray(total)):  # a Python float when rhs returns one
         return (h / 6.0) * total
     # The sum of the stages can overflow a step before the state does: then
     # each stage takes its weight first.
@@ -81,11 +81,11 @@ def _march(problem: OdeProblem, advance) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_full):
             y = advance(y, h)
-            if not np.all(np.isfinite(y)):
+            if not _finite(y):
                 raise DivergenceError((k + 1) * h)
         if tail:
             y = advance(y, tail)
-            if not np.all(np.isfinite(y)):
+            if not _finite(y):
                 raise DivergenceError(problem.t_end)
     return y
 
@@ -137,6 +137,6 @@ def integrate_linear(problem: OdeProblem) -> np.ndarray:
             y = y + y @ _power_increment(increment(h), n_full)
         if tail:
             y = y + y @ increment(tail)
-    if np.all(np.isfinite(y)):
+    if _finite(y):
         return y
     return _march(problem, lambda y, h: y + y @ increment(h))

@@ -48,7 +48,8 @@ from .invariants import (
     planar_affine_family,
     straightened_frame_flow,
 )
-from .linalg import _affine, _dots, _generator, _norms, as_integer, mat_exp, solve_linear
+from .linalg import _affine, _dots, _generator, _norms, _solve, as_integer, mat_exp
+from .linalg import solve_linear  # noqa: F401  (unused; instrumentation looks it up here)
 from .oracle import OdeProblem, integrate, integrate_linear
 
 
@@ -483,7 +484,8 @@ def _degenerate_draws(rng) -> tuple[list, list]:
     the stacks (generator, t, x, U, U + null vector), 3 cases for each field
     whose B = -C anchor has an entry of at least 0.1, a field with a smaller
     one drawn again (C and anchor one ``rng.random`` call, the cases one
-    more); then the blocks (generators, starts (k, 1, n)) of fields with no
+    more), U from one stacked ``solve_linear`` per dimension after the
+    draws; then the blocks (generators, starts (k, 1, n)) of fields with no
     fixed point, each with its start one ``rng.random`` call."""
     def fixed_point_field(n):
         v = _uniform(rng.random(n * n + n), -2.0, 2.0)
@@ -491,14 +493,14 @@ def _degenerate_draws(rng) -> tuple[list, list]:
         b = -(c @ v[n * n :])
         if np.max(np.abs(b)) < 0.1:
             return None
-        u0, _ = solve_linear(c, -b)  # solvable: -b = C anchor
-        return _generator(c, b), u0, u0 + null_vec, rng.random((3, n + 1))
+        return c, b, null_vec, rng.random((3, n + 1))
 
     cases = []
-    for n, g, *fixed, u in _draw_blocks(rng, 50, (2, 5), fixed_point_field):
+    for n, c, b, null_vec, u in _draw_blocks(rng, 50, (2, 5), fixed_point_field):
+        u0 = _solve(c, -b)[0]  # solvable: -b = C anchor
         u = u.reshape(-1, n + 1)
-        cases.append((np.repeat(g, 3, axis=0), _uniform(u[:, 0], -1.0, 1.0),
-                      _uniform(u[:, 1:], -2.0, 2.0), *np.repeat(fixed, 3, axis=1)))
+        cases.append((np.repeat(_generator(c, b), 3, axis=0), _uniform(u[:, 0], -1.0, 1.0),
+                      _uniform(u[:, 1:], -2.0, 2.0), *np.repeat([u0, u0 + null_vec], 3, axis=1)))
     blocks = []
     for n, u in _draw_blocks(rng, 50, (2, 5), lambda n: (rng.random(n * n + 2 * n + 1),)):
         c, _ = _singular_matrix(_uniform(u[:, : n * n], -2.0, 2.0).reshape(-1, n, n))
@@ -515,9 +517,10 @@ def check_degenerate_flows(seed: int = 42) -> CheckResult:
     the flow must equal exp(tC)(x - U) + U for two fixed points U that differ
     by a null vector (1e-10); when none exists, it must match RK4 (1e-6,
     ``_rk4_defects``).  Both ensembles are drawn into per-dimension stacks
-    (``_degenerate_draws``); their flows take one ``flow_images`` call per
-    dimension, the exp(tC) one ``mat_exp`` call per dimension, and the
-    norms one call per dimension and term."""
+    (``_degenerate_draws``), the fixed points U by one stacked solve per
+    dimension; their flows take one ``flow_images`` call per dimension, the
+    exp(tC) one ``mat_exp`` call per dimension, and the norms one call per
+    dimension and term."""
     cases, blocks = _degenerate_draws(_rng(seed, 10))
     worst_pair = 0.0
     for g, t, x, *fixed in cases:

@@ -315,6 +315,24 @@ class TestAct:
         with pytest.raises(OverflowError, match="overflows the float range"):
             ga.act(action, g, x)
 
+    def test_overflow_message_is_formed_only_when_raising(self, monkeypatch):
+        # The message names the action by describe(); an act, a fundamental
+        # field or a subgroup element that stays in range never forms it.
+        calls = []
+        describe = ga.GroupAction.describe
+        monkeypatch.setattr(ga.GroupAction, "describe",
+                            lambda self: calls.append(1) or describe(self))
+        action = ga.exp_translation_action([1.0, 2.0])
+        g = ga.translation_element([0.5, -0.25])
+        ga.act(action, g, [1.0, 2.0])
+        tangent = AffineField(np.zeros((2, 2)), [1.0, 0.5])
+        ga.fundamental_field_numeric(action, tangent, [1.0, 2.0])
+        ga.one_parameter_subgroup(action, tangent, 0.5)
+        assert calls == []
+        with pytest.raises(OverflowError, match=r"^image under exp-translation"):
+            ga.act(action, ga.translation_element([1000.0, 0.0]), [2.0, 0.0])
+        assert calls == [1]
+
 
 class TestAxioms:
     @pytest.mark.parametrize("variant", ga.CATALOG_VARIANTS)

@@ -6,8 +6,11 @@ import re
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from affine_fields import linalg
 from affine_fields.linalg import (
     _TAYLOR,
     _affine,
@@ -16,6 +19,7 @@ from affine_fields.linalg import (
     _norms,
     _plan,
     _plans,
+    _solve,
     _squarings,
     augment_affine,
     mat_exp,
@@ -366,6 +370,58 @@ def test_mat_exp_mixed_stack_keeps_the_exact_rules():
                 mat_exp(np.concatenate([stack, [a]]))
 
 
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), count=st.integers(0, 30))
+def test_mat_exp_row_does_not_depend_on_its_place_in_the_stack(n, seed, count):
+    # A stack whose Taylor rows differ is sorted by plan and its results
+    # scattered back: each row of a shuffled stack is bit for bit the matrix
+    # alone and the row of the unshuffled stack.  Random matrices of 1-norm
+    # 1e-3 to 1e3 join every path; one whose exponential overflows is left
+    # out.
+    rng = np.random.default_rng(seed)
+    general = rng.normal(size=(count, n, n))
+    general *= (10.0 ** rng.uniform(-3.0, 3.0, count)
+                / np.abs(general).sum(axis=-2).max(axis=-1))[:, None, None]
+    alone = {}
+    for a in [*_every_path(n), *general]:
+        try:
+            alone[a.tobytes()] = mat_exp(a).tobytes()
+        except OverflowError:
+            pass
+    stack = np.array([np.frombuffer(key).reshape(n, n) for key in alone])
+    order = rng.permutation(len(stack))
+    plain, shuffled = mat_exp(stack), mat_exp(stack[order])
+    for got, i in zip(shuffled, order):
+        assert got.tobytes() == alone[stack[i].tobytes()] == plain[i].tobytes()
+
+
+def test_mat_exp_takes_one_call_per_class_on_views_of_one_work_array(monkeypatch):
+    # The sorted stack gives each Taylor row, and the rule 3 members of a
+    # row, one _exp_class call on slices of the one work array; a stack
+    # whose rows agree takes one call on the whole of it.
+    calls = []
+    exp_class = linalg._exp_class
+
+    def spy(c, k, a, powers, work):
+        calls.append((c, len(powers), powers.shape[1], powers, work))
+        return exp_class(c, k, a, powers, work)
+
+    monkeypatch.setattr(linalg, "_exp_class", spy)
+    for n in (1, 3, 6):
+        stack = np.concatenate([_every_path(n)] * 3)
+        stack = stack[np.random.default_rng(n).permutation(len(stack))]
+        calls.clear()
+        mat_exp(stack)
+        classes = [(c, b) for c, b, *_ in calls]
+        assert len(set(classes)) == len(classes) > 4
+        assert sum(size for _, _, size, *_ in calls) == len(stack)
+        work = calls[0][3].base
+        assert all(p.base is work and w.base is work for *_, p, w in calls)
+        calls.clear()
+        mat_exp(np.repeat(_every_path(n)[3:4], 5, axis=0))
+        assert [size for _, _, size, *_ in calls] == [5]
+
+
 def test_mat_exp_overflowing_shift_raises_overflow_error():
     # The shift by the mean eigenvalue can itself overflow: to -inf for
     # -max I at n = 3 (NaN off the diagonal of A - mu I), and to +inf on the
@@ -443,6 +499,39 @@ def test_solve_residual_contract_on_random_singular_systems():
         assert np.linalg.norm(c @ solution - rhs) <= 1e-10 * (
             1.0 + np.linalg.norm(rhs)
         )
+
+
+def test_stacked_solve_is_solve_linear_row_by_row(monkeypatch):
+    # Full-rank, singular, rank-0 and inconsistent systems in one stack:
+    # each row has solve_linear's rank and verdict and its solution's bits,
+    # from one SVD call for the stack.
+    rng = np.random.default_rng(12)
+    svd = np.linalg.svd
+    for n in (1, 2, 3, 5):
+        c, rhs = [], []
+        for i in range(40):
+            u, sigma, vt = np.linalg.svd(rng.uniform(-2.0, 2.0, size=(n, n)))
+            sigma[n - i % 3 :] = 0.0
+            if i % 7 == 0:
+                sigma[:] = 0.0
+            c.append((u * sigma) @ vt)
+            consistent = i % 2 == 0
+            rhs.append(c[-1] @ rng.uniform(-2.0, 2.0, size=n) if consistent
+                       else rng.uniform(-2.0, 2.0, size=n))
+        c, rhs = np.array(c), np.array(rhs)
+        for rows in (slice(None), slice(0, 40, 3)):
+            calls = []
+            monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+            x, consistent, r = _solve(c[rows], rhs[rows])
+            monkeypatch.setattr(np.linalg, "svd", svd)
+            assert calls == [1]
+            for i, (ci, bi) in enumerate(zip(c[rows], rhs[rows])):
+                want, rank_i = solve_linear(ci, bi)
+                assert r[i] == rank_i
+                assert consistent[i] == (want is not None)
+                if want is not None:
+                    assert x[i].tobytes() == want.tobytes()
+        assert len(set(r.tolist())) > 1 and not consistent.all() and consistent.any()
 
 
 def test_solve_dimension_mismatch():

@@ -29,6 +29,12 @@ def test_constant_rhs_is_exact():
     assert_allclose(out, [1.0, 2.0], atol=1e-15)
 
 
+def test_rhs_returning_a_python_float():
+    # The stages are then Python floats; the start's array carries the sum.
+    out = integrate(OdeProblem(lambda x: 1.0, [0.0], 1.0, 0.25))
+    assert out.tolist() == [1.0]
+
+
 def test_planar_family_trajectory():
     # Solution coordinates are polynomials of degree <= 2 in t, which RK4
     # reproduces exactly up to rounding.
